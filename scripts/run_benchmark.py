@@ -17,6 +17,9 @@ import time
 import numpy as np
 
 from weightpred import DatasetSpec, ExperimentConfig, build_snapshot, run_experiment
+from weightpred.evaluation import METHODS, PROTOCOL_SAMPLE_SIZE
+from weightpred.ingest import TASKS
+from weightpred.svm import KERNEL_KINDS
 
 
 def main() -> None:
@@ -26,11 +29,10 @@ def main() -> None:
     parser.add_argument("--weight-max", type=float, required=True)
     parser.add_argument("--timestamp", action="store_true")
     parser.add_argument("--delimiter", default=",")
-    parser.add_argument("--sample-size", type=int, default=5000)
+    parser.add_argument("--sample-size", type=int, default=PROTOCOL_SAMPLE_SIZE)
     parser.add_argument("--seeds", type=int, default=3, help="seeds 0..N-1")
     parser.add_argument("--k", type=int, default=5)
-    parser.add_argument("--kernel", default="rbf",
-                        choices=("linear", "polynomial", "rbf"))
+    parser.add_argument("--kernel", default="rbf", choices=KERNEL_KINDS)
     args = parser.parse_args()
 
     spec = DatasetSpec(
@@ -43,8 +45,8 @@ def main() -> None:
     print(f"snapshot: {len(snapshot.origins)} origins, "
           f"{len(snapshot.terminals)} terminals, {len(snapshot.edges)} edges")
 
-    for task in ("origin", "terminal", "edge"):
-        for method in ("knn", "svm"):
+    for task in TASKS:
+        for method in METHODS:
             maes, rmses = [], []
             started = time.monotonic()
             for seed in range(args.seeds):

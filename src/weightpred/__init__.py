@@ -56,7 +56,6 @@ from .svm import (
     kernel_eval,
     predict_at,
     predict_weight_svm,
-    transfer,
 )
 
 __version__ = "0.1.0"
@@ -117,5 +116,4 @@ __all__ = [
     "run_experiment",
     "save_snapshot",
     "stable_mean",
-    "transfer",
 ]

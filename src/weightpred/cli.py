@@ -8,9 +8,12 @@ on 3500 edges (edge task) or 70% of the vertex set (vertex tasks), and set
 the bandwidth h to the standard deviation of the training weights.  Pass
 ``--sample-size all`` to use every edge of a snapshot.
 
-Every flag can also be supplied through ``--config file.json`` (a flat JSON
-object keyed by flag destination names, e.g. ``{"sample_size": 200}``);
-explicit flags win over the config file.
+Every setting flag (all but file paths, ``--task``, ``--method``,
+``--repeat`` and ``--label``) can also be supplied through ``--config
+file.json``, a flat JSON object keyed by flag destination names, e.g.
+``{"sample_size": 200}``.  Explicit flags win over the config file, and a
+setting neither gives takes the library's default, which for the run
+settings is the :class:`ExperimentConfig` field default.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import numpy as np
 
 from .errors import DomainError, ParseError, PredictionError
 from .evaluation import (
+    METHODS,
+    PROTOCOL_SAMPLE_SIZE,
     ExperimentConfig,
     REPORT_FORMAT,
     format_tables,
@@ -33,15 +38,18 @@ from .evaluation import (
     run_experiment,
     write_predictions,
 )
-from .fairness import compute_fairness_goodness
+from .fairness import DEFAULT_MAX_ITER, DEFAULT_TOL, compute_fairness_goodness
 from .graph import build_graph
 from .ingest import (
+    TASKS,
     DatasetSpec,
     Snapshot,
     build_snapshot,
     load_snapshot,
     save_snapshot,
 )
+from .knn import DENOMINATOR_POLICIES, ZERO_DISTANCE_POLICIES
+from .svm import KERNEL_KINDS
 
 FG_FORMAT = "weightpred-fg-v1"
 
@@ -55,29 +63,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_config_flag(p):
-    p.add_argument("--config", default=None, help="JSON file of flag defaults")
+def _add_config_flag(p, flags):
+    """Add ``--config``; a config file may set the given flags and no others."""
+    p.add_argument("--config", help="JSON file of flag values; given flags win")
+    p.set_defaults(config_keys=tuple(f.dest for f in flags))
 
 
-def _merged(args, defaults: dict) -> dict:
-    """Flag value if given, else config-file value, else built-in default."""
-    overrides = {}
-    if getattr(args, "config", None):
+def _given(args) -> dict:
+    """Settings given by flag or, failing that, by the ``--config`` file.
+
+    A setting neither gives is left out, so the callee's default holds.
+    """
+    given = {}
+    if args.config:
         try:
-            overrides = json.loads(Path(args.config).read_text())
+            loaded = json.loads(Path(args.config).read_text())
         except OSError as exc:
             raise ParseError(f"cannot read config: {exc}", path=args.config) from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}", path=args.config) from exc
-        if not isinstance(overrides, dict):
+        if not isinstance(loaded, dict):
             raise ParseError("config file must hold a JSON object", path=args.config)
-    out = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = overrides.get(key, default)
-        out[key] = value
-    return out
+        given = {k: v for k, v in loaded.items() if k in args.config_keys}
+    for key in args.config_keys:
+        if getattr(args, key) is not None:
+            given[key] = getattr(args, key)
+    return given
 
 
 def _parse_sample_size(value):
@@ -96,82 +107,45 @@ def _parse_delimiter(value):
 
 # ---- subcommand argument groups ---------------------------------------------
 
-_RUN_DEFAULTS = {
-    "seed": 0,
-    "sample_size": "5000",
-    "train_count": None,
-    "train_fraction": None,
-    "h": None,
-    "k": 5,
-    "zero_distance_policy": "exclude",
-    "denominator_policy": "neighborhood_size",
-    "kernel": "rbf",
-    "gamma": None,
-    "degree": 3,
-    "coef0": 1.0,
-    "reg_lambda": 1e-3,
-    "fg_tol": 1e-6,
-    "fg_max_iter": 100,
-    "exclude_self": False,
-}
+
+def _add_task_flags(p, required):
+    p.add_argument("--task", choices=TASKS, required=required)
+    p.add_argument("--method", choices=METHODS, required=required)
 
 
-def _add_run_flags(p, with_task=True):
-    if with_task:
-        p.add_argument("--task", choices=("origin", "terminal", "edge"), required=True)
-        p.add_argument("--method", choices=("knn", "svm"), required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sample-size", dest="sample_size", default=None,
-                   help="edges to sample from the snapshot, or 'all' (default 5000)")
-    p.add_argument("--train-count", dest="train_count", type=int, default=None)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
-    p.add_argument("--h", type=float, default=None,
-                   help="fixed bandwidth; default is the training std-dev")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--zero-distance-policy", dest="zero_distance_policy",
-                   choices=("exclude", "include"), default=None)
-    p.add_argument("--denominator-policy", dest="denominator_policy",
-                   choices=("neighborhood_size", "fixed_k"), default=None)
-    p.add_argument("--kernel", choices=("linear", "polynomial", "rbf"), default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--coef0", type=float, default=None)
-    p.add_argument("--reg-lambda", dest="reg_lambda", type=float, default=None)
-    p.add_argument("--fg-tol", dest="fg_tol", type=float, default=None)
-    p.add_argument("--fg-max-iter", dest="fg_max_iter", type=int, default=None)
-    p.add_argument("--exclude-self", dest="exclude_self", action="store_const",
-                   const=True, default=None)
-    _add_config_flag(p)
+def _add_run_flags(p):
+    _add_config_flag(p, [
+        p.add_argument("--seed", type=int),
+        p.add_argument("--sample-size", help="edges to sample from the snapshot, "
+                       f"or 'all' (default {PROTOCOL_SAMPLE_SIZE})"),
+        p.add_argument("--train-count", type=int),
+        p.add_argument("--train-fraction", type=float),
+        p.add_argument("--h", type=float,
+                       help="fixed bandwidth; default is the training std-dev"),
+        p.add_argument("--k", type=int),
+        p.add_argument("--zero-distance-policy", choices=ZERO_DISTANCE_POLICIES),
+        p.add_argument("--denominator-policy", choices=DENOMINATOR_POLICIES),
+        p.add_argument("--kernel", choices=KERNEL_KINDS),
+        p.add_argument("--gamma", type=float),
+        p.add_argument("--degree", type=int),
+        p.add_argument("--coef0", type=float),
+        p.add_argument("--reg-lambda", type=float),
+        p.add_argument("--fg-tol", type=float),
+        p.add_argument("--fg-max-iter", type=int),
+        p.add_argument("--exclude-self", action="store_const", const=True),
+    ])
 
 
-def _build_experiment_config(args, task, method, seed=None) -> ExperimentConfig:
-    vals = _merged(args, _RUN_DEFAULTS)
-    if vals["train_count"] is not None and vals["train_fraction"] is not None:
-        raise UsageError("pass at most one of --train-count / --train-fraction")
-    # Neither given -> 70% of the element universe, which with the default
-    # 5000-edge sample is exactly the standard 3500-edge training set.
+def _experiment_config(args, task, method) -> ExperimentConfig:
+    given = _given(args)
+    h = given.pop("h", None)
+    if h is not None:
+        given.update(h_mode="fixed", h_value=h)
+    given["sample_size"] = _parse_sample_size(
+        given.get("sample_size", PROTOCOL_SAMPLE_SIZE)
+    )
     try:
-        return ExperimentConfig(
-            task=task,
-            method=method,
-            seed=seed if seed is not None else vals["seed"],
-            sample_size=_parse_sample_size(vals["sample_size"]),
-            train_count=vals["train_count"],
-            train_fraction=vals["train_fraction"],
-            h_mode="fixed" if vals["h"] is not None else "stddev",
-            h_value=vals["h"],
-            k=vals["k"],
-            zero_distance_policy=vals["zero_distance_policy"],
-            denominator_policy=vals["denominator_policy"],
-            kernel=vals["kernel"],
-            gamma=vals["gamma"],
-            degree=vals["degree"],
-            coef0=vals["coef0"],
-            reg_lambda=vals["reg_lambda"],
-            fg_tol=vals["fg_tol"],
-            fg_max_iter=vals["fg_max_iter"],
-            exclude_self=bool(vals["exclude_self"]),
-        )
+        return ExperimentConfig(task=task, method=method, **given)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -189,19 +163,20 @@ def _snapshot_summary(snapshot: Snapshot) -> str:
 
 
 def cmd_ingest(args) -> int:
-    defaults = {"seed": 0, "sample": None, "weight_min": None, "weight_max": None,
-                "delimiter": ",", "timestamp": False}
-    vals = _merged(args, defaults)
-    if vals["weight_min"] is None or vals["weight_max"] is None:
+    given = _given(args)
+    if given.get("weight_min") is None or given.get("weight_max") is None:
         raise UsageError("--weight-min and --weight-max are required")
     spec = DatasetSpec(
         path=args.input,
-        weight_range=(float(vals["weight_min"]), float(vals["weight_max"])),
-        has_timestamp=bool(vals["timestamp"]),
-        delimiter=_parse_delimiter(vals["delimiter"]),
+        weight_range=(float(given["weight_min"]), float(given["weight_max"])),
+        has_timestamp=bool(given.get("timestamp")),
+        delimiter=_parse_delimiter(given.get("delimiter", ",")),
     )
-    sample = _parse_sample_size(vals["sample"]) if vals["sample"] is not None else None
-    snapshot = build_snapshot(spec, sample_size=sample, seed=vals["seed"])
+    snapshot = build_snapshot(
+        spec,
+        sample_size=_parse_sample_size(given.get("sample")),
+        seed=given.get("seed", 0),
+    )
     save_snapshot(snapshot, args.output)
     print(_snapshot_summary(snapshot))
     print(f"snapshot written to {args.output}")
@@ -209,15 +184,16 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_gen_weights(args) -> int:
-    defaults = {"fg_tol": 1e-6, "fg_max_iter": 100}
-    vals = _merged(args, defaults)
+    given = _given(args)
+    tol = given.get("fg_tol", DEFAULT_TOL)
+    max_iter = given.get("fg_max_iter", DEFAULT_MAX_ITER)
     snapshot = load_snapshot(args.snapshot)
     graph = build_graph([r.pair for r in snapshot.edges])
     scores = compute_fairness_goodness(
         graph,
         {r.pair: r.weight for r in snapshot.edges},
-        tol=vals["fg_tol"],
-        max_iter=vals["fg_max_iter"],
+        tol=tol,
+        max_iter=max_iter,
     )
     payload = {
         "format": FG_FORMAT,
@@ -225,17 +201,18 @@ def cmd_gen_weights(args) -> int:
         "goodness": {str(k): v for k, v in scores.goodness.items()},
         "iterations": scores.iterations,
         "converged": scores.converged,
-        "config": {"tol": vals["fg_tol"], "max_iter": vals["fg_max_iter"]},
+        "config": {"tol": tol, "max_iter": max_iter},
         "snapshot_digest": snapshot.digest(),
     }
-    Path(args.output).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    Path(args.output).write_text(text + "\n")
     print(f"converged={scores.converged} iterations={scores.iterations}")
     print(f"scores written to {args.output}")
     return 0
 
 
 def cmd_predict(args) -> int:
-    config = _build_experiment_config(args, args.task, args.method)
+    config = _experiment_config(args, args.task, args.method)
     snapshot = load_snapshot(args.snapshot)
     result = run_experiment(snapshot, config)
     write_predictions(args.output, result)
@@ -280,9 +257,8 @@ def cmd_evaluate(args) -> int:
             "scored_from": "predictions-file",
         }
         if args.report:
-            Path(args.report).write_text(
-                json.dumps(report, sort_keys=True, indent=2) + "\n"
-            )
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+            Path(args.report).write_text(text + "\n")
         print(f"({report['mae']:.3f}, {report['rmse']:.3f})")
         return 0
 
@@ -294,7 +270,7 @@ def cmd_evaluate(args) -> int:
     if repeat < 1:
         raise UsageError("--repeat must be >= 1")
     snapshot = load_snapshot(args.snapshot)
-    base_config = _build_experiment_config(args, args.task, args.method)
+    base_config = _experiment_config(args, args.task, args.method)
     for i in range(repeat):
         config = base_config.with_seed(base_config.seed + i)
         result = run_experiment(snapshot, config)
@@ -312,9 +288,9 @@ def cmd_reproduce_tables(args) -> int:
     print(_snapshot_summary(snapshot))
     print()
     reports = []
-    for task in ("origin", "terminal", "edge"):
-        for method in ("knn", "svm"):
-            config = _build_experiment_config(args, task, method)
+    for task in TASKS:
+        for method in METHODS:
+            config = _experiment_config(args, task, method)
             result = run_experiment(snapshot, config)
             reports.append(result.report)
             if args.output_dir:
@@ -340,29 +316,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse a raw edge list into a snapshot")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--weight-min", dest="weight_min", type=float, default=None)
-    p.add_argument("--weight-max", dest="weight_max", type=float, default=None)
-    p.add_argument("--delimiter", default=None,
-                   help="',', 'tab', 'whitespace', 'auto', or a single character")
-    p.add_argument("--timestamp", action="store_const", const=True, default=None,
-                   help="records carry a fourth timestamp field")
-    p.add_argument("--sample", default=None,
-                   help="subsample this many edges at ingest time")
-    p.add_argument("--seed", type=int, default=None)
-    _add_config_flag(p)
+    _add_config_flag(p, [
+        p.add_argument("--weight-min", type=float),
+        p.add_argument("--weight-max", type=float),
+        p.add_argument("--delimiter",
+                       help="',', 'tab', 'whitespace', 'auto', or a single character"),
+        p.add_argument("--timestamp", action="store_const", const=True,
+                       help="records carry a fourth timestamp field"),
+        p.add_argument("--sample", help="subsample this many edges at ingest time"),
+        p.add_argument("--seed", type=int),
+    ])
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("gen-weights", help="fairness/goodness scores for a snapshot")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--fg-tol", dest="fg_tol", type=float, default=None)
-    p.add_argument("--fg-max-iter", dest="fg_max_iter", type=int, default=None)
-    _add_config_flag(p)
+    _add_config_flag(p, [
+        p.add_argument("--fg-tol", type=float),
+        p.add_argument("--fg-max-iter", type=int),
+    ])
     p.set_defaults(func=cmd_gen_weights)
 
     p = sub.add_parser("predict", help="predict held-out weights")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--output", required=True)
+    _add_task_flags(p, required=True)
     _add_run_flags(p)
     p.set_defaults(func=cmd_predict)
 
@@ -372,9 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="write the report JSON here")
     p.add_argument("--repeat", type=int, default=None,
                    help="run N seeds (seed, seed+1, ...) in snapshot mode")
-    p.add_argument("--task", choices=("origin", "terminal", "edge"), default=None)
-    p.add_argument("--method", choices=("knn", "svm"), default=None)
-    _add_run_flags(p, with_task=False)
+    _add_task_flags(p, required=False)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser(
@@ -383,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot", required=True)
     p.add_argument("--label", default=None, help="dataset name for the table rows")
     p.add_argument("--output-dir", dest="output_dir", default=None)
-    _add_run_flags(p, with_task=False)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_reproduce_tables)
 
     return parser

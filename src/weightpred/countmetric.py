@@ -74,11 +74,9 @@ def band_count(neighbor_elems, weighting: Weighting, avg: Optional[float], h: fl
 class CountProfile:
     """Cached neighborhood summary of one element."""
 
-    element: object
     neighbors: tuple
     avg_weight: Optional[float]
     band_count: int
-    h: float
 
     @property
     def neighbor_count(self) -> int:
@@ -123,11 +121,9 @@ class CountMetric:
         )
         avg = avg_neighbor_weight(nbs, self.weighting)
         prof = CountProfile(
-            element=element,
             neighbors=nbs,
             avg_weight=avg,
             band_count=band_count(nbs, self.weighting, avg, self.h),
-            h=self.h,
         )
         self._profiles[element] = prof
         return prof

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -22,9 +23,9 @@ import numpy as np
 
 from .countmetric import CountMetric
 from .errors import ParseError, PredictionError
-from .fairness import compute_fairness_goodness
+from .fairness import DEFAULT_MAX_ITER, DEFAULT_TOL, compute_fairness_goodness
 from .graph import WeightKind, Weighting, build_graph
-from .ingest import PRNG_NAME, Snapshot, Split, SplitPlan, make_split
+from .ingest import PRNG_NAME, TASKS, Snapshot, Split, SplitPlan, make_split
 from .knn import KnnConfig, KnnModel
 from . import svm as svm_mod
 
@@ -32,7 +33,9 @@ REPORT_FORMAT = "weightpred-report-v1"
 PREDICTIONS_FORMAT = "weightpred-predictions-v1"
 
 METHODS = ("knn", "svm")
-TASKS = ("origin", "terminal", "edge")
+
+# Edges the paper's protocol samples from each dataset; the CLI's default.
+PROTOCOL_SAMPLE_SIZE = 5000
 
 # Bandwidth when the training weights have zero spread; keeps h > 0 while
 # still treating only exactly-average weights as in-band.
@@ -89,8 +92,8 @@ class ExperimentConfig:
     degree: int = 3
     coef0: float = 1.0
     reg_lambda: float = 1e-3
-    fg_tol: float = 1e-6
-    fg_max_iter: int = 100
+    fg_tol: float = DEFAULT_TOL
+    fg_max_iter: int = DEFAULT_MAX_ITER
     exclude_self: bool = False
 
     def __post_init__(self):
@@ -193,7 +196,8 @@ class EvaluationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+        return text + "\n"
 
     def pair(self) -> str:
         """The (MAE, RMSE) cell, three decimals."""
@@ -340,7 +344,8 @@ def read_predictions(path):
 
     meta = {}
     data_lines = []
-    for line in text.splitlines():
+    linenos = []  # file line number of each data line
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if ": " in body:
@@ -348,6 +353,7 @@ def read_predictions(path):
                 meta[key] = value
         elif line.strip():
             data_lines.append(line)
+            linenos.append(lineno)
     if meta.get("format") != PREDICTIONS_FORMAT:
         raise ParseError(
             f"not a {PREDICTIONS_FORMAT} file", path=str(path)
@@ -367,25 +373,30 @@ def read_predictions(path):
         ) from None
 
     rows = []
-    for lineno, rec in enumerate(reader, start=2):
+    for lineno, rec in zip(linenos[1:], reader):
         if len(rec) != len(header):
             raise ParseError(
                 f"expected {len(header)} fields, got {len(rec)}",
                 path=str(path), line=lineno,
             )
-        if not rec[truth_col]:
-            raise ParseError(
-                "prediction row lacks a ground-truth value",
-                path=str(path), line=lineno,
-            )
+        values = []
+        for col in (pred_col, truth_col):
+            try:
+                value = float(rec[col])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{header[col]} value {rec[col]!r} is not a finite number",
+                    path=str(path), line=lineno,
+                )
+            values.append(value)
         if header[0] == "origin":
             element = (rec[0], rec[1])
         else:
             element = rec[0]
         flags = tuple(f for f in rec[flags_col].split("|") if f)
-        rows.append(
-            PredictionRow(element, float(rec[pred_col]), float(rec[truth_col]), flags)
-        )
+        rows.append(PredictionRow(element, *values, flags))
     if not rows:
         raise ParseError("no prediction rows", path=str(path))
     return rows, meta
@@ -396,6 +407,7 @@ _TASK_TITLES = {
     "terminal": "Terminal weights",
     "edge": "Edge weights",
 }
+_METHOD_TITLES = {"knn": "kNN", "svm": "SVM"}
 
 
 def format_tables(reports: Sequence[EvaluationReport], label: str = "dataset") -> str:
@@ -405,14 +417,14 @@ def format_tables(reports: Sequence[EvaluationReport], label: str = "dataset") -
         by_task.setdefault(rep.task, {})[rep.method] = rep
     width = max(16, len(label) + 2)
     lines = []
-    for task in ("origin", "terminal", "edge"):
+    for task in TASKS:
         if task not in by_task:
             continue
         cells = by_task[task]
         lines.append(_TASK_TITLES[task])
-        lines.append("".join(["Network".ljust(width), "kNN".ljust(18), "SVM".ljust(18)]))
-        knn_cell = cells["knn"].pair() if "knn" in cells else "-"
-        svm_cell = cells["svm"].pair() if "svm" in cells else "-"
-        lines.append("".join([label.ljust(width), knn_cell.ljust(18), svm_cell.ljust(18)]))
+        lines.append("Network".ljust(width)
+                     + "".join(_METHOD_TITLES[m].ljust(18) for m in METHODS))
+        lines.append(label.ljust(width) + "".join(
+            (cells[m].pair() if m in cells else "-").ljust(18) for m in METHODS))
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

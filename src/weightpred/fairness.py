@@ -31,6 +31,10 @@ from .graph import DirectedGraph
 
 _RANGE_SLACK = 1e-9
 
+# Stopping rule shared by the library, the experiment config and the CLI.
+DEFAULT_TOL = 1e-6
+DEFAULT_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class FgScores:
@@ -54,8 +58,8 @@ def _clamp(value: float, lo: float, hi: float, label: str) -> float:
 def compute_fairness_goodness(
     graph: DirectedGraph,
     edge_weights: Mapping,
-    tol: float = 1e-6,
-    max_iter: int = 100,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> FgScores:
     """Run the fixed-point iteration on a fully edge-weighted graph.
 

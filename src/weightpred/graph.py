@@ -128,32 +128,14 @@ def build_graph(edge_list: Iterable) -> DirectedGraph:
     and terminals are exactly the tokens appearing in first/second position,
     in order of first appearance.
     """
-    edges = []
-    seen = set()
-    origins = []
-    seen_o = set()
-    terminals = []
-    seen_t = set()
-    for pair in edge_list:
-        o, t = pair[0], pair[1]
-        e = (o, t)
-        if e in seen:
-            continue
-        seen.add(e)
-        edges.append(e)
-        if o not in seen_o:
-            seen_o.add(o)
-            origins.append(o)
-        if t not in seen_t:
-            seen_t.add(t)
-            terminals.append(t)
+    edges = tuple(dict.fromkeys((pair[0], pair[1]) for pair in edge_list))
     if not edges:
         raise DomainError("cannot build a graph from an empty edge list")
     origin_index, terminal_index = _index_edges(edges)
     return DirectedGraph(
-        origins=tuple(origins),
-        terminals=tuple(terminals),
-        edges=tuple(edges),
+        origins=tuple(dict.fromkeys(o for o, _ in edges)),
+        terminals=tuple(dict.fromkeys(t for _, t in edges)),
+        edges=edges,
         origin_index=origin_index,
         terminal_index=terminal_index,
     )
@@ -226,17 +208,15 @@ def neighbors_of_origin(
     Returns a deduplicated tuple in deterministic order; treat it as a set.
     """
     _require_kind(weighting, WeightKind.ORIGIN)
-    out = []
-    seen = set()
     domain = weighting.domain
-    for _, t in graph.out_edges(origin):
-        for alpha, _ in graph.terminal_index[t]:
-            if alpha in seen or alpha not in domain:
-                continue
-            if exclude_self and alpha == origin:
-                continue
-            seen.add(alpha)
-            out.append(alpha)
+    out = dict.fromkeys(
+        alpha
+        for _, t in graph.out_edges(origin)
+        for alpha, _ in graph.terminal_index[t]
+        if alpha in domain
+    )
+    if exclude_self:
+        out.pop(origin, None)
     return tuple(out)
 
 
@@ -245,17 +225,15 @@ def neighbors_of_terminal(
 ) -> tuple:
     """Training terminals sharing at least one origin with ``terminal``."""
     _require_kind(weighting, WeightKind.TERMINAL)
-    out = []
-    seen = set()
     domain = weighting.domain
-    for o, _ in graph.in_edges(terminal):
-        for _, beta in graph.origin_index[o]:
-            if beta in seen or beta not in domain:
-                continue
-            if exclude_self and beta == terminal:
-                continue
-            seen.add(beta)
-            out.append(beta)
+    out = dict.fromkeys(
+        beta
+        for o, _ in graph.in_edges(terminal)
+        for _, beta in graph.origin_index[o]
+        if beta in domain
+    )
+    if exclude_self:
+        out.pop(terminal, None)
     return tuple(out)
 
 
@@ -266,21 +244,14 @@ def neighbors_of_edge(
     _require_kind(weighting, WeightKind.EDGE)
     if not graph.has_edge(edge):
         raise DomainError(f"edge {edge!r} is not in the graph")
-    out = []
-    seen = set()
     domain = weighting.domain
-    for cand in graph.origin_index[edge[0]]:
-        if cand in domain and cand not in seen:
-            if exclude_self and cand == edge:
-                continue
-            seen.add(cand)
-            out.append(cand)
-    for cand in graph.terminal_index[edge[1]]:
-        if cand in domain and cand not in seen:
-            if exclude_self and cand == edge:
-                continue
-            seen.add(cand)
-            out.append(cand)
+    out = dict.fromkeys(
+        cand
+        for cand in graph.origin_index[edge[0]] + graph.terminal_index[edge[1]]
+        if cand in domain
+    )
+    if exclude_self:
+        out.pop(edge, None)
     return tuple(out)
 
 

@@ -155,17 +155,11 @@ def collapse_duplicates(records: Sequence[EdgeRecord]) -> list:
     last occurrence in file order); otherwise the weights are averaged.
     """
     groups: dict = {}
-    order = []
     for rec in records:
-        key = rec.pair
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+        groups.setdefault(rec.pair, []).append(rec)
 
     out = []
-    for key in order:
-        group = groups[key]
+    for key, group in groups.items():
         if len(group) == 1:
             out.append(group[0])
         elif all(r.timestamp is not None for r in group):
@@ -266,13 +260,7 @@ def make_split(records: Sequence[EdgeRecord], plan: SplitPlan, task: str) -> Spl
         train, test = sampled[:train_size], sampled[train_size:]
     else:
         pos = 0 if task == "origin" else 1
-        vertices = []
-        seen = set()
-        for rec in sampled:
-            tok = rec.pair[pos]
-            if tok not in seen:
-                seen.add(tok)
-                vertices.append(tok)
+        vertices = list(dict.fromkeys(rec.pair[pos] for rec in sampled))
         perm = rng.permutation(len(vertices))
         shuffled = [vertices[i] for i in perm]
         train_size = plan.resolve_train_size(len(shuffled))
@@ -313,19 +301,6 @@ class Snapshot:
         }
 
 
-def _vertex_lists(records):
-    origins, terminals = [], []
-    seen_o, seen_t = set(), set()
-    for rec in records:
-        if rec.origin not in seen_o:
-            seen_o.add(rec.origin)
-            origins.append(rec.origin)
-        if rec.terminal not in seen_t:
-            seen_t.add(rec.terminal)
-            terminals.append(rec.terminal)
-    return tuple(origins), tuple(terminals)
-
-
 def build_snapshot(
     spec: DatasetSpec,
     sample_size: Optional[int] = None,
@@ -356,11 +331,10 @@ def build_snapshot(
     except OSError as exc:  # raced away since parsing
         raise ParseError(f"cannot read file: {exc}", path=str(spec.path)) from exc
 
-    origins, terminals = _vertex_lists(scaled)
     return Snapshot(
         edges=tuple(scaled),
-        origins=origins,
-        terminals=terminals,
+        origins=tuple(dict.fromkeys(r.origin for r in scaled)),
+        terminals=tuple(dict.fromkeys(r.terminal for r in scaled)),
         raw_weight_range=(float(lo), float(hi)),
         provenance={
             "source_path": str(spec.path),
@@ -370,27 +344,93 @@ def build_snapshot(
     )
 
 
+# Top-level snapshot keys besides "format", and the JSON type each holds.
+_SNAPSHOT_KEYS = {
+    "raw_weight_range": list,
+    "origins": list,
+    "terminals": list,
+    "edges": list,
+    "provenance": dict,
+}
+
+
 def save_snapshot(snapshot: Snapshot, path) -> None:
-    Path(path).write_text(json.dumps(snapshot.to_dict(), sort_keys=True, indent=2) + "\n")
+    text = json.dumps(snapshot.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def load_snapshot(path) -> Snapshot:
+    """Read a snapshot, rejecting what :func:`build_snapshot` cannot produce.
+
+    Raises :class:`ParseError` naming the file (and the edge index, where
+    there is one) for a missing key, an edge that is not ``[origin,
+    terminal, weight]`` with a finite weight in [-1, 1], a repeated
+    (origin, terminal) pair, or vertex lists that differ from the edges'
+    first-appearance order.
+    """
+    where = str(path)
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ParseError(f"cannot read snapshot: {exc}", path=str(path)) from exc
+        raise ParseError(f"cannot read snapshot: {exc}", path=where) from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", path=str(path)) from exc
-    if payload.get("format") != SNAPSHOT_FORMAT:
+        raise ParseError(f"invalid JSON: {exc}", path=where) from exc
+    if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
+        found = payload.get("format") if isinstance(payload, dict) else None
         raise ParseError(
-            f"not a {SNAPSHOT_FORMAT} file (format={payload.get('format')!r})",
-            path=str(path),
+            f"not a {SNAPSHOT_FORMAT} file (format={found!r})", path=where
         )
-    edges = tuple(
-        EdgeRecord(str(o), str(t), float(w), None) for o, t, w in payload["edges"]
-    )
+    for key, kind in _SNAPSHOT_KEYS.items():
+        if not isinstance(payload.get(key), kind):
+            raise ParseError(
+                f"key {key!r} is missing or not a JSON {kind.__name__}", path=where
+            )
+
+    raw = payload["edges"]
+    by_origin: dict = {}  # origin -> {terminal: edge index}
+    for i, edge in enumerate(raw):
+        if not (type(edge) is list and len(edge) == 3
+                and type(edge[0]) is str and type(edge[1]) is str):
+            raise ParseError(
+                f"edge {i}: expected [origin, terminal, weight], got {edge!r}",
+                path=where,
+            )
+        o, t, w = edge
+        # NaN fails the range comparison, so this also rejects non-finite weights.
+        if type(w) not in (int, float) or not -1.0 <= w <= 1.0:
+            raise ParseError(
+                f"edge {i}: weight {w!r} is not a number in [-1, 1]", path=where
+            )
+        seen = by_origin.get(o)
+        if seen is None:
+            seen = by_origin[o] = {}
+        j = seen.setdefault(t, i)
+        if j != i:
+            raise ParseError(
+                f"edge {i}: repeats the (origin, terminal) pair of edge {j}", path=where
+            )
+
+    for name, pos in (("origins", 0), ("terminals", 1)):
+        listed = payload[name]
+        expected = list(dict.fromkeys(edge[pos] for edge in raw))
+        if listed == expected:
+            continue
+        j = next(
+            (j for j, (a, b) in enumerate(zip(listed, expected)) if a != b),
+            min(len(listed), len(expected)),
+        )
+        if j < len(expected):
+            i = next(i for i, edge in enumerate(raw) if edge[pos] == expected[j])
+            detail = f"expected {expected[j]!r}, first seen in edge {i}"
+        else:
+            detail = f"{listed[j]!r} appears in no edge"
+        raise ParseError(
+            f"{name} differ from the edges' first-appearance order at "
+            f"position {j}: {detail}",
+            path=where,
+        )
     return Snapshot(
-        edges=edges,
+        edges=tuple(EdgeRecord(o, t, float(w), None) for o, t, w in raw),
         origins=tuple(payload["origins"]),
         terminals=tuple(payload["terminals"]),
         raw_weight_range=tuple(payload["raw_weight_range"]),

@@ -109,11 +109,6 @@ class SvmPrediction:
     raw: float
 
 
-def transfer(metric: CountMetric, element) -> float:
-    """Embedding of an element into the reals via its band count."""
-    return metric.transfer(element)
-
-
 def fit_points(
     points: Sequence,
     config: SvmConfig = SvmConfig(),
@@ -137,13 +132,9 @@ def fit_points(
 
     # Merge embedding collisions; group order follows first appearance.
     groups: dict = {}
-    order = []
     for u, y in points:
-        if u not in groups:
-            groups[u] = []
-            order.append(u)
-        groups[u].append(y)
-    merged = [(u, stable_mean(groups[u])) for u in order]
+        groups.setdefault(u, []).append(y)
+    merged = [(u, stable_mean(ys)) for u, ys in groups.items()]
     merged_count = len(points) - len(merged)
 
     u_m = np.array([u for u, _ in merged])

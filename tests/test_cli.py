@@ -135,6 +135,18 @@ class TestPredict:
         ])
         assert code == 2
 
+    def test_malformed_snapshot_is_parse_error(self, snapshot_file, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        payload = json.loads(snapshot_file.read_text())
+        payload["edges"][0] = payload["edges"][0][:2]
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--snapshot", str(bad), "--task", "edge",
+                     "--method", "knn", "--output", str(out)])
+        assert code == 2
+        assert "edge 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_sample_is_numeric_error(self, snapshot_file, tmp_path):
         code = main(_run_args(snapshot_file, "edge", "knn",
                               tmp_path / "p.csv", sample_size=100000))
@@ -194,6 +206,31 @@ class TestEvaluate:
             "element,predicted,truth,flags\nv1,0.5,,\n"
         )
         assert main(["evaluate", "--predictions", str(preds)]) == 2
+
+    @pytest.mark.parametrize("predicted,truth", [
+        ("abc", "0.5"), ("0.5", "x"), ("nan", "0.5"), ("0.5", "inf"),
+    ])
+    def test_bad_prediction_value_rejected(self, tmp_path, capsys, predicted, truth):
+        preds = tmp_path / "p.csv"
+        preds.write_text(
+            "# format: weightpred-predictions-v1\n"
+            f"element,predicted,truth,flags\nv1,0.25,0.5,\nv2,{predicted},{truth},\n"
+        )
+        report = tmp_path / "report.json"
+        code = main(["evaluate", "--predictions", str(preds), "--report", str(report)])
+        assert code == 2
+        assert "line 4" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_non_finite_result_writes_no_report(self, snapshot_file, tmp_path):
+        report = tmp_path / "report.json"
+        code = main([
+            "evaluate", "--snapshot", str(snapshot_file), "--task", "edge",
+            "--method", "svm", "--sample-size", "300", "--kernel", "polynomial",
+            "--coef0", "nan", "--report", str(report),
+        ])
+        assert code == 3
+        assert not report.exists()
 
     def test_both_modes_at_once_is_usage_error(self, snapshot_file, tmp_path):
         preds = tmp_path / "p.csv"

@@ -1,6 +1,7 @@
 """Parsing, rescaling, duplicate collapse, snapshots, and seeded splits."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -259,3 +260,51 @@ class TestSnapshot:
         assert len(snap.edges) == 2
         by_pair = {r.pair: r.weight for r in snap.edges}
         assert by_pair[("a", "b")] == rescale(9.0, -10.0, 10.0)
+
+
+def _snapshot_payload():
+    return {
+        "format": "weightpred-snapshot-v1",
+        "raw_weight_range": [-10.0, 10.0],
+        "origins": ["a", "b"],
+        "terminals": ["x", "y"],
+        "edges": [["a", "x", 0.5], ["b", "y", -0.25], ["a", "y", 1.0]],
+        "provenance": {"source_path": "raw.csv", "source_sha256": "0", "sampling": None},
+    }
+
+
+def _drop(key):
+    return lambda s: s.pop(key)
+
+
+def _set_edge(i, value):
+    return lambda s: s["edges"].__setitem__(i, value)
+
+
+@pytest.mark.parametrize("corrupt,located", [
+    (_drop("edges"), "key 'edges' is missing"),
+    (_drop("provenance"), "key 'provenance' is missing"),
+    (_set_edge(1, ["b", "y"]), "edge 1: expected [origin, terminal, weight]"),
+    (_set_edge(1, ["b", "y", 0.1, 7]), "edge 1: expected [origin, terminal, weight]"),
+    (_set_edge(0, ["a", "x", "0.5"]), "edge 0: weight"),
+    (_set_edge(0, ["a", "x", float("nan")]), "edge 0: weight"),
+    (_set_edge(2, ["a", "y", float("inf")]), "edge 2: weight"),
+    (_set_edge(2, ["a", "y", 1.5]), "edge 2: weight"),
+    (lambda s: s["edges"].append(["a", "x", 0.1]), "edge 3: repeats"),
+    (lambda s: s.update(origins=["b", "a"]), "first seen in edge 0"),
+    (lambda s: s.update(terminals=["x"]), "first seen in edge 1"),
+    (lambda s: s.update(origins=["a", "b", "c"]), "'c' appears in no edge"),
+], ids=[
+    "no-edges", "no-provenance", "two-fields", "four-fields", "string-weight",
+    "nan-weight", "inf-weight", "weight-above-1", "repeated-pair",
+    "origins-reordered", "terminals-short", "origins-extra",
+])
+def test_load_snapshot_rejects_malformed_schema(tmp_path, corrupt, located):
+    path = tmp_path / "snap.json"
+    payload = _snapshot_payload()
+    path.write_text(json.dumps(payload))
+    assert len(load_snapshot(path).edges) == 3
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match=re.escape(str(path)) + ".*" + re.escape(located)):
+        load_snapshot(path)
