@@ -1,14 +1,16 @@
-"""Golden report digests: the six task x method reports at two scales.
+"""Golden digests: the six task x method reports and prediction files at two scales.
 
-Pins the SHA-256 of every ``EvaluationReport.to_json()`` for a generated
+Pins the SHA-256 of every ``EvaluationReport.to_json()``, and of every
+``write_predictions`` file (each row's value and flags), for a generated
 1,500-edge rating file (``helpers.write_rating_file``, seed 2009), once on a
 seeded 1,000-edge sample and once on every edge.  The input passes through
 ``build_snapshot`` -> ``save_snapshot`` -> ``load_snapshot`` first, from a
 fixed relative path, because the snapshot's ``provenance.source_path``
 feeds the ``snapshot_digest`` echoed in every report.
 
-Pinned on CPython 3.11.7 with numpy 2.4.6.  A refactor must keep all twelve
-digests; any change that alters one needs a CHANGES.md entry saying why.
+Pinned on CPython 3.11.7 with numpy 2.4.6.  A refactor must keep all
+twenty-four digests; any change that alters one needs a CHANGES.md entry
+saying why.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ from weightpred import (
     run_experiment,
     save_snapshot,
 )
+from weightpred.evaluation import write_predictions
 
 from helpers import write_rating_file
 
@@ -40,6 +43,21 @@ GOLDEN = {
     (None, "terminal", "svm"): "7d20ba152f80e0d98cc13a630ff039aac28561e6886b083e154175d4b55f0724",
     (None, "edge", "knn"): "26491d04c88e5a253b0b4c6e5175b4972cf71cff559ae52470910eda8eda707c",
     (None, "edge", "svm"): "0eed1564cbb18cea036172b745fe74f744b5629dc711c8cb0ba10ff0646a415f",
+}
+
+GOLDEN_PREDICTIONS = {
+    (1000, "origin", "knn"): "d242c09372a9b2ad5534cb7e5c67f5f4b3d274c3fe76c465df03dc65c3233f1b",
+    (1000, "origin", "svm"): "6f9d7b71937aec7abefb417d8d676a5df94fe5db28f4c5c02a30b0fd2df1d776",
+    (1000, "terminal", "knn"): "050fddfa3572fedc5f7ab91287a1b66f1fb9fcfcb509232f236df61bb943756b",
+    (1000, "terminal", "svm"): "2febc8b1996a5226b9af7210fe038d012bd86508286b14acdc37d3dc97702a55",
+    (1000, "edge", "knn"): "8c4ebd93e0aa0853ec16a6e2098d543774b0a4d78b3f7e2981852b8c8d938cfe",
+    (1000, "edge", "svm"): "6e9f26ace886b4ae53e7bf5c76352be8707bfdec23fa2194db6c2a25342b7cb6",
+    (None, "origin", "knn"): "988bc494db3359323d8705c8b18ef8673f91be8b808550a96f8f71444ba733f6",
+    (None, "origin", "svm"): "87f366107576036ae629d8c5e55980943beb9144b0f1ded0749991d64c1f3bbb",
+    (None, "terminal", "knn"): "e02ef50fcdff07908a65c7eb85e0f9c673b38689ec43b4eda64e03600e218773",
+    (None, "terminal", "svm"): "604e1b2143689937c64262f7d10e5dba74f4d692f512752b1e290e5dbb0acec6",
+    (None, "edge", "knn"): "a268ee0d5b39efaa2024d71c46e1030565c67be6d358a4a9dc163ad02b8e22da",
+    (None, "edge", "svm"): "2437c22420beddb608fac55e4610d2c5d1653057032c3b63ab429a0bf4b4fd39",
 }
 
 
@@ -60,3 +78,12 @@ def test_report_digest(snapshot, sample_size, task, method):
     report = run_experiment(snapshot, config).report
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == GOLDEN[(sample_size, task, method)]
+
+
+@pytest.mark.parametrize("sample_size,task,method", list(GOLDEN_PREDICTIONS))
+def test_predictions_digest(snapshot, tmp_path, sample_size, task, method):
+    config = ExperimentConfig(task=task, method=method, sample_size=sample_size)
+    path = tmp_path / "predictions.csv"
+    write_predictions(path, run_experiment(snapshot, config))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_PREDICTIONS[(sample_size, task, method)]
