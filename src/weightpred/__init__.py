@@ -45,7 +45,7 @@ from .ingest import (
     rescale_inverse,
     save_snapshot,
 )
-from .knn import KnnConfig, KnnModel, KnnNeighborhood, KnnPrediction, knn_neighborhood, predict_weight_knn
+from .knn import KnnConfig, KnnModel, KnnNeighborhood, KnnPrediction
 from .svm import (
     KernelSpec,
     SvmConfig,
@@ -97,7 +97,6 @@ __all__ = [
     "fit_points",
     "format_tables",
     "kernel_eval",
-    "knn_neighborhood",
     "load_snapshot",
     "mae",
     "make_rng",
@@ -108,7 +107,6 @@ __all__ = [
     "neighbors_of_terminal",
     "parse_edge_list",
     "predict_at",
-    "predict_weight_knn",
     "predict_weight_svm",
     "rescale",
     "rescale_inverse",

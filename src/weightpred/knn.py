@@ -12,14 +12,18 @@ neighborhood.  ``denominator_policy="neighborhood_size"`` (default) divides
 by the actual neighborhood size; ``"fixed_k"`` divides by k, which can push
 predictions outside the training range when ties inflate the set.  An empty
 neighborhood falls back to the global training mean, flagged.
+
+The distance depends on an element only through its integer band count, so
+the model groups the training weights by count once (one class per distinct
+count) and selects classes, never single elements.  A query is answered
+from its band count alone; the model, metric and config are immutable, so
+``predict`` memoises one answer per query count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .countmetric import CountMetric, stable_mean
 from .errors import DomainError, PredictionError
@@ -77,56 +81,40 @@ class KnnModel:
         self.metric = metric
         self.training = training
         self.config = config
-        self._counts = np.array(
-            [metric.profile(a).band_count for a in training], dtype=np.int64
-        )
-        self._weights = np.array(
-            [metric.weighting.weights[a] for a in training], dtype=np.float64
-        )
-        self._fallback = stable_mean(self._weights.tolist())
+        weights = [float(metric.weighting.weights[a]) for a in training]
+        self._classes: dict = {}  # band count -> training weights, first appearance
+        for a, w in zip(training, weights):
+            self._classes.setdefault(metric.profile(a).band_count, []).append(w)
+        self._fallback = stable_mean(weights)
+        self._memo: dict = {}  # query band count -> KnnPrediction
 
-    def _select(self, x):
-        dists = np.abs(self._counts - self.metric.profile(x).band_count)
+    def _select(self, c: int):
+        """Counts of the classes chosen for query count c, and the degenerate flag."""
+        dists = {t: abs(t - c) for t in self._classes}
         if self.config.zero_distance_policy == "exclude":
-            qualifying = dists > 0
-        else:
-            qualifying = np.ones(len(dists), dtype=bool)
-        values = np.unique(dists[qualifying])
-        chosen = values[: self.config.k]
-        degenerate = len(values) < self.config.k
-        mask = qualifying & np.isin(dists, chosen)
-        return mask, degenerate
+            dists = {t: d for t, d in dists.items() if d > 0}
+        values = sorted(set(dists.values()))
+        chosen = set(values[: self.config.k])
+        return {t for t, d in dists.items() if d in chosen}, len(values) < self.config.k
 
     def neighborhood(self, x) -> KnnNeighborhood:
-        mask, degenerate = self._select(x)
-        elems = tuple(self.training[i] for i in np.flatnonzero(mask))
+        chosen, degenerate = self._select(self.metric.profile(x).band_count)
+        elems = tuple(
+            a for a in self.training if self.metric.profile(a).band_count in chosen
+        )
         return KnnNeighborhood(elements=elems, degenerate=degenerate)
 
     def predict(self, x) -> KnnPrediction:
-        mask, degenerate = self._select(x)
-        n = int(mask.sum())
-        if n == 0:
-            return KnnPrediction(
-                value=self._fallback,
-                used_fallback=True,
+        c = self.metric.profile(x).band_count
+        if c not in self._memo:
+            chosen, degenerate = self._select(c)
+            weights = sorted(w for t in chosen for w in self._classes[t])
+            n = len(weights)
+            denom = n if self.config.denominator_policy == "neighborhood_size" else self.config.k
+            self._memo[c] = KnnPrediction(
+                value=sum(weights) / denom if n else self._fallback,
+                used_fallback=n == 0,
                 degenerate=degenerate,
-                neighborhood_size=0,
+                neighborhood_size=n,
             )
-        total = sum(sorted(self._weights[mask].tolist()))
-        denom = n if self.config.denominator_policy == "neighborhood_size" else self.config.k
-        return KnnPrediction(
-            value=total / denom,
-            used_fallback=False,
-            degenerate=degenerate,
-            neighborhood_size=n,
-        )
-
-
-def knn_neighborhood(metric: CountMetric, x, training, config: KnnConfig = KnnConfig()) -> KnnNeighborhood:
-    """One-shot neighborhood query (builds a throwaway model)."""
-    return KnnModel(metric, training, config).neighborhood(x)
-
-
-def predict_weight_knn(metric: CountMetric, x, training, config: KnnConfig = KnnConfig()) -> KnnPrediction:
-    """One-shot prediction for x from the given training enumeration."""
-    return KnnModel(metric, training, config).predict(x)
+        return self._memo[c]

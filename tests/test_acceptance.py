@@ -108,7 +108,6 @@ def test_criterion_2_golden_values():
         neighbors_of_edge,
         neighbors_of_origin,
         neighbors_of_terminal,
-        predict_weight_knn,
     )
 
     assert set(neighbors_of_origin(graph, ow, "a")) == {"b", "c"}
@@ -137,9 +136,9 @@ def test_criterion_2_golden_values():
     assert me.distance(("a", "1"), ("d", "3")) == 0
     assert me.transfer(("d", "3")) == 1.0
 
-    pred = predict_weight_knn(mo, "a", ["b", "c"], KnnConfig(k=1))
+    pred = KnnModel(mo, ["b", "c"], KnnConfig(k=1)).predict("a")
     assert pred.value == pytest.approx(0.45, abs=1e-12)
-    fallback = predict_weight_knn(mo, "d", ["b", "c"], KnnConfig(k=1))
+    fallback = KnnModel(mo, ["b", "c"], KnnConfig(k=1)).predict("d")
     assert fallback.used_fallback
     assert fallback.value == pytest.approx(0.45, abs=1e-12)
 

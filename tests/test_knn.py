@@ -11,8 +11,6 @@ from weightpred import (
     WeightKind,
     Weighting,
     build_graph,
-    knn_neighborhood,
-    predict_weight_knn,
 )
 
 from helpers import brute_knn, brute_profile, random_instance, universe_of
@@ -41,29 +39,29 @@ class TestNeighborhood:
         # Band counts: C(a)=2, C(b)=C(c)=1, so both b and c sit at the
         # smallest nonzero distance 1.
         m = CountMetric(fig1, origin_weights, 0.2)
-        nb = knn_neighborhood(m, "a", ["b", "c"], KnnConfig(k=1))
+        nb = KnnModel(m, ["b", "c"], KnnConfig(k=1)).neighborhood("a")
         assert set(nb.elements) == {"b", "c"}
         assert not nb.degenerate
 
     def test_all_distances_zero_excluded(self, fig1, origin_weights):
         # C(d)=1 equals both training counts: no nonzero distance exists.
         m = CountMetric(fig1, origin_weights, 0.2)
-        nb = knn_neighborhood(m, "d", ["b", "c"], KnnConfig(k=1))
+        nb = KnnModel(m, ["b", "c"], KnnConfig(k=1)).neighborhood("d")
         assert nb.elements == ()
         assert nb.degenerate
 
     def test_include_policy_admits_equivalents(self, fig1, origin_weights):
         m = CountMetric(fig1, origin_weights, 0.2)
-        nb = knn_neighborhood(
-            m, "d", ["b", "c"], KnnConfig(k=1, zero_distance_policy="include")
-        )
+        nb = KnnModel(
+            m, ["b", "c"], KnnConfig(k=1, zero_distance_policy="include")
+        ).neighborhood("d")
         assert set(nb.elements) == {"b", "c"}
         assert not nb.degenerate
 
     def test_saturation_flags_degenerate(self, fig1, origin_weights):
         # Only one distinct nonzero distance value exists, so k=5 saturates.
         m = CountMetric(fig1, origin_weights, 0.2)
-        nb = knn_neighborhood(m, "a", ["b", "c"], KnnConfig(k=5))
+        nb = KnnModel(m, ["b", "c"], KnnConfig(k=5)).neighborhood("a")
         assert set(nb.elements) == {"b", "c"}
         assert nb.degenerate
 
@@ -71,33 +69,32 @@ class TestNeighborhood:
 class TestPredict:
     def test_fig1_mean_over_neighborhood(self, fig1, origin_weights):
         m = CountMetric(fig1, origin_weights, 0.2)
-        pred = predict_weight_knn(m, "a", ["b", "c"], KnnConfig(k=1))
+        pred = KnnModel(m, ["b", "c"], KnnConfig(k=1)).predict("a")
         assert pred.value == pytest.approx(0.45, abs=APPROX)
         assert not pred.used_fallback
 
     def test_fixed_k_denominator(self, fig1, origin_weights):
         # Ties inflate the set to 2 elements; dividing by k=1 doubles the mean.
         m = CountMetric(fig1, origin_weights, 0.2)
-        pred = predict_weight_knn(
-            m, "a", ["b", "c"], KnnConfig(k=1, denominator_policy="fixed_k")
-        )
+        pred = KnnModel(
+            m, ["b", "c"], KnnConfig(k=1, denominator_policy="fixed_k")
+        ).predict("a")
         assert pred.value == pytest.approx(0.9, abs=APPROX)
 
     def test_single_neighbor_any_policy(self, fig1, origin_weights):
         m = CountMetric(fig1, origin_weights, 0.2)
         for policy in ("neighborhood_size", "fixed_k"):
-            pred = predict_weight_knn(
+            pred = KnnModel(
                 m,
-                "a",
                 ["b"],
                 KnnConfig(k=1, zero_distance_policy="include",
                           denominator_policy=policy),
-            )
+            ).predict("a")
             assert pred.value == pytest.approx(0.3, abs=APPROX)
 
     def test_fallback_to_training_mean(self, fig1, origin_weights):
         m = CountMetric(fig1, origin_weights, 0.2)
-        pred = predict_weight_knn(m, "d", ["b", "c"], KnnConfig(k=1))
+        pred = KnnModel(m, ["b", "c"], KnnConfig(k=1)).predict("d")
         assert pred.used_fallback
         assert pred.value == pytest.approx(0.45, abs=APPROX)
         assert pred.neighborhood_size == 0
