@@ -66,7 +66,36 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_flag(p, flags):
     """Add ``--config``; a config file may set the given flags and no others."""
     p.add_argument("--config", help="JSON file of flag values; given flags win")
-    p.set_defaults(config_keys=tuple(f.dest for f in flags))
+    p.set_defaults(config_flags={f.dest: f for f in flags})
+
+
+def _sample_size(text):
+    """Parse a sample-size flag: a number of edges, or 'all'."""
+    if text == "all":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer or 'all', got {text!r}"
+        ) from None
+
+
+def _fits(flag, value) -> bool:
+    """Whether a config-file value has the JSON type its flag takes."""
+    if flag.choices is not None:
+        return value in flag.choices
+    if flag.nargs == 0:  # store_const
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if flag.type is int:
+        return isinstance(value, int)
+    if flag.type is float:
+        return isinstance(value, (int, float))
+    if flag.type is _sample_size:
+        return isinstance(value, int) or value == "all"
+    return isinstance(value, str)
 
 
 def _given(args) -> dict:
@@ -84,20 +113,18 @@ def _given(args) -> dict:
             raise ParseError(f"invalid JSON: {exc}", path=args.config) from exc
         if not isinstance(loaded, dict):
             raise ParseError("config file must hold a JSON object", path=args.config)
-        given = {k: v for k, v in loaded.items() if k in args.config_keys}
-    for key in args.config_keys:
+        given = {k: v for k, v in loaded.items() if k in args.config_flags}
+        for key, value in given.items():
+            flag = args.config_flags[key]
+            if not _fits(flag, value):
+                raise ParseError(
+                    f"{key!r}: {value!r} is not a valid {flag.option_strings[0]} value",
+                    path=args.config,
+                )
+    for key in args.config_flags:
         if getattr(args, key) is not None:
             given[key] = getattr(args, key)
     return given
-
-
-def _parse_sample_size(value):
-    if value is None or value == "all":
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"--sample-size must be an integer or 'all', got {value!r}")
 
 
 def _parse_delimiter(value):
@@ -116,7 +143,8 @@ def _add_task_flags(p, required):
 def _add_run_flags(p):
     _add_config_flag(p, [
         p.add_argument("--seed", type=int),
-        p.add_argument("--sample-size", help="edges to sample from the snapshot, "
+        p.add_argument("--sample-size", type=_sample_size,
+                       help="edges to sample from the snapshot, "
                        f"or 'all' (default {PROTOCOL_SAMPLE_SIZE})"),
         p.add_argument("--train-count", type=int),
         p.add_argument("--train-fraction", type=float),
@@ -141,9 +169,8 @@ def _experiment_config(args, task, method) -> ExperimentConfig:
     h = given.pop("h", None)
     if h is not None:
         given.update(h_mode="fixed", h_value=h)
-    given["sample_size"] = _parse_sample_size(
-        given.get("sample_size", PROTOCOL_SAMPLE_SIZE)
-    )
+    sample_size = given.get("sample_size", PROTOCOL_SAMPLE_SIZE)
+    given["sample_size"] = None if sample_size == "all" else sample_size
     try:
         return ExperimentConfig(task=task, method=method, **given)
     except ValueError as exc:
@@ -174,7 +201,7 @@ def cmd_ingest(args) -> int:
     )
     snapshot = build_snapshot(
         spec,
-        sample_size=_parse_sample_size(given.get("sample")),
+        sample_size=None if given.get("sample", "all") == "all" else given["sample"],
         seed=given.get("seed", 0),
     )
     save_snapshot(snapshot, args.output)
@@ -323,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="',', 'tab', 'whitespace', 'auto', or a single character"),
         p.add_argument("--timestamp", action="store_const", const=True,
                        help="records carry a fourth timestamp field"),
-        p.add_argument("--sample", help="subsample this many edges at ingest time"),
+        p.add_argument("--sample", type=_sample_size,
+                       help="subsample this many edges at ingest time, or 'all'"),
         p.add_argument("--seed", type=int),
     ])
     p.set_defaults(func=cmd_ingest)

@@ -172,6 +172,8 @@ class EvaluationReport:
     snapshot_digest: str
 
     def __post_init__(self):
+        if not (math.isfinite(self.mae) and math.isfinite(self.rmse)):
+            raise PredictionError(f"non-finite result: mae {self.mae}, rmse {self.rmse}")
         if self.rmse < self.mae * (1.0 - 1e-12):
             raise AssertionError(
                 f"rmse {self.rmse} < mae {self.mae}; scoring is broken"

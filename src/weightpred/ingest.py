@@ -21,6 +21,7 @@ snapshots, never raw files.  All sampling uses numpy's PCG64 generator
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -286,7 +287,11 @@ class Snapshot:
     provenance: dict
 
     def digest(self) -> str:
-        """Content hash of the canonical JSON form."""
+        """Content hash of the canonical JSON form, computed once per snapshot."""
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
 

@@ -1,8 +1,20 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import weightpred
 from weightpred import WeightKind
 
 from helpers import fig_graph, fig_weighting
+
+# Tests that start ``python -m weightpred.cli`` need the child to import the
+# package found here, also when only pytest's ``pythonpath`` setting put it
+# on the path.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(weightpred.__file__).resolve().parents[1]),
+    os.environ.get("PYTHONPATH"),
+]))
 
 
 @pytest.fixture

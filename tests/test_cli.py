@@ -152,6 +152,13 @@ class TestPredict:
                               tmp_path / "p.csv", sample_size=100000))
         assert code == 3
 
+    def test_non_finite_result_writes_no_predictions(self, snapshot_file, tmp_path):
+        out = tmp_path / "p.csv"
+        code = main(_run_args(snapshot_file, "edge", "svm", out,
+                              kernel="polynomial", coef0="nan"))
+        assert code == 3
+        assert not out.exists()
+
     def test_artifact_embeds_config_and_digest(self, snapshot_file, tmp_path):
         out = tmp_path / "preds.csv"
         assert main(_run_args(snapshot_file, "edge", "svm", out)) == 0
@@ -282,6 +289,26 @@ class TestConfigFile:
         out = tmp_path / "preds.csv"
         code = main(_run_args(snapshot_file, "edge", "knn", out) + ["--config", str(cfg)])
         assert code == 0  # the explicit --sample-size 300 wins
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "7"), ("k", 2.5), ("exclude_self", "yes"), ("kernel", 3),
+        ("sample_size", "300"), ("train_fraction", "0.7"), ("k", True),
+        ("exclude_self", 1),
+    ])
+    def test_mistyped_config_value_is_parse_error(
+        self, snapshot_file, tmp_path, capsys, key, value
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "preds.csv"
+        code = main([
+            "predict", "--snapshot", str(snapshot_file), "--task", "origin",
+            "--method", "knn", "--output", str(out), "--config", str(cfg),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and repr(key) in err
+        assert not out.exists()
 
 
 class TestDeterminismAcrossProcesses:

@@ -226,6 +226,27 @@ class TestSnapshot:
         assert loaded == snap
         assert loaded.digest() == snap.digest()
 
+    @given(st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6),
+              st.one_of(st.integers(-10, 10), st.floats(-10.0, 10.0))),
+        min_size=1, max_size=40,
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_roundtrip_keeps_digest_and_bytes(self, tmp_path_factory, rows):
+        root = tmp_path_factory.mktemp("roundtrip")
+        raw = root / "raw.csv"
+        raw.write_text("".join(
+            f"o{o},t{t},{w},{1000 + i}\n" for i, (o, t, w) in enumerate(rows)
+        ))
+        built = build_snapshot(_spec(raw))
+        first, second = root / "first.json", root / "second.json"
+        save_snapshot(built, first)
+        loaded = load_snapshot(first)
+        assert loaded.digest() == built.digest()
+        save_snapshot(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert load_snapshot(second).digest() == built.digest()
+
     def test_weights_scaled(self, tmp_path):
         raw = self._write_raw(tmp_path)
         snap = build_snapshot(_spec(raw))
