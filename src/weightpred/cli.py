@@ -11,9 +11,10 @@ the bandwidth h to the standard deviation of the training weights.  Pass
 Every setting flag (all but file paths, ``--task``, ``--method``,
 ``--repeat`` and ``--label``) can also be supplied through ``--config
 file.json``, a flat JSON object keyed by flag destination names, e.g.
-``{"sample_size": 200}``.  Explicit flags win over the config file, and a
-setting neither gives takes the library's default, which for the run
-settings is the :class:`ExperimentConfig` field default.
+``{"sample_size": 200}``.  Each value must have the JSON type its flag
+takes, or the run exits 2 naming the key.  Explicit flags win over the
+config file, and a setting neither gives takes the library's default, which
+for the run settings is the :class:`ExperimentConfig` field default.
 """
 
 from __future__ import annotations

@@ -8,13 +8,16 @@ from weightpred import WeightKind
 
 from helpers import fig_graph, fig_weighting
 
-# Tests that start ``python -m weightpred.cli`` need the child to import the
-# package found here, also when only pytest's ``pythonpath`` setting put it
-# on the path.
-os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
-    str(Path(weightpred.__file__).resolve().parents[1]),
-    os.environ.get("PYTHONPATH"),
-]))
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """Let ``python -m weightpred.cli`` children import the package found
+    here, also when only pytest's ``pythonpath`` setting put it on the path."""
+    paths = [str(Path(weightpred.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
+        yield
 
 
 @pytest.fixture
