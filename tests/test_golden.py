@@ -3,13 +3,15 @@
 Pins the SHA-256 of every ``EvaluationReport.to_json()``, and of every
 ``write_predictions`` file (each row's value and flags), for a generated
 1,500-edge rating file (``helpers.write_rating_file``, seed 2009), once on a
-seeded 1,000-edge sample and once on every edge.  The input passes through
+seeded 1,000-edge sample and once on every edge.  Also pins the exact bits
+of ``compute_fairness_goodness`` on the graph of every edge, at the default
+stopping rule and cut off after two sweeps.  The input passes through
 ``build_snapshot`` -> ``save_snapshot`` -> ``load_snapshot`` first, from a
 fixed relative path, because the snapshot's ``provenance.source_path``
 feeds the ``snapshot_digest`` echoed in every report.
 
 Pinned on CPython 3.11.7 with numpy 2.4.6.  A refactor must keep all
-twenty-four digests; any change that alters one needs a CHANGES.md entry
+twenty-six digests; any change that alters one needs a CHANGES.md entry
 saying why.
 """
 
@@ -21,7 +23,9 @@ import pytest
 from weightpred import (
     DatasetSpec,
     ExperimentConfig,
+    build_graph,
     build_snapshot,
+    compute_fairness_goodness,
     load_snapshot,
     run_experiment,
     save_snapshot,
@@ -60,6 +64,13 @@ GOLDEN_PREDICTIONS = {
     (None, "edge", "svm"): "2437c22420beddb608fac55e4610d2c5d1653057032c3b63ab429a0bf4b4fd39",
 }
 
+# max_iter -> digest of the compute_fairness_goodness output bits.  The
+# default stopping rule (None) converges after 10 sweeps; 2 stops unconverged.
+GOLDEN_FAIRNESS = {
+    None: "e7cc9171c819c72d44143f8a1e7648fd3a16c7313ad247bff59400f47715b26c",
+    2: "0d57bf35a73b8c9d2428066513777545f41e3ebf1d1d7d20b62d8a8c5489f498",
+}
+
 
 @pytest.fixture(scope="module")
 def snapshot(tmp_path_factory):
@@ -87,3 +98,19 @@ def test_predictions_digest(snapshot, tmp_path, sample_size, task, method):
     write_predictions(path, run_experiment(snapshot, config))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_PREDICTIONS[(sample_size, task, method)]
+
+
+@pytest.mark.parametrize("max_iter", list(GOLDEN_FAIRNESS))
+def test_fairness_digest(snapshot, max_iter):
+    graph = build_graph([r.pair for r in snapshot.edges])
+    kwargs = {} if max_iter is None else {"max_iter": max_iter}
+    scores = compute_fairness_goodness(
+        graph, {r.pair: r.weight for r in snapshot.edges}, **kwargs
+    )
+    lines = [f"{key}={value.hex()}"
+             for table in (scores.fairness, scores.goodness)
+             for key, value in table.items()]
+    lines += [f"iterations={scores.iterations}", f"converged={scores.converged}"]
+    lines += [change.hex() for change in scores.max_changes]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_FAIRNESS[max_iter]
