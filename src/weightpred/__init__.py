@@ -7,20 +7,11 @@ Includes dataset ingestion, fairness/goodness vertex-weight generation,
 seeded train/test splitting, and MAE/RMSE evaluation.
 """
 
-from .countmetric import CountMetric, CountProfile, avg_neighbor_weight, band_count, stable_mean
+from .countmetric import CountMetric, avg_neighbor_weight, band_count, stable_mean
 from .errors import DomainError, ParseError, PredictionError, WeightpredError
-from .evaluation import (
-    EvaluationReport,
-    ExperimentConfig,
-    ExperimentResult,
-    format_tables,
-    mae,
-    rmse,
-    run_experiment,
-)
-from .fairness import FgScores, compute_fairness_goodness
+from .evaluation import ExperimentConfig, mae, rmse, run_experiment
+from .fairness import compute_fairness_goodness
 from .graph import (
-    DirectedGraph,
     WeightKind,
     Weighting,
     build_graph,
@@ -33,24 +24,20 @@ from .ingest import (
     DatasetSpec,
     EdgeRecord,
     Snapshot,
-    Split,
     SplitPlan,
     build_snapshot,
     collapse_duplicates,
     load_snapshot,
-    make_rng,
     make_split,
     parse_edge_list,
     rescale,
     rescale_inverse,
     save_snapshot,
 )
-from .knn import KnnConfig, KnnModel, KnnNeighborhood, KnnPrediction
+from .knn import KnnConfig, KnnModel
 from .svm import (
     KernelSpec,
     SvmConfig,
-    SvmModel,
-    SvmPrediction,
     fit,
     fit_points,
     kernel_eval,
@@ -62,28 +49,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CountMetric",
-    "CountProfile",
     "DatasetSpec",
-    "DirectedGraph",
     "DomainError",
     "EdgeRecord",
-    "EvaluationReport",
     "ExperimentConfig",
-    "ExperimentResult",
-    "FgScores",
     "KernelSpec",
     "KnnConfig",
     "KnnModel",
-    "KnnNeighborhood",
-    "KnnPrediction",
     "ParseError",
     "PredictionError",
     "Snapshot",
-    "Split",
     "SplitPlan",
     "SvmConfig",
-    "SvmModel",
-    "SvmPrediction",
     "WeightKind",
     "Weighting",
     "WeightpredError",
@@ -95,11 +72,9 @@ __all__ = [
     "compute_fairness_goodness",
     "fit",
     "fit_points",
-    "format_tables",
     "kernel_eval",
     "load_snapshot",
     "mae",
-    "make_rng",
     "make_split",
     "neighbors",
     "neighbors_of_edge",

@@ -39,7 +39,12 @@ from .evaluation import (
     run_experiment,
     write_predictions,
 )
-from .fairness import DEFAULT_MAX_ITER, DEFAULT_TOL, compute_fairness_goodness
+from .fairness import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    check_stopping_rule,
+    compute_fairness_goodness,
+)
 from .graph import build_graph
 from .ingest import (
     TASKS,
@@ -192,18 +197,25 @@ def _snapshot_summary(snapshot: Snapshot) -> str:
 
 def cmd_ingest(args) -> int:
     given = _given(args)
-    if given.get("weight_min") is None or given.get("weight_max") is None:
+    lo, hi = given.get("weight_min"), given.get("weight_max")
+    if lo is None or hi is None:
         raise UsageError("--weight-min and --weight-max are required")
+    if not lo < hi:
+        raise UsageError(f"--weight-min {lo} must be below --weight-max {hi}")
+    sample = given.get("sample", "all")
+    if sample != "all" and sample < 1:
+        raise UsageError(f"--sample must be a positive integer or 'all', got {sample}")
+    seed = given.get("seed", 0)
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
     spec = DatasetSpec(
         path=args.input,
-        weight_range=(float(given["weight_min"]), float(given["weight_max"])),
+        weight_range=(float(lo), float(hi)),
         has_timestamp=bool(given.get("timestamp")),
         delimiter=_parse_delimiter(given.get("delimiter", ",")),
     )
     snapshot = build_snapshot(
-        spec,
-        sample_size=None if given.get("sample", "all") == "all" else given["sample"],
-        seed=given.get("seed", 0),
+        spec, sample_size=None if sample == "all" else sample, seed=seed
     )
     save_snapshot(snapshot, args.output)
     print(_snapshot_summary(snapshot))
@@ -215,6 +227,10 @@ def cmd_gen_weights(args) -> int:
     given = _given(args)
     tol = given.get("fg_tol", DEFAULT_TOL)
     max_iter = given.get("fg_max_iter", DEFAULT_MAX_ITER)
+    try:
+        check_stopping_rule(tol, max_iter)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     snapshot = load_snapshot(args.snapshot)
     graph = build_graph([r.pair for r in snapshot.edges])
     scores = compute_fairness_goodness(
@@ -297,8 +313,8 @@ def cmd_evaluate(args) -> int:
     repeat = args.repeat if args.repeat is not None else 1
     if repeat < 1:
         raise UsageError("--repeat must be >= 1")
-    snapshot = load_snapshot(args.snapshot)
     base_config = _experiment_config(args, args.task, args.method)
+    snapshot = load_snapshot(args.snapshot)
     for i in range(repeat):
         config = base_config.with_seed(base_config.seed + i)
         result = run_experiment(snapshot, config)
@@ -311,22 +327,22 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_reproduce_tables(args) -> int:
+    configs = [_experiment_config(args, task, method)
+               for task in TASKS for method in METHODS]
     snapshot = load_snapshot(args.snapshot)
     label = args.label or Path(args.snapshot).stem
     print(_snapshot_summary(snapshot))
     print()
     reports = []
-    for task in TASKS:
-        for method in METHODS:
-            config = _experiment_config(args, task, method)
-            result = run_experiment(snapshot, config)
-            reports.append(result.report)
-            if args.output_dir:
-                out = Path(args.output_dir)
-                out.mkdir(parents=True, exist_ok=True)
-                (out / f"report_{task}_{method}.json").write_text(
-                    result.report.to_json()
-                )
+    for config in configs:
+        result = run_experiment(snapshot, config)
+        reports.append(result.report)
+        if args.output_dir:
+            out = Path(args.output_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / f"report_{config.task}_{config.method}.json").write_text(
+                result.report.to_json()
+            )
     print(format_tables(reports, label=label))
     return 0
 

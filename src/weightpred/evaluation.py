@@ -23,7 +23,12 @@ import numpy as np
 
 from .countmetric import CountMetric
 from .errors import ParseError, PredictionError
-from .fairness import DEFAULT_MAX_ITER, DEFAULT_TOL, compute_fairness_goodness
+from .fairness import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    check_stopping_rule,
+    compute_fairness_goodness,
+)
 from .graph import WeightKind, Weighting, build_graph
 from .ingest import PRNG_NAME, TASKS, Snapshot, Split, SplitPlan, make_split
 from .knn import KnnConfig, KnnModel
@@ -107,7 +112,9 @@ class ExperimentConfig:
             raise ValueError("h_mode='fixed' requires a positive h_value")
         if self.train_count is not None and self.train_fraction is not None:
             raise ValueError("set at most one of train_count / train_fraction")
-        # Predictor parameter validation is delegated to the config types.
+        check_stopping_rule(self.fg_tol, self.fg_max_iter)
+        # Split and predictor parameter validation is delegated to their types.
+        self.split_plan()
         self.knn_config()
         self.kernel_spec()
         self.svm_config()
@@ -180,22 +187,7 @@ class EvaluationReport:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "format": REPORT_FORMAT,
-            "task": self.task,
-            "method": self.method,
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "h": self.h,
-            "seed": self.seed,
-            "prng": self.prng,
-            "flags": self.flags,
-            "tie_stats": self.tie_stats,
-            "config": self.config,
-            "snapshot_digest": self.snapshot_digest,
-        }
+        return {"format": REPORT_FORMAT, **dataclasses.asdict(self)}
 
     def to_json(self) -> str:
         text = json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)

@@ -200,6 +200,8 @@ class SplitPlan:
     train_fraction: Optional[float] = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if (self.train_count is None) == (self.train_fraction is None):
             raise ValueError("set exactly one of train_count / train_fraction")
         if self.train_count is not None and self.train_count < 1:
@@ -320,6 +322,8 @@ def build_snapshot(
     ]
     sampling = None
     if sample_size is not None:
+        if sample_size < 1:
+            raise ValueError(f"sample_size must be >= 1, got {sample_size!r}")
         if seed is None:
             raise ValueError("sampling at ingest requires a seed")
         if sample_size > len(scaled):
@@ -368,7 +372,7 @@ def load_snapshot(path) -> Snapshot:
     """Read a snapshot, rejecting what :func:`build_snapshot` cannot produce.
 
     Raises :class:`ParseError` naming the file (and the edge index, where
-    there is one) for a missing key, an edge that is not ``[origin,
+    there is one) for a missing key, no edges, an edge that is not ``[origin,
     terminal, weight]`` with a finite weight in [-1, 1], a repeated
     (origin, terminal) pair, or vertex lists that differ from the edges'
     first-appearance order.
@@ -392,6 +396,8 @@ def load_snapshot(path) -> Snapshot:
             )
 
     raw = payload["edges"]
+    if not raw:
+        raise ParseError("snapshot has no edges", path=where)
     by_origin: dict = {}  # origin -> {terminal: edge index}
     for i, edge in enumerate(raw):
         if not (type(edge) is list and len(edge) == 3

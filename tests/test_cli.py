@@ -76,6 +76,24 @@ class TestIngest:
         assert code == 0
         assert "origins=4 terminals=4 edges=7" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra,flag", [
+        (["--sample", "0"], "--sample"),
+        (["--sample", "-1"], "--sample"),
+        (["--seed", "-1"], "--seed"),
+        (["--weight-min", "5", "--weight-max", "1"], "--weight-min"),
+    ])
+    def test_bad_flag_is_usage_error_without_output(
+        self, rating_file, tmp_path, capsys, extra, flag
+    ):
+        out = tmp_path / "snap.json"
+        code = main([
+            "ingest", "--input", str(rating_file), "--output", str(out),
+            "--weight-min", "-10", "--weight-max", "10", "--timestamp", *extra,
+        ])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_2_without_output(self, tmp_path, capsys):
         out = tmp_path / "snap.json"
         code = main([
@@ -98,6 +116,27 @@ class TestGenWeights:
         assert all(0.0 <= v <= 1.0 for v in payload["fairness"].values())
         assert all(-1.0 <= v <= 1.0 for v in payload["goodness"].values())
         assert payload["snapshot_digest"] == load_snapshot(snapshot_file).digest()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("predict", "train_fraction", "1.5"),
+    ("predict", "sample_size", "1"),
+    ("predict", "train_count", "0"),
+    ("predict", "fg_tol", "0"),
+    ("predict", "fg_max_iter", "0"),
+    ("predict", "seed", "-1"),
+    ("gen-weights", "fg_tol", "0"),
+])
+def test_out_of_range_setting_is_usage_error(
+    snapshot_file, tmp_path, command, flag, value
+):
+    out = tmp_path / "out"
+    args = [command, "--snapshot", str(snapshot_file), "--output", str(out),
+            f"--{flag.replace('_', '-')}", value]
+    if command == "predict":
+        args += ["--task", "origin", "--method", "knn"]
+    assert main(args) == 1
+    assert not out.exists()
 
 
 class TestPredict:

@@ -315,10 +315,11 @@ def _set_edge(i, value):
     (lambda s: s.update(origins=["b", "a"]), "first seen in edge 0"),
     (lambda s: s.update(terminals=["x"]), "first seen in edge 1"),
     (lambda s: s.update(origins=["a", "b", "c"]), "'c' appears in no edge"),
+    (lambda s: s.update(edges=[], origins=[], terminals=[]), "snapshot has no edges"),
 ], ids=[
     "no-edges", "no-provenance", "two-fields", "four-fields", "string-weight",
     "nan-weight", "inf-weight", "weight-above-1", "repeated-pair",
-    "origins-reordered", "terminals-short", "origins-extra",
+    "origins-reordered", "terminals-short", "origins-extra", "empty-edges",
 ])
 def test_load_snapshot_rejects_malformed_schema(tmp_path, corrupt, located):
     path = tmp_path / "snap.json"
