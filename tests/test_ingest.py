@@ -203,6 +203,8 @@ class TestMakeSplit:
             SplitPlan(seed=0, train_fraction=1.5)
         with pytest.raises(ValueError):
             SplitPlan(seed=0, train_count=0)
+        with pytest.raises(ValueError):
+            SplitPlan(seed=-1, train_fraction=0.5)
 
     def test_train_must_leave_a_test_set(self):
         plan = SplitPlan(seed=0, train_count=10)
@@ -251,6 +253,10 @@ class TestSnapshot:
         raw = self._write_raw(tmp_path)
         snap = build_snapshot(_spec(raw))
         assert all(-1.0 <= r.weight <= 1.0 for r in snap.edges)
+
+    def test_empty_sample_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="sample_size"):
+            build_snapshot(_spec(self._write_raw(tmp_path)), sample_size=0, seed=8)
 
     def test_sampling_recorded_in_provenance(self, tmp_path):
         raw = self._write_raw(tmp_path, n=60)
