@@ -14,7 +14,7 @@ from weightpred import (
     stable_mean,
 )
 
-from helpers import brute_profile, random_instance, universe_of
+from helpers import brute_neighbors, brute_profile, random_instance, universe_of
 
 APPROX = 1e-12
 
@@ -131,12 +131,18 @@ class TestBruteForceOracle:
         rng = np.random.default_rng(41)
         for _ in range(50):
             graph, weighting, h = random_instance(rng, max_edges=30)
-            metric = CountMetric(graph, weighting, h)
-            for elem in universe_of(graph, weighting.kind):
-                want_avg, want_count = brute_profile(graph, weighting, elem, h)
-                prof = metric.profile(elem)
-                assert prof.avg_weight == want_avg  # exact: same summation contract
-                assert prof.band_count == want_count
+            for exclude_self in (False, True):
+                metric = CountMetric(graph, weighting, h, exclude_self=exclude_self)
+                for elem in universe_of(graph, weighting.kind):
+                    want_avg, want_count = brute_profile(
+                        graph, weighting, elem, h, exclude_self
+                    )
+                    prof = metric.profile(elem)
+                    assert prof.avg_weight == want_avg  # exact: same summation contract
+                    assert prof.band_count == want_count
+                    assert prof.neighbor_count == len(
+                        brute_neighbors(graph, weighting, elem, exclude_self)
+                    )
 
     def test_profile_invariants(self):
         rng = np.random.default_rng(42)
