@@ -7,7 +7,7 @@ Includes dataset ingestion, fairness/goodness vertex-weight generation,
 seeded train/test splitting, and MAE/RMSE evaluation.
 """
 
-from .countmetric import CountMetric, avg_neighbor_weight, band_count, stable_mean
+from .countmetric import CountMetric, stable_mean
 from .errors import DomainError, ParseError, PredictionError, WeightpredError
 from .evaluation import ExperimentConfig, mae, rmse, run_experiment
 from .fairness import compute_fairness_goodness
@@ -64,8 +64,6 @@ __all__ = [
     "WeightKind",
     "Weighting",
     "WeightpredError",
-    "avg_neighbor_weight",
-    "band_count",
     "build_graph",
     "build_snapshot",
     "collapse_duplicates",

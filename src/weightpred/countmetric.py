@@ -41,46 +41,13 @@ def stable_mean(values: Sequence[float]) -> float:
     return sum(vals) / len(vals)
 
 
-def avg_neighbor_weight(neighbor_elems, weighting: Weighting) -> Optional[float]:
-    """Mean training weight over a neighbor collection; None when empty."""
-    ws = []
-    for n in neighbor_elems:
-        try:
-            ws.append(weighting.weights[n])
-        except KeyError:
-            raise DomainError(
-                f"neighbor {n!r} has no training weight; neighbor sets must "
-                "be computed against the same weighting"
-            ) from None
-    if not ws:
-        return None
-    return stable_mean(ws)
-
-
-def band_count(neighbor_elems, weighting: Weighting, avg: Optional[float], h: float) -> int:
-    """Number of neighbors whose weight lies within ``h`` of ``avg``."""
-    if not h > 0:
-        raise ValueError(f"bandwidth h must be positive, got {h!r}")
-    if avg is None:
-        return 0
-    count = 0
-    for n in neighbor_elems:
-        if abs(weighting.weights[n] - avg) <= h:
-            count += 1
-    return count
-
-
 @dataclass(frozen=True)
 class CountProfile:
     """Cached neighborhood summary of one element."""
 
-    neighbors: tuple
+    neighbor_count: int
     avg_weight: Optional[float]
     band_count: int
-
-    @property
-    def neighbor_count(self) -> int:
-        return len(self.neighbors)
 
 
 class CountMetric:
@@ -119,11 +86,12 @@ class CountMetric:
         nbs = neighbors(
             self.graph, self.weighting, element, exclude_self=self.exclude_self
         )
-        avg = avg_neighbor_weight(nbs, self.weighting)
+        ws = [self.weighting.weights[n] for n in nbs]
+        avg = stable_mean(ws) if ws else None
         prof = CountProfile(
-            neighbors=nbs,
+            neighbor_count=len(ws),
             avg_weight=avg,
-            band_count=band_count(nbs, self.weighting, avg, self.h),
+            band_count=sum(abs(w - avg) <= self.h for w in ws),
         )
         self._profiles[element] = prof
         return prof

@@ -62,35 +62,27 @@ class DirectedGraph:
     terminal_index: Mapping  # terminal token -> tuple of its edges
 
     @cached_property
-    def _origin_set(self):
-        return frozenset(self.origins)
-
-    @cached_property
-    def _terminal_set(self):
-        return frozenset(self.terminals)
-
-    @cached_property
     def _edge_set(self):
         return frozenset(self.edges)
 
     def has_origin(self, token) -> bool:
-        return token in self._origin_set
+        return token in self.origin_index
 
     def has_terminal(self, token) -> bool:
-        return token in self._terminal_set
+        return token in self.terminal_index
 
     def has_edge(self, edge) -> bool:
         return edge in self._edge_set
 
     def out_edges(self, origin) -> tuple:
         """Edges leaving ``origin``, in insertion order."""
-        if origin not in self._origin_set:
+        if origin not in self.origin_index:
             raise DomainError(f"origin {origin!r} is not in the graph")
         return self.origin_index[origin]
 
     def in_edges(self, terminal) -> tuple:
         """Edges entering ``terminal``, in insertion order."""
-        if terminal not in self._terminal_set:
+        if terminal not in self.terminal_index:
             raise DomainError(f"terminal {terminal!r} is not in the graph")
         return self.terminal_index[terminal]
 
@@ -133,8 +125,8 @@ def build_graph(edge_list: Iterable) -> DirectedGraph:
         raise DomainError("cannot build a graph from an empty edge list")
     origin_index, terminal_index = _index_edges(edges)
     return DirectedGraph(
-        origins=tuple(dict.fromkeys(o for o, _ in edges)),
-        terminals=tuple(dict.fromkeys(t for _, t in edges)),
+        origins=tuple(origin_index),
+        terminals=tuple(terminal_index),
         edges=edges,
         origin_index=origin_index,
         terminal_index=terminal_index,
@@ -166,10 +158,6 @@ class Weighting:
                 raise ValueError(
                     f"weight {w!r} for {elem!r} outside [{self.lo}, {self.hi}]"
                 )
-
-    @cached_property
-    def domain(self):
-        return frozenset(self.weights)
 
     @property
     def value_range(self):
@@ -208,7 +196,7 @@ def neighbors_of_origin(
     Returns a deduplicated tuple in deterministic order; treat it as a set.
     """
     _require_kind(weighting, WeightKind.ORIGIN)
-    domain = weighting.domain
+    domain = weighting.weights
     out = dict.fromkeys(
         alpha
         for _, t in graph.out_edges(origin)
@@ -225,7 +213,7 @@ def neighbors_of_terminal(
 ) -> tuple:
     """Training terminals sharing at least one origin with ``terminal``."""
     _require_kind(weighting, WeightKind.TERMINAL)
-    domain = weighting.domain
+    domain = weighting.weights
     out = dict.fromkeys(
         beta
         for o, _ in graph.in_edges(terminal)
@@ -244,7 +232,7 @@ def neighbors_of_edge(
     _require_kind(weighting, WeightKind.EDGE)
     if not graph.has_edge(edge):
         raise DomainError(f"edge {edge!r} is not in the graph")
-    domain = weighting.domain
+    domain = weighting.weights
     out = dict.fromkeys(
         cand
         for cand in graph.origin_index[edge[0]] + graph.terminal_index[edge[1]]

@@ -74,7 +74,7 @@ class KnnModel:
         training = tuple(training)
         if not training:
             raise PredictionError("kNN requires a non-empty training set")
-        domain = metric.weighting.domain
+        domain = metric.weighting.weights
         for elem in training:
             if elem not in domain:
                 raise DomainError(f"training element {elem!r} has no weight")

@@ -147,7 +147,7 @@ class TestNeighborProperties:
             graph, weighting, _ = random_instance(rng, allow_empty=True)
             for elem in _universe(graph, weighting.kind):
                 got = neighbors(graph, weighting, elem)
-                assert set(got) <= weighting.domain
+                assert set(got) <= weighting.weights.keys()
 
     def test_index_rebuild_matches(self):
         rng = np.random.default_rng(13)
