@@ -1,7 +1,8 @@
 """Command-line front end: ingest, gen-weights, predict, evaluate, reproduce-tables.
 
 Exit codes are a stable contract for scripting: 0 success, 1 usage error,
-2 IO/parse error, 3 domain or numeric failure.
+2 IO/parse error, 3 domain or numeric failure, 4 internal invariant failure
+(a bug, never bad input).
 
 Defaults mirror the standard experiment protocol: sample 5000 edges, train
 on 3500 edges (edge task) or 70% of the vertex set (vertex tasks), and set
@@ -429,6 +430,9 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

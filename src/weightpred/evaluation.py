@@ -108,8 +108,12 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.h_mode not in ("stddev", "fixed"):
             raise ValueError(f"h_mode must be 'stddev' or 'fixed', got {self.h_mode!r}")
-        if self.h_mode == "fixed" and (self.h_value is None or not self.h_value > 0):
-            raise ValueError("h_mode='fixed' requires a positive h_value")
+        if self.h_mode == "fixed" and not (
+            self.h_value is not None
+            and self.h_value > 0
+            and math.isfinite(self.h_value)
+        ):
+            raise ValueError("h_mode='fixed' requires a positive finite h_value")
         if self.train_count is not None and self.train_fraction is not None:
             raise ValueError("set at most one of train_count / train_fraction")
         check_stopping_rule(self.fg_tol, self.fg_max_iter)
@@ -215,7 +219,7 @@ def _training_bandwidth(config: ExperimentConfig, train_weights) -> tuple:
     return _H_FLOOR, True
 
 
-def _task_data(snapshot: Snapshot, config: ExperimentConfig, split: Split):
+def _task_data(config: ExperimentConfig, split: Split):
     """Graph, training weight map, held-out truth pairs, and weight kind."""
     graph = build_graph([r.pair for r in split.sampled])
     if config.task == "edge":
@@ -241,9 +245,7 @@ def _task_data(snapshot: Snapshot, config: ExperimentConfig, split: Split):
 def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentResult:
     """Execute one (task, method, seed) run end to end."""
     split = make_split(snapshot.edges, config.split_plan(), config.task)
-    graph, train_weights, truths, kind, value_range = _task_data(
-        snapshot, config, split
-    )
+    graph, train_weights, truths, kind, value_range = _task_data(config, split)
     if not truths:
         raise PredictionError("empty test set; nothing to score")
 
@@ -313,7 +315,8 @@ def write_predictions(path, result: ExperimentResult) -> None:
     buf.write(f"# task: {report.task}\n")
     buf.write(f"# method: {report.method}\n")
     buf.write(f"# snapshot_digest: {report.snapshot_digest}\n")
-    buf.write(f"# config: {json.dumps(report.config, sort_keys=True)}\n")
+    config = json.dumps(report.config, sort_keys=True, allow_nan=False)
+    buf.write(f"# config: {config}\n")
     writer = csv.writer(buf, lineterminator="\n")
     if report.task == "edge":
         writer.writerow(["origin", "terminal", "predicted", "truth", "flags"])

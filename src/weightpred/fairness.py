@@ -43,9 +43,10 @@ DEFAULT_MAX_ITER = 100
 
 
 def check_stopping_rule(tol, max_iter) -> None:
-    """Raise ``ValueError`` unless ``tol > 0`` and ``max_iter`` is an int >= 1."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    """Raise ``ValueError`` unless ``tol`` is positive and finite and
+    ``max_iter`` is an int >= 1."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not (isinstance(max_iter, int) and max_iter >= 1):
         raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
 

@@ -55,6 +55,10 @@ class KernelSpec:
             raise ValueError(f"polynomial degree must be a positive integer, got {self.degree!r}")
         if self.kind == "rbf" and self.gamma is not None and not self.gamma > 0:
             raise ValueError(f"rbf gamma must be positive, got {self.gamma!r}")
+        for name in ("gamma", "coef0"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"kernel {name} must be finite, got {value!r}")
 
 
 def kernel_eval(spec: KernelSpec, u: float, v: float) -> float:
@@ -82,9 +86,10 @@ class SvmConfig:
     regularization: float = 1e-3
 
     def __post_init__(self):
-        if not self.regularization > 0:
+        if not (self.regularization > 0 and math.isfinite(self.regularization)):
             raise ValueError(
-                f"regularization must be positive, got {self.regularization!r}"
+                "regularization must be positive and finite, "
+                f"got {self.regularization!r}"
             )
 
 

@@ -126,6 +126,12 @@ class TestGenWeights:
     ("predict", "fg_max_iter", "0"),
     ("predict", "seed", "-1"),
     ("gen-weights", "fg_tol", "0"),
+    ("predict", "h", "inf"),
+    ("predict", "fg_tol", "inf"),
+    ("predict", "coef0", "inf"),
+    ("predict", "gamma", "inf"),
+    ("predict", "reg_lambda", "inf"),
+    ("gen-weights", "fg_tol", "inf"),
 ])
 def test_out_of_range_setting_is_usage_error(
     snapshot_file, tmp_path, command, flag, value
@@ -194,8 +200,20 @@ class TestPredict:
     def test_non_finite_result_writes_no_predictions(self, snapshot_file, tmp_path):
         out = tmp_path / "p.csv"
         code = main(_run_args(snapshot_file, "edge", "svm", out,
-                              kernel="polynomial", coef0="nan"))
+                              kernel="polynomial", degree=400))
         assert code == 3
+        assert not out.exists()
+
+    def test_internal_error_exits_4_without_output(
+        self, snapshot_file, tmp_path, monkeypatch, capsys
+    ):
+        def broken(snapshot, config):
+            raise AssertionError("rmse below mae")
+
+        monkeypatch.setattr("weightpred.cli.run_experiment", broken)
+        out = tmp_path / "p.csv"
+        assert main(_run_args(snapshot_file, "edge", "knn", out)) == 4
+        assert "internal error: rmse below mae" in capsys.readouterr().err
         assert not out.exists()
 
     def test_artifact_embeds_config_and_digest(self, snapshot_file, tmp_path):
@@ -273,7 +291,7 @@ class TestEvaluate:
         code = main([
             "evaluate", "--snapshot", str(snapshot_file), "--task", "edge",
             "--method", "svm", "--sample-size", "300", "--kernel", "polynomial",
-            "--coef0", "nan", "--report", str(report),
+            "--degree", "400", "--report", str(report),
         ])
         assert code == 3
         assert not report.exists()
