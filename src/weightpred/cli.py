@@ -38,6 +38,7 @@ from .evaluation import (
     read_predictions,
     rmse,
     run_experiment,
+    tally_flags,
     write_predictions,
 )
 from .fairness import (
@@ -285,10 +286,6 @@ def cmd_evaluate(args) -> int:
         rows, meta = read_predictions(args.predictions)
         preds = [r.predicted for r in rows]
         truths = [r.truth for r in rows]
-        flag_counts: dict = {}
-        for row in rows:
-            for f in row.flags:
-                flag_counts[f] = flag_counts.get(f, 0) + 1
         report = {
             "format": REPORT_FORMAT,
             "task": meta.get("task"),
@@ -296,7 +293,7 @@ def cmd_evaluate(args) -> int:
             "mae": mae(preds, truths),
             "rmse": rmse(preds, truths),
             "n_test": len(rows),
-            "flags": flag_counts,
+            "flags": tally_flags(rows),
             "config": json.loads(meta["config"]) if "config" in meta else None,
             "snapshot_digest": meta.get("snapshot_digest"),
             "scored_from": "predictions-file",

@@ -15,6 +15,7 @@ import dataclasses
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -209,6 +210,11 @@ class ExperimentResult:
     split: Split
 
 
+def tally_flags(rows) -> dict:
+    """How many rows carry each flag; flags no row carries are absent."""
+    return dict(Counter(f for row in rows for f in row.flags))
+
+
 def _training_bandwidth(config: ExperimentConfig, train_weights) -> tuple:
     """Resolve h; returns (h, fell_back_to_floor)."""
     if config.h_mode == "fixed":
@@ -254,35 +260,25 @@ def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentRe
     metric = CountMetric(graph, weighting, h, exclude_self=config.exclude_self)
     train_elements = list(train_weights)
 
-    flags = {"fallback_mean": 0, "degenerate": 0, "clamped": 0,
-             "h_stddev_zero": int(h_fell_back)}
-    rows = []
     if config.method == "knn":
-        model = KnnModel(metric, train_elements, config.knn_config())
-        for elem, truth in truths:
-            pred = model.predict(elem)
-            row_flags = []
-            if pred.used_fallback:
-                flags["fallback_mean"] += 1
-                row_flags.append("fallback_mean")
-            if pred.degenerate:
-                flags["degenerate"] += 1
-                row_flags.append("degenerate")
-            rows.append(PredictionRow(elem, pred.value, truth, tuple(row_flags)))
+        predict = KnnModel(metric, train_elements, config.knn_config()).predict_count
     else:
         model = svm_mod.fit(metric, train_elements, config.svm_config())
-        for elem, truth in truths:
-            pred = svm_mod.predict_weight_svm(model, metric, elem)
-            row_flags = []
-            if pred.clamped:
-                flags["clamped"] += 1
-                row_flags.append("clamped")
-            rows.append(PredictionRow(elem, pred.value, truth, tuple(row_flags)))
+        predict = lambda c: svm_mod.predict_at(model, float(c))
+
+    # Both predictors see a query only through its band count: one answer
+    # per distinct test count, in first-appearance order.
+    table = {}
+    rows = []
+    for elem, truth in truths:
+        c = metric.profile(elem).band_count
+        if c not in table:
+            table[c] = predict(c)
+        rows.append(PredictionRow(elem, table[c].value, truth, table[c].flags))
 
     preds = [r.predicted for r in rows]
     actual = [r.truth for r in rows]
-    train_counts = [metric.profile(a).band_count for a in train_elements]
-    multiplicities = np.unique(np.array(train_counts), return_counts=True)[1]
+    train_counts = Counter(metric.profile(a).band_count for a in train_elements)
     report = EvaluationReport(
         task=config.task,
         method=config.method,
@@ -293,11 +289,10 @@ def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentRe
         h=h,
         seed=config.seed,
         prng=PRNG_NAME,
-        flags=flags,
-        tie_stats={
-            "distinct_train_counts": int(len(multiplicities)),
-            "max_count_multiplicity": int(multiplicities.max()),
-        },
+        flags={"fallback_mean": 0, "degenerate": 0, "clamped": 0,
+               **tally_flags(rows), "h_stddev_zero": int(h_fell_back)},
+        tie_stats={"distinct_train_counts": len(train_counts),
+                   "max_count_multiplicity": max(train_counts.values())},
         config=config.to_dict(),
         snapshot_digest=snapshot.digest(),
     )
@@ -318,17 +313,13 @@ def write_predictions(path, result: ExperimentResult) -> None:
     config = json.dumps(report.config, sort_keys=True, allow_nan=False)
     buf.write(f"# config: {config}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    if report.task == "edge":
-        writer.writerow(["origin", "terminal", "predicted", "truth", "flags"])
-        for row in result.predictions:
-            o, t = row.element
-            writer.writerow([o, t, repr(row.predicted), repr(row.truth),
-                             "|".join(row.flags)])
-    else:
-        writer.writerow(["element", "predicted", "truth", "flags"])
-        for row in result.predictions:
-            writer.writerow([row.element, repr(row.predicted), repr(row.truth),
-                             "|".join(row.flags)])
+    edge = report.task == "edge"
+    key = ["origin", "terminal"] if edge else ["element"]
+    writer.writerow(key + ["predicted", "truth", "flags"])
+    for row in result.predictions:
+        element = row.element if edge else (row.element,)
+        writer.writerow([*element, repr(row.predicted), repr(row.truth),
+                         "|".join(row.flags)])
     Path(path).write_text(buf.getvalue())
 
 
@@ -388,10 +379,7 @@ def read_predictions(path):
                     path=str(path), line=lineno,
                 )
             values.append(value)
-        if header[0] == "origin":
-            element = (rec[0], rec[1])
-        else:
-            element = rec[0]
+        element = (rec[0], rec[1]) if header[0] == "origin" else rec[0]
         flags = tuple(f for f in rec[flags_col].split("|") if f)
         rows.append(PredictionRow(element, *values, flags))
     if not rows:

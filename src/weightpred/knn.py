@@ -16,8 +16,8 @@ neighborhood falls back to the global training mean, flagged.
 The distance depends on an element only through its integer band count, so
 the model groups the training weights by count once (one class per distinct
 count) and selects classes, never single elements.  A query is answered
-from its band count alone; the model, metric and config are immutable, so
-``predict`` memoises one answer per query count.
+from its band count alone (``predict_count``); the model, metric and config
+are immutable, so ``predict`` memoises one answer per query count.
 """
 
 from __future__ import annotations
@@ -66,6 +66,11 @@ class KnnPrediction:
     degenerate: bool
     neighborhood_size: int
 
+    @property
+    def flags(self) -> tuple:
+        """Prediction-row flags, in file order."""
+        return ("fallback_mean",) * self.used_fallback + ("degenerate",) * self.degenerate
+
 
 class KnnModel:
     """kNN predictor bound to a metric and a fixed training enumeration."""
@@ -107,14 +112,18 @@ class KnnModel:
     def predict(self, x) -> KnnPrediction:
         c = self.metric.profile(x).band_count
         if c not in self._memo:
-            chosen, degenerate = self._select(c)
-            weights = sorted(w for t in chosen for w in self._classes[t])
-            n = len(weights)
-            denom = n if self.config.denominator_policy == "neighborhood_size" else self.config.k
-            self._memo[c] = KnnPrediction(
-                value=sum(weights) / denom if n else self._fallback,
-                used_fallback=n == 0,
-                degenerate=degenerate,
-                neighborhood_size=n,
-            )
+            self._memo[c] = self.predict_count(c)
         return self._memo[c]
+
+    def predict_count(self, c: int) -> KnnPrediction:
+        """The answer for every query whose band count is c."""
+        chosen, degenerate = self._select(c)
+        weights = sorted(w for t in chosen for w in self._classes[t])
+        n = len(weights)
+        denom = n if self.config.denominator_policy == "neighborhood_size" else self.config.k
+        return KnnPrediction(
+            value=sum(weights) / denom if n else self._fallback,
+            used_fallback=n == 0,
+            degenerate=degenerate,
+            neighborhood_size=n,
+        )

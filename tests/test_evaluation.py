@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from weightpred import (
     rmse,
     run_experiment,
 )
-from weightpred.evaluation import format_tables, read_predictions, write_predictions
+from weightpred import svm as svm_mod
+from weightpred.evaluation import (
+    METHODS,
+    format_tables,
+    read_predictions,
+    write_predictions,
+)
+from weightpred.ingest import TASKS
 
 weight_lists = st.lists(
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=1, max_size=40
@@ -50,12 +58,12 @@ class TestMaeRmse:
         assert rmse(p, t) >= mae(p, t) * (1.0 - 1e-12)
 
 
-def _synthetic_snapshot(n_edges=60, seed=0):
+def _synthetic_snapshot(n_edges=60, seed=0, n_vertices=12):
     rng = np.random.default_rng(seed)
     pairs = set()
     records = []
     while len(records) < n_edges:
-        o, t = f"o{rng.integers(12)}", f"t{rng.integers(12)}"
+        o, t = f"o{rng.integers(n_vertices)}", f"t{rng.integers(n_vertices)}"
         if (o, t) in pairs:
             continue
         pairs.add((o, t))
@@ -153,6 +161,39 @@ class TestRunExperiment:
         assert set(rep.flags) == {
             "fallback_mean", "degenerate", "clamped", "h_stddev_zero",
         }
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_one_answer_per_distinct_test_count(self, task, monkeypatch):
+        fit, predict_raw = svm_mod.fit, svm_mod._predict_raw
+        metrics, embeddings = [], []
+
+        def spy_fit(metric, training, config):
+            metrics.append(metric)
+            return fit(metric, training, config)
+
+        def spy_predict_raw(model, u):
+            embeddings.append(u)
+            return predict_raw(model, u)
+
+        monkeypatch.setattr(svm_mod, "fit", spy_fit)
+        monkeypatch.setattr(svm_mod, "_predict_raw", spy_predict_raw)
+        snap = _synthetic_snapshot(n_edges=300, n_vertices=40)
+        tallies = {}
+        for method in METHODS:
+            # k=8 leaves most kNN answers degenerate, so the tally is not all 0.
+            result = run_experiment(snap, _config(task, method, k=8))
+            rows = result.predictions
+            tallies[method] = Counter(f for row in rows for f in row.flags)
+            assert result.report.flags == {
+                "fallback_mean": 0, "degenerate": 0, "clamped": 0,
+                **tallies[method],
+                "h_stddev_zero": result.report.flags["h_stddev_zero"],
+            }
+        assert tallies["knn"]["degenerate"] > 0
+        (metric,) = metrics
+        counts = [metric.profile(row.element).band_count for row in rows]
+        assert len(set(counts)) < len(counts)  # some test counts repeat
+        assert sorted(embeddings) == sorted(set(counts))
 
     def test_config_echo_reconstructs_run(self):
         snap = _synthetic_snapshot()
