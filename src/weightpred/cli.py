@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ParseError, PredictionError
+from .errors import DomainError, ParseError, PredictionError, SettingError
 from .evaluation import (
     METHODS,
     PROTOCOL_SAMPLE_SIZE,
@@ -64,6 +65,19 @@ FG_FORMAT = "weightpred-fg-v1"
 
 class UsageError(Exception):
     pass
+
+
+# Library setting names whose flag destination is spelled differently.
+_SETTING_DESTS = {"h_value": "h", "tol": "fg_tol", "max_iter": "fg_max_iter",
+                  "regularization": "reg_lambda"}
+
+
+def _usage_error(exc: ValueError) -> UsageError:
+    """The usage error for a rejected setting, naming its flag."""
+    if not isinstance(exc, SettingError):
+        return UsageError(str(exc))
+    dest = _SETTING_DESTS.get(exc.setting, exc.setting)
+    return UsageError(f"--{dest.replace('_', '-')} {exc.problem}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,7 +196,7 @@ def _experiment_config(args, task, method) -> ExperimentConfig:
     try:
         return ExperimentConfig(task=task, method=method, **given)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise _usage_error(exc) from exc
 
 
 def _snapshot_summary(snapshot: Snapshot) -> str:
@@ -202,6 +216,9 @@ def cmd_ingest(args) -> int:
     lo, hi = given.get("weight_min"), given.get("weight_max")
     if lo is None or hi is None:
         raise UsageError("--weight-min and --weight-max are required")
+    for flag, value in (("--weight-min", lo), ("--weight-max", hi)):
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
     if not lo < hi:
         raise UsageError(f"--weight-min {lo} must be below --weight-max {hi}")
     sample = given.get("sample", "all")
@@ -232,7 +249,7 @@ def cmd_gen_weights(args) -> int:
     try:
         check_stopping_rule(tol, max_iter)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise _usage_error(exc) from exc
     snapshot = load_snapshot(args.snapshot)
     graph = build_graph([r.pair for r in snapshot.edges])
     scores = compute_fairness_goodness(

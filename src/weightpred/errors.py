@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code contract: usage problems exit 1,
-IO/parse problems exit 2, and domain/numeric problems exit 3.
+The CLI maps these onto its exit-code contract: usage problems (including
+a :class:`SettingError`) exit 1, IO/parse problems exit 2, and
+domain/numeric problems exit 3.
 """
 
 
@@ -21,6 +22,15 @@ class ParseError(WeightpredError):
         if line is not None:
             where += f"line {line}: "
         super().__init__(where + message)
+
+
+class SettingError(WeightpredError, ValueError):
+    """A setting is out of its range; ``setting`` names the parameter."""
+
+    def __init__(self, setting, problem):
+        self.setting = setting
+        self.problem = problem
+        super().__init__(f"{setting} {problem}")
 
 
 class DomainError(WeightpredError):

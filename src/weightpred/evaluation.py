@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .countmetric import CountMetric
-from .errors import ParseError, PredictionError
+from .errors import ParseError, PredictionError, SettingError
 from .fairness import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -114,9 +114,11 @@ class ExperimentConfig:
             and self.h_value > 0
             and math.isfinite(self.h_value)
         ):
-            raise ValueError("h_mode='fixed' requires a positive finite h_value")
+            raise SettingError(
+                "h_value", f"must be a positive finite number, got {self.h_value!r}"
+            )
         if self.train_count is not None and self.train_fraction is not None:
-            raise ValueError("set at most one of train_count / train_fraction")
+            raise SettingError("train_count", "cannot be combined with a train fraction")
         check_stopping_rule(self.fg_tol, self.fg_max_iter)
         # Split and predictor parameter validation is delegated to their types.
         self.split_plan()

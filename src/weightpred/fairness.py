@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SettingError
 from .graph import DirectedGraph
 
 _RANGE_SLACK = 1e-9
@@ -43,12 +43,12 @@ DEFAULT_MAX_ITER = 100
 
 
 def check_stopping_rule(tol, max_iter) -> None:
-    """Raise ``ValueError`` unless ``tol`` is positive and finite and
+    """Raise ``SettingError`` unless ``tol`` is positive and finite and
     ``max_iter`` is an int >= 1."""
     if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+        raise SettingError("tol", f"must be positive and finite, got {tol!r}")
     if not (isinstance(max_iter, int) and max_iter >= 1):
-        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
+        raise SettingError("max_iter", f"must be a positive integer, got {max_iter!r}")
 
 
 @dataclass(frozen=True)

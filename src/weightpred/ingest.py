@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .countmetric import stable_mean
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, SettingError
 
 PRNG_NAME = "numpy-pcg64"
 SNAPSHOT_FORMAT = "weightpred-snapshot-v1"
@@ -201,17 +201,17 @@ class SplitPlan:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+            raise SettingError("seed", f"must be >= 0, got {self.seed!r}")
         if (self.train_count is None) == (self.train_fraction is None):
-            raise ValueError("set exactly one of train_count / train_fraction")
+            raise SettingError("train_count", "must be set exactly when train_fraction is not")
         if self.train_count is not None and self.train_count < 1:
-            raise ValueError(f"train_count must be >= 1, got {self.train_count!r}")
+            raise SettingError("train_count", f"must be >= 1, got {self.train_count!r}")
         if self.train_fraction is not None and not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction!r}"
+            raise SettingError(
+                "train_fraction", f"must be in (0, 1), got {self.train_fraction!r}"
             )
         if self.sample_size is not None and self.sample_size < 2:
-            raise ValueError(f"sample_size must be >= 2, got {self.sample_size!r}")
+            raise SettingError("sample_size", f"must be >= 2, got {self.sample_size!r}")
 
     def resolve_train_size(self, universe_size: int) -> int:
         if self.train_count is not None:

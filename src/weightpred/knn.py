@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .countmetric import CountMetric, stable_mean
-from .errors import DomainError, PredictionError
+from .errors import DomainError, PredictionError, SettingError
 
 ZERO_DISTANCE_POLICIES = ("exclude", "include")
 DENOMINATOR_POLICIES = ("neighborhood_size", "fixed_k")
@@ -42,14 +42,14 @@ class KnnConfig:
 
     def __post_init__(self):
         if not (isinstance(self.k, int) and self.k >= 1):
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+            raise SettingError("k", f"must be a positive integer, got {self.k!r}")
         if self.zero_distance_policy not in ZERO_DISTANCE_POLICIES:
-            raise ValueError(
-                f"zero_distance_policy must be one of {ZERO_DISTANCE_POLICIES}"
+            raise SettingError(
+                "zero_distance_policy", f"must be one of {ZERO_DISTANCE_POLICIES}"
             )
         if self.denominator_policy not in DENOMINATOR_POLICIES:
-            raise ValueError(
-                f"denominator_policy must be one of {DENOMINATOR_POLICIES}"
+            raise SettingError(
+                "denominator_policy", f"must be one of {DENOMINATOR_POLICIES}"
             )
 
 

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .countmetric import CountMetric, stable_mean
-from .errors import PredictionError
+from .errors import PredictionError, SettingError
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf")
 
@@ -50,15 +50,17 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
+            raise SettingError("kernel", f"must be one of {KERNEL_KINDS}, got {self.kind!r}")
         if self.kind == "polynomial" and not (isinstance(self.degree, int) and self.degree >= 1):
-            raise ValueError(f"polynomial degree must be a positive integer, got {self.degree!r}")
+            raise SettingError(
+                "degree", f"of a polynomial kernel must be a positive integer, got {self.degree!r}"
+            )
         if self.kind == "rbf" and self.gamma is not None and not self.gamma > 0:
-            raise ValueError(f"rbf gamma must be positive, got {self.gamma!r}")
+            raise SettingError("gamma", f"of an rbf kernel must be positive, got {self.gamma!r}")
         for name in ("gamma", "coef0"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"kernel {name} must be finite, got {value!r}")
+                raise SettingError(name, f"must be finite, got {value!r}")
 
 
 def kernel_eval(spec: KernelSpec, u: float, v: float) -> float:
@@ -87,9 +89,8 @@ class SvmConfig:
 
     def __post_init__(self):
         if not (self.regularization > 0 and math.isfinite(self.regularization)):
-            raise ValueError(
-                "regularization must be positive and finite, "
-                f"got {self.regularization!r}"
+            raise SettingError(
+                "regularization", f"must be positive and finite, got {self.regularization!r}"
             )
 
 
@@ -150,18 +151,26 @@ def fit_points(
     y_m = np.array([y for _, y in merged])
     m = len(merged)
 
-    basis = _kernel_matrix(kernel, u_m, u_m) * y_m[None, :]
-    design = np.hstack([np.ones((m, 1)), basis])
-    penalty = np.eye(m + 1)
-    penalty[0, 0] = 0.0  # intercept unpenalized
-    lam = config.regularization
-    beta = np.linalg.solve(
-        design.T @ design + lam * penalty, design.T @ y_m
-    )
+    # A kernel can overflow on large embeddings (a high polynomial degree);
+    # that surfaces as the non-finite fit rejected below, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = _kernel_matrix(kernel, u_m, u_m) * y_m[None, :]
+        design = np.hstack([np.ones((m, 1)), basis])
+        penalty = np.eye(m + 1)
+        penalty[0, 0] = 0.0  # intercept unpenalized
+        lam = config.regularization
+        beta = np.linalg.solve(
+            design.T @ design + lam * penalty, design.T @ y_m
+        )
 
-    basis_all = _kernel_matrix(kernel, u_all, u_m) * y_m[None, :]
-    pred_all = beta[0] + basis_all @ beta[1:]
-    train_mae = float(np.abs(pred_all - y_all).mean())
+        basis_all = _kernel_matrix(kernel, u_all, u_m) * y_m[None, :]
+        pred_all = beta[0] + basis_all @ beta[1:]
+        train_mae = float(np.abs(pred_all - y_all).mean())
+    if not (np.isfinite(beta).all() and math.isfinite(train_mae)):
+        raise PredictionError(
+            f"SVM fit is not finite under {kernel}: the kernel overflows on "
+            f"embeddings up to {float(np.abs(u_all).max())}"
+        )
 
     return SvmModel(
         points=tuple(merged),

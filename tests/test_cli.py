@@ -81,6 +81,8 @@ class TestIngest:
         (["--sample", "-1"], "--sample"),
         (["--seed", "-1"], "--seed"),
         (["--weight-min", "5", "--weight-max", "1"], "--weight-min"),
+        (["--weight-min=-inf"], "--weight-min"),
+        (["--weight-max=nan"], "--weight-max"),
     ])
     def test_bad_flag_is_usage_error_without_output(
         self, rating_file, tmp_path, capsys, extra, flag
@@ -134,15 +136,17 @@ class TestGenWeights:
     ("gen-weights", "fg_tol", "inf"),
 ])
 def test_out_of_range_setting_is_usage_error(
-    snapshot_file, tmp_path, command, flag, value
+    snapshot_file, tmp_path, capsys, command, flag, value
 ):
     out = tmp_path / "out"
+    option = f"--{flag.replace('_', '-')}"
     args = [command, "--snapshot", str(snapshot_file), "--output", str(out),
-            f"--{flag.replace('_', '-')}", value]
+            option, value]
     if command == "predict":
         args += ["--task", "origin", "--method", "knn"]
     assert main(args) == 1
     assert not out.exists()
+    assert option in capsys.readouterr().err
 
 
 class TestPredict:
