@@ -43,6 +43,11 @@ METHODS = ("knn", "svm")
 # Edges the paper's protocol samples from each dataset; the CLI's default.
 PROTOCOL_SAMPLE_SIZE = 5000
 
+# Prediction-row flags in file order, each with the prediction attribute
+# that raises it (a predictor without the attribute never raises the flag).
+_ROW_FLAGS = {"fallback_mean": "used_fallback", "degenerate": "degenerate",
+              "clamped": "clamped"}
+
 # Bandwidth when the training weights have zero spread; keeps h > 0 while
 # still treating only exactly-average weights as in-band.
 _H_FLOOR = 1e-12
@@ -269,14 +274,18 @@ def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentRe
         predict = lambda c: svm_mod.predict_at(model, float(c))
 
     # Both predictors see a query only through its band count: one answer
-    # per distinct test count, in first-appearance order.
+    # (value, row flags) per distinct test count, in first-appearance order.
     table = {}
     rows = []
     for elem, truth in truths:
         c = metric.profile(elem).band_count
         if c not in table:
-            table[c] = predict(c)
-        rows.append(PredictionRow(elem, table[c].value, truth, table[c].flags))
+            p = predict(c)
+            table[c] = p.value, tuple(
+                f for f, attr in _ROW_FLAGS.items() if getattr(p, attr, False)
+            )
+        value, flags = table[c]
+        rows.append(PredictionRow(elem, value, truth, flags))
 
     preds = [r.predicted for r in rows]
     actual = [r.truth for r in rows]
@@ -291,10 +300,12 @@ def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentRe
         h=h,
         seed=config.seed,
         prng=PRNG_NAME,
-        flags={"fallback_mean": 0, "degenerate": 0, "clamped": 0,
-               **tally_flags(rows), "h_stddev_zero": int(h_fell_back)},
-        tie_stats={"distinct_train_counts": len(train_counts),
-                   "max_count_multiplicity": max(train_counts.values())},
+        flags={**dict.fromkeys(_ROW_FLAGS, 0), **tally_flags(rows),
+               "h_stddev_zero": int(h_fell_back)},
+        tie_stats={
+            "distinct_train_counts": len(train_counts),
+            "max_count_multiplicity": max(train_counts.values()),
+        },
         config=config.to_dict(),
         snapshot_digest=snapshot.digest(),
     )
@@ -381,7 +392,10 @@ def read_predictions(path):
                     path=str(path), line=lineno,
                 )
             values.append(value)
-        element = (rec[0], rec[1]) if header[0] == "origin" else rec[0]
+        if header[0] == "origin":
+            element = (rec[0], rec[1])
+        else:
+            element = rec[0]
         flags = tuple(f for f in rec[flags_col].split("|") if f)
         rows.append(PredictionRow(element, *values, flags))
     if not rows:

@@ -66,11 +66,6 @@ class KnnPrediction:
     degenerate: bool
     neighborhood_size: int
 
-    @property
-    def flags(self) -> tuple:
-        """Prediction-row flags, in file order."""
-        return ("fallback_mean",) * self.used_fallback + ("degenerate",) * self.degenerate
-
 
 class KnnModel:
     """kNN predictor bound to a metric and a fixed training enumeration."""

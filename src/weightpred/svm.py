@@ -114,10 +114,6 @@ class SvmPrediction:
     clamped: bool
     raw: float
 
-    @property
-    def flags(self) -> tuple:
-        return ("clamped",) * self.clamped
-
 
 def fit_points(
     points: Sequence,
