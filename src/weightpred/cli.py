@@ -72,14 +72,6 @@ _SETTING_DESTS = {"h_value": "h", "tol": "fg_tol", "max_iter": "fg_max_iter",
                   "regularization": "reg_lambda"}
 
 
-def _usage_error(exc: ValueError) -> UsageError:
-    """The usage error for a rejected setting, naming its flag."""
-    if not isinstance(exc, SettingError):
-        return UsageError(str(exc))
-    dest = _SETTING_DESTS.get(exc.setting, exc.setting)
-    return UsageError(f"--{dest.replace('_', '-')} {exc.problem}")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -193,10 +185,7 @@ def _experiment_config(args, task, method) -> ExperimentConfig:
         given.update(h_mode="fixed", h_value=h)
     sample_size = given.get("sample_size", PROTOCOL_SAMPLE_SIZE)
     given["sample_size"] = None if sample_size == "all" else sample_size
-    try:
-        return ExperimentConfig(task=task, method=method, **given)
-    except ValueError as exc:
-        raise _usage_error(exc) from exc
+    return ExperimentConfig(task=task, method=method, **given)
 
 
 def _snapshot_summary(snapshot: Snapshot) -> str:
@@ -246,10 +235,7 @@ def cmd_gen_weights(args) -> int:
     given = _given(args)
     tol = given.get("fg_tol", DEFAULT_TOL)
     max_iter = given.get("fg_max_iter", DEFAULT_MAX_ITER)
-    try:
-        check_stopping_rule(tol, max_iter)
-    except ValueError as exc:
-        raise _usage_error(exc) from exc
+    check_stopping_rule(tol, max_iter)
     snapshot = load_snapshot(args.snapshot)
     graph = build_graph([r.pair for r in snapshot.edges])
     scores = compute_fairness_goodness(
@@ -436,6 +422,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except SettingError as exc:
+        dest = _SETTING_DESTS.get(exc.setting, exc.setting)
+        print(f"usage error: --{dest.replace('_', '-')} {exc.problem}", file=sys.stderr)
         return 1
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

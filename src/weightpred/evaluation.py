@@ -109,9 +109,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
+            raise SettingError("task", f"must be one of {TASKS}, got {self.task!r}")
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise SettingError("method", f"must be one of {METHODS}, got {self.method!r}")
         if self.h_mode not in ("stddev", "fixed"):
             raise ValueError(f"h_mode must be 'stddev' or 'fixed', got {self.h_mode!r}")
         if self.h_mode == "fixed" and not (

@@ -164,8 +164,8 @@ def fit_points(
         train_mae = float(np.abs(pred_all - y_all).mean())
     if not (np.isfinite(beta).all() and math.isfinite(train_mae)):
         raise PredictionError(
-            f"SVM fit is not finite under {kernel}: the kernel overflows on "
-            f"embeddings up to {float(np.abs(u_all).max())}"
+            f"SVM fit is not finite under {kernel} on embeddings up to "
+            f"{float(np.abs(u_all).max())}"
         )
 
     return SvmModel(
