@@ -178,12 +178,12 @@ class TestRunExperiment:
         monkeypatch.setattr(svm_mod, "fit", spy_fit)
         monkeypatch.setattr(svm_mod, "_predict_raw", spy_predict_raw)
         snap = _synthetic_snapshot(n_edges=300, n_vertices=40)
-        tallies = {}
+        rows, tallies = {}, {}
         for method in METHODS:
             # k=8 leaves most kNN answers degenerate, so the tally is not all 0.
             result = run_experiment(snap, _config(task, method, k=8))
-            rows = result.predictions
-            tallies[method] = Counter(f for row in rows for f in row.flags)
+            rows[method] = result.predictions
+            tallies[method] = Counter(f for row in rows[method] for f in row.flags)
             assert result.report.flags == {
                 "fallback_mean": 0, "degenerate": 0, "clamped": 0,
                 **tallies[method],
@@ -191,7 +191,7 @@ class TestRunExperiment:
             }
         assert tallies["knn"]["degenerate"] > 0
         (metric,) = metrics
-        counts = [metric.profile(row.element).band_count for row in rows]
+        counts = [metric.profile(row.element).band_count for row in rows["svm"]]
         assert len(set(counts)) < len(counts)  # some test counts repeat
         assert sorted(embeddings) == sorted(set(counts))
 
