@@ -11,15 +11,7 @@ from .countmetric import CountMetric, stable_mean
 from .errors import DomainError, ParseError, PredictionError, WeightpredError
 from .evaluation import ExperimentConfig, mae, rmse, run_experiment
 from .fairness import compute_fairness_goodness
-from .graph import (
-    WeightKind,
-    Weighting,
-    build_graph,
-    neighbors,
-    neighbors_of_edge,
-    neighbors_of_origin,
-    neighbors_of_terminal,
-)
+from .graph import WeightKind, Weighting, build_graph, neighbors
 from .ingest import (
     DatasetSpec,
     EdgeRecord,
@@ -75,9 +67,6 @@ __all__ = [
     "mae",
     "make_split",
     "neighbors",
-    "neighbors_of_edge",
-    "neighbors_of_origin",
-    "neighbors_of_terminal",
     "parse_edge_list",
     "predict_at",
     "predict_weight_svm",

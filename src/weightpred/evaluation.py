@@ -113,7 +113,11 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise SettingError("method", f"must be one of {METHODS}, got {self.method!r}")
         if self.h_mode not in ("stddev", "fixed"):
-            raise ValueError(f"h_mode must be 'stddev' or 'fixed', got {self.h_mode!r}")
+            raise SettingError(
+                "h_mode", f"must be 'stddev' or 'fixed', got {self.h_mode!r}"
+            )
+        if self.h_mode == "stddev" and self.h_value is not None:
+            raise SettingError("h_value", "is only used with h_mode 'fixed'")
         if self.h_mode == "fixed" and not (
             self.h_value is not None
             and self.h_value > 0

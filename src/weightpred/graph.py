@@ -29,14 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import math
 
 from .errors import DomainError
-
-Token = Hashable
-Edge = tuple
 
 
 class WeightKind(str, Enum):
@@ -163,17 +160,10 @@ class Weighting:
     def value_range(self):
         return (self.lo, self.hi)
 
-    def __len__(self):
-        return len(self.weights)
-
     def check_domain(self, graph: DirectedGraph) -> None:
         """Raise unless every weighted element exists in ``graph``."""
-        if self.kind is WeightKind.ORIGIN:
-            missing = [x for x in self.weights if not graph.has_origin(x)]
-        elif self.kind is WeightKind.TERMINAL:
-            missing = [x for x in self.weights if not graph.has_terminal(x)]
-        else:
-            missing = [x for x in self.weights if not graph.has_edge(x)]
+        has = getattr(graph, f"has_{self.kind.value}")  # has_origin/_terminal/_edge
+        missing = [x for x in self.weights if not has(x)]
         if missing:
             raise DomainError(
                 f"{len(missing)} weighted element(s) not in the graph, "
@@ -181,72 +171,39 @@ class Weighting:
             )
 
 
-def _require_kind(weighting: Weighting, kind: WeightKind) -> None:
-    if weighting.kind is not kind:
-        raise DomainError(
-            f"expected a {kind.value}-weighted network, got {weighting.kind.value}"
-        )
-
-
-def neighbors_of_origin(
-    graph: DirectedGraph, weighting: Weighting, origin, *, exclude_self=False
+def neighbors(
+    graph: DirectedGraph, weighting: Weighting, element, *, exclude_self=False
 ) -> tuple:
-    """Training origins sharing at least one terminal with ``origin``.
+    """Training elements of ``weighting.kind`` sharing a vertex with ``element``.
 
-    Returns a deduplicated tuple in deterministic order; treat it as a set.
+    Deduplicated, in deterministic order; treat it as a set.  Raises
+    ``DomainError`` for an element the graph lacks as that kind.
     """
-    _require_kind(weighting, WeightKind.ORIGIN)
     domain = weighting.weights
-    out = dict.fromkeys(
-        alpha
-        for _, t in graph.out_edges(origin)
-        for alpha, _ in graph.terminal_index[t]
-        if alpha in domain
-    )
-    if exclude_self:
-        out.pop(origin, None)
-    return tuple(out)
-
-
-def neighbors_of_terminal(
-    graph: DirectedGraph, weighting: Weighting, terminal, *, exclude_self=False
-) -> tuple:
-    """Training terminals sharing at least one origin with ``terminal``."""
-    _require_kind(weighting, WeightKind.TERMINAL)
-    domain = weighting.weights
-    out = dict.fromkeys(
-        beta
-        for o, _ in graph.in_edges(terminal)
-        for _, beta in graph.origin_index[o]
-        if beta in domain
-    )
-    if exclude_self:
-        out.pop(terminal, None)
-    return tuple(out)
-
-
-def neighbors_of_edge(
-    graph: DirectedGraph, weighting: Weighting, edge, *, exclude_self=False
-) -> tuple:
-    """Training edges sharing the origin or the terminal of ``edge``."""
-    _require_kind(weighting, WeightKind.EDGE)
-    if not graph.has_edge(edge):
-        raise DomainError(f"edge {edge!r} is not in the graph")
-    domain = weighting.weights
-    out = dict.fromkeys(
-        cand
-        for cand in graph.origin_index[edge[0]] + graph.terminal_index[edge[1]]
-        if cand in domain
-    )
-    if exclude_self:
-        out.pop(edge, None)
-    return tuple(out)
-
-
-def neighbors(graph, weighting, element, *, exclude_self=False) -> tuple:
-    """Dispatch to the neighbor relation matching ``weighting.kind``."""
     if weighting.kind is WeightKind.ORIGIN:
-        return neighbors_of_origin(graph, weighting, element, exclude_self=exclude_self)
-    if weighting.kind is WeightKind.TERMINAL:
-        return neighbors_of_terminal(graph, weighting, element, exclude_self=exclude_self)
-    return neighbors_of_edge(graph, weighting, element, exclude_self=exclude_self)
+        found = (
+            alpha
+            for _, t in graph.out_edges(element)
+            for alpha, _ in graph.terminal_index[t]
+            if alpha in domain
+        )
+    elif weighting.kind is WeightKind.TERMINAL:
+        found = (
+            beta
+            for o, _ in graph.in_edges(element)
+            for _, beta in graph.origin_index[o]
+            if beta in domain
+        )
+    else:
+        if not graph.has_edge(element):
+            raise DomainError(f"edge {element!r} is not in the graph")
+        o, t = element
+        found = (
+            cand
+            for cand in graph.origin_index[o] + graph.terminal_index[t]
+            if cand in domain
+        )
+    out = dict.fromkeys(found)
+    if exclude_self:
+        out.pop(element, None)
+    return tuple(out)

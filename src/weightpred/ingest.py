@@ -33,6 +33,7 @@ import numpy as np
 
 from .countmetric import stable_mean
 from .errors import DomainError, ParseError, SettingError
+from .graph import WeightKind
 
 PRNG_NAME = "numpy-pcg64"
 SNAPSHOT_FORMAT = "weightpred-snapshot-v1"
@@ -164,7 +165,8 @@ def collapse_duplicates(records: Sequence[EdgeRecord]) -> list:
         if len(group) == 1:
             out.append(group[0])
         elif all(r.timestamp is not None for r in group):
-            out.append(max(group, key=lambda r: r.timestamp))
+            # max keeps the first of equal keys; scan backwards so the last wins.
+            out.append(max(reversed(group), key=lambda r: r.timestamp))
         else:
             weight = stable_mean([r.weight for r in group])
             out.append(EdgeRecord(key[0], key[1], weight, None))
@@ -236,7 +238,7 @@ class Split:
     plan: SplitPlan
 
 
-TASKS = ("origin", "terminal", "edge")
+TASKS = tuple(k.value for k in WeightKind)
 
 
 def make_split(records: Sequence[EdgeRecord], plan: SplitPlan, task: str) -> Split:
@@ -346,7 +348,7 @@ def build_snapshot(
         terminals=tuple(dict.fromkeys(r.terminal for r in scaled)),
         raw_weight_range=(float(lo), float(hi)),
         provenance={
-            "source_path": str(spec.path),
+            "source_path": Path(spec.path).name,
             "source_sha256": source_sha,
             "sampling": sampling,
         },

@@ -104,21 +104,17 @@ def test_criterion_2_golden_values():
     tw = fig_weighting(WeightKind.TERMINAL)
     ew = fig_weighting(WeightKind.EDGE)
 
-    from weightpred import (
-        neighbors_of_edge,
-        neighbors_of_origin,
-        neighbors_of_terminal,
-    )
+    from weightpred import neighbors
 
-    assert set(neighbors_of_origin(graph, ow, "a")) == {"b", "c"}
-    assert set(neighbors_of_origin(graph, ow, "d")) == {"b"}
-    assert set(neighbors_of_origin(graph, ow, "b")) == {"b"}
-    assert set(neighbors_of_terminal(graph, tw, "1")) == {"2"}
-    assert set(neighbors_of_terminal(graph, tw, "3")) == set()
-    assert set(neighbors_of_terminal(graph, tw, "2")) == {"2", "4"}
-    assert set(neighbors_of_edge(graph, ew, ("a", "1"))) == {("b", "1")}
-    assert set(neighbors_of_edge(graph, ew, ("d", "3"))) == {("b", "3")}
-    assert set(neighbors_of_edge(graph, ew, ("b", "1"))) == {("b", "1"), ("b", "3")}
+    assert set(neighbors(graph, ow, "a")) == {"b", "c"}
+    assert set(neighbors(graph, ow, "d")) == {"b"}
+    assert set(neighbors(graph, ow, "b")) == {"b"}
+    assert set(neighbors(graph, tw, "1")) == {"2"}
+    assert set(neighbors(graph, tw, "3")) == set()
+    assert set(neighbors(graph, tw, "2")) == {"2", "4"}
+    assert set(neighbors(graph, ew, ("a", "1"))) == {("b", "1")}
+    assert set(neighbors(graph, ew, ("d", "3"))) == {("b", "3")}
+    assert set(neighbors(graph, ew, ("b", "1"))) == {("b", "1"), ("b", "3")}
 
     mo = CountMetric(graph, ow, 0.2)
     assert mo.avg_weight("a") == pytest.approx(0.45, abs=1e-12)

@@ -18,6 +18,7 @@ from weightpred import (
     run_experiment,
 )
 from weightpred import svm as svm_mod
+from weightpred.errors import SettingError
 from weightpred.evaluation import (
     METHODS,
     format_tables,
@@ -209,6 +210,13 @@ class TestRunExperiment:
             ExperimentConfig(task="edge", method="gnn")
         with pytest.raises(ValueError):
             ExperimentConfig(task="edge", method="knn", h_mode="fixed")
+        # A bandwidth the std-dev rule would ignore, and an unknown rule.
+        with pytest.raises(SettingError, match="h_mode 'fixed'") as err:
+            ExperimentConfig(task="edge", method="knn", h_value=0.3)
+        assert err.value.setting == "h_value"
+        with pytest.raises(SettingError) as err:
+            ExperimentConfig(task="edge", method="knn", h_mode="median")
+        assert err.value.setting == "h_mode"
         with pytest.raises(ValueError):
             ExperimentConfig(task="edge", method="knn", k=0)
         with pytest.raises(ValueError):

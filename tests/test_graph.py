@@ -1,4 +1,4 @@
-"""Graph construction and the three neighbor relations."""
+"""Graph construction and the neighbor relation on all three element kinds."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weightpred import (
+    CountMetric,
     DomainError,
     WeightKind,
     Weighting,
     build_graph,
     neighbors,
-    neighbors_of_edge,
-    neighbors_of_origin,
-    neighbors_of_terminal,
 )
 
 from helpers import FIG_EDGES, brute_neighbors, random_instance
@@ -80,53 +78,71 @@ class TestWeighting:
 
 class TestNeighborsOfOrigin:
     def test_golden_sets(self, fig1, origin_weights):
-        assert set(neighbors_of_origin(fig1, origin_weights, "a")) == {"b", "c"}
-        assert set(neighbors_of_origin(fig1, origin_weights, "d")) == {"b"}
+        assert set(neighbors(fig1, origin_weights, "a")) == {"b", "c"}
+        assert set(neighbors(fig1, origin_weights, "d")) == {"b"}
         # b shares terminal 1 with itself only (c has no common terminal).
-        assert set(neighbors_of_origin(fig1, origin_weights, "b")) == {"b"}
+        assert set(neighbors(fig1, origin_weights, "b")) == {"b"}
 
     def test_exclude_self(self, fig1, origin_weights):
-        assert neighbors_of_origin(fig1, origin_weights, "b", exclude_self=True) == ()
+        assert neighbors(fig1, origin_weights, "b", exclude_self=True) == ()
         assert set(
-            neighbors_of_origin(fig1, origin_weights, "a", exclude_self=True)
+            neighbors(fig1, origin_weights, "a", exclude_self=True)
         ) == {"b", "c"}
 
     def test_unknown_origin(self, fig1, origin_weights):
         with pytest.raises(DomainError):
-            neighbors_of_origin(fig1, origin_weights, "zzz")
-
-    def test_wrong_weighting_kind(self, fig1, edge_weights):
-        with pytest.raises(DomainError):
-            neighbors_of_origin(fig1, edge_weights, "a")
+            neighbors(fig1, origin_weights, "zzz")
 
 
 class TestNeighborsOfTerminal:
     def test_golden_sets(self, fig1, terminal_weights):
-        assert set(neighbors_of_terminal(fig1, terminal_weights, "1")) == {"2"}
-        assert set(neighbors_of_terminal(fig1, terminal_weights, "3")) == set()
-        assert set(neighbors_of_terminal(fig1, terminal_weights, "2")) == {"2", "4"}
+        assert set(neighbors(fig1, terminal_weights, "1")) == {"2"}
+        assert set(neighbors(fig1, terminal_weights, "3")) == set()
+        assert set(neighbors(fig1, terminal_weights, "2")) == {"2", "4"}
 
     def test_unknown_terminal(self, fig1, terminal_weights):
         with pytest.raises(DomainError):
-            neighbors_of_terminal(fig1, terminal_weights, "zzz")
+            neighbors(fig1, terminal_weights, "zzz")
 
 
 class TestNeighborsOfEdge:
     def test_golden_sets(self, fig1, edge_weights):
-        assert set(neighbors_of_edge(fig1, edge_weights, ("a", "1"))) == {("b", "1")}
-        assert set(neighbors_of_edge(fig1, edge_weights, ("d", "3"))) == {("b", "3")}
-        assert set(neighbors_of_edge(fig1, edge_weights, ("b", "1"))) == {
+        assert set(neighbors(fig1, edge_weights, ("a", "1"))) == {("b", "1")}
+        assert set(neighbors(fig1, edge_weights, ("d", "3"))) == {("b", "3")}
+        assert set(neighbors(fig1, edge_weights, ("b", "1"))) == {
             ("b", "1"),
             ("b", "3"),
         }
 
     def test_exclude_self(self, fig1, edge_weights):
-        got = neighbors_of_edge(fig1, edge_weights, ("b", "1"), exclude_self=True)
+        got = neighbors(fig1, edge_weights, ("b", "1"), exclude_self=True)
         assert set(got) == {("b", "3")}
 
     def test_unknown_edge(self, fig1, edge_weights):
         with pytest.raises(DomainError):
-            neighbors_of_edge(fig1, edge_weights, ("a", "3"))
+            neighbors(fig1, edge_weights, ("a", "3"))
+
+
+class TestNeighborsOutsideKind:
+    """An element the graph lacks as the weighting's kind is a DomainError."""
+
+    CASES = [
+        ("edge_weights", "a"),  # an origin under the edge weighting
+        ("origin_weights", ("a", "1")),  # an edge under the origin weighting
+        ("terminal_weights", "zzz"),  # in no role at all
+    ]
+
+    @pytest.mark.parametrize("weights, element", CASES)
+    def test_neighbors_rejects(self, request, fig1, weights, element):
+        weighting = request.getfixturevalue(weights)
+        with pytest.raises(DomainError):
+            neighbors(fig1, weighting, element)
+
+    @pytest.mark.parametrize("weights, element", CASES)
+    def test_profile_rejects(self, request, fig1, weights, element):
+        metric = CountMetric(fig1, request.getfixturevalue(weights), 0.2)
+        with pytest.raises(DomainError):
+            metric.profile(element)
 
 
 class TestNeighborProperties:
@@ -172,7 +188,7 @@ def test_shared_endpoint_symmetry(pairs):
     domain = {o: 0.5 for o in graph.origins[::2]}
     weighting = Weighting(WeightKind.ORIGIN, domain, 0.0, 1.0)
     for o in graph.origins:
-        got = set(neighbors_of_origin(graph, weighting, o))
+        got = set(neighbors(graph, weighting, o))
         want = {
             alpha
             for alpha in domain

@@ -98,6 +98,11 @@ class TestCollapseDuplicates:
         (out,) = collapse_duplicates(records)
         assert out.weight == 5.0
 
+    def test_timestamp_tie_goes_to_last_record(self):
+        records = [EdgeRecord("a", "b", 1.0, 5.0), EdgeRecord("a", "b", 2.0, 5.0)]
+        (out,) = collapse_duplicates(records)
+        assert out.weight == 2.0
+
     def test_mean_without_timestamps(self):
         records = [EdgeRecord("a", "b", 1.0), EdgeRecord("a", "b", 2.0)]
         (out,) = collapse_duplicates(records)
@@ -248,6 +253,15 @@ class TestSnapshot:
         save_snapshot(loaded, second)
         assert second.read_bytes() == first.read_bytes()
         assert load_snapshot(second).digest() == built.digest()
+
+    def test_digest_independent_of_directory(self, tmp_path):
+        raw = self._write_raw(tmp_path)
+        moved = tmp_path / "elsewhere" / raw.name
+        moved.parent.mkdir()
+        moved.write_bytes(raw.read_bytes())
+        here, there = build_snapshot(_spec(raw)), build_snapshot(_spec(moved))
+        assert here.provenance["source_path"] == "raw.csv"
+        assert here.digest() == there.digest()
 
     def test_weights_scaled(self, tmp_path):
         raw = self._write_raw(tmp_path)
