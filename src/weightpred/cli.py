@@ -21,6 +21,7 @@ for the run settings is the :class:`ExperimentConfig` field default.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -317,7 +318,7 @@ def cmd_evaluate(args) -> int:
     base_config = _experiment_config(args, args.task, args.method)
     snapshot = load_snapshot(args.snapshot)
     for i in range(repeat):
-        config = base_config.with_seed(base_config.seed + i)
+        config = dataclasses.replace(base_config, seed=base_config.seed + i)
         result = run_experiment(snapshot, config)
         rep = result.report
         if args.report:

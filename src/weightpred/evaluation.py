@@ -132,7 +132,6 @@ class ExperimentConfig:
         # Split and predictor parameter validation is delegated to their types.
         self.split_plan()
         self.knn_config()
-        self.kernel_spec()
         self.svm_config()
 
     def split_plan(self) -> SplitPlan:
@@ -153,18 +152,11 @@ class ExperimentConfig:
             denominator_policy=self.denominator_policy,
         )
 
-    def kernel_spec(self) -> svm_mod.KernelSpec:
-        return svm_mod.KernelSpec(
+    def svm_config(self) -> svm_mod.SvmConfig:
+        kernel = svm_mod.KernelSpec(
             kind=self.kernel, degree=self.degree, gamma=self.gamma, coef0=self.coef0
         )
-
-    def svm_config(self) -> svm_mod.SvmConfig:
-        return svm_mod.SvmConfig(
-            kernel=self.kernel_spec(), regularization=self.reg_lambda
-        )
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return dataclasses.replace(self, seed=seed)
+        return svm_mod.SvmConfig(kernel=kernel, regularization=self.reg_lambda)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -218,7 +210,6 @@ class EvaluationReport:
 class ExperimentResult:
     report: EvaluationReport
     predictions: tuple  # PredictionRows in test order
-    split: Split
 
 
 def tally_flags(rows) -> dict:
@@ -313,7 +304,7 @@ def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentRe
         config=config.to_dict(),
         snapshot_digest=snapshot.digest(),
     )
-    return ExperimentResult(report=report, predictions=tuple(rows), split=split)
+    return ExperimentResult(report=report, predictions=tuple(rows))
 
 
 # ---- prediction files and text tables ---------------------------------------

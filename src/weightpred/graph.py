@@ -83,31 +83,11 @@ class DirectedGraph:
             raise DomainError(f"terminal {terminal!r} is not in the graph")
         return self.terminal_index[terminal]
 
-    def rebuild_indexes(self):
-        """Recompute both adjacency indexes from the edge tuple.
-
-        Exists so tests can check the stored indexes are exactly the edge
-        set viewed two ways.
-        """
-        return _index_edges(self.edges)
-
     def __repr__(self):
         return (
             f"DirectedGraph(origins={len(self.origins)}, "
             f"terminals={len(self.terminals)}, edges={len(self.edges)})"
         )
-
-
-def _index_edges(edges):
-    by_origin: dict = {}
-    by_terminal: dict = {}
-    for e in edges:
-        by_origin.setdefault(e[0], []).append(e)
-        by_terminal.setdefault(e[1], []).append(e)
-    return (
-        {k: tuple(v) for k, v in by_origin.items()},
-        {k: tuple(v) for k, v in by_terminal.items()},
-    )
 
 
 def build_graph(edge_list: Iterable) -> DirectedGraph:
@@ -120,13 +100,17 @@ def build_graph(edge_list: Iterable) -> DirectedGraph:
     edges = tuple(dict.fromkeys((pair[0], pair[1]) for pair in edge_list))
     if not edges:
         raise DomainError("cannot build a graph from an empty edge list")
-    origin_index, terminal_index = _index_edges(edges)
+    by_origin: dict = {}
+    by_terminal: dict = {}
+    for e in edges:
+        by_origin.setdefault(e[0], []).append(e)
+        by_terminal.setdefault(e[1], []).append(e)
     return DirectedGraph(
-        origins=tuple(origin_index),
-        terminals=tuple(terminal_index),
+        origins=tuple(by_origin),
+        terminals=tuple(by_terminal),
         edges=edges,
-        origin_index=origin_index,
-        terminal_index=terminal_index,
+        origin_index={k: tuple(v) for k, v in by_origin.items()},
+        terminal_index={k: tuple(v) for k, v in by_terminal.items()},
     )
 
 
@@ -155,10 +139,6 @@ class Weighting:
                 raise ValueError(
                     f"weight {w!r} for {elem!r} outside [{self.lo}, {self.hi}]"
                 )
-
-    @property
-    def value_range(self):
-        return (self.lo, self.hi)
 
     def check_domain(self, graph: DirectedGraph) -> None:
         """Raise unless every weighted element exists in ``graph``."""

@@ -37,7 +37,6 @@ from .graph import WeightKind
 
 PRNG_NAME = "numpy-pcg64"
 SNAPSHOT_FORMAT = "weightpred-snapshot-v1"
-SCALED_RANGE = (-1.0, 1.0)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -231,11 +230,9 @@ class SplitPlan:
 class Split:
     """Train/test partition plus the sampled edge set it came from."""
 
-    task: str  # origin | terminal | edge
     train: tuple  # EdgeRecords (edge task) or vertex tokens
     test: tuple
     sampled: tuple  # EdgeRecords forming the experiment's graph
-    plan: SplitPlan
 
 
 TASKS = tuple(k.value for k in WeightKind)
@@ -271,24 +268,28 @@ def make_split(records: Sequence[EdgeRecord], plan: SplitPlan, task: str) -> Spl
         train_size = plan.resolve_train_size(len(shuffled))
         train, test = shuffled[:train_size], shuffled[train_size:]
 
-    return Split(
-        task=task,
-        train=tuple(train),
-        test=tuple(test),
-        sampled=tuple(sampled),
-        plan=plan,
-    )
+    return Split(train=tuple(train), test=tuple(test), sampled=tuple(sampled))
 
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Canonical dataset form: scaled edges plus provenance."""
+    """Canonical dataset form: scaled edges plus provenance.
+
+    The edges alone fix the vertex lists: ``origins`` and ``terminals`` are
+    their tokens in order of first appearance.
+    """
 
     edges: tuple  # EdgeRecords with weights already in [-1, 1]
-    origins: tuple
-    terminals: tuple
     raw_weight_range: tuple
     provenance: dict
+
+    @functools.cached_property
+    def origins(self) -> tuple:
+        return tuple(dict.fromkeys(r.origin for r in self.edges))
+
+    @functools.cached_property
+    def terminals(self) -> tuple:
+        return tuple(dict.fromkeys(r.terminal for r in self.edges))
 
     def digest(self) -> str:
         """Content hash of the canonical JSON form, computed once per snapshot."""
@@ -344,8 +345,6 @@ def build_snapshot(
 
     return Snapshot(
         edges=tuple(scaled),
-        origins=tuple(dict.fromkeys(r.origin for r in scaled)),
-        terminals=tuple(dict.fromkeys(r.terminal for r in scaled)),
         raw_weight_range=(float(lo), float(hi)),
         provenance={
             "source_path": Path(spec.path).name,
@@ -400,7 +399,7 @@ def load_snapshot(path) -> Snapshot:
     raw = payload["edges"]
     if not raw:
         raise ParseError("snapshot has no edges", path=where)
-    by_origin: dict = {}  # origin -> {terminal: edge index}
+    first: dict = {}  # (origin, terminal) -> index of the first edge naming it
     for i, edge in enumerate(raw):
         if not (type(edge) is list and len(edge) == 3
                 and type(edge[0]) is str and type(edge[1]) is str):
@@ -414,18 +413,19 @@ def load_snapshot(path) -> Snapshot:
             raise ParseError(
                 f"edge {i}: weight {w!r} is not a number in [-1, 1]", path=where
             )
-        seen = by_origin.get(o)
-        if seen is None:
-            seen = by_origin[o] = {}
-        j = seen.setdefault(t, i)
+        j = first.setdefault((o, t), i)
         if j != i:
             raise ParseError(
                 f"edge {i}: repeats the (origin, terminal) pair of edge {j}", path=where
             )
 
+    snapshot = Snapshot(
+        edges=tuple(EdgeRecord(o, t, float(w), None) for o, t, w in raw),
+        raw_weight_range=tuple(payload["raw_weight_range"]),
+        provenance=payload["provenance"],
+    )
     for name, pos in (("origins", 0), ("terminals", 1)):
-        listed = payload[name]
-        expected = list(dict.fromkeys(edge[pos] for edge in raw))
+        listed, expected = payload[name], list(getattr(snapshot, name))
         if listed == expected:
             continue
         j = next(
@@ -442,10 +442,4 @@ def load_snapshot(path) -> Snapshot:
             f"position {j}: {detail}",
             path=where,
         )
-    return Snapshot(
-        edges=tuple(EdgeRecord(o, t, float(w), None) for o, t, w in raw),
-        origins=tuple(payload["origins"]),
-        terminals=tuple(payload["terminals"]),
-        raw_weight_range=tuple(payload["raw_weight_range"]),
-        provenance=payload["provenance"],
-    )
+    return snapshot

@@ -102,7 +102,6 @@ class SvmModel:
     coefficients: tuple
     intercept: float
     kernel: KernelSpec  # gamma resolved
-    regularization: float
     value_range: tuple
     merged_count: int  # original points absorbed by embedding collisions
     train_mae: float  # unclamped, over the original (unmerged) points
@@ -154,9 +153,8 @@ def fit_points(
         design = np.hstack([np.ones((m, 1)), basis])
         penalty = np.eye(m + 1)
         penalty[0, 0] = 0.0  # intercept unpenalized
-        lam = config.regularization
         beta = np.linalg.solve(
-            design.T @ design + lam * penalty, design.T @ y_m
+            design.T @ design + config.regularization * penalty, design.T @ y_m
         )
 
         basis_all = _kernel_matrix(kernel, u_all, u_m) * y_m[None, :]
@@ -173,7 +171,6 @@ def fit_points(
         coefficients=tuple(float(b) for b in beta[1:]),
         intercept=float(beta[0]),
         kernel=kernel,
-        regularization=lam,
         value_range=(float(value_range[0]), float(value_range[1])),
         merged_count=merged_count,
         train_mae=train_mae,
@@ -184,7 +181,8 @@ def fit(metric: CountMetric, training: Sequence, config: SvmConfig = SvmConfig()
     """Fit from training elements, embedding them through the metric."""
     training = tuple(training)
     points = [(metric.transfer(a), metric.weighting.weights[a]) for a in training]
-    return fit_points(points, config, value_range=metric.weighting.value_range)
+    weighting = metric.weighting
+    return fit_points(points, config, value_range=(weighting.lo, weighting.hi))
 
 
 def _predict_raw(model: SvmModel, u) -> np.ndarray:

@@ -241,12 +241,8 @@ def _synthetic_snapshot(n_edges, seed):
             continue
         pairs.add((o, t))
         records.append(EdgeRecord(o, t, float(rng.uniform(-1.0, 1.0))))
-    origins = list(dict.fromkeys(r.origin for r in records))
-    terminals = list(dict.fromkeys(r.terminal for r in records))
     return Snapshot(
         edges=tuple(records),
-        origins=tuple(origins),
-        terminals=tuple(terminals),
         raw_weight_range=(-1.0, 1.0),
         provenance={"source_path": "synthetic", "source_sha256": "0" * 64,
                     "sampling": None},
@@ -276,8 +272,6 @@ def test_criterion_6_error_metrics():
     dedup = list({r.pair: r for r in records}.values())
     snap_const = Snapshot(
         edges=tuple(dedup),
-        origins=tuple(dict.fromkeys(r.origin for r in dedup)),
-        terminals=tuple(dict.fromkeys(r.terminal for r in dedup)),
         raw_weight_range=(-1.0, 1.0),
         provenance={"source_path": "synthetic", "source_sha256": "0" * 64,
                     "sampling": None},

@@ -69,16 +69,8 @@ def _synthetic_snapshot(n_edges=60, seed=0, n_vertices=12):
             continue
         pairs.add((o, t))
         records.append(EdgeRecord(o, t, float(rng.uniform(-1.0, 1.0))))
-    origins, terminals = [], []
-    for r in records:
-        if r.origin not in origins:
-            origins.append(r.origin)
-        if r.terminal not in terminals:
-            terminals.append(r.terminal)
     return Snapshot(
         edges=tuple(records),
-        origins=tuple(origins),
-        terminals=tuple(terminals),
         raw_weight_range=(-1.0, 1.0),
         provenance={"source_path": "synthetic", "source_sha256": "0" * 64,
                     "sampling": None},
@@ -88,12 +80,8 @@ def _synthetic_snapshot(n_edges=60, seed=0, n_vertices=12):
 def _constant_snapshot(n_edges=40):
     records = [EdgeRecord(f"o{i % 8}", f"t{(i * 3) % 11}", 0.25) for i in range(n_edges)]
     dedup = list({r.pair: r for r in records}.values())
-    origins = list(dict.fromkeys(r.origin for r in dedup))
-    terminals = list(dict.fromkeys(r.terminal for r in dedup))
     return Snapshot(
         edges=tuple(dedup),
-        origins=tuple(origins),
-        terminals=tuple(terminals),
         raw_weight_range=(-1.0, 1.0),
         provenance={"source_path": "synthetic", "source_sha256": "0" * 64,
                     "sampling": None},

@@ -17,6 +17,18 @@ from weightpred import (
 from helpers import FIG_EDGES, brute_neighbors, random_instance
 
 
+def _assert_indexes_scan_edges(graph):
+    """Each index holds, per vertex in first-appearance order, its edges in
+    edge order, as a scan of ``graph.edges`` finds them."""
+    for pos, index, vertices in ((0, graph.origin_index, graph.origins),
+                                 (1, graph.terminal_index, graph.terminals)):
+        scan = {}
+        for e in graph.edges:
+            scan[e[pos]] = scan.get(e[pos], ()) + (e,)
+        assert list(index.items()) == list(scan.items())
+        assert vertices == tuple(scan)
+
+
 class TestBuildGraph:
     def test_fig1_sizes(self, fig1):
         assert len(fig1.origins) == 4
@@ -46,9 +58,7 @@ class TestBuildGraph:
         assert set(fig1.terminals) == {t for _, t in FIG_EDGES}
 
     def test_indexes_match_edge_set(self, fig1):
-        by_origin, by_terminal = fig1.rebuild_indexes()
-        assert by_origin == dict(fig1.origin_index)
-        assert by_terminal == dict(fig1.terminal_index)
+        _assert_indexes_scan_edges(fig1)
 
     def test_out_in_edges(self, fig1):
         assert set(fig1.out_edges("a")) == {("a", "1"), ("a", "2")}
@@ -169,9 +179,7 @@ class TestNeighborProperties:
         rng = np.random.default_rng(13)
         for _ in range(40):
             graph, _, _ = random_instance(rng)
-            by_origin, by_terminal = graph.rebuild_indexes()
-            assert by_origin == dict(graph.origin_index)
-            assert by_terminal == dict(graph.terminal_index)
+            _assert_indexes_scan_edges(graph)
 
 
 @given(

@@ -13,6 +13,7 @@ from weightpred import (
     DomainError,
     EdgeRecord,
     ParseError,
+    Snapshot,
     SplitPlan,
     build_snapshot,
     collapse_duplicates,
@@ -285,8 +286,13 @@ class TestSnapshot:
     def test_vertex_lists_match_edges(self, tmp_path):
         raw = self._write_raw(tmp_path)
         snap = build_snapshot(_spec(raw))
-        assert set(snap.origins) == {r.origin for r in snap.edges}
-        assert set(snap.terminals) == {r.terminal for r in snap.edges}
+        origins = [r.origin for r in snap.edges]
+        terminals = [r.terminal for r in snap.edges]
+        assert list(snap.origins) == sorted(set(origins), key=origins.index)
+        assert list(snap.terminals) == sorted(set(terminals), key=terminals.index)
+        with pytest.raises(TypeError):  # the edges alone fix the vertex lists
+            Snapshot(edges=snap.edges, origins=snap.origins,
+                     raw_weight_range=snap.raw_weight_range, provenance={})
 
     def test_bad_format_rejected(self, tmp_path):
         p = tmp_path / "x.json"
