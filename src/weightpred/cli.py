@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -206,11 +205,6 @@ def cmd_ingest(args) -> int:
     lo, hi = given.get("weight_min"), given.get("weight_max")
     if lo is None or hi is None:
         raise UsageError("--weight-min and --weight-max are required")
-    for flag, value in (("--weight-min", lo), ("--weight-max", hi)):
-        if not math.isfinite(value):
-            raise UsageError(f"{flag} must be finite, got {value}")
-    if not lo < hi:
-        raise UsageError(f"--weight-min {lo} must be below --weight-max {hi}")
     sample = given.get("sample", "all")
     if sample != "all" and sample < 1:
         raise UsageError(f"--sample must be a positive integer or 'all', got {sample}")
@@ -298,7 +292,7 @@ def cmd_evaluate(args) -> int:
             "rmse": rmse(preds, truths),
             "n_test": len(rows),
             "flags": tally_flags(rows),
-            "config": json.loads(meta["config"]) if "config" in meta else None,
+            "config": meta.get("config"),
             "snapshot_digest": meta.get("snapshot_digest"),
             "scored_from": "predictions-file",
         }

@@ -16,16 +16,29 @@ exactly on equivalent pairs.  Elements with empty neighborhoods all sit in
 the count-zero class.
 
 All sums run over a canonically sorted value order so results do not depend
-on enumeration order (see :func:`stable_mean`).
+on enumeration order (see :func:`stable_mean`), and add left to right (see
+:func:`ordered_sum`) so they do not depend on the Python version.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError
 from .graph import DirectedGraph, Weighting, neighbors
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``((0.0 + v0) + v1) + ...`` in IEEE doubles, one rounding per addition.
+
+    Builtin ``sum()`` adds floats this way up to CPython 3.11; from 3.12 it
+    compensates rounding error (gh-100425), which changes the last bits.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def stable_mean(values: Sequence[float]) -> float:
@@ -38,7 +51,7 @@ def stable_mean(values: Sequence[float]) -> float:
     vals = sorted(values)
     if not vals:
         raise ValueError("stable_mean of an empty sequence")
-    return sum(vals) / len(vals)
+    return ordered_sum(vals) / len(vals)
 
 
 @dataclass(frozen=True)

@@ -332,7 +332,11 @@ def write_predictions(path, result: ExperimentResult) -> None:
 
 
 def read_predictions(path):
-    """Read a predictions file; returns (rows, metadata dict)."""
+    """Read a predictions file; returns (rows, metadata dict).
+
+    The metadata holds each ``# key: value`` header line's value as text,
+    except ``config``, which is parsed from JSON.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -346,6 +350,14 @@ def read_predictions(path):
             body = line.lstrip("#").strip()
             if ": " in body:
                 key, value = body.split(": ", 1)
+                if key == "config":
+                    try:
+                        value = json.loads(value)
+                    except json.JSONDecodeError as exc:
+                        raise ParseError(
+                            f"config is not valid JSON: {exc}",
+                            path=str(path), line=lineno,
+                        ) from None
                 meta[key] = value
         elif line.strip():
             data_lines.append(line)

@@ -55,8 +55,15 @@ class DatasetSpec:
 
     def __post_init__(self):
         a, b = self.weight_range
+        for name, value in (("weight_min", a), ("weight_max", b)):
+            if not math.isfinite(value):
+                raise SettingError(name, f"must be finite, got {value!r}")
         if not a < b:
-            raise ValueError(f"weight range [{a}, {b}] is empty")
+            raise SettingError(
+                "weight_min", f"must be below the maximum, got range [{a}, {b}]"
+            )
+        if self.delimiter == "":
+            raise SettingError("delimiter", "must not be empty")
 
 
 @dataclass(frozen=True)
@@ -373,7 +380,8 @@ def load_snapshot(path) -> Snapshot:
     """Read a snapshot, rejecting what :func:`build_snapshot` cannot produce.
 
     Raises :class:`ParseError` naming the file (and the edge index, where
-    there is one) for a missing key, no edges, an edge that is not ``[origin,
+    there is one) for a missing key, a ``raw_weight_range`` that is not two
+    finite numbers lo < hi, no edges, an edge that is not ``[origin,
     terminal, weight]`` with a finite weight in [-1, 1], a repeated
     (origin, terminal) pair, or vertex lists that differ from the edges'
     first-appearance order.
@@ -395,6 +403,14 @@ def load_snapshot(path) -> Snapshot:
             raise ParseError(
                 f"key {key!r} is missing or not a JSON {kind.__name__}", path=where
             )
+    weight_range = payload["raw_weight_range"]
+    if not (len(weight_range) == 2
+            and all(type(v) in (int, float) and math.isfinite(v) for v in weight_range)
+            and weight_range[0] < weight_range[1]):
+        raise ParseError(
+            f"raw_weight_range {weight_range!r} is not two finite numbers lo < hi",
+            path=where,
+        )
 
     raw = payload["edges"]
     if not raw:
@@ -421,7 +437,7 @@ def load_snapshot(path) -> Snapshot:
 
     snapshot = Snapshot(
         edges=tuple(EdgeRecord(o, t, float(w), None) for o, t, w in raw),
-        raw_weight_range=tuple(payload["raw_weight_range"]),
+        raw_weight_range=tuple(weight_range),
         provenance=payload["provenance"],
     )
     for name, pos in (("origins", 0), ("terminals", 1)):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .countmetric import CountMetric, stable_mean
+from .countmetric import CountMetric, ordered_sum, stable_mean
 from .errors import DomainError, PredictionError, SettingError
 
 ZERO_DISTANCE_POLICIES = ("exclude", "include")
@@ -117,7 +117,7 @@ class KnnModel:
         n = len(weights)
         denom = n if self.config.denominator_policy == "neighborhood_size" else self.config.k
         return KnnPrediction(
-            value=sum(weights) / denom if n else self._fallback,
+            value=ordered_sum(weights) / denom if n else self._fallback,
             used_fallback=n == 0,
             degenerate=degenerate,
             neighborhood_size=n,

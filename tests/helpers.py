@@ -131,12 +131,15 @@ def brute_neighbors(graph, weighting, element, exclude_self=False):
 
 def brute_profile(graph, weighting, element, h, exclude_self=False):
     """(avg, band count) recomputed from scratch; avg uses the same
-    canonical sorted-value summation contract as the library."""
+    summation contract as the library: sorted values, added left to right."""
     nbs = brute_neighbors(graph, weighting, element, exclude_self)
     ws = [weighting.weights[n] for n in nbs]
     if not ws:
         return None, 0
-    avg = sum(sorted(ws)) / len(ws)
+    total = 0.0
+    for w in sorted(ws):
+        total += w
+    avg = total / len(ws)
     count = sum(1 for w in ws if abs(w - avg) <= h)
     return avg, count
 

@@ -83,6 +83,7 @@ class TestIngest:
         (["--weight-min", "5", "--weight-max", "1"], "--weight-min"),
         (["--weight-min=-inf"], "--weight-min"),
         (["--weight-max=nan"], "--weight-max"),
+        (["--delimiter", ""], "--delimiter"),
     ])
     def test_bad_flag_is_usage_error_without_output(
         self, rating_file, tmp_path, capsys, extra, flag
@@ -290,6 +291,27 @@ class TestEvaluate:
         assert "line 4" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("body,located", [
+        ("# format: weightpred-predictions-v2\nelement,predicted,truth,flags\nv1,0.5,0.25,\n",
+         "not a weightpred-predictions-v1 file"),
+        ('# format: weightpred-predictions-v1\n# config: {"k": \n'
+         "element,predicted,truth,flags\nv1,0.5,0.25,\n", "line 2: config is not valid JSON"),
+        ("# format: weightpred-predictions-v1\nelement,predicted,flags\nv1,0.5,\n",
+         "missing required columns"),
+        ("# format: weightpred-predictions-v1\nelement,predicted,truth,flags\nv1,0.5,0.25\n",
+         "line 3: expected 4 fields, got 3"),
+        ("# format: weightpred-predictions-v1\nelement,predicted,truth,flags\n",
+         "no prediction rows"),
+    ], ids=["wrong-format", "config-not-json", "no-truth-column", "short-row", "header-only"])
+    def test_malformed_predictions_file_is_parse_error(self, tmp_path, capsys, body, located):
+        preds = tmp_path / "p.csv"
+        preds.write_text(body)
+        report = tmp_path / "report.json"
+        code = main(["evaluate", "--predictions", str(preds), "--report", str(report)])
+        assert code == 2
+        assert f"{preds}: {located}" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_non_finite_result_writes_no_report(self, snapshot_file, tmp_path):
         report = tmp_path / "report.json"
         code = main([
@@ -369,6 +391,27 @@ class TestConfigFile:
         assert code == 2
         err = capsys.readouterr().err
         assert str(cfg) in err and repr(key) in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("text,located", [
+        (None, "cannot read config"),
+        ('{"seed": 7', "invalid JSON"),
+        ("[7]", "config file must hold a JSON object"),
+    ], ids=["missing", "invalid-json", "not-an-object"])
+    def test_bad_config_file_is_parse_error(
+        self, snapshot_file, tmp_path, capsys, text, located
+    ):
+        cfg = tmp_path / "run.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "preds.csv"
+        code = main([
+            "predict", "--snapshot", str(snapshot_file), "--task", "origin",
+            "--method", "knn", "--output", str(out), "--config", str(cfg),
+        ])
+        assert code == 2
+        assert f"{cfg}: {located}" in capsys.readouterr().err
         assert not out.exists()
 
 

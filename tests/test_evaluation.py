@@ -1,6 +1,5 @@
 """Scoring functions, the experiment pipeline, and report artifacts."""
 
-import json
 import math
 from collections import Counter
 
@@ -222,7 +221,7 @@ class TestPredictionFiles:
         rows, meta = read_predictions(path)
         assert meta["task"] == "edge"
         assert meta["snapshot_digest"] == snap.digest()
-        assert json.loads(meta["config"]) == result.report.config
+        assert meta["config"] == result.report.config
         assert len(rows) == result.report.n_test
         for got, want in zip(rows, result.predictions):
             assert got.element == want.element

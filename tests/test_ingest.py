@@ -1,6 +1,7 @@
 """Parsing, rescaling, duplicate collapse, snapshots, and seeded splits."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -24,6 +25,7 @@ from weightpred import (
     rescale_inverse,
     save_snapshot,
 )
+from weightpred.errors import SettingError
 
 
 def _spec(path, rng=(-10.0, 10.0), ts=True, delim=","):
@@ -69,6 +71,19 @@ class TestParseEdgeList:
         records = parse_edge_list(_spec(p))
         assert len(records) == 1
 
+    @pytest.mark.parametrize("line,problem", [
+        ("a,b,inf,20", "weight 'inf' is not finite"),
+        ("a,b,nan,20", "weight 'nan' is not finite"),
+        (",b,4,20", "empty origin or terminal token"),
+        ("a, ,4,20", "empty origin or terminal token"),
+        ("a,b,4,soon", "timestamp field 'soon' is not a number"),
+    ])
+    def test_bad_field_names_line(self, tmp_path, line, problem):
+        p = tmp_path / "d.csv"
+        p.write_text(f"1,2,4,10\n{line}\n")
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 2: {problem}")):
+            parse_edge_list(_spec(p))
+
     def test_non_numeric_weight_midfile_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("6,2,4,10\n7,3,bad,11\n")
@@ -87,6 +102,18 @@ class TestParseEdgeList:
         p.write_text("6\t2\t4\n")
         records = parse_edge_list(_spec(p, ts=False, delim=None))
         assert records[0].pair == ("6", "2")
+
+
+@pytest.mark.parametrize("weight_range,delimiter,setting", [
+    ((-math.inf, 10.0), ",", "weight_min"),
+    ((-10.0, math.nan), ",", "weight_max"),
+    ((5.0, 1.0), ",", "weight_min"),
+    ((-10.0, 10.0), "", "delimiter"),
+], ids=["min-infinite", "max-nan", "reversed", "empty-delimiter"])
+def test_dataset_spec_rejects_bad_setting(tmp_path, weight_range, delimiter, setting):
+    with pytest.raises(SettingError) as err:
+        _spec(tmp_path / "d.csv", rng=weight_range, delim=delimiter)
+    assert err.value.setting == setting
 
 
 class TestCollapseDuplicates:
@@ -342,10 +369,15 @@ def _set_edge(i, value):
     (lambda s: s.update(terminals=["x"]), "first seen in edge 1"),
     (lambda s: s.update(origins=["a", "b", "c"]), "'c' appears in no edge"),
     (lambda s: s.update(edges=[], origins=[], terminals=[]), "snapshot has no edges"),
+    (lambda s: s.update(raw_weight_range=[5, "x", None]), "raw_weight_range [5, 'x', None]"),
+    (lambda s: s.update(raw_weight_range=[10.0, -10.0]), "raw_weight_range [10.0, -10.0]"),
+    (lambda s: s.update(raw_weight_range=[-10.0, math.inf]), "raw_weight_range [-10.0, inf]"),
+    (lambda s: s.update(raw_weight_range=[-10.0, True]), "raw_weight_range [-10.0, True]"),
 ], ids=[
     "no-edges", "no-provenance", "two-fields", "four-fields", "string-weight",
     "nan-weight", "inf-weight", "weight-above-1", "repeated-pair",
     "origins-reordered", "terminals-short", "origins-extra", "empty-edges",
+    "range-three-items", "range-reversed", "range-infinite", "range-bool",
 ])
 def test_load_snapshot_rejects_malformed_schema(tmp_path, corrupt, located):
     path = tmp_path / "snap.json"
