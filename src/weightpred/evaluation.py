@@ -331,6 +331,21 @@ def write_predictions(path, result: ExperimentResult) -> None:
     Path(path).write_text(buf.getvalue())
 
 
+def _parse_config_header(text, path, line) -> dict:
+    """The run config of a ``# config:`` line: a JSON object, no NaN or Infinity."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not a JSON value")
+
+    try:
+        config = json.loads(text, parse_constant=reject)
+    except ValueError as exc:
+        raise ParseError(f"config is not valid JSON: {exc}", path=path, line=line) from None
+    if not isinstance(config, dict):
+        raise ParseError("config is not a JSON object", path=path, line=line)
+    return config
+
+
 def read_predictions(path):
     """Read a predictions file; returns (rows, metadata dict).
 
@@ -351,13 +366,7 @@ def read_predictions(path):
             if ": " in body:
                 key, value = body.split(": ", 1)
                 if key == "config":
-                    try:
-                        value = json.loads(value)
-                    except json.JSONDecodeError as exc:
-                        raise ParseError(
-                            f"config is not valid JSON: {exc}",
-                            path=str(path), line=lineno,
-                        ) from None
+                    value = _parse_config_header(value, str(path), lineno)
                 meta[key] = value
         elif line.strip():
             data_lines.append(line)

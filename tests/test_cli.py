@@ -29,6 +29,11 @@ def snapshot_file(tmp_path_factory, rating_file):
     return out
 
 
+# Pieces of a predictions file: its first line and a well-formed table.
+_V1 = "# format: weightpred-predictions-v1\n"
+_ROWS = "element,predicted,truth,flags\nv1,0.5,0.25,\n"
+
+
 def _run_args(snapshot, task, method, out, **extra):
     args = [
         "predict", "--snapshot", str(snapshot), "--task", task, "--method", method,
@@ -292,18 +297,20 @@ class TestEvaluate:
         assert not report.exists()
 
     @pytest.mark.parametrize("body,located", [
-        ("# format: weightpred-predictions-v2\nelement,predicted,truth,flags\nv1,0.5,0.25,\n",
+        ("# format: weightpred-predictions-v2\n" + _ROWS,
          "not a weightpred-predictions-v1 file"),
-        ('# format: weightpred-predictions-v1\n# config: {"k": \n'
-         "element,predicted,truth,flags\nv1,0.5,0.25,\n", "line 2: config is not valid JSON"),
-        ("# format: weightpred-predictions-v1\nelement,predicted,flags\nv1,0.5,\n",
-         "missing required columns"),
-        ("# format: weightpred-predictions-v1\nelement,predicted,truth,flags\nv1,0.5,0.25\n",
+        (_V1 + '# config: {"k": \n' + _ROWS, "line 2: config is not valid JSON"),
+        (_V1 + '# config: {"h_value": NaN}\n' + _ROWS, "line 2: config is not valid JSON"),
+        (_V1 + "# config: 3\n" + _ROWS, "line 2: config is not a JSON object"),
+        (_V1 + "element,predicted,flags\nv1,0.5,\n", "missing required columns"),
+        (_V1 + "element,predicted,truth,flags\nv1,0.5,0.25\n",
          "line 3: expected 4 fields, got 3"),
-        ("# format: weightpred-predictions-v1\nelement,predicted,truth,flags\n",
-         "no prediction rows"),
-    ], ids=["wrong-format", "config-not-json", "no-truth-column", "short-row", "header-only"])
-    def test_malformed_predictions_file_is_parse_error(self, tmp_path, capsys, body, located):
+        (_V1 + "element,predicted,truth,flags\n", "no prediction rows"),
+    ], ids=["wrong-format", "config-not-json", "config-nan", "config-not-object",
+            "no-truth-column", "short-row", "header-only"])
+    def test_malformed_predictions_file_is_parse_error(
+        self, tmp_path, capsys, body, located
+    ):
         preds = tmp_path / "p.csv"
         preds.write_text(body)
         report = tmp_path / "report.json"
@@ -392,7 +399,6 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert str(cfg) in err and repr(key) in err
         assert not out.exists()
-
 
     @pytest.mark.parametrize("text,located", [
         (None, "cannot read config"),

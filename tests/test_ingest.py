@@ -318,7 +318,7 @@ class TestSnapshot:
         assert list(snap.origins) == sorted(set(origins), key=origins.index)
         assert list(snap.terminals) == sorted(set(terminals), key=terminals.index)
         with pytest.raises(TypeError):  # the edges alone fix the vertex lists
-            Snapshot(edges=snap.edges, origins=snap.origins,
+            Snapshot(edges=snap.edges, origins=snap.origins, terminals=snap.terminals,
                      raw_weight_range=snap.raw_weight_range, provenance={})
 
     def test_bad_format_rejected(self, tmp_path):
