@@ -56,7 +56,7 @@ def stable_mean(values: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class CountProfile:
-    """Cached neighborhood summary of one element."""
+    """Neighborhood summary of one element."""
 
     neighbor_count: int
     avg_weight: Optional[float]
@@ -66,10 +66,9 @@ class CountProfile:
 class CountMetric:
     """Count distance for one (graph, weighting, h) triple.
 
-    Profiles are computed lazily and cached; the inputs are immutable, so
-    the cache never invalidates.  One instance serves every element of the
-    kind matching ``weighting.kind`` (all origins, all terminals, or all
-    edges of the graph).
+    The constructor computes the profile of every element of the kind
+    matching ``weighting.kind`` (all origins, all terminals, or all edges of
+    the graph); :meth:`profile` looks one up.
     """
 
     def __init__(
@@ -83,44 +82,30 @@ class CountMetric:
         if not h > 0:
             raise ValueError(f"bandwidth h must be positive, got {h!r}")
         weighting.check_domain(graph)
-        self.graph = graph
         self.weighting = weighting
-        self.h = float(h)
-        self.exclude_self = exclude_self
-        self._profiles: dict = {}
+        h = float(h)
+        self._profiles = {}
+        for x in getattr(graph, f"{weighting.kind.value}s"):  # origins/terminals/edges
+            nbs = neighbors(graph, weighting, x, exclude_self=exclude_self)
+            ws = [weighting.weights[n] for n in nbs]
+            avg = stable_mean(ws) if ws else None
+            self._profiles[x] = CountProfile(
+                neighbor_count=len(ws),
+                avg_weight=avg,
+                band_count=sum(abs(w - avg) <= h for w in ws),
+            )
 
     def profile(self, element) -> CountProfile:
         try:
             return self._profiles[element]
-        except KeyError:
-            pass
-        except TypeError:
-            raise DomainError(f"unhashable element {element!r}") from None
-        nbs = neighbors(
-            self.graph, self.weighting, element, exclude_self=self.exclude_self
-        )
-        ws = [self.weighting.weights[n] for n in nbs]
-        avg = stable_mean(ws) if ws else None
-        prof = CountProfile(
-            neighbor_count=len(ws),
-            avg_weight=avg,
-            band_count=sum(abs(w - avg) <= self.h for w in ws),
-        )
-        self._profiles[element] = prof
-        return prof
-
-    def avg_weight(self, element) -> Optional[float]:
-        return self.profile(element).avg_weight
-
-    def band_count(self, element) -> int:
-        return self.profile(element).band_count
+        except (KeyError, TypeError):  # TypeError: an unhashable element
+            raise DomainError(
+                f"{self.weighting.kind.value} {element!r} is not in the graph"
+            ) from None
 
     def distance(self, x, y) -> int:
         """Absolute band-count difference; zero iff x and y are equivalent."""
         return abs(self.profile(x).band_count - self.profile(y).band_count)
-
-    def equivalent(self, x, y) -> bool:
-        return self.profile(x).band_count == self.profile(y).band_count
 
     def transfer(self, element) -> float:
         """Real-number embedding of an element: its band count as a float."""

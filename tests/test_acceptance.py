@@ -91,7 +91,7 @@ def test_criterion_1_metric_axioms():
                 assert dxy == metric.distance(y, x)
                 assert metric.distance(x, z) <= dxy + metric.distance(y, z)
                 assert (dxy == 0) == (
-                    metric.band_count(x) == metric.band_count(y)
+                    metric.profile(x).band_count == metric.profile(y).band_count
                 )
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"axiom suite took {elapsed:.1f}s"
@@ -117,18 +117,18 @@ def test_criterion_2_golden_values():
     assert set(neighbors(graph, ew, ("b", "1"))) == {("b", "1"), ("b", "3")}
 
     mo = CountMetric(graph, ow, 0.2)
-    assert mo.avg_weight("a") == pytest.approx(0.45, abs=1e-12)
-    assert mo.avg_weight("d") == pytest.approx(0.3, abs=1e-12)
-    assert mo.band_count("a") == 2
-    assert mo.band_count("d") == 1
+    assert mo.profile("a").avg_weight == pytest.approx(0.45, abs=1e-12)
+    assert mo.profile("d").avg_weight == pytest.approx(0.3, abs=1e-12)
+    assert mo.profile("a").band_count == 2
+    assert mo.profile("d").band_count == 1
     assert mo.distance("a", "d") == 1
     assert mo.distance("a", "a") == 0
     assert mo.transfer("a") == 2.0
 
     me = CountMetric(graph, ew, 0.2)
-    assert me.avg_weight(("b", "1")) == pytest.approx(0.315, abs=1e-12)
-    assert me.band_count(("a", "1")) == 1
-    assert me.band_count(("d", "3")) == 1
+    assert me.profile(("b", "1")).avg_weight == pytest.approx(0.315, abs=1e-12)
+    assert me.profile(("a", "1")).band_count == 1
+    assert me.profile(("d", "3")).band_count == 1
     assert me.distance(("a", "1"), ("d", "3")) == 0
     assert me.transfer(("d", "3")) == 1.0
 

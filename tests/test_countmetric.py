@@ -19,14 +19,14 @@ APPROX = 1e-12
 class TestAvgNeighborWeight:
     def test_fig1_origin_averages(self, fig1, origin_weights):
         m = CountMetric(fig1, origin_weights, 0.2)
-        assert m.avg_weight("a") == pytest.approx(0.45, abs=APPROX)
-        assert m.avg_weight("d") == pytest.approx(0.3, abs=APPROX)
+        assert m.profile("a").avg_weight == pytest.approx(0.45, abs=APPROX)
+        assert m.profile("d").avg_weight == pytest.approx(0.3, abs=APPROX)
 
     def test_empty_neighborhood_is_undefined(self, fig1):
         # With only c weighted, d has no neighbors in the training set.
         w = Weighting(WeightKind.ORIGIN, {"c": 0.6}, 0.0, 1.0)
         m = CountMetric(fig1, w, 0.2)
-        assert m.avg_weight("d") is None
+        assert m.profile("d").avg_weight is None
 
     def test_stable_mean_is_permutation_invariant(self):
         vals = [0.31, -0.7, 0.11, 0.9999, -0.23, 0.5]
@@ -36,13 +36,13 @@ class TestAvgNeighborWeight:
 class TestBandCount:
     def test_fig1_counts(self, fig1, origin_weights):
         m = CountMetric(fig1, origin_weights, 0.2)
-        assert m.band_count("a") == 2
-        assert m.band_count("d") == 1
+        assert m.profile("a").band_count == 2
+        assert m.profile("d").band_count == 1
 
     def test_no_neighbors_counts_zero(self, fig1):
         w = Weighting(WeightKind.ORIGIN, {"c": 0.6}, 0.0, 1.0)
         m = CountMetric(fig1, w, 0.2)
-        assert m.band_count("d") == 0
+        assert m.profile("d").band_count == 0
 
     def test_nonpositive_h_rejected(self, fig1, origin_weights):
         with pytest.raises(ValueError):
@@ -57,7 +57,7 @@ class TestBandCount:
             small = CountMetric(graph, weighting, h)
             big = CountMetric(graph, weighting, h + float(rng.uniform(0.0, 1.0)))
             for elem in universe_of(graph, weighting.kind):
-                assert small.band_count(elem) <= big.band_count(elem)
+                assert small.profile(elem).band_count <= big.profile(elem).band_count
 
 
 class TestDistance:
@@ -72,8 +72,8 @@ class TestDistance:
 
     def test_fig1_edge_distance_zero(self, fig1, edge_weights):
         m = CountMetric(fig1, edge_weights, 0.2)
-        assert m.band_count(("a", "1")) == 1
-        assert m.band_count(("d", "3")) == 1
+        assert m.profile(("a", "1")).band_count == 1
+        assert m.profile(("d", "3")).band_count == 1
         assert m.distance(("a", "1"), ("d", "3")) == 0
 
     def test_kind_mismatch(self, fig1, origin_weights):
@@ -101,7 +101,7 @@ class TestMetricAxioms:
                 assert dxy == metric.distance(y, x)
                 assert metric.distance(x, z) <= dxy + metric.distance(y, z)
                 zero = dxy == 0
-                same_count = metric.band_count(x) == metric.band_count(y)
+                same_count = metric.profile(x).band_count == metric.profile(y).band_count
                 assert zero == same_count
 
     def test_equivalence_relation_properties(self):
@@ -111,10 +111,10 @@ class TestMetricAxioms:
             metric = CountMetric(graph, weighting, h)
             universe = universe_of(graph, weighting.kind)
             for x, y, z in self._triples(rng, universe, n=15):
-                assert metric.equivalent(x, x)
-                assert metric.equivalent(x, y) == metric.equivalent(y, x)
-                if metric.equivalent(x, y) and metric.equivalent(y, z):
-                    assert metric.equivalent(x, z)
+                assert metric.distance(x, x) == 0
+                assert (metric.distance(x, y) == 0) == (metric.distance(y, x) == 0)
+                if metric.distance(x, y) == 0 and metric.distance(y, z) == 0:
+                    assert metric.distance(x, z) == 0
 
 
 class TestBruteForceOracle:

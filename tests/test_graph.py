@@ -154,6 +154,11 @@ class TestNeighborsOutsideKind:
         with pytest.raises(DomainError):
             metric.profile(element)
 
+    def test_profile_rejects_unhashable(self, fig1, edge_weights):
+        metric = CountMetric(fig1, edge_weights, 0.2)
+        with pytest.raises(DomainError, match=r"edge \['a', '1'\] is not in the graph"):
+            metric.profile(["a", "1"])
+
 
 class TestNeighborProperties:
     def test_matches_brute_force_scan(self):
