@@ -95,14 +95,14 @@ class ExperimentConfig:
     train_fraction: Optional[float] = None  # default 0.7 when neither given
     h_mode: str = "stddev"  # or "fixed"
     h_value: Optional[float] = None
-    k: int = 5
-    zero_distance_policy: str = "exclude"
-    denominator_policy: str = "neighborhood_size"
-    kernel: str = "rbf"
-    gamma: Optional[float] = None
-    degree: int = 3
-    coef0: float = 1.0
-    reg_lambda: float = 1e-3
+    k: int = KnnConfig.k
+    zero_distance_policy: str = KnnConfig.zero_distance_policy
+    denominator_policy: str = KnnConfig.denominator_policy
+    kernel: str = svm_mod.KernelSpec.kind
+    gamma: Optional[float] = svm_mod.KernelSpec.gamma
+    degree: int = svm_mod.KernelSpec.degree
+    coef0: float = svm_mod.KernelSpec.coef0
+    reg_lambda: float = svm_mod.SvmConfig.regularization
     fg_tol: float = DEFAULT_TOL
     fg_max_iter: int = DEFAULT_MAX_ITER
     exclude_self: bool = False

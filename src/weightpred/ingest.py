@@ -4,10 +4,12 @@ Input files are delimited text, one edge per line::
 
     origin,terminal,weight[,timestamp]
 
-(the Bitcoin-OTC ``source,target,rating,time`` layout).  Comma and
-whitespace delimiters are supported; a leading header line is skipped when
-its weight field is not numeric.  Weights must lie inside the declared raw
-range and are rescaled to [-1, 1] with the affine map
+(the Bitcoin-OTC ``source,target,rating,time`` layout).  Lines split on
+each occurrence of the delimiter (comma by default), except that ``" "``
+stands for whitespace and splits on runs of spaces and tabs; ``None`` picks
+comma when the line has one, else whitespace.  A leading header line is
+skipped when its weight field is not numeric.  Weights must lie inside the
+declared raw range and are rescaled to [-1, 1] with the affine map
 ``w' = (2w - (a + b)) / (b - a)``.
 
 Duplicate (origin, terminal) records collapse to one edge: the latest
@@ -51,7 +53,7 @@ class DatasetSpec:
     path: str
     weight_range: tuple  # declared raw (a, b)
     has_timestamp: bool = False
-    delimiter: Optional[str] = ","  # None -> auto (comma if present, else whitespace)
+    delimiter: Optional[str] = ","  # " " -> whitespace; None -> comma if present, else " "
 
     def __post_init__(self):
         a, b = self.weight_range
@@ -80,8 +82,8 @@ class EdgeRecord:
 
 def _split_line(line: str, delimiter: Optional[str]):
     if delimiter is None:
-        delimiter = "," if "," in line else None  # None -> any whitespace
-    if delimiter is None or delimiter.isspace():
+        delimiter = "," if "," in line else " "
+    if delimiter == " ":  # whitespace: split on runs of spaces and tabs
         return line.split()
     return [f.strip() for f in line.split(delimiter)]
 
@@ -149,6 +151,12 @@ def parse_edge_list(spec: DatasetSpec) -> list:
                     path=str(spec.path),
                     line=lineno,
                 ) from None
+            if not math.isfinite(timestamp):
+                raise ParseError(
+                    f"timestamp {fields[3]!r} is not finite",
+                    path=str(spec.path),
+                    line=lineno,
+                )
         records.append(EdgeRecord(origin, terminal, weight, timestamp))
 
     if not records:
@@ -382,7 +390,8 @@ def load_snapshot(path) -> Snapshot:
     Raises :class:`ParseError` naming the file (and the edge index, where
     there is one) for a missing key, a ``raw_weight_range`` that is not two
     finite numbers lo < hi, no edges, an edge that is not ``[origin,
-    terminal, weight]`` with a finite weight in [-1, 1], a repeated
+    terminal, weight]`` with nonempty tokens and a finite weight in
+    [-1, 1], a repeated
     (origin, terminal) pair, or vertex lists that differ from the edges'
     first-appearance order.
     """
@@ -424,6 +433,8 @@ def load_snapshot(path) -> Snapshot:
                 path=where,
             )
         o, t, w = edge
+        if not o or not t:
+            raise ParseError(f"edge {i}: empty origin or terminal token", path=where)
         # NaN fails the range comparison, so this also rejects non-finite weights.
         if type(w) not in (int, float) or not -1.0 <= w <= 1.0:
             raise ParseError(

@@ -111,6 +111,26 @@ class TestIngest:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("bounds", [["--weight-min", "-10"], ["--weight-max", "10"]])
+    def test_missing_weight_bound_is_usage_error_without_output(
+        self, rating_file, tmp_path, capsys, bounds
+    ):
+        out = tmp_path / "snap.json"
+        code = main(["ingest", "--input", str(rating_file), "--output", str(out), *bounds])
+        assert code == 1
+        assert "--weight-min and --weight-max are required" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_above_edge_count_exits_3_without_output(self, rating_file, tmp_path):
+        out = tmp_path / "snap.json"
+        code = main([
+            "ingest", "--input", str(rating_file), "--output", str(out),
+            "--weight-min", "-10", "--weight-max", "10", "--timestamp",
+            "--sample", "401",
+        ])
+        assert code == 3
+        assert not out.exists()
+
 
 class TestGenWeights:
     def test_writes_scores(self, snapshot_file, tmp_path, capsys):
@@ -200,6 +220,16 @@ class TestPredict:
                      "--method", "knn", "--output", str(out)])
         assert code == 2
         assert "edge 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snapshot_not_json_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format": ')
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--snapshot", str(bad), "--task", "edge",
+                     "--method", "knn", "--output", str(out)])
+        assert code == 2
+        assert f"{bad}: invalid JSON" in capsys.readouterr().err
         assert not out.exists()
 
     def test_oversized_sample_is_numeric_error(self, snapshot_file, tmp_path):
@@ -341,6 +371,35 @@ class TestEvaluate:
         preds.write_text("x")
         code = main(["evaluate", "--predictions", str(preds), "--repeat", "2"])
         assert code == 1
+
+    @pytest.mark.parametrize("extra,problem", [
+        ([], "pass --predictions or --snapshot"),
+        (["--task", "edge"], "snapshot mode requires --task and --method"),
+        (["--method", "knn"], "snapshot mode requires --task and --method"),
+        (["--task", "edge", "--method", "knn", "--repeat", "0"], "--repeat must be >= 1"),
+    ], ids=["no-mode", "no-method", "no-task", "repeat-0"])
+    def test_snapshot_mode_usage_error_writes_no_report(
+        self, snapshot_file, tmp_path, capsys, extra, problem
+    ):
+        report = tmp_path / "report.json"
+        snapshot = ["--snapshot", str(snapshot_file)] if extra else []
+        code = main(["evaluate", *snapshot, *extra, "--report", str(report)])
+        assert code == 1
+        assert f"usage error: {problem}" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_missing_predictions_file_is_io_error(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        code = main(["evaluate", "--predictions", str(tmp_path / "none.csv"),
+                     "--report", str(report)])
+        assert code == 2
+        assert "none.csv" in capsys.readouterr().err
+        assert not report.exists()
+
+
+def test_no_subcommand_prints_help_and_exits_1(capsys):
+    assert main([]) == 1
+    assert "usage:" in capsys.readouterr().out
 
 
 class TestReproduceTables:

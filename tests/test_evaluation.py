@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from weightpred import (
     EdgeRecord,
     ExperimentConfig,
+    KnnConfig,
     Snapshot,
     mae,
     rmse,
@@ -210,6 +211,11 @@ class TestRunExperiment:
             ExperimentConfig(
                 task="edge", method="knn", train_count=5, train_fraction=0.5
             )
+
+    def test_predictor_defaults_are_the_predictor_configs(self):
+        config = ExperimentConfig(task="edge", method="knn")
+        assert config.knn_config() == KnnConfig()
+        assert config.svm_config() == svm_mod.SvmConfig()
 
 
 class TestPredictionFiles:

@@ -77,6 +77,8 @@ class TestParseEdgeList:
         (",b,4,20", "empty origin or terminal token"),
         ("a, ,4,20", "empty origin or terminal token"),
         ("a,b,4,soon", "timestamp field 'soon' is not a number"),
+        ("a,b,4,nan", "timestamp 'nan' is not finite"),
+        ("a,b,4,-inf", "timestamp '-inf' is not finite"),
     ])
     def test_bad_field_names_line(self, tmp_path, line, problem):
         p = tmp_path / "d.csv"
@@ -96,6 +98,12 @@ class TestParseEdgeList:
         p.write_text("6 2 4\n7 3 -1\n")
         records = parse_edge_list(_spec(p, ts=False, delim=" "))
         assert [r.weight for r in records] == [4.0, -1.0]
+
+    def test_tab_delimiter_keeps_spaces_in_tokens(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        p.write_text("alice smith\tbob\t5\n")
+        records = parse_edge_list(_spec(p, ts=False, delim="\t"))
+        assert records[0].pair == ("alice smith", "bob")
 
     def test_auto_delimiter(self, tmp_path):
         p = tmp_path / "d.txt"
@@ -360,6 +368,7 @@ def _set_edge(i, value):
     (_drop("provenance"), "key 'provenance' is missing"),
     (_set_edge(1, ["b", "y"]), "edge 1: expected [origin, terminal, weight]"),
     (_set_edge(1, ["b", "y", 0.1, 7]), "edge 1: expected [origin, terminal, weight]"),
+    (_set_edge(0, ["", "x", 0.5]), "edge 0: empty origin or terminal token"),
     (_set_edge(0, ["a", "x", "0.5"]), "edge 0: weight"),
     (_set_edge(0, ["a", "x", float("nan")]), "edge 0: weight"),
     (_set_edge(2, ["a", "y", float("inf")]), "edge 2: weight"),
@@ -374,7 +383,8 @@ def _set_edge(i, value):
     (lambda s: s.update(raw_weight_range=[-10.0, math.inf]), "raw_weight_range [-10.0, inf]"),
     (lambda s: s.update(raw_weight_range=[-10.0, True]), "raw_weight_range [-10.0, True]"),
 ], ids=[
-    "no-edges", "no-provenance", "two-fields", "four-fields", "string-weight",
+    "no-edges", "no-provenance", "two-fields", "four-fields", "empty-origin",
+    "string-weight",
     "nan-weight", "inf-weight", "weight-above-1", "repeated-pair",
     "origins-reordered", "terminals-short", "origins-extra", "empty-edges",
     "range-three-items", "range-reversed", "range-infinite", "range-bool",
