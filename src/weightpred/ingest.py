@@ -390,10 +390,9 @@ def load_snapshot(path) -> Snapshot:
     Raises :class:`ParseError` naming the file (and the edge index, where
     there is one) for a missing key, a ``raw_weight_range`` that is not two
     finite numbers lo < hi, no edges, an edge that is not ``[origin,
-    terminal, weight]`` with nonempty tokens and a finite weight in
-    [-1, 1], a repeated
-    (origin, terminal) pair, or vertex lists that differ from the edges'
-    first-appearance order.
+    terminal, weight]`` with nonempty tokens and a finite weight in [-1, 1],
+    a repeated (origin, terminal) pair, or vertex lists that differ from the
+    edges' first-appearance order.
     """
     where = str(path)
     try:
