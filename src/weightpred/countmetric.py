@@ -18,6 +18,15 @@ the count-zero class.
 All sums run over a canonically sorted value order so results do not depend
 on enumeration order (see :func:`stable_mean`), and add left to right (see
 :func:`ordered_sum`) so they do not depend on the Python version.
+
+:class:`CountMetric` fills every profile in one batch over the graph's
+integer views.  Each element's neighbors form one segment of a flat array of
+(element, neighbor rank) pairs, where a neighbor's rank is its position in
+the ascending order of training weights.  One sort on ``element * n + rank``
+both deduplicates each segment and orders it by weight, and ``np.bincount``
+adds each segment's weights left to right from 0.0, so every average has the
+bits of ``ordered_sum(sorted(ws)) / len(ws)``.  Only ``np.bincount`` may
+sum here: ``np.sum`` and ``np.mean`` add pairwise and change the last bits.
 """
 
 from __future__ import annotations
@@ -25,8 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import DomainError
-from .graph import DirectedGraph, Weighting, neighbors
+from .graph import DirectedGraph, WeightKind, Weighting
+
+# Most (element, candidate neighbor) pairs the batched profile fill holds at
+# once.  It bounds the fill's working memory, which would otherwise grow with
+# the sum of squared degrees.  A chunk always takes at least one element, so
+# one element with a larger segment still gets a chunk of its own.
+_CHUNK_ENTRIES = 16_384
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -83,17 +100,16 @@ class CountMetric:
             raise ValueError(f"bandwidth h must be positive, got {h!r}")
         weighting.check_domain(graph)
         self.weighting = weighting
-        h = float(h)
-        self._profiles = {}
-        for x in getattr(graph, f"{weighting.kind.value}s"):  # origins/terminals/edges
-            nbs = neighbors(graph, weighting, x, exclude_self=exclude_self)
-            ws = [weighting.weights[n] for n in nbs]
-            avg = stable_mean(ws) if ws else None
-            self._profiles[x] = CountProfile(
-                neighbor_count=len(ws),
-                avg_weight=avg,
-                band_count=sum(abs(w - avg) <= h for w in ws),
-            )
+        universe = getattr(graph, f"{weighting.kind.value}s")  # origins/terminals/edges
+        # Sized before the fill allocates its scratch arrays, so that the
+        # heap can shrink once they are freed (0.4 MiB less peak RSS on an
+        # 8k-edge graph).
+        self._profiles = dict.fromkeys(universe)
+        counts, avgs, bands = _batch_profiles(
+            graph, weighting, universe, float(h), exclude_self
+        )
+        for x, c, mean, k in zip(universe, counts.tolist(), avgs.tolist(), bands.tolist()):
+            self._profiles[x] = CountProfile(c, mean if c else None, k)
 
     def profile(self, element) -> CountProfile:
         try:
@@ -110,3 +126,107 @@ class CountMetric:
     def transfer(self, element) -> float:
         """Real-number embedding of an element: its band count as a float."""
         return float(self.profile(element).band_count)
+
+
+def _batch_profiles(
+    graph: DirectedGraph, weighting: Weighting, universe: tuple, h: float, exclude_self: bool
+) -> tuple:
+    """Neighbor counts, average neighbor weights (0.0 where there is no
+    neighbor) and band counts of the elements of ``universe``, as arrays."""
+    n = len(universe)
+    # Training elements in ascending weight order (Python's sort, not an
+    # argsort: see _grouped); rank_of[x] is x's position in it, or -1 for an
+    # element outside the training domain.
+    weight = [weighting.weights.get(x) for x in universe]
+    by_weight = sorted(
+        (x for x, w in enumerate(weight) if w is not None), key=weight.__getitem__
+    )
+    sorted_weight = np.array([weight[x] for x in by_weight], dtype=float)
+    rank_of = np.full(n, -1, dtype=np.intp)
+    rank_of[by_weight] = np.arange(len(by_weight))
+    stride = max(len(by_weight), 1)
+
+    groups, first, ranks, ptr = _candidate_groups(graph, weighting.kind, rank_of)
+    size = np.diff(ptr)
+    # Pair entries of the elements before each element, for chunking.
+    entry_end = np.concatenate(([0], np.cumsum(size[groups])))[first]
+
+    counts = np.zeros(n, dtype=np.intp)
+    avgs = np.zeros(n)
+    bands = np.zeros(n, dtype=np.intp)
+    a = 0
+    while a < n:
+        b = int(np.searchsorted(entry_end, entry_end[a] + _CHUNK_ENTRIES, "right")) - 1
+        b = max(b, a + 1)
+        # Every (element, candidate) pair of the chunk, element-major: the
+        # j-th pair of group g[i] reads ranks[ptr[g[i]] + j - (ends - lens)[i]].
+        g = groups[first[a]:first[b]]
+        lens = size[g]
+        ends = np.cumsum(lens)
+        rank = ranks[np.arange(ends[-1]) + np.repeat(ptr[g] + lens - ends, lens)]
+        owner = np.repeat(np.arange(b - a), np.diff(entry_end[a:b + 1]))
+        if exclude_self:
+            other = rank != rank_of[a + owner]
+            rank, owner = rank[other], owner[other]
+        # One sort orders each element's segment by weight and brings
+        # repeated neighbors together; the mask keeps one of each.
+        key = owner * stride + rank
+        key.sort()
+        distinct = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=distinct[1:])
+        owner, rank = np.divmod(key[distinct], stride)
+        w = sorted_weight[rank]
+        cnt = np.bincount(owner, minlength=b - a)
+        avg = np.bincount(owner, weights=w, minlength=b - a) / np.maximum(cnt, 1)
+        counts[a:b] = cnt
+        avgs[a:b] = avg
+        bands[a:b] = np.bincount(owner[np.abs(w - avg[owner]) <= h], minlength=b - a)
+        a = b
+    return counts, avgs, bands
+
+
+def _grouped(keys: np.ndarray, n_keys: int, values: np.ndarray) -> tuple:
+    """``values`` grouped by ``keys``, each group in input order, and the
+    group offsets: group k is ``grouped[ptr[k]:ptr[k + 1]]``."""
+    n = len(keys)
+    ptr = np.zeros(n_keys + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=n_keys), out=ptr[1:])
+    # A stable order from the same np.sort the chunks use: the first call of
+    # each further numpy sort routine adds 0.1-0.3 MiB of resident code.
+    order = np.sort(keys * n + np.arange(n)) % max(n, 1)
+    return values[order], ptr
+
+
+def _candidate_groups(graph: DirectedGraph, kind: WeightKind, rank_of: np.ndarray) -> tuple:
+    """Where each element's candidate neighbors sit, as groups of ranks.
+
+    Returns ``(groups, first, ranks, ptr)``: element x owns the groups
+    ``groups[first[x]:first[x + 1]]``, and group g holds the training ranks
+    ``ranks[ptr[g]:ptr[g + 1]]``.  One neighbor may sit in several groups of
+    an element.
+    """
+    src, dst = graph.src, graph.dst
+    if kind is WeightKind.EDGE:
+        # Group o holds the training edges of origin o, group n_o + t those
+        # of terminal t; an edge owns its origin's and its terminal's group,
+        # so a training edge sits in both of its own.
+        n_o = len(graph.origins)
+        train = rank_of >= 0
+        ranks, ptr = _grouped(
+            np.concatenate((src[train], n_o + dst[train])),
+            n_o + len(graph.terminals),
+            np.tile(rank_of[train], 2),
+        )
+        groups = np.stack((src, n_o + dst), axis=1).ravel()
+        return groups, np.arange(0, len(groups) + 1, 2), ranks, ptr
+
+    # Group v holds the training vertices on the edges of the other-side
+    # vertex v; a vertex owns the group of each of its edges' other ends.
+    if kind is WeightKind.ORIGIN:
+        own, via, n_via = src, dst, len(graph.terminals)
+    else:
+        own, via, n_via = dst, src, len(graph.origins)
+    train = rank_of[own] >= 0
+    ranks, ptr = _grouped(via[train], n_via, rank_of[own[train]])
+    groups, first = _grouped(own, len(rank_of), via)
+    return groups, first, ranks, ptr

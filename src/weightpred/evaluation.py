@@ -229,15 +229,19 @@ def _training_bandwidth(config: ExperimentConfig, train_weights) -> tuple:
 
 def _task_data(config: ExperimentConfig, split: Split):
     """Graph, training weight map, held-out truth pairs, and weight kind."""
-    graph = build_graph([r.pair for r in split.sampled])
-    if config.task == "edge":
-        train_weights = {r.pair: r.weight for r in split.train}
-        truths = [(r.pair, r.weight) for r in split.test]
+    # One (origin, terminal) tuple per record, shared by the graph's edges
+    # and every map keyed by edge.
+    pairs = [r.pair for r in split.sampled]
+    graph = build_graph(pairs)
+    if config.task == "edge":  # here train + test == sampled
+        train_weights = {p: r.weight for p, r in zip(pairs, split.train)}
+        test_pairs = pairs[len(split.train):]
+        truths = [(p, r.weight) for p, r in zip(test_pairs, split.test)]
         return graph, train_weights, truths, WeightKind.EDGE, (-1.0, 1.0)
 
     scores = compute_fairness_goodness(
         graph,
-        {r.pair: r.weight for r in split.sampled},
+        {p: r.weight for p, r in zip(pairs, split.sampled)},
         tol=config.fg_tol,
         max_iter=config.fg_max_iter,
     )

@@ -15,9 +15,10 @@ fairness stays in [0, 1] and goodness in [-1, 1] at every sweep; this is
 asserted, and sub-ulp float excursions are clamped.
 
 A sweep is one grouped sum per side, ``np.bincount(..., weights=)`` over
-the edges' origin ids, terminal ids and weights: the sparse mat-vec form of
-Kumar et al., "Edge Weight Prediction in Weighted Signed Networks" (ICDM
-2016).  Its bits equal a per-vertex loop over edges in insertion order.
+the graph's ``src``/``dst`` ids and the edge weights: the sparse mat-vec
+form of Kumar et al., "Edge Weight Prediction in Weighted Signed Networks"
+(ICDM 2016).  Its bits equal a per-vertex loop over edges in insertion
+order.
 
 Fairness scores serve as origin weights (range [0, 1]) and goodness scores
 as terminal weights (range [-1, 1]) when building vertex-weighted networks
@@ -95,10 +96,7 @@ def compute_fairness_goodness(
         weights.append(w)
 
     n_o, n_t = len(graph.origins), len(graph.terminals)
-    origin_id = dict(zip(graph.origins, range(n_o)))
-    terminal_id = dict(zip(graph.terminals, range(n_t)))
-    src = np.array([origin_id[o] for o, _ in graph.edges], dtype=np.intp)
-    dst = np.array([terminal_id[t] for _, t in graph.edges], dtype=np.intp)
+    src, dst = graph.src, graph.dst
     w = np.array(weights, dtype=float)
     out_deg = np.bincount(src, minlength=n_o)
     in_deg = np.bincount(dst, minlength=n_t)

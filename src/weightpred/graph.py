@@ -26,12 +26,14 @@ reproducible across processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping
 
 import math
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -48,6 +50,11 @@ class WeightKind(str, Enum):
 class DirectedGraph:
     """Deduplicated directed graph with origin- and terminal-side indexes.
 
+    Besides the token views it holds integer views of the same edges:
+    ``src[i]``/``dst[i]`` are the positions in ``origins``/``terminals`` of
+    ``edges[i]``'s endpoints (read-only arrays), and ``edge_id`` maps each
+    edge to ``i`` (built on first use).
+
     Construct via :func:`build_graph`; instances are immutable and safe to
     share across threads.
     """
@@ -57,10 +64,12 @@ class DirectedGraph:
     edges: tuple
     origin_index: Mapping  # origin token -> tuple of its edges
     terminal_index: Mapping  # terminal token -> tuple of its edges
+    src: np.ndarray = field(compare=False)
+    dst: np.ndarray = field(compare=False)
 
     @cached_property
-    def _edge_set(self):
-        return frozenset(self.edges)
+    def edge_id(self) -> dict:
+        return dict(zip(self.edges, range(len(self.edges))))
 
     def has_origin(self, token) -> bool:
         return token in self.origin_index
@@ -69,7 +78,7 @@ class DirectedGraph:
         return token in self.terminal_index
 
     def has_edge(self, edge) -> bool:
-        return edge in self._edge_set
+        return edge in self.edge_id
 
     def out_edges(self, origin) -> tuple:
         """Edges leaving ``origin``, in insertion order."""
@@ -95,9 +104,13 @@ def build_graph(edge_list: Iterable) -> DirectedGraph:
 
     Duplicate pairs collapse to one edge (first occurrence kept).  Origins
     and terminals are exactly the tokens appearing in first/second position,
-    in order of first appearance.
+    in order of first appearance.  A pair given as a 2-tuple becomes the
+    edge itself, so callers keying data by the same tuples share them.
     """
-    edges = tuple(dict.fromkeys((pair[0], pair[1]) for pair in edge_list))
+    edges = tuple(dict.fromkeys(
+        pair if type(pair) is tuple and len(pair) == 2 else (pair[0], pair[1])
+        for pair in edge_list
+    ))
     if not edges:
         raise DomainError("cannot build a graph from an empty edge list")
     by_origin: dict = {}
@@ -111,7 +124,17 @@ def build_graph(edge_list: Iterable) -> DirectedGraph:
         edges=edges,
         origin_index={k: tuple(v) for k, v in by_origin.items()},
         terminal_index={k: tuple(v) for k, v in by_terminal.items()},
+        src=_positions((e[0] for e in edges), by_origin, len(edges)),
+        dst=_positions((e[1] for e in edges), by_terminal, len(edges)),
     )
+
+
+def _positions(tokens, vertices: dict, n: int) -> np.ndarray:
+    """Read-only array of each token's position in ``vertices``."""
+    pos = dict(zip(vertices, range(len(vertices))))
+    out = np.fromiter((pos[v] for v in tokens), dtype=np.intp, count=n)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)

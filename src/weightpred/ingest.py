@@ -243,7 +243,10 @@ class SplitPlan:
 
 @dataclass(frozen=True)
 class Split:
-    """Train/test partition plus the sampled edge set it came from."""
+    """Train/test partition plus the sampled edge set it came from.
+
+    For the edge task ``train + test == sampled``.
+    """
 
     train: tuple  # EdgeRecords (edge task) or vertex tokens
     test: tuple
@@ -390,8 +393,9 @@ def load_snapshot(path) -> Snapshot:
     Raises :class:`ParseError` naming the file (and the edge index, where
     there is one) for a missing key, a ``raw_weight_range`` that is not two
     finite numbers lo < hi, no edges, an edge that is not ``[origin,
-    terminal, weight]`` with nonempty tokens and a finite weight in [-1, 1],
-    a repeated (origin, terminal) pair, or vertex lists that differ from the
+    terminal, weight]`` with nonempty tokens (without leading or trailing
+    whitespace, which parsing strips) and a finite weight in [-1, 1], a
+    repeated (origin, terminal) pair, or vertex lists that differ from the
     edges' first-appearance order.
     """
     where = str(path)
@@ -434,6 +438,12 @@ def load_snapshot(path) -> Snapshot:
         o, t, w = edge
         if not o or not t:
             raise ParseError(f"edge {i}: empty origin or terminal token", path=where)
+        if o != o.strip() or t != t.strip():
+            padded = o if o != o.strip() else t
+            raise ParseError(
+                f"edge {i}: token {padded!r} has leading or trailing whitespace",
+                path=where,
+            )
         # NaN fails the range comparison, so this also rejects non-finite weights.
         if type(w) not in (int, float) or not -1.0 <= w <= 1.0:
             raise ParseError(

@@ -3,15 +3,24 @@
 import numpy as np
 import pytest
 
+import weightpred.countmetric as countmetric
 from weightpred import (
     CountMetric,
     DomainError,
     WeightKind,
     Weighting,
+    build_graph,
     stable_mean,
 )
+from weightpred.ingest import DatasetSpec, parse_edge_list
 
-from helpers import brute_neighbors, brute_profile, random_instance, universe_of
+from helpers import (
+    brute_neighbors,
+    brute_profile,
+    random_instance,
+    universe_of,
+    write_rating_file,
+)
 
 APPROX = 1e-12
 
@@ -144,6 +153,75 @@ class TestBruteForceOracle:
                 prof = metric.profile(elem)
                 assert 0 <= prof.band_count <= prof.neighbor_count
                 assert (prof.avg_weight is None) == (prof.neighbor_count == 0)
+
+
+def _hex(value):
+    return None if value is None else float.hex(value)
+
+
+def _assert_matches_oracle(metric, graph, elements, h, exclude_self=False):
+    """Every element's profile has the brute-force oracle's bits."""
+    weighting = metric.weighting
+    for elem in elements:
+        want_avg, want_count = brute_profile(graph, weighting, elem, h, exclude_self)
+        prof = metric.profile(elem)
+        assert _hex(prof.avg_weight) == _hex(want_avg)
+        assert prof.band_count == want_count
+        assert prof.neighbor_count == len(
+            brute_neighbors(graph, weighting, elem, exclude_self)
+        )
+
+
+class TestChunkBoundaries:
+    """The fill takes the elements in chunks of at most ``_CHUNK_ENTRIES``
+    (element, candidate) pairs, and at least one element per chunk; where
+    the chunks split must not change a profile."""
+
+    @pytest.mark.parametrize("kind", list(WeightKind))
+    @pytest.mark.parametrize("budget", [1, 5])
+    def test_profiles_match_oracle_under_small_budgets(self, monkeypatch, kind, budget):
+        monkeypatch.setattr(countmetric, "_CHUNK_ENTRIES", budget)
+        rng = np.random.default_rng(44)
+        largest = 0
+        for _ in range(25):
+            graph, weighting, h = random_instance(rng, max_edges=30, kind=kind)
+            elements = universe_of(graph, kind)
+            for exclude_self in (False, True):
+                metric = CountMetric(graph, weighting, h, exclude_self=exclude_self)
+                _assert_matches_oracle(metric, graph, elements, h, exclude_self)
+                largest = max(largest, *(metric.profile(x).neighbor_count for x in elements))
+        # An element whose segment alone exceeds the budget got a chunk.
+        assert largest > budget
+
+
+class TestSummationOrder:
+    """Segments of 100+ neighbors with full-mantissa weights, where a
+    pairwise sum (``np.sum``, ``np.add.reduceat``) of the sorted weights
+    differs from the left-to-right sum in its last bits."""
+
+    @pytest.mark.parametrize("kind,n_origins,n_terminals,checked", [
+        (WeightKind.ORIGIN, 150, 16, 40),
+        (WeightKind.TERMINAL, 16, 150, 40),
+        (WeightKind.EDGE, 150, 16, 200),
+    ])
+    def test_long_segments_match_oracle_bits(
+        self, tmp_path, kind, n_origins, n_terminals, checked
+    ):
+        path = write_rating_file(
+            tmp_path / "r.csv", 2000, seed=5, n_origins=n_origins, n_terminals=n_terminals
+        )
+        records = parse_edge_list(DatasetSpec(str(path), (-10.0, 10.0), True))
+        graph = build_graph([r.pair for r in records])
+        rng = np.random.default_rng(6)
+        weights = {
+            x: float(rng.uniform(-1.0, 1.0))
+            for x in universe_of(graph, kind)
+            if rng.random() < 0.9
+        }
+        metric = CountMetric(graph, Weighting(kind, weights, -1.0, 1.0), 0.3)
+        elements = universe_of(graph, kind)[:checked]
+        assert min(metric.profile(x).neighbor_count for x in elements) >= 100
+        _assert_matches_oracle(metric, graph, elements, 0.3)
 
 
 class TestTransfer:

@@ -60,6 +60,29 @@ class TestBuildGraph:
     def test_indexes_match_edge_set(self, fig1):
         _assert_indexes_scan_edges(fig1)
 
+    def test_integer_views_scan_edges(self, fig1):
+        shared = build_graph([("x", "y"), ("w", "x"), ("x", "z"), ("x", "y"), ("y", "x")])
+        for graph in (fig1, shared):
+            origin_pos, terminal_pos = {}, {}
+            for o, t in graph.edges:
+                origin_pos.setdefault(o, len(origin_pos))
+                terminal_pos.setdefault(t, len(terminal_pos))
+            assert graph.src.tolist() == [origin_pos[o] for o, _ in graph.edges]
+            assert graph.dst.tolist() == [terminal_pos[t] for _, t in graph.edges]
+            assert list(graph.edge_id.items()) == [(e, i) for i, e in enumerate(graph.edges)]
+            assert not graph.src.flags.writeable and not graph.dst.flags.writeable
+
+    def test_tuple_pairs_become_the_edges(self):
+        pair = ("a", "1")
+        assert build_graph([pair, ["a", "1"], ["b", "1"]]).edges[0] is pair
+
+    def test_has_edge(self, fig1):
+        assert fig1.has_edge(("a", "1"))
+        assert not fig1.has_edge(("1", "a"))
+        assert not fig1.has_edge(("a", "3"))
+        with pytest.raises(TypeError):
+            fig1.has_edge(["a", "1"])  # unhashable, as for any set lookup
+
     def test_out_in_edges(self, fig1):
         assert set(fig1.out_edges("a")) == {("a", "1"), ("a", "2")}
         assert set(fig1.in_edges("3")) == {("b", "3"), ("d", "3")}

@@ -369,6 +369,8 @@ def _set_edge(i, value):
     (_set_edge(1, ["b", "y"]), "edge 1: expected [origin, terminal, weight]"),
     (_set_edge(1, ["b", "y", 0.1, 7]), "edge 1: expected [origin, terminal, weight]"),
     (_set_edge(0, ["", "x", 0.5]), "edge 0: empty origin or terminal token"),
+    (_set_edge(0, [" a", "x", 0.5]), "edge 0: token ' a' has leading or trailing whitespace"),
+    (_set_edge(1, ["b", "y\t", 0.5]), "edge 1: token 'y\\t' has leading or trailing whitespace"),
     (_set_edge(0, ["a", "x", "0.5"]), "edge 0: weight"),
     (_set_edge(0, ["a", "x", float("nan")]), "edge 0: weight"),
     (_set_edge(2, ["a", "y", float("inf")]), "edge 2: weight"),
@@ -384,6 +386,7 @@ def _set_edge(i, value):
     (lambda s: s.update(raw_weight_range=[-10.0, True]), "raw_weight_range [-10.0, True]"),
 ], ids=[
     "no-edges", "no-provenance", "two-fields", "four-fields", "empty-origin",
+    "padded-origin", "padded-terminal",
     "string-weight",
     "nan-weight", "inf-weight", "weight-above-1", "repeated-pair",
     "origins-reordered", "terminals-short", "origins-extra", "empty-edges",
