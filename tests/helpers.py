@@ -4,9 +4,21 @@ indexed implementations."""
 
 from __future__ import annotations
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 
-from weightpred import WeightKind, Weighting, build_graph
+from weightpred import (
+    DomainError,
+    WeightKind,
+    Weighting,
+    build_graph,
+    fit_points,
+    mae,
+    predict_at,
+    rmse,
+)
 
 # The 7-edge example network used throughout the golden tests.
 FIG_EDGES = [
@@ -102,6 +114,15 @@ def random_instance(rng, max_edges=30, kind=None, allow_empty=False):
 # ---- brute-force oracles (quadratic scans over the raw edge list) -------------
 
 
+def _left_sum(values):
+    """Floats added left to right, one rounding per addition, on every
+    CPython (builtin ``sum()`` compensates rounding from 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def brute_neighbors(graph, weighting, element, exclude_self=False):
     """Neighbor set by double loop over all edges; returns a set."""
     domain = set(weighting.weights)
@@ -136,10 +157,7 @@ def brute_profile(graph, weighting, element, h, exclude_self=False):
     ws = [weighting.weights[n] for n in nbs]
     if not ws:
         return None, 0
-    total = 0.0
-    for w in sorted(ws):
-        total += w
-    avg = total / len(ws)
+    avg = _left_sum(sorted(ws)) / len(ws)
     count = sum(1 for w in ws if abs(w - avg) <= h)
     return avg, count
 
@@ -158,7 +176,8 @@ def brute_knn(counts, query_count, training, k, zero_distance_policy="exclude"):
 
 
 def brute_fairness_goodness(edges, weights, tol=1e-6, max_iter=100):
-    """Direct dict-based iteration of the two averaging sweeps."""
+    """Direct dict-based iteration of the two averaging sweeps; each score
+    is a left-to-right sum over the vertex's edges in edge order."""
     origins = {o for o, _ in edges}
     terminals = {t for _, t in edges}
     f = {o: 1.0 for o in origins}
@@ -168,20 +187,114 @@ def brute_fairness_goodness(edges, weights, tol=1e-6, max_iter=100):
         new_g = {}
         for t in terminals:
             ins = [(o2, t2) for o2, t2 in edges if t2 == t]
-            val = sum(f[o2] * weights[(o2, t2)] for o2, t2 in ins) / len(ins)
+            val = _left_sum(f[o2] * weights[(o2, t2)] for o2, t2 in ins) / len(ins)
             change = max(change, abs(val - g[t]))
             new_g[t] = val
         g = new_g
         new_f = {}
         for o in origins:
             outs = [(o2, t2) for o2, t2 in edges if o2 == o]
-            val = 1.0 - sum(abs(weights[e] - g[e[1]]) / 2.0 for e in outs) / len(outs)
+            val = 1.0 - _left_sum(abs(weights[e] - g[e[1]]) / 2.0 for e in outs) / len(outs)
             change = max(change, abs(val - f[o]))
             new_f[o] = val
         f = new_f
         if change < tol:
             return f, g, it, True
     return f, g, max_iter, False
+
+
+# ---- reference experiment ------------------------------------------------------
+
+
+def reference_run(snapshot, config):
+    """``run_experiment`` recomputed from the brute-force oracles above.
+
+    It makes the generator calls the library documents (``rng.choice`` of
+    the sampled edges, then ``rng.permutation`` of the sampled vertex list
+    for a vertex task) and reads the same settings from ``config``: train
+    size, ``h`` (training std-dev, floored at 1e-12), fairness stopping rule
+    and predictor settings.  Fairness scores, neighbor sets, band counts and
+    kNN neighborhoods come from quadratic scans; the SVM is fitted with
+    ``fit_points`` on (band count, weight) in training order and asked once
+    per test element.
+
+    Returns a dict: ``rows`` ((element, predicted, truth, flags) per test
+    element), ``counts`` (element -> band count), ``train`` and ``test``
+    (element lists), ``h``, ``h_stddev_zero``, ``tie_stats``, ``mae`` and
+    ``rmse``.  Raises ``DomainError`` where the library's split must.
+    """
+    records = list(snapshot.edges)
+    size = len(records) if config.sample_size is None else config.sample_size
+    if size > len(records):
+        raise DomainError(f"sample_size {size} exceeds the {len(records)} records")
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    sampled = [records[i] for i in rng.choice(len(records), size=size, replace=False)]
+    edges = [(r.origin, r.terminal) for r in sampled]
+    edge_weights = {e: r.weight for e, r in zip(edges, sampled)}
+    if config.task == "edge":
+        universe, table, value_range = edges, edge_weights, (-1.0, 1.0)
+    else:
+        pos = 0 if config.task == "origin" else 1
+        vertices = list(dict.fromkeys(e[pos] for e in edges))
+        universe = [vertices[i] for i in rng.permutation(len(vertices))]
+        f, g, _, _ = brute_fairness_goodness(
+            edges, edge_weights, config.fg_tol, config.fg_max_iter
+        )
+        table, value_range = (f, (0.0, 1.0)) if pos == 0 else (g, (-1.0, 1.0))
+    n_train = config.split_plan().resolve_train_size(len(universe))
+    train, test = universe[:n_train], universe[n_train:]
+
+    weights = {x: table[x] for x in train}
+    std = float(np.std(list(weights.values())))
+    h = config.h_value if config.h_mode == "fixed" else (std if std > 0.0 else 1e-12)
+    graph = SimpleNamespace(edges=edges)
+    weighting = SimpleNamespace(kind=WeightKind(config.task), weights=weights)
+    counts = {
+        x: brute_profile(graph, weighting, x, h, config.exclude_self)[1]
+        for x in universe
+    }
+
+    rows = []
+    if config.method == "knn":
+        k = config.k
+        for x in test:
+            chosen, degenerate = brute_knn(
+                counts, counts[x], train, k, config.zero_distance_policy
+            )
+            ws = sorted(weights[a] for a in chosen)
+            if ws:
+                denom = len(ws) if config.denominator_policy == "neighborhood_size" else k
+                value = _left_sum(ws) / denom
+            else:
+                value = _left_sum(sorted(weights.values())) / len(weights)
+            flags = ("fallback_mean",) * (not ws) + ("degenerate",) * degenerate
+            rows.append((x, value, table[x], flags))
+    else:
+        model = fit_points(
+            [(float(counts[a]), weights[a]) for a in train],
+            config.svm_config(),
+            value_range,
+        )
+        for x in test:
+            p = predict_at(model, float(counts[x]))
+            rows.append((x, p.value, table[x], ("clamped",) * p.clamped))
+
+    train_counts = Counter(counts[a] for a in train)
+    preds, truths = [r[1] for r in rows], [r[2] for r in rows]
+    return {
+        "rows": rows,
+        "counts": counts,
+        "train": train,
+        "test": test,
+        "h": h,
+        "h_stddev_zero": int(config.h_mode != "fixed" and std == 0.0),
+        "tie_stats": {
+            "distinct_train_counts": len(train_counts),
+            "max_count_multiplicity": max(train_counts.values()),
+        },
+        "mae": mae(preds, truths),
+        "rmse": rmse(preds, truths),
+    }
 
 
 # ---- synthetic raw datasets ----------------------------------------------------
