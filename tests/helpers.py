@@ -10,15 +10,20 @@ from types import SimpleNamespace
 import numpy as np
 
 from weightpred import (
+    CountMetric,
     DomainError,
+    KnnModel,
     WeightKind,
     Weighting,
     build_graph,
+    compute_fairness_goodness,
     fit_points,
     mae,
+    make_split,
     predict_at,
     rmse,
 )
+from weightpred import svm
 
 # The 7-edge example network used throughout the golden tests.
 FIG_EDGES = [
@@ -295,6 +300,49 @@ def reference_run(snapshot, config):
         "mae": mae(preds, truths),
         "rmse": rmse(preds, truths),
     }
+
+
+def token_pipeline(snapshot, config):
+    """One run through the public token-level API, one element at a time.
+
+    The sequence ``perfbench/worker.py``'s traced mode runs: ``make_split``,
+    ``build_graph`` on the sampled pairs, ``compute_fairness_goodness`` on
+    an edge-weight dict (vertex tasks), ``CountMetric`` over a token
+    ``Weighting``, then ``KnnModel.predict`` or ``svm.predict_weight_svm``
+    per test element.  Returns ``(metric, truths, predictions)``, with
+    ``truths`` as (element, weight) pairs in test order.
+    """
+    split = make_split(snapshot.edges, config.split_plan(), config.task)
+    graph = build_graph([r.pair for r in split.sampled])
+    if config.task == "edge":
+        train_weights = {r.pair: r.weight for r in split.train}
+        truths = [(r.pair, r.weight) for r in split.test]
+        value_range = (-1.0, 1.0)
+    else:
+        scores = compute_fairness_goodness(
+            graph,
+            {r.pair: r.weight for r in split.sampled},
+            tol=config.fg_tol,
+            max_iter=config.fg_max_iter,
+        )
+        if config.task == "origin":
+            table, value_range = scores.fairness, (0.0, 1.0)
+        else:
+            table, value_range = scores.goodness, (-1.0, 1.0)
+        train_weights = {v: table[v] for v in split.train}
+        truths = [(v, table[v]) for v in split.test]
+    std = float(np.std(list(train_weights.values())))
+    h = config.h_value if config.h_mode == "fixed" else (std if std > 0.0 else 1e-12)
+    weighting = Weighting(WeightKind(config.task), train_weights, *value_range)
+    metric = CountMetric(graph, weighting, h, exclude_self=config.exclude_self)
+    train = list(train_weights)
+    if config.method == "knn":
+        model = KnnModel(metric, train, config.knn_config())
+        preds = [model.predict(e) for e, _ in truths]
+    else:
+        model = svm.fit(metric, train, config.svm_config())
+        preds = [svm.predict_weight_svm(model, metric, e) for e, _ in truths]
+    return metric, truths, preds
 
 
 # ---- synthetic raw datasets ----------------------------------------------------

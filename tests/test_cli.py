@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, artifacts, and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -144,6 +145,18 @@ class TestGenWeights:
         assert all(0.0 <= v <= 1.0 for v in payload["fairness"].values())
         assert all(-1.0 <= v <= 1.0 for v in payload["goodness"].values())
         assert payload["snapshot_digest"] == load_snapshot(snapshot_file).digest()
+
+    @pytest.mark.parametrize("extra,digest", [
+        ([], "32c34fc584e6edac2fe77fddb9e4aaf2c3eb884655000237271fd4f24c598399"),
+        (["--fg-max-iter", "2"],
+         "21971c6a782c7a9f10805fe798384fe2c298b1631e145d388b091c80907875c3"),
+    ])
+    def test_output_bytes_are_pinned(self, snapshot_file, tmp_path, extra, digest):
+        """The scores file, converged and cut off unconverged, byte for byte."""
+        out = tmp_path / "fg.json"
+        assert main(["gen-weights", "--snapshot", str(snapshot_file),
+                     "--output", str(out), *extra]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("command,flag,value", [
