@@ -33,6 +33,16 @@ class SettingError(WeightpredError, ValueError):
         super().__init__(f"{setting} {problem}")
 
 
+def check_int(setting, value, minimum) -> None:
+    """Raise ``SettingError`` unless ``value`` is an ``int`` of at least
+    ``minimum``.  A ``bool`` or a float is not an integer setting, as for
+    the CLI's ``--config`` values."""
+    if type(value) is not int:
+        raise SettingError(setting, f"must be an integer, got {value!r}")
+    if value < minimum:
+        raise SettingError(setting, f"must be >= {minimum}, got {value!r}")
+
+
 class DomainError(WeightpredError):
     """An element or argument is outside the domain an operation requires."""
 

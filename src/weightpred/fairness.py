@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, SettingError
+from .errors import DomainError, SettingError, check_int
 from .graph import DirectedGraph
 
 _RANGE_SLACK = 1e-9
@@ -48,8 +48,7 @@ def check_stopping_rule(tol, max_iter) -> None:
     ``max_iter`` is an int >= 1."""
     if not (tol > 0 and math.isfinite(tol)):
         raise SettingError("tol", f"must be positive and finite, got {tol!r}")
-    if not (isinstance(max_iter, int) and max_iter >= 1):
-        raise SettingError("max_iter", f"must be a positive integer, got {max_iter!r}")
+    check_int("max_iter", max_iter, 1)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .countmetric import stable_mean
-from .errors import DomainError, ParseError, SettingError
+from .errors import DomainError, ParseError, SettingError, check_int
 from .graph import WeightKind
 
 PRNG_NAME = "numpy-pcg64"
@@ -216,18 +216,17 @@ class SplitPlan:
     train_fraction: Optional[float] = None
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise SettingError("seed", f"must be >= 0, got {self.seed!r}")
+        check_int("seed", self.seed, 0)
         if (self.train_count is None) == (self.train_fraction is None):
             raise SettingError("train_count", "must be set exactly when train_fraction is not")
-        if self.train_count is not None and self.train_count < 1:
-            raise SettingError("train_count", f"must be >= 1, got {self.train_count!r}")
+        if self.train_count is not None:
+            check_int("train_count", self.train_count, 1)
         if self.train_fraction is not None and not 0.0 < self.train_fraction < 1.0:
             raise SettingError(
                 "train_fraction", f"must be in (0, 1), got {self.train_fraction!r}"
             )
-        if self.sample_size is not None and self.sample_size < 2:
-            raise SettingError("sample_size", f"must be >= 2, got {self.sample_size!r}")
+        if self.sample_size is not None:
+            check_int("sample_size", self.sample_size, 2)
 
     def resolve_train_size(self, universe_size: int) -> int:
         if self.train_count is not None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .countmetric import CountMetric, ordered_sum, stable_mean
-from .errors import DomainError, PredictionError, SettingError
+from .errors import DomainError, PredictionError, SettingError, check_int
 
 ZERO_DISTANCE_POLICIES = ("exclude", "include")
 DENOMINATOR_POLICIES = ("neighborhood_size", "fixed_k")
@@ -41,8 +41,7 @@ class KnnConfig:
     denominator_policy: str = "neighborhood_size"
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise SettingError("k", f"must be a positive integer, got {self.k!r}")
+        check_int("k", self.k, 1)
         if self.zero_distance_policy not in ZERO_DISTANCE_POLICIES:
             raise SettingError(
                 "zero_distance_policy", f"must be one of {ZERO_DISTANCE_POLICIES}"

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .countmetric import CountMetric, stable_mean
-from .errors import PredictionError, SettingError
+from .errors import PredictionError, SettingError, check_int
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf")
 
@@ -51,10 +51,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise SettingError("kernel", f"must be one of {KERNEL_KINDS}, got {self.kind!r}")
-        if self.kind == "polynomial" and not (isinstance(self.degree, int) and self.degree >= 1):
-            raise SettingError(
-                "degree", f"of a polynomial kernel must be a positive integer, got {self.degree!r}"
-            )
+        check_int("degree", self.degree, 1)
         if self.kind == "rbf" and self.gamma is not None and not self.gamma > 0:
             raise SettingError("gamma", f"of an rbf kernel must be positive, got {self.gamma!r}")
         for name in ("gamma", "coef0"):

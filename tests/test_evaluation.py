@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weightpred import (
+    DatasetSpec,
     EdgeRecord,
     ExperimentConfig,
     KnnConfig,
     Snapshot,
+    build_snapshot,
     mae,
     rmse,
     run_experiment,
@@ -25,7 +27,10 @@ from weightpred.evaluation import (
     read_predictions,
     write_predictions,
 )
-from weightpred.ingest import TASKS
+from weightpred.fairness import check_stopping_rule
+from weightpred.ingest import TASKS, SplitPlan
+
+from helpers import token_pipeline, write_rating_file
 
 weight_lists = st.lists(
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=1, max_size=40
@@ -277,3 +282,50 @@ class TestTables:
         assert "Terminal weights" in text
         assert "Edge weights" in text
         assert text.count("(") == 6  # one (MAE, RMSE) cell per run
+
+
+@pytest.fixture(scope="module")
+def rating_snapshot(tmp_path_factory):
+    path = tmp_path_factory.mktemp("adapters") / "ratings.csv"
+    write_rating_file(path, n_edges=900, seed=31, n_origins=120, n_terminals=90)
+    return build_snapshot(DatasetSpec(str(path), (-10.0, 10.0), has_timestamp=True))
+
+
+@pytest.mark.parametrize("task", TASKS)
+@pytest.mark.parametrize("method", METHODS)
+def test_token_api_matches_run_experiment(rating_snapshot, task, method):
+    """The public token-level functions, called per element as the
+    benchmark's traced mode calls them, score exactly as ``run_experiment``."""
+    config = ExperimentConfig(task=task, method=method, seed=3, sample_size=700)
+    report = run_experiment(rating_snapshot, config).report
+    _, truths, preds = token_pipeline(rating_snapshot, config)
+    values = [p.value for p in preds]
+    actual = [t for _, t in truths]
+    assert mae(values, actual).hex() == report.mae.hex()
+    assert rmse(values, actual).hex() == report.rmse.hex()
+
+
+@pytest.mark.parametrize("field,setting", [
+    ("seed", "seed"), ("sample_size", "sample_size"), ("train_count", "train_count"),
+    ("k", "k"), ("degree", "degree"), ("fg_max_iter", "max_iter"),
+])
+@pytest.mark.parametrize("value", [True, False, 300.0, 2.5])
+def test_integer_settings_reject_bools_and_floats(field, setting, value):
+    with pytest.raises(SettingError, match="must be an integer") as err:
+        ExperimentConfig(task="edge", method="knn", **{field: value})
+    assert err.value.setting == setting
+
+
+@pytest.mark.parametrize("build,setting", [
+    (lambda v: SplitPlan(seed=v, train_fraction=0.5), "seed"),
+    (lambda v: SplitPlan(seed=0, sample_size=v, train_fraction=0.5), "sample_size"),
+    (lambda v: SplitPlan(seed=0, train_count=v), "train_count"),
+    (lambda v: KnnConfig(k=v), "k"),
+    (lambda v: svm_mod.KernelSpec(kind="rbf", degree=v), "degree"),
+    (lambda v: check_stopping_rule(1e-6, v), "max_iter"),
+])
+@pytest.mark.parametrize("value", [True, 3.0])
+def test_setting_types_reject_bools_and_floats(build, setting, value):
+    with pytest.raises(SettingError) as err:
+        build(value)
+    assert err.value.setting == setting
