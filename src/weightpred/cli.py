@@ -46,9 +46,8 @@ from .fairness import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     check_stopping_rule,
-    compute_fairness_goodness,
+    fairness_goodness,
 )
-from .graph import build_graph
 from .ingest import (
     TASKS,
     DatasetSpec,
@@ -232,17 +231,12 @@ def cmd_gen_weights(args) -> int:
     max_iter = given.get("fg_max_iter", DEFAULT_MAX_ITER)
     check_stopping_rule(tol, max_iter)
     snapshot = load_snapshot(args.snapshot)
-    graph = build_graph([r.pair for r in snapshot.edges])
-    scores = compute_fairness_goodness(
-        graph,
-        {r.pair: r.weight for r in snapshot.edges},
-        tol=tol,
-        max_iter=max_iter,
-    )
+    columns = snapshot.columns
+    scores = fairness_goodness(columns, columns.weight, tol, max_iter)
     payload = {
         "format": FG_FORMAT,
-        "fairness": {str(k): v for k, v in scores.fairness.items()},
-        "goodness": {str(k): v for k, v in scores.goodness.items()},
+        "fairness": dict(zip(columns.origins, scores.fairness.tolist())),
+        "goodness": dict(zip(columns.terminals, scores.goodness.tolist())),
         "iterations": scores.iterations,
         "converged": scores.converged,
         "config": {"tol": tol, "max_iter": max_iter},

@@ -19,8 +19,9 @@ All sums run over a canonically sorted value order so results do not depend
 on enumeration order (see :func:`stable_mean`), and add left to right (see
 :func:`ordered_sum`) so they do not depend on the Python version.
 
-:class:`CountMetric` fills every profile in one batch over the graph's
-integer views.  Each element's neighbors form one segment of a flat array of
+:func:`profile_arrays` fills every profile in one batch over the graph's
+integer arrays, and :class:`CountMetric` reads one element's profile from
+them by token.  Each element's neighbors form one segment of a flat array of
 (element, neighbor rank) pairs, where a neighbor's rank is its position in
 the ascending order of training weights.  One sort on ``element * n + rank``
 both deduplicates each segment and orders it by weight, and ``np.bincount``
@@ -83,9 +84,11 @@ class CountProfile:
 class CountMetric:
     """Count distance for one (graph, weighting, h) triple.
 
-    The constructor computes the profile of every element of the kind
-    matching ``weighting.kind`` (all origins, all terminals, or all edges of
-    the graph); :meth:`profile` looks one up.
+    The constructor fills ``neighbor_counts``, ``avg_weights`` (0.0 where
+    there is no neighbor) and ``band_counts``, arrays indexed by the id in
+    ``graph`` of every element of the kind ``weighting.kind`` (see
+    :func:`profile_arrays`); :meth:`profile` builds one element's
+    :class:`CountProfile` from them on request.
     """
 
     def __init__(
@@ -98,26 +101,27 @@ class CountMetric:
     ):
         if not h > 0:
             raise ValueError(f"bandwidth h must be positive, got {h!r}")
-        weighting.check_domain(graph)
+        train = weighting.check_domain(graph)
         self.weighting = weighting
-        universe = getattr(graph, f"{weighting.kind.value}s")  # origins/terminals/edges
-        # Sized before the fill allocates its scratch arrays, so that the
-        # heap can shrink once they are freed (with glibc malloc, 0.4 MiB
-        # less peak RSS on an 8k-edge graph).
-        self._profiles = dict.fromkeys(universe)
-        counts, avgs, bands = _batch_profiles(
-            graph, weighting, universe, float(h), exclude_self
+        self._ids = getattr(graph, f"{weighting.kind.value}_id")  # token -> id
+        self._profiles: dict = {}  # id -> CountProfile, filled on request
+        self.neighbor_counts, self.avg_weights, self.band_counts = profile_arrays(
+            graph, weighting.kind, train, weighting.values(), float(h), exclude_self
         )
-        for x, c, mean, k in zip(universe, counts.tolist(), avgs.tolist(), bands.tolist()):
-            self._profiles[x] = CountProfile(c, mean if c else None, k)
 
     def profile(self, element) -> CountProfile:
         try:
-            return self._profiles[element]
+            i = self._ids[element]
         except (KeyError, TypeError):  # TypeError: an unhashable element
             raise DomainError(
                 f"{self.weighting.kind.value} {element!r} is not in the graph"
             ) from None
+        if i not in self._profiles:
+            c = int(self.neighbor_counts[i])
+            self._profiles[i] = CountProfile(
+                c, float(self.avg_weights[i]) if c else None, int(self.band_counts[i])
+            )
+        return self._profiles[i]
 
     def distance(self, x, y) -> int:
         """Absolute band-count difference; zero iff x and y are equivalent."""
@@ -128,25 +132,32 @@ class CountMetric:
         return float(self.profile(element).band_count)
 
 
-def _batch_profiles(
-    graph: DirectedGraph, weighting: Weighting, universe: tuple, h: float, exclude_self: bool
+def profile_arrays(
+    graph: DirectedGraph,
+    kind: WeightKind,
+    train: np.ndarray,
+    weights: np.ndarray,
+    h: float,
+    exclude_self: bool,
 ) -> tuple:
     """Neighbor counts, average neighbor weights (0.0 where there is no
-    neighbor) and band counts of the elements of ``universe``, as arrays."""
-    n = len(universe)
+    neighbor) and band counts of every element of ``kind`` in ``graph``, as
+    arrays indexed by element id.  Element ``train[j]`` has the training
+    weight ``weights[j]``."""
+    if kind is WeightKind.EDGE:
+        n = len(graph.src)
+    else:
+        n = len(graph.origins if kind is WeightKind.ORIGIN else graph.terminals)
     # Training elements in ascending weight order (Python's sort, not an
     # argsort: see _grouped); rank_of[x] is x's position in it, or -1 for an
     # element outside the training domain.
-    weight = [weighting.weights.get(x) for x in universe]
-    by_weight = sorted(
-        (x for x, w in enumerate(weight) if w is not None), key=weight.__getitem__
-    )
-    sorted_weight = np.array([weight[x] for x in by_weight], dtype=float)
+    by_weight = sorted(range(len(train)), key=weights.tolist().__getitem__)
+    sorted_weight = weights[by_weight]
     rank_of = np.full(n, -1, dtype=np.intp)
-    rank_of[by_weight] = np.arange(len(by_weight))
+    rank_of[train[by_weight]] = np.arange(len(by_weight))
     stride = max(len(by_weight), 1)
 
-    groups, first, ranks, ptr = _candidate_groups(graph, weighting.kind, rank_of)
+    groups, first, ranks, ptr = _candidate_groups(graph, kind, rank_of)
     size = np.diff(ptr)
     # Pair entries of the elements before each element, for chunking.
     entry_end = np.concatenate(([0], np.cumsum(size[groups])))[first]

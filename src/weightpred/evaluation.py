@@ -22,17 +22,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .countmetric import CountMetric
+from .countmetric import profile_arrays
 from .errors import ParseError, PredictionError, SettingError
 from .fairness import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     check_stopping_rule,
-    compute_fairness_goodness,
+    fairness_goodness,
 )
-from .graph import WeightKind, Weighting, build_graph
-from .ingest import PRNG_NAME, TASKS, Snapshot, Split, SplitPlan, make_split
-from .knn import KnnConfig, KnnModel
+from .graph import WeightKind
+from .ingest import PRNG_NAME, TASKS, Snapshot, SplitPlan, split_ids
+from .knn import KnnClasses, KnnConfig
 from . import svm as svm_mod
 
 REPORT_FORMAT = "weightpred-report-v1"
@@ -217,84 +217,79 @@ def tally_flags(rows) -> dict:
     return dict(Counter(f for row in rows for f in row.flags))
 
 
-def _training_bandwidth(config: ExperimentConfig, train_weights) -> tuple:
+def _training_bandwidth(config: ExperimentConfig, train_weights: np.ndarray) -> tuple:
     """Resolve h; returns (h, fell_back_to_floor)."""
     if config.h_mode == "fixed":
         return float(config.h_value), False
-    std = float(np.std(np.asarray(train_weights, dtype=float)))
+    std = float(np.std(train_weights))
     if std > 0.0:
         return std, False
     return _H_FLOOR, True
 
 
-def _task_data(config: ExperimentConfig, split: Split):
-    """Graph, training weight map, held-out truth pairs, and weight kind."""
-    # One (origin, terminal) tuple per record, shared by the graph's edges
-    # and every map keyed by edge.
-    pairs = [r.pair for r in split.sampled]
-    graph = build_graph(pairs)
-    if config.task == "edge":  # here train + test == sampled
-        train_weights = {p: r.weight for p, r in zip(pairs, split.train)}
-        test_pairs = pairs[len(split.train):]
-        truths = [(p, r.weight) for p, r in zip(test_pairs, split.test)]
-        return graph, train_weights, truths, WeightKind.EDGE, (-1.0, 1.0)
-
-    scores = compute_fairness_goodness(
-        graph,
-        {p: r.weight for p, r in zip(pairs, split.sampled)},
-        tol=config.fg_tol,
-        max_iter=config.fg_max_iter,
-    )
+def _task_data(snapshot: Snapshot, config: ExperimentConfig) -> tuple:
+    """The id split, the weight of every element of the task by id in the
+    split's graph, and the range of those weights."""
+    columns = snapshot.columns
+    split = split_ids(columns, config.split_plan(), config.task)
+    weight = columns.weight[split.sampled]
+    if config.task == "edge":
+        return split, weight, (-1.0, 1.0)
+    scores = fairness_goodness(split.graph, weight, config.fg_tol, config.fg_max_iter)
     if config.task == "origin":
-        table, kind, rng = scores.fairness, WeightKind.ORIGIN, (0.0, 1.0)
-    else:
-        table, kind, rng = scores.goodness, WeightKind.TERMINAL, (-1.0, 1.0)
-    train_weights = {v: table[v] for v in split.train}
-    truths = [(v, table[v]) for v in split.test]
-    return graph, train_weights, truths, kind, rng
+        return split, scores.fairness, (0.0, 1.0)
+    return split, scores.goodness, (-1.0, 1.0)
 
 
 def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentResult:
     """Execute one (task, method, seed) run end to end."""
-    split = make_split(snapshot.edges, config.split_plan(), config.task)
-    graph, train_weights, truths, kind, value_range = _task_data(config, split)
-    if not truths:
-        raise PredictionError("empty test set; nothing to score")
-
-    h, h_fell_back = _training_bandwidth(config, list(train_weights.values()))
-    weighting = Weighting(kind, train_weights, *value_range)
-    metric = CountMetric(graph, weighting, h, exclude_self=config.exclude_self)
-    train_elements = list(train_weights)
+    split, table, value_range = _task_data(snapshot, config)
+    kind = WeightKind(config.task)
+    train_weights = table[split.train]
+    h, h_fell_back = _training_bandwidth(config, train_weights)
+    _, _, band_counts = profile_arrays(
+        split.graph, kind, split.train, train_weights, h, config.exclude_self
+    )
+    train_counts = band_counts[split.train]
+    test_counts = band_counts[split.test].tolist()
 
     if config.method == "knn":
-        predict = KnnModel(metric, train_elements, config.knn_config()).predict_count
+        predict = KnnClasses(
+            train_counts.tolist(), train_weights.tolist(), config.knn_config()
+        ).predict_count
     else:
-        model = svm_mod.fit(metric, train_elements, config.svm_config())
+        model = svm_mod.fit_points(
+            zip(train_counts.tolist(), train_weights.tolist()),
+            config.svm_config(),
+            value_range,
+        )
         predict = lambda c: svm_mod.predict_at(model, float(c))
 
     # Both predictors see a query only through its band count: one answer
     # (value, row flags) per distinct test count, in first-appearance order.
-    table = {}
-    rows = []
-    for elem, truth in truths:
-        c = metric.profile(elem).band_count
-        if c not in table:
-            p = predict(c)
-            table[c] = p.value, tuple(
-                f for f, attr in _ROW_FLAGS.items() if getattr(p, attr, False)
-            )
-        value, flags = table[c]
-        rows.append(PredictionRow(elem, value, truth, flags))
+    answers = {}
+    for c in dict.fromkeys(test_counts):
+        p = predict(c)
+        answers[c] = p.value, tuple(
+            f for f, attr in _ROW_FLAGS.items() if getattr(p, attr, False)
+        )
+    # Tokens come back here only, for the test elements' rows.
+    truths = table[split.test].tolist()
+    rows = tuple(
+        PredictionRow(elem, value, truth, flags)
+        for elem, (value, flags), truth in zip(
+            split.graph.tokens(kind, split.test), map(answers.get, test_counts), truths
+        )
+    )
 
     preds = [r.predicted for r in rows]
-    actual = [r.truth for r in rows]
-    train_counts = Counter(metric.profile(a).band_count for a in train_elements)
+    per_count = np.bincount(train_counts)
     report = EvaluationReport(
         task=config.task,
         method=config.method,
-        mae=mae(preds, actual),
-        rmse=rmse(preds, actual),
-        n_train=len(train_elements),
+        mae=mae(preds, truths),
+        rmse=rmse(preds, truths),
+        n_train=len(split.train),
         n_test=len(rows),
         h=h,
         seed=config.seed,
@@ -302,13 +297,13 @@ def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentRe
         flags={**dict.fromkeys(_ROW_FLAGS, 0), **tally_flags(rows),
                "h_stddev_zero": int(h_fell_back)},
         tie_stats={
-            "distinct_train_counts": len(train_counts),
-            "max_count_multiplicity": max(train_counts.values()),
+            "distinct_train_counts": int(np.count_nonzero(per_count)),
+            "max_count_multiplicity": int(per_count.max()),
         },
         config=config.to_dict(),
         snapshot_digest=snapshot.digest(),
     )
-    return ExperimentResult(report=report, predictions=tuple(rows))
+    return ExperimentResult(report=report, predictions=rows)
 
 
 # ---- prediction files and text tables ---------------------------------------

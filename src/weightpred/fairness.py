@@ -18,7 +18,9 @@ A sweep is one grouped sum per side, ``np.bincount(..., weights=)`` over
 the graph's ``src``/``dst`` ids and the edge weights: the sparse mat-vec
 form of Kumar et al., "Edge Weight Prediction in Weighted Signed Networks"
 (ICDM 2016).  Its bits equal a per-vertex loop over edges in insertion
-order.
+order.  :func:`fairness_goodness` runs it on a weight array indexed like the
+graph's edges; :func:`compute_fairness_goodness` takes and returns dicts
+keyed by tokens.
 
 Fairness scores serve as origin weights (range [0, 1]) and goodness scores
 as terminal weights (range [-1, 1]) when building vertex-weighted networks
@@ -27,6 +29,7 @@ from edge-weighted data.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -34,7 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, SettingError, check_int
-from .graph import DirectedGraph
+from .graph import DirectedGraph, check_weights
 
 _RANGE_SLACK = 1e-9
 
@@ -53,8 +56,8 @@ def check_stopping_rule(tol, max_iter) -> None:
 
 @dataclass(frozen=True)
 class FgScores:
-    fairness: dict  # origin -> [0, 1]
-    goodness: dict  # terminal -> [-1, 1]
+    fairness: Mapping  # origin -> [0, 1]: an array by origin id, or a dict by token
+    goodness: Mapping  # terminal -> [-1, 1]: an array by terminal id, or a dict by token
     iterations: int
     converged: bool
     max_changes: tuple  # per-sweep max absolute score change
@@ -80,29 +83,36 @@ def compute_fairness_goodness(
 
     ``edge_weights`` must assign a finite weight in [-1, 1] to every edge of
     ``graph``.  Stops when the largest absolute score change in a sweep
-    drops below ``tol``, or after ``max_iter`` sweeps.
+    drops below ``tol``, or after ``max_iter`` sweeps.  Scores come back as
+    dicts keyed by vertex token.
     """
     check_stopping_rule(tol, max_iter)
-    weights = []
-    for e in graph.edges:
-        if e not in edge_weights:
-            raise DomainError(f"edge {e!r} has no weight; all edges need one")
-        w = edge_weights[e]
-        if not math.isfinite(w):
-            raise ValueError(f"weight for edge {e!r} is not finite: {w!r}")
-        if not -1.0 <= w <= 1.0:
-            raise ValueError(f"weight {w!r} for edge {e!r} outside [-1, 1]")
-        weights.append(w)
+    try:
+        w = np.array([edge_weights[e] for e in graph.edges], dtype=float)
+    except KeyError as exc:
+        raise DomainError(f"edge {exc.args[0]!r} has no weight; all edges need one") from None
+    check_weights(w, -1.0, 1.0, lambda i: f"edge {graph.edges[i]!r}")
+    scores = fairness_goodness(graph, w, tol, max_iter)
+    return dataclasses.replace(
+        scores,
+        fairness=dict(zip(graph.origins, scores.fairness.tolist())),
+        goodness=dict(zip(graph.terminals, scores.goodness.tolist())),
+    )
 
+
+def fairness_goodness(
+    graph: DirectedGraph, w: np.ndarray, tol: float, max_iter: int
+) -> FgScores:
+    """The iteration over ``graph``'s id arrays; ``w[i]`` is edge ``i``'s
+    weight, finite and in [-1, 1].  Scores come back as arrays by vertex id."""
     n_o, n_t = len(graph.origins), len(graph.terminals)
     src, dst = graph.src, graph.dst
-    w = np.array(weights, dtype=float)
     out_deg = np.bincount(src, minlength=n_o)
     in_deg = np.bincount(dst, minlength=n_t)
 
     # Bit-exact with a per-vertex loop: np.bincount adds each bin's terms in
-    # input order from 0.0, graph.edges lists each vertex's edges in its
-    # index order, and every element-wise step is the same IEEE operation.
+    # input order from 0.0, which is each vertex's edges in edge order, and
+    # every element-wise step is the same IEEE operation.
     fairness, goodness = np.ones(n_o), np.ones(n_t)
     max_changes = []
     for iterations in range(1, max_iter + 1):
@@ -124,8 +134,8 @@ def compute_fairness_goodness(
             break
 
     return FgScores(
-        fairness=dict(zip(graph.origins, fairness.tolist())),
-        goodness=dict(zip(graph.terminals, goodness.tolist())),
+        fairness=fairness,
+        goodness=goodness,
         iterations=iterations,
         converged=converged,
         max_changes=tuple(max_changes),

@@ -26,10 +26,10 @@ reproducible across processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import math
 
@@ -46,57 +46,143 @@ class WeightKind(str, Enum):
     EDGE = "edge"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedGraph:
-    """Deduplicated directed graph with origin- and terminal-side indexes.
+    """Directed graph held as integer arrays, with token views on demand.
 
-    Besides the token views it holds integer views of the same edges:
-    ``src[i]``/``dst[i]`` are the positions in ``origins``/``terminals`` of
-    ``edges[i]``'s endpoints (read-only arrays), and ``edge_id`` maps each
-    edge to ``i`` (built on first use).
+    Edge ``i`` runs from ``origins[src[i]]`` to ``terminals[dst[i]]``;
+    ``src`` and ``dst`` are read-only arrays, and the vertices are numbered
+    in order of first appearance in the edges.  The token views (``edges``,
+    ``origin_index``, ``terminal_index``) and the token -> id maps
+    (``origin_id``, ``terminal_id``, ``edge_id``) are built on first use.
 
-    Construct via :func:`build_graph`; instances are immutable and safe to
-    share across threads.
+    Construct via :func:`build_graph`, :func:`graph_of` or :meth:`subgraph`;
+    instances are immutable and safe to share across threads.
     """
 
     origins: tuple
     terminals: tuple
-    edges: tuple
-    origin_index: Mapping  # origin token -> tuple of its edges
-    terminal_index: Mapping  # terminal token -> tuple of its edges
-    src: np.ndarray = field(compare=False)
-    dst: np.ndarray = field(compare=False)
+    src: np.ndarray
+    dst: np.ndarray
+
+    @cached_property
+    def edges(self) -> tuple:
+        """(origin, terminal) token pairs, edge ``i`` at position ``i``."""
+        return tuple(zip(self.tokens(WeightKind.ORIGIN, self.src),
+                         self.tokens(WeightKind.TERMINAL, self.dst)))
+
+    @cached_property
+    def origin_index(self) -> dict:
+        """Origin token -> tuple of its edges, in edge order."""
+        return _index(self.origins, self.edges, 0)
+
+    @cached_property
+    def terminal_index(self) -> dict:
+        """Terminal token -> tuple of its edges, in edge order."""
+        return _index(self.terminals, self.edges, 1)
+
+    @cached_property
+    def origin_id(self) -> dict:
+        return dict(zip(self.origins, range(len(self.origins))))
+
+    @cached_property
+    def terminal_id(self) -> dict:
+        return dict(zip(self.terminals, range(len(self.terminals))))
 
     @cached_property
     def edge_id(self) -> dict:
         return dict(zip(self.edges, range(len(self.edges))))
 
+    def tokens(self, kind: WeightKind, ids: np.ndarray) -> list:
+        """The origins, terminals or (origin, terminal) edges with these ids."""
+        if kind is WeightKind.EDGE:
+            return list(zip(self.tokens(WeightKind.ORIGIN, self.src[ids]),
+                            self.tokens(WeightKind.TERMINAL, self.dst[ids])))
+        table = self.origins if kind is WeightKind.ORIGIN else self.terminals
+        return [table[i] for i in ids.tolist()]
+
+    def subgraph(self, rows: np.ndarray) -> "DirectedGraph":
+        """The graph of the edges ``rows``, in that order, with its vertices
+        renumbered in order of first appearance."""
+        origins, src = _first_appearance(self.src[rows], len(self.origins))
+        terminals, dst = _first_appearance(self.dst[rows], len(self.terminals))
+        return DirectedGraph(
+            origins=tuple(self.tokens(WeightKind.ORIGIN, origins)),
+            terminals=tuple(self.tokens(WeightKind.TERMINAL, terminals)),
+            src=src,
+            dst=dst,
+        )
+
     def has_origin(self, token) -> bool:
-        return token in self.origin_index
+        return token in self.origin_id
 
     def has_terminal(self, token) -> bool:
-        return token in self.terminal_index
+        return token in self.terminal_id
 
     def has_edge(self, edge) -> bool:
         return edge in self.edge_id
 
     def out_edges(self, origin) -> tuple:
         """Edges leaving ``origin``, in insertion order."""
-        if origin not in self.origin_index:
+        if origin not in self.origin_id:
             raise DomainError(f"origin {origin!r} is not in the graph")
         return self.origin_index[origin]
 
     def in_edges(self, terminal) -> tuple:
         """Edges entering ``terminal``, in insertion order."""
-        if terminal not in self.terminal_index:
+        if terminal not in self.terminal_id:
             raise DomainError(f"terminal {terminal!r} is not in the graph")
         return self.terminal_index[terminal]
 
     def __repr__(self):
         return (
             f"DirectedGraph(origins={len(self.origins)}, "
-            f"terminals={len(self.terminals)}, edges={len(self.edges)})"
+            f"terminals={len(self.terminals)}, edges={len(self.src)})"
         )
+
+
+def _index(vertices: tuple, edges: tuple, pos: int) -> dict:
+    index = {v: [] for v in vertices}
+    for e in edges:
+        index[e[pos]].append(e)
+    return {v: tuple(es) for v, es in index.items()}
+
+
+def _read_only(ids: np.ndarray) -> np.ndarray:
+    ids.flags.writeable = False
+    return ids
+
+
+def _first_appearance(ids: np.ndarray, n_ids: int) -> tuple:
+    """The distinct values of ``ids`` in order of first appearance, and
+    ``ids`` renumbered by that order."""
+    n = len(ids)
+    first = np.full(n_ids, n, dtype=np.intp)
+    np.minimum.at(first, ids, np.arange(n))
+    is_first = np.zeros(n + 1, dtype=bool)  # slot n absorbs absent values
+    is_first[first] = True
+    order = ids[np.flatnonzero(is_first[:n])]
+    new_id = np.empty(n_ids, dtype=np.intp)
+    new_id[order] = np.arange(len(order))
+    return order, _read_only(new_id[ids])
+
+
+def _encode(tokens) -> tuple:
+    """Distinct tokens in first-appearance order, and each token's position."""
+    ids: dict = {}
+    out = np.array([ids.setdefault(t, len(ids)) for t in tokens], dtype=np.intp)
+    return tuple(ids), _read_only(out)
+
+
+def graph_of(origins: Sequence, terminals: Sequence) -> DirectedGraph:
+    """The graph whose edge ``i`` runs from ``origins[i]`` to ``terminals[i]``.
+
+    Pairs are taken as given, repeats included; :func:`build_graph`
+    collapses them first.
+    """
+    origin_table, src = _encode(origins)
+    terminal_table, dst = _encode(terminals)
+    return DirectedGraph(origin_table, terminal_table, src, dst)
 
 
 def build_graph(edge_list: Iterable) -> DirectedGraph:
@@ -113,28 +199,21 @@ def build_graph(edge_list: Iterable) -> DirectedGraph:
     ))
     if not edges:
         raise DomainError("cannot build a graph from an empty edge list")
-    by_origin: dict = {}
-    by_terminal: dict = {}
-    for e in edges:
-        by_origin.setdefault(e[0], []).append(e)
-        by_terminal.setdefault(e[1], []).append(e)
-    return DirectedGraph(
-        origins=tuple(by_origin),
-        terminals=tuple(by_terminal),
-        edges=edges,
-        origin_index={k: tuple(v) for k, v in by_origin.items()},
-        terminal_index={k: tuple(v) for k, v in by_terminal.items()},
-        src=_positions((e[0] for e in edges), by_origin, len(edges)),
-        dst=_positions((e[1] for e in edges), by_terminal, len(edges)),
-    )
+    graph = graph_of([e[0] for e in edges], [e[1] for e in edges])
+    vars(graph)["edges"] = edges  # fill the cached view with the caller's pairs
+    return graph
 
 
-def _positions(tokens, vertices: dict, n: int) -> np.ndarray:
-    """Read-only array of each token's position in ``vertices``."""
-    pos = dict(zip(vertices, range(len(vertices))))
-    out = np.fromiter((pos[v] for v in tokens), dtype=np.intp, count=n)
-    out.flags.writeable = False
-    return out
+def check_weights(values: np.ndarray, lo: float, hi: float, name) -> None:
+    """Raise ``ValueError`` for the first value that is not finite or lies
+    outside ``[lo, hi]``; ``name(i)`` describes the element of value ``i``."""
+    bad = ~((values >= lo) & (values <= hi))  # NaN fails both comparisons
+    if bad.any():
+        i = int(bad.argmax())
+        w = float(values[i])
+        if math.isfinite(w):
+            raise ValueError(f"weight {w!r} for {name(i)} outside [{lo}, {hi}]")
+        raise ValueError(f"weight for {name(i)} is not finite: {w!r}")
 
 
 @dataclass(frozen=True)
@@ -155,23 +234,27 @@ class Weighting:
         if not self.lo < self.hi:
             raise ValueError(f"weight range [{self.lo}, {self.hi}] is empty")
         object.__setattr__(self, "weights", dict(self.weights))
-        for elem, w in self.weights.items():
-            if not math.isfinite(w):
-                raise ValueError(f"weight for {elem!r} is not finite: {w!r}")
-            if not self.lo <= w <= self.hi:
-                raise ValueError(
-                    f"weight {w!r} for {elem!r} outside [{self.lo}, {self.hi}]"
-                )
+        elements = list(self.weights)
+        check_weights(self.values(), self.lo, self.hi, lambda i: repr(elements[i]))
 
-    def check_domain(self, graph: DirectedGraph) -> None:
-        """Raise unless every weighted element exists in ``graph``."""
-        has = getattr(graph, f"has_{self.kind.value}")  # has_origin/_terminal/_edge
-        missing = [x for x in self.weights if not has(x)]
+    def values(self) -> np.ndarray:
+        """The weights as an array, in training order."""
+        return np.array(list(self.weights.values()), dtype=float)
+
+    def check_domain(self, graph: DirectedGraph) -> np.ndarray:
+        """Ids in ``graph`` of the weighted elements, in training order.
+
+        Raises ``DomainError`` unless every weighted element exists there.
+        """
+        ids = getattr(graph, f"{self.kind.value}_id")  # origin_id/terminal_id/edge_id
+        found = [ids.get(x, -1) for x in self.weights]
+        missing = [x for x, i in zip(self.weights, found) if i < 0]
         if missing:
             raise DomainError(
                 f"{len(missing)} weighted element(s) not in the graph, "
                 f"first: {missing[0]!r}"
             )
+        return np.array(found, dtype=np.intp)
 
 
 def neighbors(

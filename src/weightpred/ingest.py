@@ -35,7 +35,7 @@ import numpy as np
 
 from .countmetric import stable_mean
 from .errors import DomainError, ParseError, SettingError, check_int
-from .graph import WeightKind
+from .graph import DirectedGraph, WeightKind, check_weights, graph_of
 
 PRNG_NAME = "numpy-pcg64"
 SNAPSHOT_FORMAT = "weightpred-snapshot-v1"
@@ -252,40 +252,75 @@ class Split:
     sampled: tuple  # EdgeRecords forming the experiment's graph
 
 
+@dataclass(frozen=True)
+class IdSplit:
+    """A split on integer ids.
+
+    ``sampled`` holds the sampled edge rows in sample order.  ``graph`` is
+    their graph, edge ``i`` being row ``sampled[i]``, with its vertices
+    renumbered in order of first appearance.  ``train`` and ``test`` are ids
+    in ``graph`` of the task's elements.
+    """
+
+    sampled: np.ndarray
+    graph: DirectedGraph
+    train: np.ndarray
+    test: np.ndarray
+
+
 TASKS = tuple(k.value for k in WeightKind)
 
 
-def make_split(records: Sequence[EdgeRecord], plan: SplitPlan, task: str) -> Split:
-    """Sample the edge universe, then partition the task's element set.
+def split_ids(graph: DirectedGraph, plan: SplitPlan, task: str) -> IdSplit:
+    """Sample the edges of ``graph``, then partition the task's element set.
 
     The edge task partitions the sampled edges; the origin/terminal tasks
-    partition the vertex set of the sampled subgraph.  Everything is a pure
-    function of (records, plan, task).
+    partition the vertex set of the sampled subgraph, in its first-appearance
+    order.  Everything is a pure function of (graph, plan, task).
     """
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
-    records = list(records)
-    n = len(records)
+    n = len(graph.src)
     size = plan.sample_size if plan.sample_size is not None else n
     if size > n:
         raise DomainError(f"sample_size {size} exceeds the {n} available records")
 
     rng = make_rng(plan.seed)
-    idx = rng.choice(n, size=size, replace=False)
-    sampled = [records[i] for i in idx]
-
+    rows = rng.choice(n, size=size, replace=False)
+    sampled = graph.subgraph(rows)
     if task == "edge":
-        train_size = plan.resolve_train_size(len(sampled))
-        train, test = sampled[:train_size], sampled[train_size:]
+        order = np.arange(size)
     else:
-        pos = 0 if task == "origin" else 1
-        vertices = list(dict.fromkeys(rec.pair[pos] for rec in sampled))
-        perm = rng.permutation(len(vertices))
-        shuffled = [vertices[i] for i in perm]
-        train_size = plan.resolve_train_size(len(shuffled))
-        train, test = shuffled[:train_size], shuffled[train_size:]
+        order = rng.permutation(len(getattr(sampled, f"{task}s")))  # origins/terminals
+    train_size = plan.resolve_train_size(len(order))
+    return IdSplit(rows, sampled, order[:train_size], order[train_size:])
 
-    return Split(train=tuple(train), test=tuple(test), sampled=tuple(sampled))
+
+def make_split(records: Sequence[EdgeRecord], plan: SplitPlan, task: str) -> Split:
+    """:func:`split_ids` on the graph of ``records``, read back as records
+    (edge task) or vertex tokens."""
+    records = list(records)
+    split = split_ids(
+        graph_of([r.origin for r in records], [r.terminal for r in records]), plan, task
+    )
+    sampled = tuple(records[i] for i in split.sampled.tolist())
+    if task == "edge":
+        return Split(sampled[:len(split.train)], sampled[len(split.train):], sampled)
+    kind = WeightKind(task)
+    return Split(
+        train=tuple(split.graph.tokens(kind, split.train)),
+        test=tuple(split.graph.tokens(kind, split.test)),
+        sampled=sampled,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Columns(DirectedGraph):
+    """A snapshot's edges as integer columns: its graph, whose vertex tables
+    are the snapshot's ``origins`` and ``terminals``, and ``weight[i]``, the
+    scaled weight of edge ``i``."""
+
+    weight: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -307,6 +342,28 @@ class Snapshot:
     @functools.cached_property
     def terminals(self) -> tuple:
         return tuple(dict.fromkeys(r.terminal for r in self.edges))
+
+    @functools.cached_property
+    def columns(self) -> Columns:
+        """The edges as integer columns, built on first use.
+
+        Raises ``ValueError`` naming the edge for a weight that is not a
+        finite number in [-1, 1], or for a repeated (origin, terminal) pair:
+        :func:`load_snapshot` rejects both, but ``Snapshot(...)`` does not.
+        """
+        graph = graph_of([r.origin for r in self.edges], [r.terminal for r in self.edges])
+        weight = np.array([r.weight for r in self.edges], dtype=float)
+        check_weights(weight, -1.0, 1.0, lambda i: f"edge {i} {self.edges[i].pair!r}")
+        n = len(weight)
+        key = (graph.src * len(graph.terminals) + graph.dst) * n + np.arange(n)
+        key.sort()
+        repeat = np.flatnonzero(key[1:] // n == key[:-1] // n)
+        if len(repeat):
+            i, j = int(key[repeat[0] + 1] % n), int(key[repeat[0]] % n)
+            raise ValueError(
+                f"edge {i} {self.edges[i].pair!r} repeats the pair of edge {j}"
+            )
+        return Columns(graph.origins, graph.terminals, graph.src, graph.dst, weight)
 
     def digest(self) -> str:
         """Content hash of the canonical JSON form, computed once per snapshot."""

@@ -14,10 +14,11 @@ predictions outside the training range when ties inflate the set.  An empty
 neighborhood falls back to the global training mean, flagged.
 
 The distance depends on an element only through its integer band count, so
-the model groups the training weights by count once (one class per distinct
-count) and selects classes, never single elements.  A query is answered
-from its band count alone (``predict_count``); the model, metric and config
-are immutable, so ``predict`` memoises one answer per query count.
+the training weights are grouped by count once (one class per distinct
+count) and classes are selected, never single elements.  A query is
+answered from its band count alone: :class:`KnnClasses` works on the
+training counts and weights as given, and :class:`KnnModel` reads them from
+a metric and training elements, then memoises one answer per query count.
 """
 
 from __future__ import annotations
@@ -66,26 +67,18 @@ class KnnPrediction:
     neighborhood_size: int
 
 
-class KnnModel:
-    """kNN predictor bound to a metric and a fixed training enumeration."""
+class KnnClasses:
+    """kNN answers from the training band counts and weights, given in
+    training order: one class of weights per distinct count."""
 
-    def __init__(self, metric: CountMetric, training: Sequence, config: KnnConfig = KnnConfig()):
-        training = tuple(training)
-        if not training:
+    def __init__(self, counts: Sequence[int], weights: Sequence[float], config: KnnConfig):
+        if not weights:
             raise PredictionError("kNN requires a non-empty training set")
-        domain = metric.weighting.weights
-        for elem in training:
-            if elem not in domain:
-                raise DomainError(f"training element {elem!r} has no weight")
-        self.metric = metric
-        self.training = training
         self.config = config
-        weights = [float(metric.weighting.weights[a]) for a in training]
         self._classes: dict = {}  # band count -> training weights, first appearance
-        for a, w in zip(training, weights):
-            self._classes.setdefault(metric.profile(a).band_count, []).append(w)
+        for c, w in zip(counts, weights):
+            self._classes.setdefault(c, []).append(w)
         self._fallback = stable_mean(weights)
-        self._memo: dict = {}  # query band count -> KnnPrediction
 
     def _select(self, c: int):
         """Counts of the classes chosen for query count c, and the degenerate flag."""
@@ -95,19 +88,6 @@ class KnnModel:
         values = sorted(set(dists.values()))
         chosen = set(values[: self.config.k])
         return {t for t, d in dists.items() if d in chosen}, len(values) < self.config.k
-
-    def neighborhood(self, x) -> KnnNeighborhood:
-        chosen, degenerate = self._select(self.metric.profile(x).band_count)
-        elems = tuple(
-            a for a in self.training if self.metric.profile(a).band_count in chosen
-        )
-        return KnnNeighborhood(elements=elems, degenerate=degenerate)
-
-    def predict(self, x) -> KnnPrediction:
-        c = self.metric.profile(x).band_count
-        if c not in self._memo:
-            self._memo[c] = self.predict_count(c)
-        return self._memo[c]
 
     def predict_count(self, c: int) -> KnnPrediction:
         """The answer for every query whose band count is c."""
@@ -121,3 +101,35 @@ class KnnModel:
             degenerate=degenerate,
             neighborhood_size=n,
         )
+
+
+class KnnModel(KnnClasses):
+    """kNN predictor bound to a metric and a fixed training enumeration."""
+
+    def __init__(self, metric: CountMetric, training: Sequence, config: KnnConfig = KnnConfig()):
+        training = tuple(training)
+        domain = metric.weighting.weights
+        for elem in training:
+            if elem not in domain:
+                raise DomainError(f"training element {elem!r} has no weight")
+        super().__init__(
+            [metric.profile(a).band_count for a in training],
+            [float(domain[a]) for a in training],
+            config,
+        )
+        self.metric = metric
+        self.training = training
+        self._memo: dict = {}  # query band count -> KnnPrediction
+
+    def neighborhood(self, x) -> KnnNeighborhood:
+        chosen, degenerate = self._select(self.metric.profile(x).band_count)
+        elems = tuple(
+            a for a in self.training if self.metric.profile(a).band_count in chosen
+        )
+        return KnnNeighborhood(elements=elems, degenerate=degenerate)
+
+    def predict(self, x) -> KnnPrediction:
+        c = self.metric.profile(x).band_count
+        if c not in self._memo:
+            self._memo[c] = self.predict_count(c)
+        return self._memo[c]

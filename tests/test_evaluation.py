@@ -158,18 +158,13 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("task", TASKS)
     def test_one_answer_per_distinct_test_count(self, task, monkeypatch):
-        fit, predict_raw = svm_mod.fit, svm_mod._predict_raw
-        metrics, embeddings = [], []
-
-        def spy_fit(metric, training, config):
-            metrics.append(metric)
-            return fit(metric, training, config)
+        predict_raw = svm_mod._predict_raw
+        embeddings = []
 
         def spy_predict_raw(model, u):
             embeddings.append(u)
             return predict_raw(model, u)
 
-        monkeypatch.setattr(svm_mod, "fit", spy_fit)
         monkeypatch.setattr(svm_mod, "_predict_raw", spy_predict_raw)
         snap = _synthetic_snapshot(n_edges=300, n_vertices=40)
         rows, tallies = {}, {}
@@ -184,10 +179,22 @@ class TestRunExperiment:
                 "h_stddev_zero": result.report.flags["h_stddev_zero"],
             }
         assert tallies["knn"]["degenerate"] > 0
-        (metric,) = metrics
+        monkeypatch.undo()
+        # The test elements' band counts, read through the token-level API.
+        metric, truths, _ = token_pipeline(snap, _config(task, "svm", k=8))
+        assert [e for e, _ in truths] == [row.element for row in rows["svm"]]
         counts = [metric.profile(row.element).band_count for row in rows["svm"]]
         assert len(set(counts)) < len(counts)  # some test counts repeat
         assert sorted(embeddings) == sorted(set(counts))
+
+    def test_run_builds_no_token_views_of_the_snapshot(self):
+        snap = _synthetic_snapshot()
+        for task in TASKS:
+            for method in METHODS:
+                run_experiment(snap, _config(task, method))
+        views = {"edges", "origin_index", "terminal_index",
+                 "origin_id", "terminal_id", "edge_id"}
+        assert not views & vars(snap.columns).keys()
 
     def test_config_echo_reconstructs_run(self):
         snap = _synthetic_snapshot()

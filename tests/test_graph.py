@@ -72,6 +72,20 @@ class TestBuildGraph:
             assert list(graph.edge_id.items()) == [(e, i) for i, e in enumerate(graph.edges)]
             assert not graph.src.flags.writeable and not graph.dst.flags.writeable
 
+    def test_subgraph_matches_build_graph_of_its_edges(self):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            graph, _, _ = random_instance(rng)
+            rows = rng.permutation(len(graph.edges))[: int(rng.integers(1, len(graph.edges) + 1))]
+            sub = graph.subgraph(rows)
+            want = build_graph([graph.edges[i] for i in rows])
+            assert (sub.origins, sub.terminals, sub.edges) == (
+                want.origins, want.terminals, want.edges
+            )
+            assert sub.src.tolist() == want.src.tolist()
+            assert sub.dst.tolist() == want.dst.tolist()
+            assert not sub.src.flags.writeable and not sub.dst.flags.writeable
+
     def test_tuple_pairs_become_the_edges(self):
         pair = ("a", "1")
         assert build_graph([pair, ["a", "1"], ["b", "1"]]).edges[0] is pair

@@ -290,6 +290,21 @@ class TestSnapshot:
         assert second.read_bytes() == first.read_bytes()
         assert load_snapshot(second).digest() == built.digest()
 
+    def test_columns_hold_the_edges_as_ids(self, tmp_path):
+        snap = build_snapshot(_spec(self._write_raw(tmp_path)))
+        columns = snap.columns
+        assert columns is snap.columns  # built once
+        assert (columns.origins, columns.terminals) == (snap.origins, snap.terminals)
+        assert columns.edges == tuple(r.pair for r in snap.edges)
+        assert columns.weight.tolist() == [r.weight for r in snap.edges]
+
+    def test_columns_reject_a_repeated_pair(self):
+        edges = (EdgeRecord("a", "x", 0.1), EdgeRecord("b", "x", 0.2),
+                 EdgeRecord("a", "x", 0.3))
+        snap = Snapshot(edges=edges, raw_weight_range=(-1.0, 1.0), provenance={})
+        with pytest.raises(ValueError, match=r"edge 2 \('a', 'x'\) repeats the pair of edge 0"):
+            snap.columns
+
     def test_digest_independent_of_directory(self, tmp_path):
         raw = self._write_raw(tmp_path)
         moved = tmp_path / "elsewhere" / raw.name

@@ -116,10 +116,11 @@ def test_reference_cases_cover_each_listed_shape():
          "sampled", "exclude_self", "include_self", "edge", "origin", "terminal"],
         0,
     )
+    tokens = "abcdefgh"
     for i in range(240):
-        n = int(rng.integers(4, 16))
+        n, pool = int(rng.integers(4, 40)), int(rng.integers(3, len(tokens) + 1))
         pairs = list(dict.fromkeys(
-            (_TOKENS[int(rng.integers(5))], _TOKENS[int(rng.integers(5))])
+            (tokens[int(rng.integers(pool))], tokens[int(rng.integers(pool))])
             for _ in range(n)
         ))
         if len(pairs) < 2:
@@ -173,6 +174,30 @@ def test_bad_snapshot_weight_is_rejected_naming_the_edge(task, bad):
     clean = _clean_snapshot()
     config = ExperimentConfig(task=task, method="knn", seed=4)
     target = make_split(clean.edges, config.split_plan(), "edge").train[0]
+    snap = Snapshot(
+        edges=tuple(
+            EdgeRecord(r.origin, r.terminal, bad) if r == target else r
+            for r in clean.edges
+        ),
+        raw_weight_range=clean.raw_weight_range,
+        provenance=clean.provenance,
+    )
+    with pytest.raises(ValueError, match=re.escape(repr(target.pair))):
+        run_experiment(snap, config)
+
+
+@pytest.mark.parametrize("task", TASKS)
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.5])
+@pytest.mark.parametrize("where", ["test", "unsampled"])
+def test_bad_weight_outside_the_training_set_is_rejected(task, bad, where):
+    """The whole snapshot is checked: a held-out or unsampled edge too."""
+    clean = _clean_snapshot()
+    config = ExperimentConfig(task=task, method="svm", seed=4, sample_size=10)
+    split = make_split(clean.edges, config.split_plan(), "edge")
+    if where == "test":
+        target = split.test[-1]
+    else:
+        target = next(r for r in clean.edges if r not in split.sampled)
     snap = Snapshot(
         edges=tuple(
             EdgeRecord(r.origin, r.terminal, bad) if r == target else r
