@@ -56,8 +56,8 @@ def check_stopping_rule(tol, max_iter) -> None:
 
 @dataclass(frozen=True)
 class FgScores:
-    fairness: Mapping  # origin -> [0, 1]: an array by origin id, or a dict by token
-    goodness: Mapping  # terminal -> [-1, 1]: an array by terminal id, or a dict by token
+    fairness: np.ndarray | dict  # origin -> [0, 1]: by origin id, or a dict by token
+    goodness: np.ndarray | dict  # terminal -> [-1, 1]: by terminal id, or a dict by token
     iterations: int
     converged: bool
     max_changes: tuple  # per-sweep max absolute score change

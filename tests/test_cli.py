@@ -166,6 +166,8 @@ class TestGenWeights:
     ("predict", "fg_tol", "0"),
     ("predict", "fg_max_iter", "0"),
     ("predict", "seed", "-1"),
+    ("predict", "k", "0"),
+    ("predict", "degree", "0"),
     ("gen-weights", "fg_tol", "0"),
     ("predict", "h", "inf"),
     ("predict", "fg_tol", "inf"),
