@@ -188,11 +188,11 @@ def _experiment_config(args, task, method) -> ExperimentConfig:
 
 
 def _snapshot_summary(snapshot: Snapshot) -> str:
-    n_pos = sum(1 for r in snapshot.edges if r.weight > 0)
-    pct = 100.0 * n_pos / len(snapshot.edges)
+    weight = snapshot.columns.weight
+    pct = 100.0 * int((weight > 0).sum()) / len(weight)
     return (
         f"origins={len(snapshot.origins)} terminals={len(snapshot.terminals)} "
-        f"edges={len(snapshot.edges)} positive={pct:.2f}%"
+        f"edges={len(weight)} positive={pct:.2f}%"
     )
 
 

@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the setting-type checks.
 
 The CLI maps these onto its exit-code contract: usage problems (including
 a :class:`SettingError`) exit 1, IO/parse problems exit 2, and
 domain/numeric problems exit 3.
 """
+
+import numbers
 
 
 class WeightpredError(Exception):
@@ -41,6 +43,13 @@ def check_int(setting, value, minimum) -> None:
         raise SettingError(setting, f"must be an integer, got {value!r}")
     if value < minimum:
         raise SettingError(setting, f"must be >= {minimum}, got {value!r}")
+
+
+def check_float(setting, value) -> None:
+    """Raise ``SettingError`` unless ``value`` is a real number.  A ``bool``
+    is not a float setting, as for the CLI's ``--config`` values."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SettingError(setting, f"must be a number, got {value!r}")
 
 
 class DomainError(WeightpredError):

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .countmetric import profile_arrays
-from .errors import ParseError, PredictionError, SettingError
+from .errors import ParseError, PredictionError, SettingError, check_float
 from .fairness import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -118,6 +118,8 @@ class ExperimentConfig:
             )
         if self.h_mode == "stddev" and self.h_value is not None:
             raise SettingError("h_value", "is only used with h_mode 'fixed'")
+        if self.h_mode == "fixed" and self.h_value is not None:
+            check_float("h_value", self.h_value)
         if self.h_mode == "fixed" and not (
             self.h_value is not None
             and self.h_value > 0

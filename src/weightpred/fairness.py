@@ -36,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, SettingError, check_int
+from .errors import DomainError, SettingError, check_float, check_int
 from .graph import DirectedGraph, check_weights
 
 _RANGE_SLACK = 1e-9
@@ -49,6 +49,7 @@ DEFAULT_MAX_ITER = 100
 def check_stopping_rule(tol, max_iter) -> None:
     """Raise ``SettingError`` unless ``tol`` is positive and finite and
     ``max_iter`` is an int >= 1."""
+    check_float("tol", tol)
     if not (tol > 0 and math.isfinite(tol)):
         raise SettingError("tol", f"must be positive and finite, got {tol!r}")
     check_int("max_iter", max_iter, 1)

@@ -17,8 +17,13 @@ record wins when timestamps are present, otherwise weights are averaged.
 
 A snapshot is the canonical JSON form of a dataset (vertex lists, edges
 with scaled weights, and a provenance block); experiments run off
-snapshots, never raw files.  All sampling uses numpy's PCG64 generator
-(recorded in every report) so splits reproduce exactly from a seed.
+snapshots, never raw files.  In memory a snapshot is held as columns, from
+the raw file to its digest: vertex token tables, ``src``/``dst`` id arrays
+and a weight array.  The record-level functions (:func:`parse_edge_list`,
+:func:`collapse_duplicates`, :func:`make_split`, ``Snapshot.edges``) read
+those columns back as :class:`EdgeRecord` objects.  All sampling uses
+numpy's PCG64 generator (recorded in every report) so splits reproduce
+exactly from a seed.
 """
 
 from __future__ import annotations
@@ -28,13 +33,16 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .countmetric import stable_mean
-from .errors import DomainError, ParseError, SettingError, check_int
+from .errors import DomainError, ParseError, SettingError, check_float, check_int
 from .graph import DirectedGraph, WeightKind, check_weights, graph_of
 
 PRNG_NAME = "numpy-pcg64"
@@ -58,6 +66,7 @@ class DatasetSpec:
     def __post_init__(self):
         a, b = self.weight_range
         for name, value in (("weight_min", a), ("weight_max", b)):
+            check_float(name, value)
             if not math.isfinite(value):
                 raise SettingError(name, f"must be finite, got {value!r}")
         if not a < b:
@@ -68,7 +77,7 @@ class DatasetSpec:
             raise SettingError("delimiter", "must not be empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeRecord:
     origin: str
     terminal: str
@@ -88,21 +97,70 @@ def _split_line(line: str, delimiter: Optional[str]):
     return [f.strip() for f in line.split(delimiter)]
 
 
-def parse_edge_list(spec: DatasetSpec) -> list:
-    """Parse a raw edge list into records, validating every line.
+def _transpose(rows: list, width: int) -> list:
+    """The columns of ``rows``, each a sequence of ``width`` items."""
+    return [list(map(itemgetter(k), rows)) for k in range(width)]
 
-    Raises :class:`ParseError` with the offending line number on malformed
-    fields or weights outside the declared range.
+
+def _columns(lines: list, delimiter: Optional[str], expected: int) -> Optional[list]:
+    """The fields of ``lines`` as ``expected`` columns, or ``None`` unless
+    every line has that many.  Token fields of a delimited line are not yet
+    stripped."""
+    if delimiter is None or delimiter == " " or len(delimiter) > 1:
+        rows = list(map(_split_line, lines, repeat(delimiter)))
+        return _transpose(rows, expected) if set(map(len, rows)) == {expected} else None
+    # One character: joined lines split into one flat list, no list per line.
+    if set(map(str.count, lines, repeat(delimiter))) != {expected - 1}:
+        return None
+    fields = delimiter.join(lines).split(delimiter)
+    return [fields[k::expected] for k in range(expected)]
+
+
+def _parse(spec: DatasetSpec) -> tuple:
+    """A raw edge list's records as columns, in file order: origin tokens,
+    terminal tokens, weights, and timestamps (all ``None`` without them).
+
+    The whole file is split and checked at once; if any check fails,
+    :func:`_raise_at_first_bad_line` names the line.
     """
     try:
         text = Path(spec.path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path=str(spec.path)) from exc
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    columns = _columns(lines, spec.delimiter, 4 if spec.has_timestamp else 3)
+    if columns:
+        try:
+            float(columns[2][0])
+        except ValueError:
+            columns = [column[1:] for column in columns]  # header row
+    if columns and columns[0]:
+        origins = list(map(str.strip, columns[0]))
+        terminals = list(map(str.strip, columns[1]))
+        try:
+            weights = list(map(float, columns[2]))
+            stamps = (list(map(float, columns[3])) if spec.has_timestamp
+                      else [None] * len(origins))
+        except ValueError:
+            weights = stamps = None
+        lo, hi = spec.weight_range
+        if (weights is not None
+                and all(map(math.isfinite, weights))
+                and lo <= min(weights) and max(weights) <= hi
+                and "" not in origins and "" not in terminals
+                and (not spec.has_timestamp or all(map(math.isfinite, stamps)))):
+            return origins, terminals, weights, stamps
+    _raise_at_first_bad_line(text, spec)
 
+
+def _raise_at_first_bad_line(text: str, spec: DatasetSpec):
+    """Raise the :class:`ParseError` naming the first line of ``text`` that
+    :func:`_parse` cannot read, or saying that no line holds a record."""
+    where = str(spec.path)
     expected = 4 if spec.has_timestamp else 3
     lo, hi = spec.weight_range
-    records = []
     first_data_line = True
+    records = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -110,9 +168,7 @@ def parse_edge_list(spec: DatasetSpec) -> list:
         fields = _split_line(line, spec.delimiter)
         if len(fields) != expected:
             raise ParseError(
-                f"expected {expected} fields, got {len(fields)}",
-                path=str(spec.path),
-                line=lineno,
+                f"expected {expected} fields, got {len(fields)}", path=where, line=lineno
             )
         try:
             weight = float(fields[2])
@@ -121,47 +177,91 @@ def parse_edge_list(spec: DatasetSpec) -> list:
                 first_data_line = False  # header row
                 continue
             raise ParseError(
-                f"weight field {fields[2]!r} is not a number",
-                path=str(spec.path),
-                line=lineno,
+                f"weight field {fields[2]!r} is not a number", path=where, line=lineno
             ) from None
         first_data_line = False
         if not math.isfinite(weight):
-            raise ParseError(
-                f"weight {fields[2]!r} is not finite", path=str(spec.path), line=lineno
-            )
+            raise ParseError(f"weight {fields[2]!r} is not finite", path=where, line=lineno)
         if not lo <= weight <= hi:
             raise ParseError(
                 f"weight {weight!r} outside declared range [{lo}, {hi}]",
-                path=str(spec.path),
+                path=where,
                 line=lineno,
             )
-        origin, terminal = fields[0], fields[1]
-        if not origin or not terminal:
-            raise ParseError(
-                "empty origin or terminal token", path=str(spec.path), line=lineno
-            )
-        timestamp = None
+        if not fields[0] or not fields[1]:
+            raise ParseError("empty origin or terminal token", path=where, line=lineno)
         if spec.has_timestamp:
             try:
                 timestamp = float(fields[3])
             except ValueError:
                 raise ParseError(
                     f"timestamp field {fields[3]!r} is not a number",
-                    path=str(spec.path),
+                    path=where,
                     line=lineno,
                 ) from None
             if not math.isfinite(timestamp):
                 raise ParseError(
-                    f"timestamp {fields[3]!r} is not finite",
-                    path=str(spec.path),
-                    line=lineno,
+                    f"timestamp {fields[3]!r} is not finite", path=where, line=lineno
                 )
-        records.append(EdgeRecord(origin, terminal, weight, timestamp))
+        records += 1
+    if records:
+        raise AssertionError(f"{where}: the bulk parse rejects lines that each parse")
+    raise ParseError("no edge records found", path=where)
 
-    if not records:
-        raise ParseError("no edge records found", path=str(spec.path))
-    return records
+
+def parse_edge_list(spec: DatasetSpec) -> list:
+    """Parse a raw edge list into records, validating every line.
+
+    Raises :class:`ParseError` with the offending line number on malformed
+    fields or weights outside the declared range.
+    """
+    return list(map(EdgeRecord, *_parse(spec)))
+
+
+def _pair_keys(graph: DirectedGraph) -> np.ndarray:
+    """One integer per edge of ``graph``, equal for equal pairs."""
+    return graph.src * len(graph.terminals) + graph.dst
+
+
+def _first_repeat(graph: DirectedGraph) -> Optional[tuple]:
+    """``(i, j)`` for the lowest edge ``i`` of ``graph`` whose pair an edge
+    ``j < i`` already has, or ``None`` when no pair repeats."""
+    key = _pair_keys(graph)
+    order = np.argsort(key, kind="stable")  # ties stay in edge order
+    ranked = key[order]
+    repeats = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if not len(repeats):
+        return None
+    k = repeats[np.argmin(order[repeats + 1])]
+    return int(order[k + 1]), int(order[k])
+
+
+def _collapse(graph: DirectedGraph, weights: list, stamps: list) -> tuple:
+    """Collapse the records of repeated pairs, record ``i`` being edge ``i``
+    of ``graph``.
+
+    Returns the index of each pair's first record, in order, and
+    each pair's weight and timestamp: the latest record's when the whole
+    group carries timestamps (ties: last in file order), else the mean of
+    the group's weights and no timestamp.
+    """
+    if _first_repeat(graph) is None:
+        return np.arange(len(weights)), weights, stamps
+    groups: dict = {}  # pair key -> its records, in file order
+    for i, key in enumerate(_pair_keys(graph).tolist()):
+        groups.setdefault(key, []).append(i)
+    first, out_weights, out_stamps = [], [], []
+    for group in groups.values():
+        first.append(group[0])
+        if len(group) == 1 or all(stamps[i] is not None for i in group):
+            # max keeps the first of equal keys; scan backwards so the last wins.
+            i = max(reversed(group), key=stamps.__getitem__)
+            out_weights.append(weights[i])
+            out_stamps.append(stamps[i])
+        else:
+            out_weights.append(stable_mean([weights[i] for i in group]))
+            out_stamps.append(None)
+    return np.array(first, dtype=np.intp), out_weights, out_stamps
 
 
 def collapse_duplicates(records: Sequence[EdgeRecord]) -> list:
@@ -170,21 +270,20 @@ def collapse_duplicates(records: Sequence[EdgeRecord]) -> list:
     Latest timestamp wins when the whole group carries timestamps (ties:
     last occurrence in file order); otherwise the weights are averaged.
     """
-    groups: dict = {}
-    for rec in records:
-        groups.setdefault(rec.pair, []).append(rec)
+    records = list(records)
+    graph = graph_of([r.origin for r in records], [r.terminal for r in records])
+    first, weights, stamps = _collapse(
+        graph, [r.weight for r in records], [r.timestamp for r in records]
+    )
+    return [
+        EdgeRecord(records[i].origin, records[i].terminal, w, ts)
+        for i, w, ts in zip(first.tolist(), weights, stamps)
+    ]
 
-    out = []
-    for key, group in groups.items():
-        if len(group) == 1:
-            out.append(group[0])
-        elif all(r.timestamp is not None for r in group):
-            # max keeps the first of equal keys; scan backwards so the last wins.
-            out.append(max(reversed(group), key=lambda r: r.timestamp))
-        else:
-            weight = stable_mean([r.weight for r in group])
-            out.append(EdgeRecord(key[0], key[1], weight, None))
-    return out
+
+def _rescale(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """:func:`rescale` of each value, unchecked."""
+    return np.minimum(np.maximum((2.0 * values - (lo + hi)) / (hi - lo), -1.0), 1.0)
 
 
 def rescale(value: float, lo: float, hi: float) -> float:
@@ -198,7 +297,7 @@ def rescale(value: float, lo: float, hi: float) -> float:
         raise ValueError(f"source range [{lo}, {hi}] is empty")
     if not lo <= value <= hi:
         raise DomainError(f"value {value!r} outside [{lo}, {hi}]")
-    return min(max((2.0 * value - (lo + hi)) / (hi - lo), -1.0), 1.0)
+    return float(_rescale(np.float64(value), lo, hi))
 
 
 def rescale_inverse(scaled: float, lo: float, hi: float) -> float:
@@ -322,48 +421,74 @@ class Columns(DirectedGraph):
 
     weight: np.ndarray
 
+    @classmethod
+    def of(cls, graph: DirectedGraph, weight: np.ndarray) -> "Columns":
+        weight.flags.writeable = False
+        return cls(graph.origins, graph.terminals, graph.src, graph.dst, weight)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Snapshot:
-    """Canonical dataset form: scaled edges plus provenance.
+    """Canonical dataset form: scaled edges as columns, plus provenance.
 
-    The edges alone fix the vertex lists: ``origins`` and ``terminals`` are
-    their tokens in order of first appearance.
+    Edge ``i`` runs from ``origins[columns.src[i]]`` to
+    ``terminals[columns.dst[i]]`` with weight ``columns.weight[i]`` in
+    [-1, 1], no pair repeats, and ``origins`` and ``terminals`` are the
+    edges' tokens in order of first appearance.  Construct via
+    :func:`build_snapshot`, :func:`load_snapshot` or :meth:`from_edges`,
+    which check all of that.
     """
 
-    edges: tuple  # EdgeRecords with weights already in [-1, 1]
+    columns: Columns
     raw_weight_range: tuple
     provenance: dict
 
-    @functools.cached_property
-    def origins(self) -> tuple:
-        return tuple(dict.fromkeys(r.origin for r in self.edges))
-
-    @functools.cached_property
-    def terminals(self) -> tuple:
-        return tuple(dict.fromkeys(r.terminal for r in self.edges))
-
-    @functools.cached_property
-    def columns(self) -> Columns:
-        """The edges as integer columns, built on first use.
+    @classmethod
+    def from_edges(cls, edges, raw_weight_range, provenance) -> "Snapshot":
+        """The snapshot of ``edges``, :class:`EdgeRecord` objects in order.
 
         Raises ``ValueError`` naming the edge for a weight that is not a
-        finite number in [-1, 1], or for a repeated (origin, terminal) pair:
-        :func:`load_snapshot` rejects both, but ``Snapshot(...)`` does not.
+        finite number in [-1, 1], or for a repeated (origin, terminal) pair.
         """
-        graph = graph_of([r.origin for r in self.edges], [r.terminal for r in self.edges])
-        weight = np.array([r.weight for r in self.edges], dtype=float)
-        check_weights(weight, -1.0, 1.0, lambda i: f"edge {i} {self.edges[i].pair!r}")
-        n = len(weight)
-        key = (graph.src * len(graph.terminals) + graph.dst) * n + np.arange(n)
-        key.sort()
-        repeat = np.flatnonzero(key[1:] // n == key[:-1] // n)
-        if len(repeat):
-            i, j = int(key[repeat[0] + 1] % n), int(key[repeat[0]] % n)
-            raise ValueError(
-                f"edge {i} {self.edges[i].pair!r} repeats the pair of edge {j}"
-            )
-        return Columns(graph.origins, graph.terminals, graph.src, graph.dst, weight)
+        edges = tuple(edges)
+        graph = graph_of([r.origin for r in edges], [r.terminal for r in edges])
+        weight = np.array([r.weight for r in edges], dtype=float)
+        check_weights(weight, -1.0, 1.0, lambda i: f"edge {i} {edges[i].pair!r}")
+        repeat = _first_repeat(graph)
+        if repeat is not None:
+            i, j = repeat
+            raise ValueError(f"edge {i} {edges[i].pair!r} repeats the pair of edge {j}")
+        return cls(Columns.of(graph, weight), tuple(raw_weight_range), provenance)
+
+    @property
+    def origins(self) -> tuple:
+        return self.columns.origins
+
+    @property
+    def terminals(self) -> tuple:
+        return self.columns.terminals
+
+    @functools.cached_property
+    def edges(self) -> tuple:
+        """The edges as :class:`EdgeRecord` objects, built on first use."""
+        c = self.columns
+        return tuple(map(
+            EdgeRecord,
+            c.tokens(WeightKind.ORIGIN, c.src),
+            c.tokens(WeightKind.TERMINAL, c.dst),
+            c.weight.tolist(),
+        ))
+
+    def __eq__(self, other):
+        if not isinstance(other, Snapshot):
+            return NotImplemented
+        a, b = self.columns, other.columns
+        return (
+            (self.raw_weight_range, self.provenance, a.origins, a.terminals)
+            == (other.raw_weight_range, other.provenance, b.origins, b.terminals)
+            and all(np.array_equal(getattr(a, k), getattr(b, k))
+                    for k in ("src", "dst", "weight"))
+        )
 
     def digest(self) -> str:
         """Content hash of the canonical JSON form, computed once per snapshot."""
@@ -371,18 +496,65 @@ class Snapshot:
 
     @functools.cached_property
     def _digest(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+        return "sha256:" + hashlib.sha256(_json_text(self, "").encode()).hexdigest()
 
-    def to_dict(self) -> dict:
-        return {
-            "format": SNAPSHOT_FORMAT,
-            "raw_weight_range": list(self.raw_weight_range),
-            "origins": list(self.origins),
-            "terminals": list(self.terminals),
-            "edges": [[r.origin, r.terminal, r.weight] for r in self.edges],
-            "provenance": self.provenance,
-        }
+
+def _layout(items, nl: str, brackets: str = "[]") -> str:
+    """A JSON array (or object) of already encoded ``items``, laid out as
+    ``json.dumps`` lays it out at the level whose line break and indent is
+    ``nl``: with ``indent=2``, or compact when ``nl`` is empty."""
+    if not items:
+        return brackets
+    inner = nl + "  " if nl else ""
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+
+
+def _layout_rows(rows, nl: str) -> str:
+    """``_layout`` of ``rows``, each row an array laid out one level deeper.
+
+    The same text as laying out each row first, built in two joins: each
+    row's closing and the next row's opening go into the outer separator.
+    """
+    deeper = nl and nl + "  "
+    head, sep, tail = _layout(["\0", "\0"], deeper).split("\0")
+    body = (tail + "," + deeper + head).join(map(sep.join, rows))
+    return _layout([head + body + tail], nl) if body else "[]"
+
+
+def _json_text(snapshot: Snapshot, nl: str) -> str:
+    """The text ``json.dumps(form, sort_keys=True, ...)`` writes for the
+    snapshot's JSON form: with ``indent=2`` when ``nl`` is a line break,
+    with ``separators=(",", ":")`` when it is empty.
+
+    Each token is encoded once per vertex and each weight written by
+    ``float.__repr__``, as the encoder writes them, without building the
+    per-edge lists the encoder would walk.
+    """
+    c = snapshot.columns
+    nl1 = nl and nl + "  "  # the top-level values' level
+
+    def small(value) -> str:
+        indent = {"indent": 2} if nl else {"separators": (",", ":")}
+        text = json.dumps(value, sort_keys=True, allow_nan=False, **indent)
+        return text.replace("\n", nl1)
+
+    origins = list(map(encode_basestring_ascii, c.origins))
+    terminals = list(map(encode_basestring_ascii, c.terminals))
+    edges = zip(
+        map(origins.__getitem__, c.src.tolist()),
+        map(terminals.__getitem__, c.dst.tolist()),
+        map(float.__repr__, c.weight.tolist()),
+    )
+    members = {
+        "edges": _layout_rows(edges, nl1),
+        "format": small(SNAPSHOT_FORMAT),
+        "origins": _layout(origins, nl1),
+        "provenance": small(snapshot.provenance),
+        "raw_weight_range": small(list(snapshot.raw_weight_range)),
+        "terminals": _layout(terminals, nl1),
+    }
+    colon = ": " if nl else ":"
+    return _layout([f'"{key}"{colon}{members[key]}' for key in sorted(members)], nl, "{}")
 
 
 def build_snapshot(
@@ -390,27 +562,33 @@ def build_snapshot(
     sample_size: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> Snapshot:
-    """Parse, collapse, rescale, and (optionally) subsample a raw dataset."""
-    records = collapse_duplicates(parse_edge_list(spec))
-    lo, hi = spec.weight_range
-    scaled = [
-        EdgeRecord(r.origin, r.terminal, rescale(r.weight, lo, hi), None)
-        for r in records
-    ]
-    sampling = None
+    """Parse, collapse, rescale, and (optionally) subsample a raw dataset.
+
+    Raises ``SettingError`` for a ``sample_size`` that is not an int >= 1 or
+    a ``seed`` that is not an int >= 0.
+    """
     if sample_size is not None:
-        if sample_size < 1:
-            raise ValueError(f"sample_size must be >= 1, got {sample_size!r}")
+        check_int("sample_size", sample_size, 1)
         if seed is None:
             raise ValueError("sampling at ingest requires a seed")
-        if sample_size > len(scaled):
+    if seed is not None:
+        check_int("seed", seed, 0)
+    origins, terminals, weights, stamps = _parse(spec)
+    graph = graph_of(origins, terminals)
+    rows, weights, _ = _collapse(graph, weights, stamps)
+    lo, hi = spec.weight_range
+    weight = _rescale(np.array(weights, dtype=float), lo, hi)
+    sampling = None
+    if sample_size is not None:
+        if sample_size > len(rows):
             raise DomainError(
-                f"sample_size {sample_size} exceeds the {len(scaled)} available edges"
+                f"sample_size {sample_size} exceeds the {len(rows)} available edges"
             )
-        rng = make_rng(seed)
-        idx = sorted(rng.choice(len(scaled), size=sample_size, replace=False).tolist())
-        scaled = [scaled[i] for i in idx]
+        keep = np.sort(make_rng(seed).choice(len(rows), size=sample_size, replace=False))
+        rows, weight = rows[keep], weight[keep]
         sampling = {"seed": seed, "sample_size": sample_size, "prng": PRNG_NAME}
+    if len(rows) < len(graph.src):
+        graph = graph.subgraph(rows)
 
     try:
         source_sha = hashlib.sha256(Path(spec.path).read_bytes()).hexdigest()
@@ -418,7 +596,7 @@ def build_snapshot(
         raise ParseError(f"cannot read file: {exc}", path=str(spec.path)) from exc
 
     return Snapshot(
-        edges=tuple(scaled),
+        columns=Columns.of(graph, weight),
         raw_weight_range=(float(lo), float(hi)),
         provenance={
             "source_path": Path(spec.path).name,
@@ -439,8 +617,74 @@ _SNAPSHOT_KEYS = {
 
 
 def save_snapshot(snapshot: Snapshot, path) -> None:
-    text = json.dumps(snapshot.to_dict(), sort_keys=True, indent=2, allow_nan=False)
-    Path(path).write_text(text + "\n")
+    """Write ``json.dumps(form, sort_keys=True, indent=2)`` of the snapshot."""
+    Path(path).write_text(_json_text(snapshot, "\n") + "\n")
+
+
+def _is_edge(edge) -> bool:
+    return (type(edge) is list and len(edge) == 3
+            and type(edge[0]) is str and type(edge[1]) is str)
+
+
+def _first_padded(tokens: list, n: int) -> int:
+    """Index of the first token with leading or trailing whitespace, or ``n``."""
+    stripped = list(map(str.strip, tokens))
+    if stripped == tokens:
+        return n
+    return next(i for i, (a, b) in enumerate(zip(tokens, stripped)) if a != b)
+
+
+def _index(tokens: list, value, n: int) -> int:
+    return tokens.index(value) if value in tokens else n
+
+
+def _edge_columns(raw: list, where: str) -> Columns:
+    """The snapshot file's ``edges`` list as columns.
+
+    Raises :class:`ParseError` for the lowest edge index that fails a check,
+    naming the check that comes first for that edge in this order: shape,
+    empty token, padded token, weight, repeated pair.
+    """
+    n = len(raw)
+    shaped = set(map(type, raw)) == {list} and set(map(len, raw)) == {3}
+    fields = _transpose(raw, 3) if shaped else None
+    if fields and set(map(type, fields[0])) == {str} == set(map(type, fields[1])):
+        misshapen = n
+    else:
+        misshapen = next(i for i, edge in enumerate(raw) if not _is_edge(edge))
+        fields = _transpose(raw[:misshapen], 3)
+    origins, terminals, weights = fields
+    graph = graph_of(origins, terminals)
+    numeric = set(map(type, weights)) <= {float}  # else convert each in range
+    weight = np.array(weights if numeric else [
+        float(w) if type(w) in (int, float) and -1.0 <= w <= 1.0 else math.nan
+        for w in weights
+    ], dtype=float)
+
+    faults = []  # (edge index, message), in the order of the checks
+    if misshapen < n:
+        faults.append(
+            (misshapen, f"expected [origin, terminal, weight], got {raw[misshapen]!r}")
+        )
+    empty = min(_index(origins, "", n), _index(terminals, "", n))
+    if empty < n:
+        faults.append((empty, "empty origin or terminal token"))
+    padded = min(_first_padded(origins, n), _first_padded(terminals, n))
+    if padded < n:
+        o, t = origins[padded], terminals[padded]
+        token = o if o != o.strip() else t
+        faults.append((padded, f"token {token!r} has leading or trailing whitespace"))
+    bad = ~((weight >= -1.0) & (weight <= 1.0))  # NaN fails both comparisons
+    if bad.any():
+        i = int(bad.argmax())
+        faults.append((i, f"weight {weights[i]!r} is not a number in [-1, 1]"))
+    repeat = _first_repeat(graph)
+    if repeat is not None:
+        faults.append((repeat[0], f"repeats the (origin, terminal) pair of edge {repeat[1]}"))
+    if faults:
+        i, message = min(faults, key=lambda fault: fault[0])  # the first of ties
+        raise ParseError(f"edge {i}: {message}", path=where)
+    return Columns.of(graph, weight)
 
 
 def load_snapshot(path) -> Snapshot:
@@ -452,7 +696,7 @@ def load_snapshot(path) -> Snapshot:
     terminal, weight]`` with nonempty tokens (without leading or trailing
     whitespace, which parsing strips) and a finite weight in [-1, 1], a
     repeated (origin, terminal) pair, or vertex lists that differ from the
-    edges' first-appearance order.
+    edges' first-appearance order.  Of several bad edges, the first is named.
     """
     where = str(path)
     try:
@@ -479,45 +723,12 @@ def load_snapshot(path) -> Snapshot:
             f"raw_weight_range {weight_range!r} is not two finite numbers lo < hi",
             path=where,
         )
-
-    raw = payload["edges"]
-    if not raw:
+    if not payload["edges"]:
         raise ParseError("snapshot has no edges", path=where)
-    first: dict = {}  # (origin, terminal) -> index of the first edge naming it
-    for i, edge in enumerate(raw):
-        if not (type(edge) is list and len(edge) == 3
-                and type(edge[0]) is str and type(edge[1]) is str):
-            raise ParseError(
-                f"edge {i}: expected [origin, terminal, weight], got {edge!r}",
-                path=where,
-            )
-        o, t, w = edge
-        if not o or not t:
-            raise ParseError(f"edge {i}: empty origin or terminal token", path=where)
-        if o != o.strip() or t != t.strip():
-            padded = o if o != o.strip() else t
-            raise ParseError(
-                f"edge {i}: token {padded!r} has leading or trailing whitespace",
-                path=where,
-            )
-        # NaN fails the range comparison, so this also rejects non-finite weights.
-        if type(w) not in (int, float) or not -1.0 <= w <= 1.0:
-            raise ParseError(
-                f"edge {i}: weight {w!r} is not a number in [-1, 1]", path=where
-            )
-        j = first.setdefault((o, t), i)
-        if j != i:
-            raise ParseError(
-                f"edge {i}: repeats the (origin, terminal) pair of edge {j}", path=where
-            )
 
-    snapshot = Snapshot(
-        edges=tuple(EdgeRecord(o, t, float(w), None) for o, t, w in raw),
-        raw_weight_range=tuple(weight_range),
-        provenance=payload["provenance"],
-    )
-    for name, pos in (("origins", 0), ("terminals", 1)):
-        listed, expected = payload[name], list(getattr(snapshot, name))
+    columns = _edge_columns(payload["edges"], where)
+    for name, ids in (("origins", columns.src), ("terminals", columns.dst)):
+        listed, expected = payload[name], list(getattr(columns, name))
         if listed == expected:
             continue
         j = next(
@@ -525,7 +736,7 @@ def load_snapshot(path) -> Snapshot:
             min(len(listed), len(expected)),
         )
         if j < len(expected):
-            i = next(i for i, edge in enumerate(raw) if edge[pos] == expected[j])
+            i = int(np.argmax(ids == j))  # ids number tokens by first appearance
             detail = f"expected {expected[j]!r}, first seen in edge {i}"
         else:
             detail = f"{listed[j]!r} appears in no edge"
@@ -534,4 +745,4 @@ def load_snapshot(path) -> Snapshot:
             f"position {j}: {detail}",
             path=where,
         )
-    return snapshot
+    return Snapshot(columns, tuple(weight_range), payload["provenance"])

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .countmetric import CountMetric, stable_mean
-from .errors import PredictionError, SettingError, check_int
+from .errors import PredictionError, SettingError, check_float, check_int
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf")
 
@@ -52,12 +52,14 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise SettingError("kernel", f"must be one of {KERNEL_KINDS}, got {self.kind!r}")
         check_int("degree", self.degree, 1)
-        if self.kind == "rbf" and self.gamma is not None and not self.gamma > 0:
-            raise SettingError("gamma", f"of an rbf kernel must be positive, got {self.gamma!r}")
         for name in ("gamma", "coef0"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise SettingError(name, f"must be finite, got {value!r}")
+            if value is not None:
+                check_float(name, value)
+                if not math.isfinite(value):
+                    raise SettingError(name, f"must be finite, got {value!r}")
+        if self.kind == "rbf" and self.gamma is not None and not self.gamma > 0:
+            raise SettingError("gamma", f"of an rbf kernel must be positive, got {self.gamma!r}")
 
 
 def kernel_eval(spec: KernelSpec, u: float, v: float) -> float:
@@ -85,6 +87,7 @@ class SvmConfig:
     regularization: float = 1e-3
 
     def __post_init__(self):
+        check_float("regularization", self.regularization)
         if not (self.regularization > 0 and math.isfinite(self.regularization)):
             raise SettingError(
                 "regularization", f"must be positive and finite, got {self.regularization!r}"

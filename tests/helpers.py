@@ -4,7 +4,10 @@ indexed implementations."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +25,7 @@ from weightpred import (
     make_split,
     predict_at,
     rmse,
+    stable_mean,
 )
 from weightpred import svm
 
@@ -343,6 +347,78 @@ def token_pipeline(snapshot, config):
         model = svm.fit(metric, train, config.svm_config())
         preds = [svm.predict_weight_svm(model, metric, e) for e, _ in truths]
     return metric, truths, preds
+
+
+# ---- reference ingest ---------------------------------------------------------
+
+
+def reference_ingest(spec, sample_size=None, seed=None):
+    """``build_snapshot`` then ``save_snapshot``, recomputed one record at a time.
+
+    Splits each line as the module documents, skips a header, collapses
+    repeated pairs through a dict of record groups (latest timestamp wins,
+    ties to the last record, else the ``stable_mean`` of the raw weights),
+    rescales each weight in Python floats, samples with ``rng.choice`` and
+    lays the result out with ``json.dumps(..., sort_keys=True, indent=2)``.
+    For well-formed files only.  Returns ``(text, digest)``: the snapshot
+    file's text and the ``Snapshot.digest()`` it must have.
+    """
+    lo, hi = spec.weight_range
+    rows = []
+    for raw in Path(spec.path).read_text().splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        delimiter = spec.delimiter
+        if delimiter is None:
+            delimiter = "," if "," in line else " "
+        if delimiter == " ":
+            fields = line.split()
+        else:
+            fields = [f.strip() for f in line.split(delimiter)]
+        try:
+            weight = float(fields[2])
+        except ValueError:
+            assert not rows, "only the first data line may be a header"
+            continue
+        stamp = float(fields[3]) if spec.has_timestamp else None
+        rows.append((fields[0], fields[1], weight, stamp))
+
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(row[:2], []).append(row)
+    edges = []
+    for (o, t), group in groups.items():
+        if len(group) == 1:
+            weight = group[0][2]
+        elif all(r[3] is not None for r in group):
+            weight = max(reversed(group), key=lambda r: r[3])[2]
+        else:
+            weight = stable_mean([r[2] for r in group])
+        scaled = min(max((2.0 * weight - (lo + hi)) / (hi - lo), -1.0), 1.0)
+        edges.append([o, t, scaled])
+
+    sampling = None
+    if sample_size is not None:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rows = sorted(rng.choice(len(edges), size=sample_size, replace=False).tolist())
+        edges = [edges[i] for i in rows]
+        sampling = {"seed": seed, "sample_size": sample_size, "prng": "numpy-pcg64"}
+    payload = {
+        "format": "weightpred-snapshot-v1",
+        "raw_weight_range": [float(lo), float(hi)],
+        "origins": list(dict.fromkeys(e[0] for e in edges)),
+        "terminals": list(dict.fromkeys(e[1] for e in edges)),
+        "edges": edges,
+        "provenance": {
+            "source_path": Path(spec.path).name,
+            "source_sha256": hashlib.sha256(Path(spec.path).read_bytes()).hexdigest(),
+            "sampling": sampling,
+        },
+    }
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return text, "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
 
 
 # ---- synthetic raw datasets ----------------------------------------------------

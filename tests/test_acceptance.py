@@ -241,8 +241,8 @@ def _synthetic_snapshot(n_edges, seed):
             continue
         pairs.add((o, t))
         records.append(EdgeRecord(o, t, float(rng.uniform(-1.0, 1.0))))
-    return Snapshot(
-        edges=tuple(records),
+    return Snapshot.from_edges(
+        tuple(records),
         raw_weight_range=(-1.0, 1.0),
         provenance={"source_path": "synthetic", "source_sha256": "0" * 64,
                     "sampling": None},
@@ -270,8 +270,8 @@ def test_criterion_6_error_metrics():
     # Constant-weight network: every method is exact.
     records = [EdgeRecord(f"o{i % 9}", f"t{(i * 5) % 13}", -0.3) for i in range(50)]
     dedup = list({r.pair: r for r in records}.values())
-    snap_const = Snapshot(
-        edges=tuple(dedup),
+    snap_const = Snapshot.from_edges(
+        tuple(dedup),
         raw_weight_range=(-1.0, 1.0),
         provenance={"source_path": "synthetic", "source_sha256": "0" * 64,
                     "sampling": None},

@@ -74,8 +74,8 @@ def _synthetic_snapshot(n_edges=60, seed=0, n_vertices=12):
             continue
         pairs.add((o, t))
         records.append(EdgeRecord(o, t, float(rng.uniform(-1.0, 1.0))))
-    return Snapshot(
-        edges=tuple(records),
+    return Snapshot.from_edges(
+        tuple(records),
         raw_weight_range=(-1.0, 1.0),
         provenance={"source_path": "synthetic", "source_sha256": "0" * 64,
                     "sampling": None},
@@ -85,8 +85,8 @@ def _synthetic_snapshot(n_edges=60, seed=0, n_vertices=12):
 def _constant_snapshot(n_edges=40):
     records = [EdgeRecord(f"o{i % 8}", f"t{(i * 3) % 11}", 0.25) for i in range(n_edges)]
     dedup = list({r.pair: r for r in records}.values())
-    return Snapshot(
-        edges=tuple(dedup),
+    return Snapshot.from_edges(
+        tuple(dedup),
         raw_weight_range=(-1.0, 1.0),
         provenance={"source_path": "synthetic", "source_sha256": "0" * 64,
                     "sampling": None},
@@ -195,6 +195,7 @@ class TestRunExperiment:
         views = {"edges", "origin_index", "terminal_index",
                  "origin_id", "terminal_id", "edge_id"}
         assert not views & vars(snap.columns).keys()
+        assert "edges" not in vars(snap)
 
     def test_config_echo_reconstructs_run(self):
         snap = _synthetic_snapshot()
@@ -334,5 +335,30 @@ def test_integer_settings_reject_bools_and_floats(field, setting, value):
 @pytest.mark.parametrize("value", [True, 3.0])
 def test_setting_types_reject_bools_and_floats(build, setting, value):
     with pytest.raises(SettingError) as err:
+        build(value)
+    assert err.value.setting == setting
+
+
+@pytest.mark.parametrize("field,setting", [
+    ("h_value", "h_value"), ("fg_tol", "tol"), ("gamma", "gamma"), ("coef0", "coef0"),
+    ("reg_lambda", "regularization"),
+])
+@pytest.mark.parametrize("value", [True, False])
+def test_float_settings_reject_bools(field, setting, value):
+    fixed = {"h_mode": "fixed", "h_value": 0.5}
+    with pytest.raises(SettingError, match="must be a number") as err:
+        ExperimentConfig(task="edge", method="svm", **{**fixed, field: value})
+    assert err.value.setting == setting
+
+
+@pytest.mark.parametrize("build,setting", [
+    (lambda v: svm_mod.KernelSpec(kind="rbf", gamma=v), "gamma"),
+    (lambda v: svm_mod.KernelSpec(kind="polynomial", coef0=v), "coef0"),
+    (lambda v: svm_mod.SvmConfig(regularization=v), "regularization"),
+    (lambda v: check_stopping_rule(v, 10), "tol"),
+])
+@pytest.mark.parametrize("value", [True, "0.5"])
+def test_float_setting_types_reject_bools_and_strings(build, setting, value):
+    with pytest.raises(SettingError, match="must be a number") as err:
         build(value)
     assert err.value.setting == setting

@@ -8,11 +8,12 @@ of ``compute_fairness_goodness`` on the graph of every edge, at the default
 stopping rule and cut off after two sweeps.  The input passes through
 ``build_snapshot`` -> ``save_snapshot`` -> ``load_snapshot`` first, from a
 fixed relative path, because the snapshot's ``provenance.source_path``
-feeds the ``snapshot_digest`` echoed in every report.
+feeds the ``snapshot_digest`` echoed in every report.  The bytes of that
+snapshot file, and of one sampled at ingest, are pinned too.
 
 Pinned on CPython 3.11.7 with numpy 2.4.6.  A refactor must keep all
-twenty-six digests; any change that alters one needs a CHANGES.md entry
-saying why.
+twenty-six digests and both file pins; any change that alters one needs a
+CHANGES.md entry saying why.
 """
 
 import hashlib
@@ -71,16 +72,35 @@ GOLDEN_FAIRNESS = {
     2: "0d57bf35a73b8c9d2428066513777545f41e3ebf1d1d7d20b62d8a8c5489f498",
 }
 
+# SHA-256 of the snapshot files: every edge, and ``build_snapshot(spec,
+# sample_size=700, seed=3)``.
+GOLDEN_SNAPSHOT_FILES = {
+    "snap.json": "a582ad1967ce27348271b33c06afa94fac38853ef61b0054f5d0df546031f807",
+    "sampled.json": "f2d9a74d7ee88d6db4a8c512826fb53355a7e3e0d60eb3d19a6a04fca87e4ec6",
+}
+
 
 @pytest.fixture(scope="module")
-def snapshot(tmp_path_factory):
+def golden_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
         write_rating_file(Path("ratings.csv"), n_edges=1500, seed=2009)
         spec = DatasetSpec("ratings.csv", (-10.0, 10.0), has_timestamp=True)
         save_snapshot(build_snapshot(spec), "snap.json")
-        return load_snapshot("snap.json")
+        save_snapshot(build_snapshot(spec, sample_size=700, seed=3), "sampled.json")
+    return root
+
+
+@pytest.fixture(scope="module")
+def snapshot(golden_dir):
+    return load_snapshot(golden_dir / "snap.json")
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SNAPSHOT_FILES))
+def test_snapshot_file_digest(golden_dir, name):
+    digest = hashlib.sha256((golden_dir / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_SNAPSHOT_FILES[name]
 
 
 @pytest.mark.parametrize("sample_size,task,method", list(GOLDEN))

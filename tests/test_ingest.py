@@ -27,6 +27,8 @@ from weightpred import (
 )
 from weightpred.errors import SettingError
 
+from helpers import reference_ingest
+
 
 def _spec(path, rng=(-10.0, 10.0), ts=True, delim=","):
     return DatasetSpec(path=str(path), weight_range=rng, has_timestamp=ts, delimiter=delim)
@@ -105,6 +107,12 @@ class TestParseEdgeList:
         records = parse_edge_list(_spec(p, ts=False, delim="\t"))
         assert records[0].pair == ("alice smith", "bob")
 
+    def test_multi_character_delimiter(self, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_text("a::b::1\nc::d::2:\n:e::f::3\n")
+        with pytest.raises(ParseError, match="line 2: weight field '2:' is not a number"):
+            parse_edge_list(_spec(p, ts=False, delim="::"))
+
     def test_auto_delimiter(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("6\t2\t4\n")
@@ -117,7 +125,9 @@ class TestParseEdgeList:
     ((-10.0, math.nan), ",", "weight_max"),
     ((5.0, 1.0), ",", "weight_min"),
     ((-10.0, 10.0), "", "delimiter"),
-], ids=["min-infinite", "max-nan", "reversed", "empty-delimiter"])
+    ((False, True), ",", "weight_min"),
+    ((-10.0, "10"), ",", "weight_max"),
+], ids=["min-infinite", "max-nan", "reversed", "empty-delimiter", "bools", "string"])
 def test_dataset_spec_rejects_bad_setting(tmp_path, weight_range, delimiter, setting):
     with pytest.raises(SettingError) as err:
         _spec(tmp_path / "d.csv", rng=weight_range, delim=delimiter)
@@ -301,9 +311,8 @@ class TestSnapshot:
     def test_columns_reject_a_repeated_pair(self):
         edges = (EdgeRecord("a", "x", 0.1), EdgeRecord("b", "x", 0.2),
                  EdgeRecord("a", "x", 0.3))
-        snap = Snapshot(edges=edges, raw_weight_range=(-1.0, 1.0), provenance={})
         with pytest.raises(ValueError, match=r"edge 2 \('a', 'x'\) repeats the pair of edge 0"):
-            snap.columns
+            Snapshot.from_edges(edges, raw_weight_range=(-1.0, 1.0), provenance={})
 
     def test_digest_independent_of_directory(self, tmp_path):
         raw = self._write_raw(tmp_path)
@@ -322,6 +331,26 @@ class TestSnapshot:
     def test_empty_sample_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="sample_size"):
             build_snapshot(_spec(self._write_raw(tmp_path)), sample_size=0, seed=8)
+
+    @pytest.mark.parametrize("kwargs,setting", [
+        ({"sample_size": True, "seed": 8}, "sample_size"),
+        ({"sample_size": 2.5, "seed": 8}, "sample_size"),
+        ({"sample_size": 5, "seed": 1.5}, "seed"),
+        ({"sample_size": 5, "seed": -1}, "seed"),
+        ({"seed": True}, "seed"),
+    ])
+    def test_integer_arguments_checked(self, tmp_path, kwargs, setting):
+        with pytest.raises(SettingError) as err:
+            build_snapshot(_spec(self._write_raw(tmp_path)), **kwargs)
+        assert err.value.setting == setting
+
+    def test_load_builds_no_records(self, tmp_path):
+        out = tmp_path / "snap.json"
+        save_snapshot(build_snapshot(_spec(self._write_raw(tmp_path))), out)
+        snap = load_snapshot(out)
+        snap.digest()
+        assert "edges" not in vars(snap)  # built on first use
+        assert snap.edges[0] == EdgeRecord("o0", "t0", -1.0)
 
     def test_sampling_recorded_in_provenance(self, tmp_path):
         raw = self._write_raw(tmp_path, n=60)
@@ -359,6 +388,77 @@ class TestSnapshot:
         assert by_pair[("a", "b")] == rescale(9.0, -10.0, 10.0)
 
 
+# Tokens each delimiter can carry: non-ASCII, a quote, a backslash, and
+# the delimiters the line does not split on, '", "' among them.
+_TOKENS = {
+    ",": ["a", "b", "\u00e9", "\u65e5\u672c", 'q"t', "back\\slash", "two words"],
+    "\t": ["a", "b", "\u00e9", 'q"t', "back\\slash", 'x", "y', "two words"],
+    " ": ["a", "b", "\u00e9", 'q"t', "back\\slash", "c,d"],
+    None: ["a", "b", "\u00e9", 'q"t', "back\\slash"],
+}
+_WEIGHT_RANGES = [(-10.0, 10.0), (1.0, 5.0), (-1.0, 1.0), (0.5, 2.25)]
+
+
+@st.composite
+def _raw_files(draw):
+    """(delimiter, weight range, timestamps?, header?, rows) of a raw file.
+
+    Few tokens and few timestamps, so pairs repeat and timestamps tie."""
+    delimiter = draw(st.sampled_from(list(_TOKENS)))
+    lo, hi = draw(st.sampled_from(_WEIGHT_RANGES))
+    ts = draw(st.booleans())
+    n_tokens = len(_TOKENS[delimiter])
+    weight = st.one_of(
+        st.integers(math.ceil(lo), math.floor(hi)).map(str),
+        st.floats(lo, hi).map(repr),
+    )
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n_tokens - 1), st.integers(0, n_tokens - 1),
+                  weight, st.integers(0, 3).map(str)),
+        min_size=1, max_size=30,
+    ))
+    return delimiter, (lo, hi), ts, draw(st.booleans()), rows
+
+
+def _write_raw_file(path, delimiter, ts, header, rows, data):
+    tokens = _TOKENS[delimiter]
+    lines = ["source,target,rating,time" if ts else "source,target,rating"] if header else []
+    for o, t, w, stamp in rows:
+        fields = [tokens[o], tokens[t], w] + [stamp] * ts
+        sep = delimiter
+        if sep is None:
+            sep = data.draw(st.sampled_from([",", " "]))
+        elif sep == " ":
+            sep = data.draw(st.sampled_from([" ", "\t", "  "]))
+        lines.append(sep.join(fields))
+    if delimiter in ("\t", " ") and header:
+        lines[0] = lines[0].replace(",", delimiter)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@given(_raw_files(), st.floats(0.0, 1.0), st.integers(0, 2**32), st.booleans(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_snapshot_bytes_match_the_token_level_reference(
+    tmp_path_factory, raw, fraction, seed, sampled, data
+):
+    """File bytes and digest equal a record-at-a-time ingest's: repeated
+    pairs with and without timestamps (ties included), tricky tokens, every
+    delimiter, a header line, and sampling at ingest."""
+    delimiter, weight_range, ts, header, rows = raw
+    root = tmp_path_factory.mktemp("reference")
+    path = root / "raw.txt"
+    _write_raw_file(path, delimiter, ts, header, rows, data)
+    spec = DatasetSpec(str(path), weight_range, ts, delimiter)
+    n_pairs = len({(o, t) for o, t, _, _ in rows})
+    sample = dict(sample_size=1 + int(fraction * (n_pairs - 1)), seed=seed) if sampled else {}
+    want_text, want_digest = reference_ingest(spec, **sample)
+    snap = build_snapshot(spec, **sample)
+    save_snapshot(snap, root / "snap.json")
+    assert (root / "snap.json").read_bytes() == want_text.encode()
+    assert snap.digest() == want_digest
+    assert load_snapshot(root / "snap.json").digest() == want_digest
+
+
 def _snapshot_payload():
     return {
         "format": "weightpred-snapshot-v1",
@@ -376,6 +476,17 @@ def _drop(key):
 
 def _set_edge(i, value):
     return lambda s: s["edges"].__setitem__(i, value)
+
+
+def _faults(*edges):
+    """Set (or append, at the end) each ``(index, edge)`` in turn."""
+    def corrupt(s):
+        for i, edge in edges:
+            if i < len(s["edges"]):
+                s["edges"][i] = edge
+            else:
+                s["edges"].append(edge)
+    return corrupt
 
 
 @pytest.mark.parametrize("corrupt,located", [
@@ -399,6 +510,19 @@ def _set_edge(i, value):
     (lambda s: s.update(raw_weight_range=[10.0, -10.0]), "raw_weight_range [10.0, -10.0]"),
     (lambda s: s.update(raw_weight_range=[-10.0, math.inf]), "raw_weight_range [-10.0, inf]"),
     (lambda s: s.update(raw_weight_range=[-10.0, True]), "raw_weight_range [-10.0, True]"),
+    # Two faults: the lower edge index is named, whatever the kinds.
+    (_faults((1, ["a", "x", 0.2]), (3, ["c", "z", float("nan")])),
+     "edge 1: repeats the (origin, terminal) pair of edge 0"),
+    (_faults((1, ["b", "y", float("nan")]), (3, ["a", "x", 0.1])), "edge 1: weight nan"),
+    (_faults((1, ["b", "y", "0.5"]), (2, ["a", "y"])), "edge 1: weight '0.5'"),
+    (_faults((1, ["b", "y"]), (3, ["a", "x", 0.1])), "edge 1: expected"),
+    (_faults((1, ["b", " y", 0.5]), (2, ["", "y", 1.0])), "edge 1: token ' y'"),
+    (_faults((1, ["b", "", 0.5]), (2, ["a", " y", 1.0])), "edge 1: empty origin"),
+    (_faults((2, ["b", "y", 0.1]), (1, ["b", "y", 2.0])), "edge 1: weight 2.0"),
+    # Two faults in one edge: the check that runs first per edge is named.
+    (_set_edge(0, ["", "x", "0.5"]), "edge 0: empty origin or terminal token"),
+    (_set_edge(0, [" a", "x", float("nan")]), "edge 0: token ' a'"),
+    (_set_edge(2, ["a", "x", float("nan")]), "edge 2: weight nan"),
 ], ids=[
     "no-edges", "no-provenance", "two-fields", "four-fields", "empty-origin",
     "padded-origin", "padded-terminal",
@@ -406,6 +530,10 @@ def _set_edge(i, value):
     "nan-weight", "inf-weight", "weight-above-1", "repeated-pair",
     "origins-reordered", "terminals-short", "origins-extra", "empty-edges",
     "range-three-items", "range-reversed", "range-infinite", "range-bool",
+    "repeat-before-nan", "nan-before-repeat", "string-weight-before-short-edge",
+    "short-edge-before-repeat", "padded-before-empty", "empty-before-padded",
+    "weight-before-repeat", "empty-and-string-weight", "padded-and-nan",
+    "nan-and-repeat",
 ])
 def test_load_snapshot_rejects_malformed_schema(tmp_path, corrupt, located):
     path = tmp_path / "snap.json"

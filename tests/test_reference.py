@@ -33,8 +33,8 @@ _PROVENANCE = {"source_path": "synthetic", "source_sha256": "0" * 64, "sampling"
 
 
 def _snapshot(pairs, weights):
-    return Snapshot(
-        edges=tuple(EdgeRecord(o, t, w) for (o, t), w in zip(pairs, weights)),
+    return Snapshot.from_edges(
+        (EdgeRecord(o, t, w) for (o, t), w in zip(pairs, weights)),
         raw_weight_range=(-1.0, 1.0),
         provenance=_PROVENANCE,
     )
@@ -174,15 +174,13 @@ def test_bad_snapshot_weight_is_rejected_naming_the_edge(task, bad):
     clean = _clean_snapshot()
     config = ExperimentConfig(task=task, method="knn", seed=4)
     target = make_split(clean.edges, config.split_plan(), "edge").train[0]
-    snap = Snapshot(
-        edges=tuple(
-            EdgeRecord(r.origin, r.terminal, bad) if r == target else r
-            for r in clean.edges
-        ),
-        raw_weight_range=clean.raw_weight_range,
-        provenance=clean.provenance,
-    )
     with pytest.raises(ValueError, match=re.escape(repr(target.pair))):
+        snap = Snapshot.from_edges(
+            (EdgeRecord(r.origin, r.terminal, bad) if r == target else r
+             for r in clean.edges),
+            raw_weight_range=clean.raw_weight_range,
+            provenance=clean.provenance,
+        )
         run_experiment(snap, config)
 
 
@@ -198,13 +196,11 @@ def test_bad_weight_outside_the_training_set_is_rejected(task, bad, where):
         target = split.test[-1]
     else:
         target = next(r for r in clean.edges if r not in split.sampled)
-    snap = Snapshot(
-        edges=tuple(
-            EdgeRecord(r.origin, r.terminal, bad) if r == target else r
-            for r in clean.edges
-        ),
-        raw_weight_range=clean.raw_weight_range,
-        provenance=clean.provenance,
-    )
     with pytest.raises(ValueError, match=re.escape(repr(target.pair))):
+        snap = Snapshot.from_edges(
+            (EdgeRecord(r.origin, r.terminal, bad) if r == target else r
+             for r in clean.edges),
+            raw_weight_range=clean.raw_weight_range,
+            provenance=clean.provenance,
+        )
         run_experiment(snap, config)
