@@ -154,6 +154,14 @@ class TestCollapseDuplicates:
         (out,) = collapse_duplicates(records)
         assert out.weight == pytest.approx(1.5)
 
+    def test_mean_when_a_group_lacks_a_timestamp(self):
+        records = [EdgeRecord("a", "b", 1.0, 5.0), EdgeRecord("c", "d", -0.0),
+                   EdgeRecord("e", "f", 4.0, 6.0), EdgeRecord("a", "b", 2.0)]
+        out = collapse_duplicates(records)
+        assert out == [EdgeRecord("a", "b", 1.5), EdgeRecord("c", "d", 0.0),
+                       EdgeRecord("e", "f", 4.0, 6.0)]
+        assert math.copysign(1.0, out[1].weight) == -1.0  # a lone record is kept as is
+
     def test_distinct_pairs_untouched(self):
         records = [EdgeRecord("a", "b", 1.0, 5), EdgeRecord("a", "c", 2.0, 6)]
         assert collapse_duplicates(records) == records
