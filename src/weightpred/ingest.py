@@ -226,14 +226,14 @@ def _pair_keys(graph: DirectedGraph) -> np.ndarray:
 def _first_repeat(graph: DirectedGraph) -> Optional[tuple]:
     """``(i, j)`` for the lowest edge ``i`` of ``graph`` whose pair an edge
     ``j < i`` already has, or ``None`` when no pair repeats."""
-    key = _pair_keys(graph)
-    order = np.argsort(key, kind="stable")  # ties stay in edge order
-    ranked = key[order]
-    repeats = np.flatnonzero(ranked[1:] == ranked[:-1])
+    n = len(graph.src)
+    key = _pair_keys(graph) * n + np.arange(n)  # by pair, then by edge
+    key.sort()
+    repeats = np.flatnonzero(key[1:] // n == key[:-1] // n)
     if not len(repeats):
         return None
-    k = repeats[np.argmin(order[repeats + 1])]
-    return int(order[k + 1]), int(order[k])
+    k = repeats[np.argmin(key[repeats + 1] % n)]
+    return int(key[k + 1] % n), int(key[k] % n)
 
 
 def _collapse(graph: DirectedGraph, weights: list, stamps: list) -> tuple:
@@ -436,7 +436,8 @@ class Snapshot:
     [-1, 1], no pair repeats, and ``origins`` and ``terminals`` are the
     edges' tokens in order of first appearance.  Construct via
     :func:`build_snapshot`, :func:`load_snapshot` or :meth:`from_edges`,
-    which check all of that.
+    which check all of that; ``Snapshot(columns, ...)`` itself checks
+    nothing.
     """
 
     columns: Columns
@@ -534,8 +535,9 @@ def _json_text(snapshot: Snapshot, nl: str) -> str:
     nl1 = nl and nl + "  "  # the top-level values' level
 
     def small(value) -> str:
-        indent = {"indent": 2} if nl else {"separators": (",", ":")}
-        text = json.dumps(value, sort_keys=True, allow_nan=False, **indent)
+        if not nl:  # the digest's form, which spells a non-finite number NaN
+            return json.dumps(value, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
         return text.replace("\n", nl1)
 
     origins = list(map(encode_basestring_ascii, c.origins))

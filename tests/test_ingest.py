@@ -1,5 +1,6 @@
 """Parsing, rescaling, duplicate collapse, snapshots, and seeded splits."""
 
+import hashlib
 import json
 import math
 import re
@@ -322,6 +323,21 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=r"edge 2 \('a', 'x'\) repeats the pair of edge 0"):
             Snapshot.from_edges(edges, raw_weight_range=(-1.0, 1.0), provenance={})
 
+    def test_non_finite_provenance_keeps_the_digest_form(self, tmp_path):
+        """``load_snapshot`` does not look inside ``provenance``: a NaN there
+        loads, and the digest spells it as compact ``json.dumps`` does.  Only
+        the saved form refuses it."""
+        out = tmp_path / "snap.json"
+        save_snapshot(build_snapshot(_spec(self._write_raw(tmp_path))), out)
+        payload = json.loads(out.read_text())
+        payload["provenance"]["note"] = float("nan")
+        out.write_text(json.dumps(payload))
+        snap = load_snapshot(out)
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert snap.digest() == "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_snapshot(snap, tmp_path / "again.json")
+
     def test_digest_independent_of_directory(self, tmp_path):
         raw = self._write_raw(tmp_path)
         moved = tmp_path / "elsewhere" / raw.name
@@ -377,8 +393,12 @@ class TestSnapshot:
         terminals = [r.terminal for r in snap.edges]
         assert list(snap.origins) == sorted(set(origins), key=origins.index)
         assert list(snap.terminals) == sorted(set(terminals), key=terminals.index)
-        with pytest.raises(TypeError):  # the edges alone fix the vertex lists
-            Snapshot(edges=snap.edges, origins=snap.origins, terminals=snap.terminals,
+        # The edges alone fix the vertex lists: neither constructor takes them.
+        with pytest.raises(TypeError):
+            Snapshot.from_edges(snap.edges, origins=snap.origins, terminals=snap.terminals,
+                                raw_weight_range=snap.raw_weight_range, provenance={})
+        with pytest.raises(TypeError):
+            Snapshot(columns=snap.columns, origins=snap.origins, terminals=snap.terminals,
                      raw_weight_range=snap.raw_weight_range, provenance={})
 
     def test_bad_format_rejected(self, tmp_path):

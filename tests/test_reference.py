@@ -168,27 +168,26 @@ def _clean_snapshot():
 @pytest.mark.parametrize("task", TASKS)
 @pytest.mark.parametrize("bad", [float("nan"), 1.5, -2.0])
 def test_bad_snapshot_weight_is_rejected_naming_the_edge(task, bad):
-    """``load_snapshot`` rejects such a file; a snapshot built in Python is
-    rejected by the run, with a ``ValueError`` naming the edge.  On the edge
-    task the bad edge is a training edge, so it reaches the training weights."""
+    """``load_snapshot`` rejects such a file; ``Snapshot.from_edges``
+    rejects such edges with a ``ValueError`` naming the edge, before any run.
+    The bad edge is a training edge of the run's split."""
     clean = _clean_snapshot()
     config = ExperimentConfig(task=task, method="knn", seed=4)
     target = make_split(clean.edges, config.split_plan(), "edge").train[0]
     with pytest.raises(ValueError, match=re.escape(repr(target.pair))):
-        snap = Snapshot.from_edges(
+        Snapshot.from_edges(
             (EdgeRecord(r.origin, r.terminal, bad) if r == target else r
              for r in clean.edges),
             raw_weight_range=clean.raw_weight_range,
             provenance=clean.provenance,
         )
-        run_experiment(snap, config)
 
 
 @pytest.mark.parametrize("task", TASKS)
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.5])
 @pytest.mark.parametrize("where", ["test", "unsampled"])
 def test_bad_weight_outside_the_training_set_is_rejected(task, bad, where):
-    """The whole snapshot is checked: a held-out or unsampled edge too."""
+    """``from_edges`` checks every edge: a held-out or unsampled one too."""
     clean = _clean_snapshot()
     config = ExperimentConfig(task=task, method="svm", seed=4, sample_size=10)
     split = make_split(clean.edges, config.split_plan(), "edge")
@@ -197,10 +196,9 @@ def test_bad_weight_outside_the_training_set_is_rejected(task, bad, where):
     else:
         target = next(r for r in clean.edges if r not in split.sampled)
     with pytest.raises(ValueError, match=re.escape(repr(target.pair))):
-        snap = Snapshot.from_edges(
+        Snapshot.from_edges(
             (EdgeRecord(r.origin, r.terminal, bad) if r == target else r
              for r in clean.edges),
             raw_weight_range=clean.raw_weight_range,
             provenance=clean.provenance,
         )
-        run_experiment(snap, config)
