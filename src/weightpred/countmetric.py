@@ -72,6 +72,17 @@ def stable_mean(values: Sequence[float]) -> float:
     return ordered_sum(vals) / len(vals)
 
 
+def sorted_groups(keys: Iterable, values: Iterable) -> dict:
+    """key -> its values in ascending order, keys in first-appearance order
+    (of equal keys, such as ``0.0`` and ``-0.0``, the first stands)."""
+    groups: dict = {}
+    for key, value in zip(keys, values):
+        groups.setdefault(key, []).append(value)
+    for group in groups.values():
+        group.sort()
+    return groups
+
+
 @dataclass(frozen=True)
 class CountProfile:
     """Neighborhood summary of one element."""

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .countmetric import stable_mean
+from .countmetric import sorted_groups, stable_mean
 from .errors import DomainError, ParseError, SettingError, check_float, check_int
 from .graph import DirectedGraph, WeightKind, check_weights, graph_of
 
@@ -247,11 +247,9 @@ def _collapse(graph: DirectedGraph, weights: list, stamps: list) -> tuple:
     """
     if _first_repeat(graph) is None:
         return np.arange(len(weights)), weights, stamps
-    groups: dict = {}  # pair key -> its records, in file order
-    for i, key in enumerate(_pair_keys(graph).tolist()):
-        groups.setdefault(key, []).append(i)
     first, out_weights, out_stamps = [], [], []
-    for group in groups.values():
+    # Each pair's records, in file order.
+    for group in sorted_groups(_pair_keys(graph).tolist(), range(len(weights))).values():
         first.append(group[0])
         if len(group) == 1 or all(stamps[i] is not None for i in group):
             # max keeps the first of equal keys; scan backwards so the last wins.
@@ -636,6 +634,19 @@ def _first_padded(tokens: list, n: int) -> int:
     return next(i for i, (a, b) in enumerate(zip(tokens, stripped)) if a != b)
 
 
+def _first_broken(table: tuple, ids: np.ndarray, n: int) -> int:
+    """The first edge whose token in ``table`` holds a line boundary, or ``n``.
+
+    Parsing splits lines with ``str.splitlines``, so no parsed token holds
+    one.  Each clean token ends one line of the joined table; a lone trailing
+    ``"\\r"`` merges with its ``"\\n"`` and passes, but that token is padded.
+    """
+    if len("\n".join([*table, ""]).splitlines()) == len(table):
+        return n
+    j = next(j for j, t in enumerate(table) if t and t.splitlines() != [t])
+    return int(np.argmax(ids == j))  # ids number tokens by first appearance
+
+
 def _index(tokens: list, value, n: int) -> int:
     return tokens.index(value) if value in tokens else n
 
@@ -645,7 +656,8 @@ def _edge_columns(raw: list, where: str) -> Columns:
 
     Raises :class:`ParseError` for the lowest edge index that fails a check,
     naming the check that comes first for that edge in this order: shape,
-    empty token, padded token, weight, repeated pair.
+    empty token, padded token, token with a line boundary, weight, repeated
+    pair.
     """
     n = len(raw)
     shaped = set(map(type, raw)) == {list} and set(map(len, raw)) == {3}
@@ -676,6 +688,12 @@ def _edge_columns(raw: list, where: str) -> Columns:
         o, t = origins[padded], terminals[padded]
         token = o if o != o.strip() else t
         faults.append((padded, f"token {token!r} has leading or trailing whitespace"))
+    broken = min(_first_broken(graph.origins, graph.src, n),
+                 _first_broken(graph.terminals, graph.dst, n))
+    if broken < n:
+        o, t = origins[broken], terminals[broken]
+        token = o if o.splitlines() != [o] else t
+        faults.append((broken, f"token {token!r} holds a line boundary"))
     bad = ~((weight >= -1.0) & (weight <= 1.0))  # NaN fails both comparisons
     if bad.any():
         i = int(bad.argmax())
@@ -696,9 +714,10 @@ def load_snapshot(path) -> Snapshot:
     there is one) for a missing key, a ``raw_weight_range`` that is not two
     finite numbers lo < hi, no edges, an edge that is not ``[origin,
     terminal, weight]`` with nonempty tokens (without leading or trailing
-    whitespace, which parsing strips) and a finite weight in [-1, 1], a
-    repeated (origin, terminal) pair, or vertex lists that differ from the
-    edges' first-appearance order.  Of several bad edges, the first is named.
+    whitespace, which parsing strips, or a ``str.splitlines`` line boundary,
+    on which parsing splits) and a finite weight in [-1, 1], a repeated
+    (origin, terminal) pair, or vertex lists that differ from the edges'
+    first-appearance order.  Of several bad edges, the first is named.
     """
     where = str(path)
     try:

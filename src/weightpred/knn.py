@@ -14,8 +14,9 @@ predictions outside the training range when ties inflate the set.  An empty
 neighborhood falls back to the global training mean, flagged.
 
 The distance depends on an element only through its integer band count, so
-the training weights are grouped by count once (one class per distinct
-count) and classes are selected, never single elements.  A query is
+the training weights are grouped by count once (one ascending class per
+distinct count, see :func:`weightpred.countmetric.sorted_groups`) and
+classes are selected, never single elements.  A query is
 answered from its band count alone: :class:`KnnClasses` works on the
 training counts and weights as given, and :class:`KnnModel` reads them from
 a metric and training elements, then memoises one answer per query count.
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .countmetric import CountMetric, ordered_sum, stable_mean
+from .countmetric import CountMetric, ordered_sum, sorted_groups, stable_mean
 from .errors import DomainError, PredictionError, SettingError, check_int
 
 ZERO_DISTANCE_POLICIES = ("exclude", "include")
@@ -75,9 +76,7 @@ class KnnClasses:
         if not weights:
             raise PredictionError("kNN requires a non-empty training set")
         self.config = config
-        self._classes: dict = {}  # band count -> training weights, first appearance
-        for c, w in zip(counts, weights):
-            self._classes.setdefault(c, []).append(w)
+        self._classes = sorted_groups(counts, weights)  # band count -> its weights
         self._fallback = stable_mean(weights)
 
     def _select(self, c: int):

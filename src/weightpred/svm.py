@@ -14,8 +14,11 @@ labels are reproduced exactly.
 
 Band counts are small integers, so distinct training elements frequently
 collide at the same embedding value.  Colliding points are merged before
-fitting (label = mean of the group) to keep the normal system full rank;
-the merge count is reported on the model.
+fitting (label = mean of the group, over the ascending classes of
+:func:`weightpred.countmetric.sorted_groups`, as in kNN) to keep the normal
+system full rank; the merge count is reported on the model.  A point's
+fitted value is its merged point's, so ``train_mae`` needs no kernel matrix
+beyond the fit's m x m one.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 
 import numpy as np
 
-from .countmetric import CountMetric, stable_mean
+from .countmetric import CountMetric, ordered_sum, sorted_groups
 from .errors import PredictionError, SettingError, check_float, check_int
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf")
@@ -104,7 +107,7 @@ class SvmModel:
     kernel: KernelSpec  # gamma resolved
     value_range: tuple
     merged_count: int  # original points absorbed by embedding collisions
-    train_mae: float  # unclamped, over the original (unmerged) points
+    train_mae: float  # mean unclamped |fitted - label| over the unmerged points
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,6 @@ def fit_points(
             raise ValueError(f"non-finite training point ({u!r}, {y!r})")
 
     u_all = np.array([u for u, _ in points])
-    y_all = np.array([y for _, y in points])
 
     kernel = config.kernel
     if kernel.kind == "rbf" and kernel.gamma is None:
@@ -136,10 +138,8 @@ def fit_points(
         kernel = KernelSpec(kind="rbf", degree=kernel.degree, gamma=gamma, coef0=kernel.coef0)
 
     # Merge embedding collisions; group order follows first appearance.
-    groups: dict = {}
-    for u, y in points:
-        groups.setdefault(u, []).append(y)
-    merged = [(u, stable_mean(ys)) for u, ys in groups.items()]
+    groups = sorted_groups(u_all.tolist(), [y for _, y in points])
+    merged = [(u, ordered_sum(ys) / len(ys)) for u, ys in groups.items()]  # = stable_mean(ys)
     merged_count = len(points) - len(merged)
 
     u_m = np.array([u for u, _ in merged])
@@ -157,9 +157,9 @@ def fit_points(
             design.T @ design + config.regularization * penalty, design.T @ y_m
         )
 
-        basis_all = _kernel_matrix(kernel, u_all, u_m) * y_m[None, :]
-        pred_all = beta[0] + basis_all @ beta[1:]
-        train_mae = float(np.abs(pred_all - y_all).mean())
+        # A point's fitted value is that of its merged point.
+        fitted = np.repeat(design @ beta, list(map(len, groups.values())))
+        train_mae = float(np.abs(fitted - np.concatenate(list(groups.values()))).mean())
     if not (np.isfinite(beta).all() and math.isfinite(train_mae)):
         raise PredictionError(
             f"SVM fit is not finite under {kernel} on embeddings up to "

@@ -237,6 +237,23 @@ class TestPredict:
         assert "edge 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_token_with_a_line_boundary_is_parse_error(self, snapshot_file, tmp_path, capsys):
+        # Such a token would break the predictions file into extra lines.
+        bad = tmp_path / "bad.json"
+        payload = json.loads(snapshot_file.read_text())
+        token = payload["origins"][0]
+        payload["origins"][0] = "bad\rtok"
+        for edge in payload["edges"]:
+            if edge[0] == token:
+                edge[0] = "bad\rtok"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--snapshot", str(bad), "--task", "origin",
+                     "--method", "knn", "--output", str(out)])
+        assert code == 2
+        assert "edge 0: token 'bad\\rtok' holds a line boundary" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_snapshot_not_json_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": ')

@@ -1,7 +1,12 @@
 """Profiles, band counts, and the metric-modulo-equivalence axioms."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import weightpred.countmetric as countmetric
 from weightpred import (
@@ -40,6 +45,23 @@ class TestAvgNeighborWeight:
     def test_stable_mean_is_permutation_invariant(self):
         vals = [0.31, -0.7, 0.11, 0.9999, -0.23, 0.5]
         assert stable_mean(vals) == stable_mean(list(reversed(vals)))
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 7.0]),
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+), max_size=40))
+def test_sorted_groups_keep_first_appearance_and_sort_each_group(pairs):
+    keys = [k for k, _ in pairs]
+    groups = countmetric.sorted_groups(keys, [v for _, v in pairs])
+    # 0.0 and -0.0 are one key, and the first of them stands for the group.
+    signed = lambda ks: [(k, math.copysign(1.0, k)) for k in ks]
+    assert signed(groups) == signed(dict.fromkeys(keys))
+    assert all(group == sorted(group) for group in groups.values())
+    assert Counter((k, v) for k, group in groups.items() for v in group) == Counter(pairs)
+    for k, group in groups.items():
+        mean = countmetric.ordered_sum(group) / len(group)
+        assert mean == stable_mean([v for j, v in pairs if j == k])
 
 
 class TestBandCount:

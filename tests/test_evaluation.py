@@ -1,6 +1,8 @@
 """Scoring functions, the experiment pipeline, and report artifacts."""
 
+import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -15,9 +17,11 @@ from weightpred import (
     KnnConfig,
     Snapshot,
     build_snapshot,
+    load_snapshot,
     mae,
     rmse,
     run_experiment,
+    save_snapshot,
 )
 from weightpred import svm as svm_mod
 from weightpred.errors import SettingError
@@ -251,6 +255,24 @@ class TestPredictionFiles:
     def test_roundtrip_vertex_task(self, tmp_path):
         snap = _synthetic_snapshot()
         result = run_experiment(snap, _config("origin", "svm"))
+        path = tmp_path / "preds.csv"
+        write_predictions(path, result)
+        rows, _ = read_predictions(path)
+        assert [r.element for r in rows] == [r.element for r in result.predictions]
+
+    @pytest.mark.parametrize("task", ["edge", "origin"])
+    def test_roundtrip_tokens_with_space_comma_and_tab(self, tmp_path, task):
+        # A snapshot file may hold any token without a line boundary or
+        # padding; the predictions file gives each one back.
+        snap_path = tmp_path / "snap.json"
+        save_snapshot(_synthetic_snapshot(), snap_path)
+        text = re.sub(
+            r'"o(\d+)"', lambda m: json.dumps(f'o {m[1]}, "q"\t{m[1]}'), snap_path.read_text()
+        )
+        snap_path.write_text(text)
+        snap = load_snapshot(snap_path)
+        assert all(" " in o and "," in o and "\t" in o for o in snap.origins)
+        result = run_experiment(snap, _config(task, "knn"))
         path = tmp_path / "preds.csv"
         write_predictions(path, result)
         rows, _ = read_predictions(path)

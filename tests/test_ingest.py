@@ -517,6 +517,26 @@ def _faults(*edges):
     return corrupt
 
 
+# The line boundaries of str.splitlines.  Parsing splits a raw file on them,
+# so build_snapshot never writes a token that holds one.
+LINE_BOUNDARIES = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_line_boundaries_are_those_of_splitlines():
+    assert LINE_BOUNDARIES == "".join(
+        c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2
+    )
+
+
+def _broken_terminal(boundary):
+    """Edges 1 and 2 share a terminal token that holds ``boundary``."""
+    def corrupt(s):
+        s["terminals"][1] = f"y{boundary}z"
+        for edge in s["edges"][1:]:
+            edge[1] = f"y{boundary}z"
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt,located", [
     (_drop("edges"), "key 'edges' is missing"),
     (_drop("provenance"), "key 'provenance' is missing"),
@@ -551,6 +571,16 @@ def _faults(*edges):
     (_set_edge(0, ["", "x", "0.5"]), "edge 0: empty origin or terminal token"),
     (_set_edge(0, [" a", "x", float("nan")]), "edge 0: token ' a'"),
     (_set_edge(2, ["a", "x", float("nan")]), "edge 2: weight nan"),
+    (_set_edge(0, ["a\rb", "x", 0.5]), "edge 0: token 'a\\rb' holds a line boundary"),
+    (_set_edge(1, ["b", "y\r", 0.5]), "edge 1: token 'y\\r' has leading or trailing whitespace"),
+    (_faults((1, ["b", "y\x0cz", 0.5]), (2, ["", "y", 1.0])), "edge 1: token 'y\\x0cz'"),
+    (_faults((1, ["b", "", 0.5]), (2, ["a\x85b", "y", 1.0])), "edge 1: empty origin"),
+    (_faults((1, ["b", "y", 2.0]), (2, ["a", "y\u2028z", 1.0])), "edge 1: weight 2.0"),
+    (_set_edge(0, [" a\nb", "x", 0.5]), "edge 0: token ' a\\nb' has leading"),
+    (_set_edge(0, ["a\u2029b", "x", float("nan")]), "edge 0: token 'a\\u2029b' holds"),
+    # The token's first edge is named, not a later one that repeats it.
+    *[(_broken_terminal(c), f"edge 1: token {f'y{c}z'!r} holds a line boundary")
+      for c in LINE_BOUNDARIES],
 ], ids=[
     "no-edges", "no-provenance", "two-fields", "four-fields", "empty-origin",
     "padded-origin", "padded-terminal",
@@ -561,7 +591,10 @@ def _faults(*edges):
     "repeat-before-nan", "nan-before-repeat", "string-weight-before-short-edge",
     "short-edge-before-repeat", "padded-before-empty", "empty-before-padded",
     "weight-before-repeat", "empty-and-string-weight", "padded-and-nan",
-    "nan-and-repeat",
+    "nan-and-repeat", "line-break-origin", "trailing-carriage-return-is-padding",
+    "line-break-before-empty", "empty-before-line-break", "weight-before-line-break",
+    "padded-and-line-break", "line-break-and-nan",
+    *[f"line-boundary-U+{ord(c):04X}" for c in LINE_BOUNDARIES],
 ])
 def test_load_snapshot_rejects_malformed_schema(tmp_path, corrupt, located):
     path = tmp_path / "snap.json"

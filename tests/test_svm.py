@@ -120,6 +120,26 @@ class TestFit:
         )
         assert math.isfinite(model.train_mae)
 
+    @pytest.mark.parametrize("kernel", [
+        KernelSpec("linear"), KernelSpec("polynomial", degree=2), KernelSpec("rbf"),
+    ], ids=["linear", "polynomial", "rbf"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_train_mae_is_the_mean_residual_over_the_unmerged_points(self, kernel, seed):
+        rng = np.random.default_rng(seed)
+        # Small integer embeddings collide, -0.0 with 0.0 among them.
+        points = [(float(u) if u >= 0 else -0.0, float(y))
+                  for u, y in zip(rng.integers(-1, 6, 40), rng.uniform(-1, 1, 40))]
+        model = fit_points(points, SvmConfig(kernel=kernel), (-1, 1))
+        assert model.merged_count > 0
+        residuals = [
+            abs(model.intercept + sum(
+                c * y_j * kernel_eval(model.kernel, u, u_j)
+                for c, (u_j, y_j) in zip(model.coefficients, model.points)
+            ) - y)
+            for u, y in points
+        ]
+        assert model.train_mae == pytest.approx(sum(residuals) / len(points), rel=1e-9)
+
     def test_gamma_resolved_from_embedding_variance(self):
         pts = [(0.0, 0.1), (2.0, 0.5), (4.0, 0.9)]
         model = fit_points(pts, SvmConfig(kernel=KernelSpec("rbf")), (-1, 1))
