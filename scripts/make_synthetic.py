@@ -32,7 +32,7 @@ def generate(path: Path, n_edges: int, n_raters: int, n_ratees: int, seed: int) 
             rating = 1
         ts += int(rng.integers(1, 900))
         lines.append(f"u{o},u{t},{rating},{ts}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def main() -> None:

@@ -28,7 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ParseError, PredictionError, SettingError
+from .errors import (
+    DomainError, ParseError, PredictionError, SettingError, read_bytes, utf8_text,
+)
 from .evaluation import (
     METHODS,
     PROTOCOL_SAMPLE_SIZE,
@@ -119,9 +121,7 @@ def _given(args) -> dict:
     given = {}
     if args.config:
         try:
-            loaded = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise ParseError(f"cannot read config: {exc}", path=args.config) from exc
+            loaded = json.loads(utf8_text(read_bytes(args.config, "config"), args.config))
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}", path=args.config) from exc
         if not isinstance(loaded, dict):
@@ -243,7 +243,7 @@ def cmd_gen_weights(args) -> int:
         "snapshot_digest": snapshot.digest(),
     }
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    Path(args.output).write_text(text + "\n")
+    Path(args.output).write_text(text + "\n", encoding="utf-8")
     print(f"converged={scores.converged} iterations={scores.iterations}")
     print(f"scores written to {args.output}")
     return 0
@@ -292,7 +292,7 @@ def cmd_evaluate(args) -> int:
         }
         if args.report:
             text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-            Path(args.report).write_text(text + "\n")
+            Path(args.report).write_text(text + "\n", encoding="utf-8")
         print(f"({report['mae']:.3f}, {report['rmse']:.3f})")
         return 0
 
@@ -311,7 +311,7 @@ def cmd_evaluate(args) -> int:
         rep = result.report
         if args.report:
             path = _report_path(args.report, config.seed, repeat)
-            Path(path).write_text(rep.to_json())
+            Path(path).write_text(rep.to_json(), encoding="utf-8")
         print(f"{rep.task} {rep.method} seed={rep.seed} {rep.pair()}")
     return 0
 
@@ -331,7 +331,7 @@ def cmd_reproduce_tables(args) -> int:
             out = Path(args.output_dir)
             out.mkdir(parents=True, exist_ok=True)
             (out / f"report_{config.task}_{config.method}.json").write_text(
-                result.report.to_json()
+                result.report.to_json(), encoding="utf-8"
             )
     print(format_tables(reports, label=label))
     return 0

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the setting-type checks.
+"""Exception types shared across the package, the setting-type checks, and
+the reading of input files as UTF-8 text.
 
 The CLI maps these onto its exit-code contract: usage problems (including
 a :class:`SettingError`) exit 1, IO/parse problems exit 2, and
@@ -6,6 +7,7 @@ domain/numeric problems exit 3.
 """
 
 import numbers
+from pathlib import Path
 
 
 class WeightpredError(Exception):
@@ -24,6 +26,29 @@ class ParseError(WeightpredError):
         if line is not None:
             where += f"line {line}: "
         super().__init__(where + message)
+
+
+def read_bytes(path, what: str) -> bytes:
+    """The bytes of the file at ``path``; ``what`` names the file in the
+    :class:`ParseError` raised when it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read {what}: {exc}", path=str(path)) from exc
+
+
+def utf8_text(data: bytes, path) -> str:
+    """``data``, the bytes of the file at ``path``, decoded as UTF-8.
+
+    Raises :class:`ParseError` naming the file and the line of the first
+    byte that is not UTF-8 text, whatever the locale's encoding.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text: byte {data[exc.start]:#04x} ({exc.reason})",
+                         path=str(path), line=line) from None
 
 
 class SettingError(WeightpredError, ValueError):

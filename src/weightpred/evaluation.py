@@ -23,7 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .countmetric import profile_arrays
-from .errors import ParseError, PredictionError, SettingError, check_float
+from .errors import (
+    ParseError, PredictionError, SettingError, check_float, read_bytes, utf8_text,
+)
 from .fairness import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -329,7 +331,7 @@ def write_predictions(path, result: ExperimentResult) -> None:
         element = row.element if edge else (row.element,)
         writer.writerow([*element, repr(row.predicted), repr(row.truth),
                          "|".join(row.flags)])
-    Path(path).write_text(buf.getvalue())
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
 def _parse_config_header(text, path, line) -> dict:
@@ -351,18 +353,16 @@ def read_predictions(path):
     """Read a predictions file; returns (rows, metadata dict).
 
     The metadata holds each ``# key: value`` header line's value as text,
-    except ``config``, which is parsed from JSON.
+    except ``config``, which is parsed from JSON.  Only lines before the
+    column-header row are header lines: after it, a line that starts with
+    ``#`` is a row whose first token does.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read predictions: {exc}", path=str(path)) from exc
-
+    text = utf8_text(read_bytes(path, "predictions"), path)
     meta = {}
     data_lines = []
     linenos = []  # file line number of each data line
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.startswith("#"):
+        if not data_lines and line.startswith("#"):
             body = line.lstrip("#").strip()
             if ": " in body:
                 key, value = body.split(": ", 1)

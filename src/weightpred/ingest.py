@@ -32,6 +32,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -42,8 +43,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .countmetric import sorted_groups, stable_mean
-from .errors import DomainError, ParseError, SettingError, check_float, check_int
-from .graph import DirectedGraph, WeightKind, check_weights, graph_of
+from .errors import (
+    DomainError, ParseError, SettingError, check_float, check_int, read_bytes, utf8_text,
+)
+from .graph import DirectedGraph, WeightKind, graph_of
 
 PRNG_NAME = "numpy-pcg64"
 SNAPSHOT_FORMAT = "weightpred-snapshot-v1"
@@ -116,17 +119,15 @@ def _columns(lines: list, delimiter: Optional[str], expected: int) -> Optional[l
     return [fields[k::expected] for k in range(expected)]
 
 
-def _parse(spec: DatasetSpec) -> tuple:
-    """A raw edge list's records as columns, in file order: origin tokens,
-    terminal tokens, weights, and timestamps (all ``None`` without them).
+def _parse(spec: DatasetSpec, data: bytes) -> tuple:
+    """The records of ``data``, the bytes of the raw edge list at
+    ``spec.path``, as columns in file order: origin tokens, terminal tokens,
+    weights, and timestamps (all ``None`` without them).
 
     The whole file is split and checked at once; if any check fails,
     :func:`_raise_at_first_bad_line` names the line.
     """
-    try:
-        text = Path(spec.path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=str(spec.path)) from exc
+    text = utf8_text(data, spec.path)
     lines = list(filter(None, map(str.strip, text.splitlines())))
     columns = _columns(lines, spec.delimiter, 4 if spec.has_timestamp else 3)
     if columns:
@@ -215,7 +216,7 @@ def parse_edge_list(spec: DatasetSpec) -> list:
     Raises :class:`ParseError` with the offending line number on malformed
     fields or weights outside the declared range.
     """
-    return list(map(EdgeRecord, *_parse(spec)))
+    return list(map(EdgeRecord, *_parse(spec, read_bytes(spec.path, "file"))))
 
 
 def _pair_keys(graph: DirectedGraph) -> np.ndarray:
@@ -223,17 +224,10 @@ def _pair_keys(graph: DirectedGraph) -> np.ndarray:
     return graph.src * len(graph.terminals) + graph.dst
 
 
-def _first_repeat(graph: DirectedGraph) -> Optional[tuple]:
-    """``(i, j)`` for the lowest edge ``i`` of ``graph`` whose pair an edge
-    ``j < i`` already has, or ``None`` when no pair repeats."""
-    n = len(graph.src)
-    key = _pair_keys(graph) * n + np.arange(n)  # by pair, then by edge
-    key.sort()
-    repeats = np.flatnonzero(key[1:] // n == key[:-1] // n)
-    if not len(repeats):
-        return None
-    k = repeats[np.argmin(key[repeats + 1] % n)]
-    return int(key[k + 1] % n), int(key[k] % n)
+def _repeats(graph: DirectedGraph) -> bool:
+    """Whether two edges of ``graph`` have the same (origin, terminal) pair."""
+    key = np.sort(_pair_keys(graph))
+    return bool((key[1:] == key[:-1]).any())
 
 
 def _collapse(graph: DirectedGraph, weights: list, stamps: list) -> tuple:
@@ -245,7 +239,7 @@ def _collapse(graph: DirectedGraph, weights: list, stamps: list) -> tuple:
     group carries timestamps (ties: last in file order), else the mean of
     the group's weights and no timestamp.
     """
-    if _first_repeat(graph) is None:
+    if not _repeats(graph):
         return np.arange(len(weights)), weights, stamps
     first, out_weights, out_stamps = [], [], []
     # Each pair's records, in file order.
@@ -432,10 +426,10 @@ class Snapshot:
     Edge ``i`` runs from ``origins[columns.src[i]]`` to
     ``terminals[columns.dst[i]]`` with weight ``columns.weight[i]`` in
     [-1, 1], no pair repeats, and ``origins`` and ``terminals`` are the
-    edges' tokens in order of first appearance.  Construct via
-    :func:`build_snapshot`, :func:`load_snapshot` or :meth:`from_edges`,
-    which check all of that; ``Snapshot(columns, ...)`` itself checks
-    nothing.
+    edges' tokens in order of first appearance.  :func:`build_snapshot`
+    makes such a snapshot; :func:`load_snapshot` and :meth:`from_edges`
+    check all of that with one edge check.  ``Snapshot(columns, ...)``
+    itself checks nothing.
     """
 
     columns: Columns
@@ -446,18 +440,18 @@ class Snapshot:
     def from_edges(cls, edges, raw_weight_range, provenance) -> "Snapshot":
         """The snapshot of ``edges``, :class:`EdgeRecord` objects in order.
 
-        Raises ``ValueError`` naming the edge for a weight that is not a
-        finite number in [-1, 1], or for a repeated (origin, terminal) pair.
+        Runs the edge check of :func:`load_snapshot`: raises ``ValueError``
+        for no edges, or naming the first edge, its pair and its fault, for
+        each edge that :func:`load_snapshot` rejects.
         """
         edges = tuple(edges)
-        graph = graph_of([r.origin for r in edges], [r.terminal for r in edges])
-        weight = np.array([r.weight for r in edges], dtype=float)
-        check_weights(weight, -1.0, 1.0, lambda i: f"edge {i} {edges[i].pair!r}")
-        repeat = _first_repeat(graph)
-        if repeat is not None:
-            i, j = repeat
-            raise ValueError(f"edge {i} {edges[i].pair!r} repeats the pair of edge {j}")
-        return cls(Columns.of(graph, weight), tuple(raw_weight_range), provenance)
+        if not edges:
+            raise ValueError("snapshot has no edges")
+        columns = _edge_columns(
+            [[r.origin, r.terminal, r.weight] for r in edges],
+            lambda i, fault: ValueError(f"edge {i} {edges[i].pair!r}: {fault}"),
+        )
+        return cls(columns, tuple(raw_weight_range), provenance)
 
     @property
     def origins(self) -> tuple:
@@ -573,7 +567,8 @@ def build_snapshot(
             raise ValueError("sampling at ingest requires a seed")
     if seed is not None:
         check_int("seed", seed, 0)
-    origins, terminals, weights, stamps = _parse(spec)
+    data = read_bytes(spec.path, "file")
+    origins, terminals, weights, stamps = _parse(spec, data)
     graph = graph_of(origins, terminals)
     rows, weights, _ = _collapse(graph, weights, stamps)
     lo, hi = spec.weight_range
@@ -589,18 +584,12 @@ def build_snapshot(
         sampling = {"seed": seed, "sample_size": sample_size, "prng": PRNG_NAME}
     if len(rows) < len(graph.src):
         graph = graph.subgraph(rows)
-
-    try:
-        source_sha = hashlib.sha256(Path(spec.path).read_bytes()).hexdigest()
-    except OSError as exc:  # raced away since parsing
-        raise ParseError(f"cannot read file: {exc}", path=str(spec.path)) from exc
-
     return Snapshot(
         columns=Columns.of(graph, weight),
         raw_weight_range=(float(lo), float(hi)),
         provenance={
             "source_path": Path(spec.path).name,
-            "source_sha256": source_sha,
+            "source_sha256": hashlib.sha256(data).hexdigest(),
             "sampling": sampling,
         },
     )
@@ -618,93 +607,75 @@ _SNAPSHOT_KEYS = {
 
 def save_snapshot(snapshot: Snapshot, path) -> None:
     """Write ``json.dumps(form, sort_keys=True, indent=2)`` of the snapshot."""
-    Path(path).write_text(_json_text(snapshot, "\n") + "\n")
+    Path(path).write_text(_json_text(snapshot, "\n") + "\n", encoding="utf-8")
 
 
-def _is_edge(edge) -> bool:
-    return (type(edge) is list and len(edge) == 3
-            and type(edge[0]) is str and type(edge[1]) is str)
+def _weight_array(weights: list) -> Optional[np.ndarray]:
+    """``weights`` as a float array, or ``None`` unless each is a real
+    number in [-1, 1] and not a ``bool``."""
+    kinds = set(map(type, weights))
+    if any(not issubclass(k, numbers.Real) or issubclass(k, (bool, np.bool_)) for k in kinds):
+        return None
+    if not kinds <= {float}:  # compared before conversion, so no int overflows
+        weights = [float(w) if -1.0 <= w <= 1.0 else math.nan for w in weights]
+    weight = np.array(weights, dtype=float)
+    return weight if ((weight >= -1.0) & (weight <= 1.0)).all() else None  # NaN fails
 
 
-def _first_padded(tokens: list, n: int) -> int:
-    """Index of the first token with leading or trailing whitespace, or ``n``."""
-    stripped = list(map(str.strip, tokens))
-    if stripped == tokens:
-        return n
-    return next(i for i, (a, b) in enumerate(zip(tokens, stripped)) if a != b)
+def _clean(table: tuple) -> bool:
+    """Whether no token of ``table`` is empty, padded or holds a line
+    boundary, each token then ending one line of the joined table (a
+    trailing ``"\\r"`` merges with its ``"\\n"``, but it is padding)."""
+    return ("" not in table and tuple(map(str.strip, table)) == table
+            and len("\n".join([*table, ""]).splitlines()) == len(table))
 
 
-def _first_broken(table: tuple, ids: np.ndarray, n: int) -> int:
-    """The first edge whose token in ``table`` holds a line boundary, or ``n``.
+def _edge_fault(edge, i: int, first_seen: dict) -> Optional[str]:
+    """What is wrong with ``edge``, edge ``i`` of a snapshot, or ``None``;
+    ``first_seen`` maps each pair of the edges before ``i`` to its first edge.
 
-    Parsing splits lines with ``str.splitlines``, so no parsed token holds
-    one.  Each clean token ends one line of the joined table; a lone trailing
-    ``"\\r"`` merges with its ``"\\n"`` and passes, but that token is padded.
+    In the order checked, ``edge`` must be ``[origin, terminal, weight]``
+    with string tokens that are nonempty, carry no leading or trailing
+    whitespace (which parsing strips) and hold no ``str.splitlines`` line
+    boundary (on which parsing splits); a weight in [-1, 1]; and a pair
+    that no earlier edge has.
     """
-    if len("\n".join([*table, ""]).splitlines()) == len(table):
-        return n
-    j = next(j for j, t in enumerate(table) if t and t.splitlines() != [t])
-    return int(np.argmax(ids == j))  # ids number tokens by first appearance
+    if not (type(edge) is list and len(edge) == 3
+            and type(edge[0]) is str and type(edge[1]) is str):
+        return f"expected [origin, terminal, weight], got {edge!r}"
+    origin, terminal, weight = edge
+    if not origin or not terminal:
+        return "empty origin or terminal token"
+    for token in (origin, terminal):
+        if token != token.strip():
+            return f"token {token!r} has leading or trailing whitespace"
+    for token in (origin, terminal):
+        if token.splitlines() != [token]:
+            return f"token {token!r} holds a line boundary"
+    if _weight_array([weight]) is None:  # the bulk check, so both accept the same
+        return f"weight {weight!r} is not a number in [-1, 1]"
+    j = first_seen.setdefault((origin, terminal), i)
+    return f"repeats the (origin, terminal) pair of edge {j}" if j < i else None
 
 
-def _index(tokens: list, value, n: int) -> int:
-    return tokens.index(value) if value in tokens else n
-
-
-def _edge_columns(raw: list, where: str) -> Columns:
-    """The snapshot file's ``edges`` list as columns.
-
-    Raises :class:`ParseError` for the lowest edge index that fails a check,
-    naming the check that comes first for that edge in this order: shape,
-    empty token, padded token, token with a line boundary, weight, repeated
-    pair.
-    """
-    n = len(raw)
-    shaped = set(map(type, raw)) == {list} and set(map(len, raw)) == {3}
-    fields = _transpose(raw, 3) if shaped else None
-    if fields and set(map(type, fields[0])) == {str} == set(map(type, fields[1])):
-        misshapen = n
-    else:
-        misshapen = next(i for i, edge in enumerate(raw) if not _is_edge(edge))
-        fields = _transpose(raw[:misshapen], 3)
-    origins, terminals, weights = fields
-    graph = graph_of(origins, terminals)
-    numeric = set(map(type, weights)) <= {float}  # else convert each in range
-    weight = np.array(weights if numeric else [
-        float(w) if type(w) in (int, float) and -1.0 <= w <= 1.0 else math.nan
-        for w in weights
-    ], dtype=float)
-
-    faults = []  # (edge index, message), in the order of the checks
-    if misshapen < n:
-        faults.append(
-            (misshapen, f"expected [origin, terminal, weight], got {raw[misshapen]!r}")
-        )
-    empty = min(_index(origins, "", n), _index(terminals, "", n))
-    if empty < n:
-        faults.append((empty, "empty origin or terminal token"))
-    padded = min(_first_padded(origins, n), _first_padded(terminals, n))
-    if padded < n:
-        o, t = origins[padded], terminals[padded]
-        token = o if o != o.strip() else t
-        faults.append((padded, f"token {token!r} has leading or trailing whitespace"))
-    broken = min(_first_broken(graph.origins, graph.src, n),
-                 _first_broken(graph.terminals, graph.dst, n))
-    if broken < n:
-        o, t = origins[broken], terminals[broken]
-        token = o if o.splitlines() != [o] else t
-        faults.append((broken, f"token {token!r} holds a line boundary"))
-    bad = ~((weight >= -1.0) & (weight <= 1.0))  # NaN fails both comparisons
-    if bad.any():
-        i = int(bad.argmax())
-        faults.append((i, f"weight {weights[i]!r} is not a number in [-1, 1]"))
-    repeat = _first_repeat(graph)
-    if repeat is not None:
-        faults.append((repeat[0], f"repeats the (origin, terminal) pair of edge {repeat[1]}"))
-    if faults:
-        i, message = min(faults, key=lambda fault: fault[0])  # the first of ties
-        raise ParseError(f"edge {i}: {message}", path=where)
-    return Columns.of(graph, weight)
+def _edge_columns(edges: list, fail) -> Columns:
+    """A snapshot's edges as columns, checked at once (tokens once each);
+    after a failed check, ``fail(i, fault)`` is raised for the first edge
+    ``i`` that :func:`_edge_fault` rejects."""
+    if set(map(type, edges)) == {list} and set(map(len, edges)) == {3}:
+        origins, terminals, weights = _transpose(edges, 3)
+        if set(map(type, origins)) == {str} == set(map(type, terminals)):
+            graph = graph_of(origins, terminals)
+            weight = _weight_array(weights)
+            if (weight is not None and _clean(graph.origins)
+                    and _clean(graph.terminals) and not _repeats(graph)):
+                return Columns.of(graph, weight)
+    first_seen: dict = {}
+    for i, edge in enumerate(edges):
+        fault = _edge_fault(edge, i, first_seen)
+        if fault:
+            raise fail(i, fault)
+    raise AssertionError("the bulk edge check rejects edges that each pass")
 
 
 def load_snapshot(path) -> Snapshot:
@@ -712,18 +683,13 @@ def load_snapshot(path) -> Snapshot:
 
     Raises :class:`ParseError` naming the file (and the edge index, where
     there is one) for a missing key, a ``raw_weight_range`` that is not two
-    finite numbers lo < hi, no edges, an edge that is not ``[origin,
-    terminal, weight]`` with nonempty tokens (without leading or trailing
-    whitespace, which parsing strips, or a ``str.splitlines`` line boundary,
-    on which parsing splits) and a finite weight in [-1, 1], a repeated
-    (origin, terminal) pair, or vertex lists that differ from the edges'
-    first-appearance order.  Of several bad edges, the first is named.
+    finite numbers lo < hi, no edges, a bad edge (:func:`_edge_fault`; the
+    first is named), or vertex lists that differ from the edges'
+    first-appearance order.
     """
     where = str(path)
     try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read snapshot: {exc}", path=where) from exc
+        payload = json.loads(utf8_text(read_bytes(path, "snapshot"), path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=where) from exc
     if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
@@ -747,7 +713,9 @@ def load_snapshot(path) -> Snapshot:
     if not payload["edges"]:
         raise ParseError("snapshot has no edges", path=where)
 
-    columns = _edge_columns(payload["edges"], where)
+    columns = _edge_columns(
+        payload["edges"], lambda i, fault: ParseError(f"edge {i}: {fault}", path=where)
+    )
     for name, ids in (("origins", columns.src), ("terminals", columns.dst)):
         listed, expected = payload[name], list(getattr(columns, name))
         if listed == expected:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -365,7 +366,7 @@ def reference_ingest(spec, sample_size=None, seed=None):
     """
     lo, hi = spec.weight_range
     rows = []
-    for raw in Path(spec.path).read_text().splitlines():
+    for raw in Path(spec.path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
         if not line:
             continue
@@ -419,6 +420,44 @@ def reference_ingest(spec, sample_size=None, seed=None):
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return text, "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+
+
+# ---- reference snapshot edge check ---------------------------------------------
+
+# The characters str.splitlines breaks a line at.
+LINE_BOUNDARIES = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def reference_edge_fault(edges):
+    """``(i, fault)`` for the first edge of a snapshot's ``edges`` list that
+    ``load_snapshot`` documents as bad, with the fault its message names,
+    or ``None``.
+
+    Each edge is checked on its own, in the documented order: shape, empty
+    token, padded token, token with a line boundary, weight (a real number,
+    not a bool, in [-1, 1]), repeated pair.
+    """
+    first_edge = {}
+    for i, edge in enumerate(edges):
+        if type(edge) is not list or len(edge) != 3 or {type(edge[0]), type(edge[1])} != {str}:
+            return i, f"expected [origin, terminal, weight], got {edge!r}"
+        origin, terminal, weight = edge
+        if origin == "" or terminal == "":
+            return i, "empty origin or terminal token"
+        padded = [t for t in (origin, terminal) if t[0].isspace() or t[-1].isspace()]
+        if padded:
+            return i, f"token {padded[0]!r} has leading or trailing whitespace"
+        broken = [t for t in (origin, terminal) if set(t) & set(LINE_BOUNDARIES)]
+        if broken:
+            return i, f"token {broken[0]!r} holds a line boundary"
+        real = isinstance(weight, numbers.Real) and not isinstance(weight, (bool, np.bool_))
+        if not (real and -1 <= weight <= 1):
+            return i, f"weight {weight!r} is not a number in [-1, 1]"
+        if (origin, terminal) in first_edge:
+            j = first_edge[(origin, terminal)]
+            return i, f"repeats the (origin, terminal) pair of edge {j}"
+        first_edge[(origin, terminal)] = i
+    return None
 
 
 # ---- synthetic raw datasets ----------------------------------------------------

@@ -512,6 +512,32 @@ class TestConfigFile:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("role,content,line", [
+    ("input", b"a,b,1\ncaf\xe9,x,2\n", 2),
+    ("snapshot", b'{"format":\n"caf\xe9"}\n', 2),
+    ("predictions", _V1.encode() + b"element,predicted,truth,flags\ncaf\xe9,0.5,0.25,\n", 3),
+    ("config", b'{\n  "seed":\n  "\xff"}', 3),
+], ids=["raw-file", "snapshot", "predictions", "config"])
+def test_file_that_is_not_utf8_is_parse_error(
+    snapshot_file, tmp_path, capsys, role, content, line
+):
+    """Every text file is read as UTF-8, whatever the locale; a byte that is
+    not UTF-8 text exits 2 naming the file and its line."""
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(content)
+    out = tmp_path / "out.json"
+    args = {
+        "input": ["ingest", "--input", str(bad), "--output", str(out),
+                  "--weight-min", "-10", "--weight-max", "10"],
+        "snapshot": ["gen-weights", "--snapshot", str(bad), "--output", str(out)],
+        "predictions": ["evaluate", "--predictions", str(bad), "--report", str(out)],
+        "config": _run_args(snapshot_file, "origin", "knn", out, config=bad),
+    }[role]
+    assert main(args) == 2
+    assert f"{bad}: line {line}: not UTF-8 text: byte 0x" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestDeterminismAcrossProcesses:
     def test_reports_are_byte_identical(self, snapshot_file, tmp_path):
         """Two fresh interpreters (different hash seeds) must agree exactly."""

@@ -278,6 +278,22 @@ class TestPredictionFiles:
         rows, _ = read_predictions(path)
         assert [r.element for r in rows] == [r.element for r in result.predictions]
 
+    @pytest.mark.parametrize("task", ["edge", "origin", "terminal"])
+    def test_roundtrip_tokens_starting_with_a_hash(self, tmp_path, task):
+        # The raw line "#b,x,3" gives the origin "#b": after the column
+        # header, a line starting with "#" is a row, not a header line.
+        snap = _synthetic_snapshot()
+        snap = Snapshot.from_edges(
+            [EdgeRecord("#" + r.origin, "# " + r.terminal, r.weight) for r in snap.edges],
+            snap.raw_weight_range, snap.provenance,
+        )
+        result = run_experiment(snap, _config(task, "knn"))
+        path = tmp_path / "preds.csv"
+        write_predictions(path, result)
+        rows, meta = read_predictions(path)
+        assert [r.element for r in rows] == [r.element for r in result.predictions]
+        assert (meta["task"], meta["config"]) == (task, result.report.config)
+
     def test_missing_truth_rejected(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text(

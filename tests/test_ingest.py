@@ -28,7 +28,7 @@ from weightpred import (
 )
 from weightpred.errors import SettingError
 
-from helpers import reference_ingest
+from helpers import LINE_BOUNDARIES, reference_edge_fault, reference_ingest
 
 
 def _spec(path, rng=(-10.0, 10.0), ts=True, delim=","):
@@ -320,7 +320,8 @@ class TestSnapshot:
     def test_columns_reject_a_repeated_pair(self):
         edges = (EdgeRecord("a", "x", 0.1), EdgeRecord("b", "x", 0.2),
                  EdgeRecord("a", "x", 0.3))
-        with pytest.raises(ValueError, match=r"edge 2 \('a', 'x'\) repeats the pair of edge 0"):
+        message = "edge 2 ('a', 'x'): repeats the (origin, terminal) pair of edge 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Snapshot.from_edges(edges, raw_weight_range=(-1.0, 1.0), provenance={})
 
     def test_non_finite_provenance_keeps_the_digest_form(self, tmp_path):
@@ -517,11 +518,8 @@ def _faults(*edges):
     return corrupt
 
 
-# The line boundaries of str.splitlines.  Parsing splits a raw file on them,
-# so build_snapshot never writes a token that holds one.
-LINE_BOUNDARIES = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
-
-
+# Parsing splits a raw file on the line boundaries of str.splitlines, so
+# build_snapshot never writes a token that holds one.
 def test_line_boundaries_are_those_of_splitlines():
     assert LINE_BOUNDARIES == "".join(
         c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2
@@ -605,3 +603,142 @@ def test_load_snapshot_rejects_malformed_schema(tmp_path, corrupt, located):
     path.write_text(json.dumps(payload))
     with pytest.raises(ParseError, match=re.escape(str(path)) + ".*" + re.escape(located)):
         load_snapshot(path)
+
+
+_CLEAN_TOKENS = st.text(alphabet='ab#\u00e9,"\t ', min_size=1, max_size=3).filter(
+    lambda t: t == t.strip()
+)
+_BAD_WEIGHTS = [
+    "0.5", None, [0.5], math.nan, math.inf, -math.inf, 1.5, -1.0000001, 2, -2, 10**400,
+]
+_SPACES = " \t\u00a0\u3000" + LINE_BOUNDARIES
+
+
+@st.composite
+def _faulty_edges(draw):
+    """A snapshot's ``edges`` list: distinct pairs with weights in [-1, 1],
+    then 0-3 faults of random kinds at random positions."""
+    pairs = draw(st.lists(st.tuples(_CLEAN_TOKENS, _CLEAN_TOKENS),
+                          min_size=1, max_size=10, unique=True))
+    weights = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1, 0, 1]))
+    edges = [[o, t, draw(weights)] for o, t in pairs]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(edges) - 1))
+        edge = edges[i] if type(edges[i]) is list else ["a", "b", 0.5]
+        side = draw(st.integers(0, 1))
+        token = str(edge[side]) if len(edge) > side else "a"
+        kind = draw(st.sampled_from([
+            "shape", "token-type", "empty", "padded", "boundary", "weight", "repeat",
+        ]))
+        if kind == "shape":
+            edges[i] = draw(st.sampled_from([edge[:2], [*edge, 7], [], "edge", None]))
+            continue
+        edge = list(edge[:3]) + [0.5] * (3 - len(edge))
+        if kind == "token-type":
+            edge[side] = draw(st.sampled_from([7, None, 0.5, ["a"]]))
+        elif kind == "empty":
+            edge[side] = ""
+        elif kind == "padded":
+            space = draw(st.sampled_from(_SPACES))
+            edge[side] = draw(st.sampled_from([space + token, token + space]))
+        elif kind == "boundary":
+            at = draw(st.integers(0, len(token)))
+            c = draw(st.sampled_from([*LINE_BOUNDARIES, "\r\n"]))
+            edge[side] = token[:at] + c + token[at:]
+        elif kind == "weight":
+            edge[2] = draw(st.one_of(st.booleans(), st.sampled_from(_BAD_WEIGHTS)))
+        else:  # repeat an earlier or later edge's pair
+            other = edges[draw(st.integers(0, len(edges) - 1))]
+            if type(other) is list and len(other) == 3:
+                edge[:2] = other[:2]
+        edges[i] = edge
+    return edges
+
+
+@given(_faulty_edges(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_the_bulk_check_and_the_walk_agree(tmp_path_factory, edges, numpy_weights):
+    """``load_snapshot`` and ``Snapshot.from_edges`` load exactly what a
+    per-edge reference accepts, and otherwise name the edge and the fault
+    it names; none reaches the walk's ``AssertionError``."""
+    path = tmp_path_factory.mktemp("edges") / "snap.json"
+    payload = _snapshot_payload()
+    payload["edges"] = edges
+    want = reference_edge_fault(edges)
+    if want is None:
+        payload["origins"] = list(dict.fromkeys(e[0] for e in edges))
+        payload["terminals"] = list(dict.fromkeys(e[1] for e in edges))
+    path.write_text(json.dumps(payload))
+    if want is None:
+        loaded = load_snapshot(path)
+    else:
+        i, fault = want
+        with pytest.raises(ParseError) as err:
+            load_snapshot(path)
+        assert str(err.value) == f"{path}: edge {i}: {fault}"
+
+    # from_edges takes records: float weights may be numpy floats there.
+    records = [
+        EdgeRecord(o, t, np.float64(w) if numpy_weights and type(w) is float else w)
+        for o, t, w in (e for e in edges if type(e) is list and len(e) == 3)
+    ]
+    want = reference_edge_fault([[r.origin, r.terminal, r.weight] for r in records])
+    provenance = payload["provenance"]
+    if not records:
+        with pytest.raises(ValueError, match="^snapshot has no edges$"):
+            Snapshot.from_edges(records, (-10.0, 10.0), provenance)
+    elif want is None:
+        built = Snapshot.from_edges(records, (-10.0, 10.0), provenance)
+        save_snapshot(built, path)
+        again = load_snapshot(path)
+        assert again == built and again.digest() == built.digest()
+        if len(records) == len(edges):
+            assert built == loaded and built.digest() == loaded.digest()
+    else:
+        i, fault = want
+        pair = (records[i].origin, records[i].terminal)
+        with pytest.raises(ValueError) as err:
+            Snapshot.from_edges(records, (-10.0, 10.0), provenance)
+        assert str(err.value) == f"edge {i} {pair!r}: {fault}"
+
+
+@pytest.mark.parametrize("edge,fault", [
+    (["", "x", 0.5], "empty origin or terminal token"),
+    ([" a", "x", 0.5], "token ' a' has leading or trailing whitespace"),
+    (["a\rb", "x", 0.5], "token 'a\\rb' holds a line boundary"),
+    ([7, "x", 0.5], "expected [origin, terminal, weight], got [7, 'x', 0.5]"),
+    (["a", "x", "0.5"], "weight '0.5' is not a number in [-1, 1]"),
+    (["a", "x", True], "weight True is not a number in [-1, 1]"),
+    (["a", "x", np.bool_(False)], "weight np.False_ is not a number in [-1, 1]"),
+    (["a", "x", np.float64(1.5)], "weight np.float64(1.5) is not a number in [-1, 1]"),
+], ids=["empty", "padded", "line-boundary", "int-token", "string-weight", "bool-weight",
+        "numpy-bool-weight", "numpy-weight-above-1"])
+def test_from_edges_rejects_what_load_snapshot_rejects(edge, fault):
+    edges = [EdgeRecord("b", "y", -0.25), EdgeRecord(*edge)]
+    message = f"edge 1 {edges[1].pair!r}: {fault}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Snapshot.from_edges(edges, (-10.0, 10.0), {})
+
+
+@pytest.mark.parametrize("weight", [True, False, "1", None, 10**400, -(10**400)])
+def test_load_snapshot_rejects_a_weight_that_is_not_a_number_in_range(tmp_path, weight):
+    path = tmp_path / "snap.json"
+    payload = _snapshot_payload()
+    payload["edges"][1][2] = weight
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match=re.escape(f"edge 1: weight {weight!r} is not")):
+        load_snapshot(path)
+
+
+def test_from_edges_rejects_no_edges():
+    with pytest.raises(ValueError, match="^snapshot has no edges$"):
+        Snapshot.from_edges([], (-10.0, 10.0), {})
+
+
+def test_from_edges_accepts_numpy_and_integer_weights():
+    snap = Snapshot.from_edges(
+        [EdgeRecord("a", "x", np.float64(0.5)), EdgeRecord("a", "y", np.float32(-0.25)),
+         EdgeRecord("b", "x", 1), EdgeRecord("b", "y", np.int64(0))],
+        (-10.0, 10.0), {},
+    )
+    assert snap.columns.weight.tolist() == [0.5, -0.25, 1.0, 0.0]
