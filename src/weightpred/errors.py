@@ -38,15 +38,18 @@ def read_bytes(path, what: str) -> bytes:
 
 
 def utf8_text(data: bytes, path) -> str:
-    """``data``, the bytes of the file at ``path``, decoded as UTF-8.
+    """``data``, the bytes of the file at ``path``, decoded as UTF-8 after
+    dropping one leading byte-order mark.
 
     Raises :class:`ParseError` naming the file and the line of the first
-    byte that is not UTF-8 text, whatever the locale's encoding.
+    byte that is not UTF-8 text, whatever the locale's encoding; lines are
+    numbered as ``str.splitlines`` numbers them.
     """
+    data = data.removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
         raise ParseError(f"not UTF-8 text: byte {data[exc.start]:#04x} ({exc.reason})",
                          path=str(path), line=line) from None
 

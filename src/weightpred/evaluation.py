@@ -331,7 +331,8 @@ def write_predictions(path, result: ExperimentResult) -> None:
         element = row.element if edge else (row.element,)
         writer.writerow([*element, repr(row.predicted), repr(row.truth),
                          "|".join(row.flags)])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    # Encoded before the file opens, so a token UTF-8 cannot encode writes no file.
+    Path(path).write_bytes(buf.getvalue().encode("utf-8"))
 
 
 def _parse_config_header(text, path, line) -> dict:

@@ -33,6 +33,7 @@ import hashlib
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -130,11 +131,8 @@ def _parse(spec: DatasetSpec, data: bytes) -> tuple:
     text = utf8_text(data, spec.path)
     lines = list(filter(None, map(str.strip, text.splitlines())))
     columns = _columns(lines, spec.delimiter, 4 if spec.has_timestamp else 3)
-    if columns:
-        try:
-            float(columns[2][0])
-        except ValueError:
-            columns = [column[1:] for column in columns]  # header row
+    if columns and _number(columns[2][0]) is None:
+        columns = [column[1:] for column in columns]  # header row
     if columns and columns[0]:
         origins = list(map(str.strip, columns[0]))
         terminals = list(map(str.strip, columns[1]))
@@ -154,60 +152,56 @@ def _parse(spec: DatasetSpec, data: bytes) -> tuple:
     _raise_at_first_bad_line(text, spec)
 
 
-def _raise_at_first_bad_line(text: str, spec: DatasetSpec):
-    """Raise the :class:`ParseError` naming the first line of ``text`` that
-    :func:`_parse` cannot read, or saying that no line holds a record."""
-    where = str(spec.path)
+def _number(field: str) -> Optional[float]:
+    """``float(field)``, or ``None`` when ``field`` is not a number."""
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def _line_fault(fields: list, spec: DatasetSpec) -> Optional[str]:
+    """What is wrong with ``fields``, one data line of the raw edge list
+    ``spec`` describes, or ``None``; checked in order: the field count, the
+    weight, the tokens, the timestamp."""
     expected = 4 if spec.has_timestamp else 3
+    if len(fields) != expected:
+        return f"expected {expected} fields, got {len(fields)}"
+    weight = _number(fields[2])
     lo, hi = spec.weight_range
-    first_data_line = True
-    records = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = _split_line(line, spec.delimiter)
-        if len(fields) != expected:
-            raise ParseError(
-                f"expected {expected} fields, got {len(fields)}", path=where, line=lineno
-            )
-        try:
-            weight = float(fields[2])
-        except ValueError:
-            if first_data_line:
-                first_data_line = False  # header row
-                continue
-            raise ParseError(
-                f"weight field {fields[2]!r} is not a number", path=where, line=lineno
-            ) from None
-        first_data_line = False
-        if not math.isfinite(weight):
-            raise ParseError(f"weight {fields[2]!r} is not finite", path=where, line=lineno)
-        if not lo <= weight <= hi:
-            raise ParseError(
-                f"weight {weight!r} outside declared range [{lo}, {hi}]",
-                path=where,
-                line=lineno,
-            )
-        if not fields[0] or not fields[1]:
-            raise ParseError("empty origin or terminal token", path=where, line=lineno)
-        if spec.has_timestamp:
-            try:
-                timestamp = float(fields[3])
-            except ValueError:
-                raise ParseError(
-                    f"timestamp field {fields[3]!r} is not a number",
-                    path=where,
-                    line=lineno,
-                ) from None
-            if not math.isfinite(timestamp):
-                raise ParseError(
-                    f"timestamp {fields[3]!r} is not finite", path=where, line=lineno
-                )
-        records += 1
-    if records:
-        raise AssertionError(f"{where}: the bulk parse rejects lines that each parse")
-    raise ParseError("no edge records found", path=where)
+    if weight is None:
+        return f"weight field {fields[2]!r} is not a number"
+    if not math.isfinite(weight):
+        return f"weight {fields[2]!r} is not finite"
+    if not lo <= weight <= hi:
+        return f"weight {weight!r} outside declared range [{lo}, {hi}]"
+    if not fields[0] or not fields[1]:
+        return "empty origin or terminal token"
+    stamp = _number(fields[3]) if spec.has_timestamp else 0.0
+    if stamp is None:
+        return f"timestamp field {fields[3]!r} is not a number"
+    if not math.isfinite(stamp):
+        return f"timestamp {fields[3]!r} is not finite"
+    return None
+
+
+def _raise_at_first_bad_line(text: str, spec: DatasetSpec):
+    """Raise the :class:`ParseError` naming the first line of ``text``
+    (numbered as by ``str.splitlines``, a header row skipped) that
+    :func:`_parse` cannot read, or saying that no line holds a record."""
+    lines = [(lineno, _split_line(line, spec.delimiter))
+             for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+             if line]
+    first = lines[0][1] if lines else []
+    if len(first) == (4 if spec.has_timestamp else 3) and _number(first[2]) is None:
+        del lines[0]  # header row
+    for lineno, fields in lines:
+        fault = _line_fault(fields, spec)
+        if fault:
+            raise ParseError(fault, path=str(spec.path), line=lineno)
+    if lines:
+        raise AssertionError(f"{spec.path}: the bulk parse rejects lines that each parse")
+    raise ParseError("no edge records found", path=str(spec.path))
 
 
 def parse_edge_list(spec: DatasetSpec) -> list:
@@ -492,39 +486,21 @@ class Snapshot:
         return "sha256:" + hashlib.sha256(_json_text(self, "").encode()).hexdigest()
 
 
-def _layout(items, nl: str, brackets: str = "[]") -> str:
-    """A JSON array (or object) of already encoded ``items``, laid out as
-    ``json.dumps`` lays it out at the level whose line break and indent is
-    ``nl``: with ``indent=2``, or compact when ``nl`` is empty."""
-    if not items:
-        return brackets
-    inner = nl + "  " if nl else ""
-    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
-
-
-def _layout_rows(rows, nl: str) -> str:
-    """``_layout`` of ``rows``, each row an array laid out one level deeper.
-
-    The same text as laying out each row first, built in two joins: each
-    row's closing and the next row's opening go into the outer separator.
-    """
-    deeper = nl and nl + "  "
-    head, sep, tail = _layout(["\0", "\0"], deeper).split("\0")
-    body = (tail + "," + deeper + head).join(map(sep.join, rows))
-    return _layout([head + body + tail], nl) if body else "[]"
-
-
 def _json_text(snapshot: Snapshot, nl: str) -> str:
     """The text ``json.dumps(form, sort_keys=True, ...)`` writes for the
     snapshot's JSON form: with ``indent=2`` when ``nl`` is a line break,
     with ``separators=(",", ":")`` when it is empty.
 
-    Each token is encoded once per vertex and each weight written by
-    ``float.__repr__``, as the encoder writes them, without building the
-    per-edge lists the encoder would walk.
+    The form is three levels deep: the object's members, array items and
+    edge-row items, each level starting its lines with one of ``nl1``,
+    ``nl2`` and ``nl3``.  Each token is encoded once per vertex and each
+    weight written by ``float.__repr__``, as the encoder writes them, and
+    the rows are joined at once: a row's ``]``, the comma and the next
+    row's ``[`` make one separator.
     """
     c = snapshot.columns
-    nl1 = nl and nl + "  "  # the top-level values' level
+    nl1, nl2, nl3 = (nl and nl + "  " * level for level in (1, 2, 3))
+    colon = ": " if nl else ":"
 
     def small(value) -> str:
         if not nl:  # the digest's form, which spells a non-finite number NaN
@@ -532,23 +508,26 @@ def _json_text(snapshot: Snapshot, nl: str) -> str:
         text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
         return text.replace("\n", nl1)
 
+    def array(items: list) -> str:
+        return f"[{nl2}{f',{nl2}'.join(items)}{nl1}]" if items else "[]"
+
     origins = list(map(encode_basestring_ascii, c.origins))
     terminals = list(map(encode_basestring_ascii, c.terminals))
-    edges = zip(
+    rows = f"{nl2}],{nl2}[{nl3}".join(map(f",{nl3}".join, zip(
         map(origins.__getitem__, c.src.tolist()),
         map(terminals.__getitem__, c.dst.tolist()),
         map(float.__repr__, c.weight.tolist()),
-    )
+    )))
     members = {
-        "edges": _layout_rows(edges, nl1),
+        "edges": f"[{nl2}[{nl3}{rows}{nl2}]{nl1}]" if rows else "[]",
         "format": small(SNAPSHOT_FORMAT),
-        "origins": _layout(origins, nl1),
+        "origins": array(origins),
         "provenance": small(snapshot.provenance),
         "raw_weight_range": small(list(snapshot.raw_weight_range)),
-        "terminals": _layout(terminals, nl1),
+        "terminals": array(terminals),
     }
-    colon = ": " if nl else ":"
-    return _layout([f'"{key}"{colon}{members[key]}' for key in sorted(members)], nl, "{}")
+    body = f",{nl1}".join(f'"{key}"{colon}{members[key]}' for key in sorted(members))
+    return f"{{{nl1}{body}{nl}}}"
 
 
 def build_snapshot(
@@ -622,12 +601,17 @@ def _weight_array(weights: list) -> Optional[np.ndarray]:
     return weight if ((weight >= -1.0) & (weight <= 1.0)).all() else None  # NaN fails
 
 
+# A code point UTF-8 cannot encode: JSON can spell a lone surrogate.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _clean(table: tuple) -> bool:
-    """Whether no token of ``table`` is empty, padded or holds a line
-    boundary, each token then ending one line of the joined table (a
-    trailing ``"\\r"`` merges with its ``"\\n"``, but it is padding)."""
+    """Whether no token of ``table`` is empty, padded, holds a line boundary
+    or is not UTF-8 text, each token then ending one line of the joined
+    table (a trailing ``"\\r"`` merges with its ``"\\n"``, but it is padding)."""
+    joined = "\n".join([*table, ""])
     return ("" not in table and tuple(map(str.strip, table)) == table
-            and len("\n".join([*table, ""]).splitlines()) == len(table))
+            and len(joined.splitlines()) == len(table) and not _SURROGATE.search(joined))
 
 
 def _edge_fault(edge, i: int, first_seen: dict) -> Optional[str]:
@@ -636,9 +620,9 @@ def _edge_fault(edge, i: int, first_seen: dict) -> Optional[str]:
 
     In the order checked, ``edge`` must be ``[origin, terminal, weight]``
     with string tokens that are nonempty, carry no leading or trailing
-    whitespace (which parsing strips) and hold no ``str.splitlines`` line
-    boundary (on which parsing splits); a weight in [-1, 1]; and a pair
-    that no earlier edge has.
+    whitespace (which parsing strips), hold no ``str.splitlines`` line
+    boundary (on which parsing splits) and are UTF-8 text; a weight in
+    [-1, 1]; and a pair that no earlier edge has.
     """
     if not (type(edge) is list and len(edge) == 3
             and type(edge[0]) is str and type(edge[1]) is str):
@@ -646,12 +630,12 @@ def _edge_fault(edge, i: int, first_seen: dict) -> Optional[str]:
     origin, terminal, weight = edge
     if not origin or not terminal:
         return "empty origin or terminal token"
-    for token in (origin, terminal):
-        if token != token.strip():
-            return f"token {token!r} has leading or trailing whitespace"
-    for token in (origin, terminal):
-        if token.splitlines() != [token]:
-            return f"token {token!r} holds a line boundary"
+    for bad, fault in ((lambda t: t != t.strip(), "has leading or trailing whitespace"),
+                       (lambda t: t.splitlines() != [t], "holds a line boundary"),
+                       (_SURROGATE.search, "is not UTF-8 text")):
+        for token in (origin, terminal):
+            if bad(token):
+                return f"token {token!r} {fault}"
     if _weight_array([weight]) is None:  # the bulk check, so both accept the same
         return f"weight {weight!r} is not a number in [-1, 1]"
     j = first_seen.setdefault((origin, terminal), i)
