@@ -167,8 +167,8 @@ def _line_fault(fields: list, spec: DatasetSpec) -> Optional[str]:
     expected = 4 if spec.has_timestamp else 3
     if len(fields) != expected:
         return f"expected {expected} fields, got {len(fields)}"
-    weight = _number(fields[2])
     lo, hi = spec.weight_range
+    weight = _number(fields[2])
     if weight is None:
         return f"weight field {fields[2]!r} is not a number"
     if not math.isfinite(weight):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from collections import Counter
 from pathlib import Path
@@ -353,6 +354,64 @@ def token_pipeline(snapshot, config):
 # ---- reference ingest ---------------------------------------------------------
 
 
+def _reference_lines(spec):
+    """``(line number, fields)`` of each nonempty line of the raw edge list
+    ``spec`` describes, numbered as ``str.splitlines`` numbers lines and
+    split as the module documents."""
+    text = Path(spec.path).read_bytes().decode("utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        delimiter = spec.delimiter
+        if delimiter is None:
+            delimiter = "," if "," in line else " "
+        if delimiter == " ":
+            yield lineno, line.split()
+        else:
+            yield lineno, [f.strip() for f in line.split(delimiter)]
+
+
+def reference_line_fault(spec):
+    """``(line, fault)`` for the first line of the raw edge list ``spec``
+    describes that ``parse_edge_list`` documents as bad, ``(None, "no edge
+    records found")`` for a file without records, or ``None``.
+
+    Each data line is checked on its own, in the documented order: field
+    count, weight (a number, finite, inside the declared range), empty
+    token, timestamp (a finite number).  The first data line is a header,
+    and skipped, when it has the right field count and a weight field that
+    is not a number.
+    """
+    lo, hi = spec.weight_range
+    width = 4 if spec.has_timestamp else 3
+    records = 0
+    for n, (lineno, fields) in enumerate(_reference_lines(spec)):
+        if len(fields) != width:
+            return lineno, f"expected {width} fields, got {len(fields)}"
+        try:
+            weight = float(fields[2])
+        except ValueError:
+            if n == 0:
+                continue
+            return lineno, f"weight field {fields[2]!r} is not a number"
+        if not math.isfinite(weight):
+            return lineno, f"weight {fields[2]!r} is not finite"
+        if weight < lo or weight > hi:
+            return lineno, f"weight {weight!r} outside declared range [{lo}, {hi}]"
+        if fields[0] == "" or fields[1] == "":
+            return lineno, "empty origin or terminal token"
+        if spec.has_timestamp:
+            try:
+                stamp = float(fields[3])
+            except ValueError:
+                return lineno, f"timestamp field {fields[3]!r} is not a number"
+            if not math.isfinite(stamp):
+                return lineno, f"timestamp {fields[3]!r} is not finite"
+        records += 1
+    return None if records else (None, "no edge records found")
+
+
 def reference_ingest(spec, sample_size=None, seed=None):
     """``build_snapshot`` then ``save_snapshot``, recomputed one record at a time.
 
@@ -366,17 +425,7 @@ def reference_ingest(spec, sample_size=None, seed=None):
     """
     lo, hi = spec.weight_range
     rows = []
-    for raw in Path(spec.path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        delimiter = spec.delimiter
-        if delimiter is None:
-            delimiter = "," if "," in line else " "
-        if delimiter == " ":
-            fields = line.split()
-        else:
-            fields = [f.strip() for f in line.split(delimiter)]
+    for _, fields in _reference_lines(spec):
         try:
             weight = float(fields[2])
         except ValueError:
@@ -434,8 +483,9 @@ def reference_edge_fault(edges):
     or ``None``.
 
     Each edge is checked on its own, in the documented order: shape, empty
-    token, padded token, token with a line boundary, weight (a real number,
-    not a bool, in [-1, 1]), repeated pair.
+    token, padded token, token with a line boundary, token with a surrogate
+    code point (not UTF-8 text), weight (a real number, not a bool, in
+    [-1, 1]), repeated pair.
     """
     first_edge = {}
     for i, edge in enumerate(edges):
@@ -450,6 +500,9 @@ def reference_edge_fault(edges):
         broken = [t for t in (origin, terminal) if set(t) & set(LINE_BOUNDARIES)]
         if broken:
             return i, f"token {broken[0]!r} holds a line boundary"
+        surrogate = [t for t in (origin, terminal) if any(0xD800 <= ord(c) <= 0xDFFF for c in t)]
+        if surrogate:
+            return i, f"token {surrogate[0]!r} is not UTF-8 text"
         real = isinstance(weight, numbers.Real) and not isinstance(weight, (bool, np.bool_))
         if not (real and -1 <= weight <= 1):
             return i, f"weight {weight!r} is not a number in [-1, 1]"

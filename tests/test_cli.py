@@ -538,6 +538,23 @@ def test_file_that_is_not_utf8_is_parse_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("role", ["snapshot", "predictions", "config"])
+def test_file_with_a_byte_order_mark_is_read(snapshot_file, tmp_path, role):
+    """A leading UTF-8 byte-order mark is dropped from every text input."""
+    preds, marked, out = tmp_path / "preds.csv", tmp_path / "marked", tmp_path / "out.json"
+    assert main(_run_args(snapshot_file, "origin", "knn", preds)) == 0
+    source = {"snapshot": snapshot_file, "predictions": preds}.get(role)
+    content = source.read_bytes() if source else json.dumps({"seed": 7}).encode()
+    marked.write_bytes(b"\xef\xbb\xbf" + content)
+    args = {
+        "snapshot": ["gen-weights", "--snapshot", str(marked), "--output", str(out)],
+        "predictions": ["evaluate", "--predictions", str(marked), "--report", str(out)],
+        "config": _run_args(snapshot_file, "origin", "knn", out, config=marked),
+    }[role]
+    assert main(args) == 0
+    assert out.exists()
+
+
 class TestDeterminismAcrossProcesses:
     def test_reports_are_byte_identical(self, snapshot_file, tmp_path):
         """Two fresh interpreters (different hash seeds) must agree exactly."""

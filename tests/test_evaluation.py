@@ -32,7 +32,8 @@ from weightpred.evaluation import (
     write_predictions,
 )
 from weightpred.fairness import check_stopping_rule
-from weightpred.ingest import TASKS, SplitPlan
+from weightpred.graph import graph_of
+from weightpred.ingest import TASKS, Columns, SplitPlan
 
 from helpers import token_pipeline, write_rating_file
 
@@ -293,6 +294,19 @@ class TestPredictionFiles:
         rows, meta = read_predictions(path)
         assert [r.element for r in rows] == [r.element for r in result.predictions]
         assert (meta["task"], meta["config"]) == (task, result.report.config)
+
+    def test_a_token_utf8_cannot_encode_writes_no_file(self, tmp_path):
+        # Snapshot(...) checks nothing, so a lone surrogate can reach the writer.
+        snap = _synthetic_snapshot()
+        pairs = [("o\ud800" if r.origin == "o0" else r.origin, r.terminal) for r in snap.edges]
+        columns = Columns.of(graph_of(*zip(*pairs)), snap.columns.weight.copy())
+        snap = Snapshot(columns, snap.raw_weight_range, snap.provenance)
+        result = run_experiment(snap, _config("edge", "knn"))
+        assert "o\ud800" in {r.element[0] for r in result.predictions}
+        path = tmp_path / "preds.csv"
+        with pytest.raises(UnicodeEncodeError):
+            write_predictions(path, result)
+        assert not path.exists()
 
     def test_missing_truth_rejected(self, tmp_path):
         path = tmp_path / "preds.csv"

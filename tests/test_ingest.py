@@ -27,8 +27,13 @@ from weightpred import (
     save_snapshot,
 )
 from weightpred.errors import SettingError
+from weightpred.graph import graph_of
+from weightpred.ingest import SNAPSHOT_FORMAT, Columns
 
-from helpers import LINE_BOUNDARIES, reference_edge_fault, reference_ingest
+from helpers import (
+    LINE_BOUNDARIES, reference_edge_fault, reference_ingest, reference_line_fault,
+    write_rating_file,
+)
 
 
 def _spec(path, rng=(-10.0, 10.0), ts=True, delim=","):
@@ -628,7 +633,8 @@ def _faulty_edges(draw):
         side = draw(st.integers(0, 1))
         token = str(edge[side]) if len(edge) > side else "a"
         kind = draw(st.sampled_from([
-            "shape", "token-type", "empty", "padded", "boundary", "weight", "repeat",
+            "shape", "token-type", "empty", "padded", "boundary", "surrogate", "weight",
+            "repeat",
         ]))
         if kind == "shape":
             edges[i] = draw(st.sampled_from([edge[:2], [*edge, 7], [], "edge", None]))
@@ -645,6 +651,11 @@ def _faulty_edges(draw):
             at = draw(st.integers(0, len(token)))
             c = draw(st.sampled_from([*LINE_BOUNDARIES, "\r\n"]))
             edge[side] = token[:at] + c + token[at:]
+        elif kind == "surrogate":
+            # High surrogates only: JSON reads an escaped high-low pair as one
+            # character, so two faults could otherwise make a valid token.
+            at = draw(st.integers(0, len(token)))
+            edge[side] = token[:at] + chr(draw(st.integers(0xD800, 0xDBFF))) + token[at:]
         elif kind == "weight":
             edge[2] = draw(st.one_of(st.booleans(), st.sampled_from(_BAD_WEIGHTS)))
         else:  # repeat an earlier or later edge's pair
@@ -742,3 +753,196 @@ def test_from_edges_accepts_numpy_and_integer_weights():
         (-10.0, 10.0), {},
     )
     assert snap.columns.weight.tolist() == [0.5, -0.25, 1.0, 0.0]
+
+
+def test_a_token_that_is_not_utf8_text_is_rejected(tmp_path):
+    """JSON can spell a lone surrogate, which no raw file can produce and
+    no predictions file can hold."""
+    path = tmp_path / "snap.json"
+    payload = _snapshot_payload()
+    payload["origins"][0] = "a\ud800"
+    for edge in payload["edges"][::2]:
+        edge[0] = "a\ud800"
+    path.write_text(json.dumps(payload))
+    message = "edge 0: token 'a\\ud800' is not UTF-8 text"
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_snapshot(path)
+    edges = [EdgeRecord("b", "y", -0.25), EdgeRecord("b", "z\udfff", 0.5)]
+    message = "edge 1 ('b', 'z\\udfff'): token 'z\\udfff' is not UTF-8 text"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Snapshot.from_edges(edges, (-10.0, 10.0), {})
+
+
+# ---- raw files: byte-order mark and line numbers ------------------------------
+
+
+def test_a_byte_order_mark_and_crlf_give_the_columns_of_the_plain_file(tmp_path):
+    plain = write_rating_file(tmp_path / "plain.csv", n_edges=300, seed=4)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+    want, got = build_snapshot(_spec(plain)), build_snapshot(_spec(marked))
+    assert (got.origins, got.terminals) == (want.origins, want.terminals)
+    for name in ("src", "dst", "weight"):
+        assert np.array_equal(getattr(got.columns, name), getattr(want.columns, name))
+    # The source hash is of the bytes as read.
+    assert got.provenance["source_sha256"] == hashlib.sha256(marked.read_bytes()).hexdigest()
+
+
+def test_a_snapshot_file_with_a_byte_order_mark_loads(tmp_path):
+    path = tmp_path / "snap.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(_snapshot_payload()).encode())
+    assert load_snapshot(path).origins == ("a", "b")
+
+
+@pytest.mark.parametrize("boundary", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85",
+                                      "\u2028"])
+def test_a_bad_byte_is_on_the_line_splitlines_numbers(tmp_path, boundary):
+    path = tmp_path / "d.csv"
+    brk = boundary.encode("utf-8")
+    path.write_bytes(b"a,b,1" + brk + b"caf\xe9,d,1" + brk + b"e,f,2" + brk)
+    with pytest.raises(ParseError, match=re.escape(f"{path}: line 2: not UTF-8 text")):
+        build_snapshot(_spec(path, ts=False))
+
+
+# ---- raw files: the bulk parse and the line walk agree ------------------------
+
+# Each delimiter mode and tokens it can carry; "::" is a multi-character one.
+_RAW_TOKENS = {**_TOKENS, "::": ["a", "b", "\u00e9", "c:d", 'q"t', "two words"]}
+_LINE_BREAKS = [*LINE_BOUNDARIES, "\r\n"]
+
+
+@st.composite
+def _faulty_raw_files(draw):
+    """(delimiter, weight range, timestamps?, text) of a raw file: valid
+    rows, maybe a header, then 0-3 faults, blank lines and line breaks of
+    every kind."""
+    delimiter = draw(st.sampled_from(list(_RAW_TOKENS)))
+    lo, hi = draw(st.sampled_from(_WEIGHT_RANGES))
+    ts = draw(st.booleans())
+    token = st.sampled_from(_RAW_TOKENS[delimiter])
+    weight = st.one_of(st.integers(math.ceil(lo), math.floor(hi)).map(str),
+                       st.floats(lo, hi).map(repr))
+    header = ["source", "target", "rating", "time"][:3 + ts]
+    lines = [header] if draw(st.booleans()) else []
+    lines += draw(st.lists(
+        st.tuples(token, token, weight, st.integers(0, 3).map(str)).map(lambda r: [*r][:3 + ts]),
+        min_size=1, max_size=12,
+    ))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = list(lines[i])
+        kind = draw(st.sampled_from(["count", "weight", "empty", "stamp", "header"]))
+        if kind == "count":
+            fields = draw(st.sampled_from([fields[:-1], fields + ["7"], fields[:1]]))
+        elif kind == "weight" and len(fields) > 2:
+            fields[2] = draw(st.sampled_from(
+                ["x", "inf", "-inf", "nan", "1e400", repr(hi + 1.0), repr(lo - 0.5)]
+            ))
+        elif kind == "empty" and len(fields) > 2:
+            fields[draw(st.integers(0, 1))] = ""
+        elif kind == "stamp" and len(fields) == 4:
+            fields[3] = draw(st.sampled_from(["soon", "nan", "inf", "-Infinity"]))
+        elif kind == "header":
+            fields = header
+        lines[i] = fields
+    text = ""
+    for fields in lines:
+        if draw(st.booleans()) and draw(st.booleans()):
+            text += draw(st.sampled_from(["", " ", "\t "])) + draw(st.sampled_from(_LINE_BREAKS))
+        sep = delimiter
+        if sep is None:
+            sep = draw(st.sampled_from([",", " "]))
+        elif sep == " ":
+            sep = draw(st.sampled_from([" ", "\t", "  "]))
+        text += sep.join(fields) + draw(st.sampled_from(_LINE_BREAKS))
+    return delimiter, (lo, hi), ts, text
+
+
+@given(_faulty_raw_files())
+@settings(max_examples=300, deadline=None)
+def test_the_raw_bulk_parse_and_the_walk_agree(tmp_path_factory, raw):
+    """``build_snapshot`` ingests exactly the raw files a per-line reference
+    accepts, as the record-at-a-time reference ingests them, and otherwise
+    names the line and fault the reference names; none reaches the walk's
+    ``AssertionError``."""
+    delimiter, weight_range, ts, text = raw
+    root = tmp_path_factory.mktemp("raw")
+    path = root / "raw.txt"
+    path.write_bytes(text.encode("utf-8"))
+    spec = DatasetSpec(str(path), weight_range, ts, delimiter)
+    want = reference_line_fault(spec)
+    if want is None:
+        want_text, want_digest = reference_ingest(spec)
+        snap = build_snapshot(spec)
+        save_snapshot(snap, root / "snap.json")
+        assert (root / "snap.json").read_bytes() == want_text.encode()
+        assert snap.digest() == want_digest
+    else:
+        line, fault = want
+        with pytest.raises(ParseError) as err:
+            build_snapshot(spec)
+        where = f"{path}: " + (f"line {line}: " if line else "")
+        assert str(err.value) == where + fault
+
+
+# ---- the snapshot writer against json.dumps -----------------------------------
+
+# Any token the token rules let through: non-BMP characters, quotes,
+# backslashes, C0 controls other than line breaks, DEL.
+_ANY_TOKENS = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\U0001f600"]),
+        st.characters(exclude_categories=("Cs",), exclude_characters=LINE_BOUNDARIES),
+    ),
+    min_size=1, max_size=4,
+).filter(lambda t: t == t.strip())
+_PROVENANCE = st.dictionaries(st.text(max_size=4), st.recursive(
+    st.none() | st.text(max_size=4) | st.integers(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+), max_size=4)
+
+
+def _json_form(snapshot, edges):
+    return {
+        "format": SNAPSHOT_FORMAT,
+        "raw_weight_range": list(snapshot.raw_weight_range),
+        "origins": list(dict.fromkeys(e[0] for e in edges)),
+        "terminals": list(dict.fromkeys(e[1] for e in edges)),
+        "edges": edges,
+        "provenance": snapshot.provenance,
+    }
+
+
+def _assert_written_as_json_dumps(snapshot, edges, path):
+    form = _json_form(snapshot, edges)
+    save_snapshot(snapshot, path)
+    assert path.read_bytes() == (
+        json.dumps(form, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    ).encode()
+    compact = json.dumps(form, sort_keys=True, separators=(",", ":"))
+    assert snapshot.digest() == "sha256:" + hashlib.sha256(compact.encode()).hexdigest()
+
+
+@given(
+    st.lists(st.tuples(_ANY_TOKENS, _ANY_TOKENS), min_size=1, max_size=12, unique=True),
+    st.data(),
+    st.sampled_from([(-10.0, 10.0), (0.5, 2.25), (1, 5)]),
+    _PROVENANCE,
+)
+@settings(max_examples=200, deadline=None)
+def test_the_snapshot_writer_matches_json_dumps(tmp_path_factory, pairs, data, weight_range,
+                                                provenance):
+    weight = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324, 0.1]),
+                       st.floats(-1.0, 1.0))
+    edges = [[o, t, data.draw(weight)] for o, t in pairs]
+    snap = Snapshot.from_edges([EdgeRecord(*e) for e in edges], weight_range, provenance)
+    _assert_written_as_json_dumps(snap, edges, tmp_path_factory.mktemp("writer") / "s.json")
+
+
+def test_a_snapshot_without_edges_is_written_as_json_dumps(tmp_path):
+    """``Snapshot(columns, ...)`` checks nothing, so it may hold no edges."""
+    columns = Columns.of(graph_of([], []), np.array([], dtype=float))
+    snap = Snapshot(columns, (-1.0, 1.0), {"sampling": None})
+    _assert_written_as_json_dumps(snap, [], tmp_path / "s.json")
