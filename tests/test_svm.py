@@ -20,6 +20,8 @@ from weightpred import (
 )
 from weightpred.svm import _kernel_matrix
 
+from helpers import _left_sum
+
 finite_reals = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
@@ -112,6 +114,35 @@ class TestFit:
         assert model.points == ((1.0, 0.5), (2.0, 0.5))
         assert len(model.coefficients) == len(model.points)
 
+    @given(st.lists(st.tuples(
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.25, 3.0]),
+        st.sampled_from([0.0, -0.0]) | st.floats(min_value=-1.0, max_value=1.0),
+    ), min_size=1, max_size=30))
+    def test_merge_matches_a_dict_oracle(self, pairs):
+        model = fit_points(pairs, SvmConfig(kernel=KernelSpec("rbf", gamma=0.5)), (-1, 1))
+        # Of 0.0 and -0.0 the first stands for the merged point.
+        groups = {}
+        for u, y in pairs:
+            groups.setdefault(u, []).append(y)
+        want = [(u, _left_sum(sorted(ys)) / len(ys)) for u, ys in groups.items()]
+        bits = lambda points: [(type(u), u.hex(), type(y), y.hex()) for u, y in points]
+        assert bits(model.points) == bits(want)
+        assert model.merged_count == len(pairs) - len(groups)
+
+    def test_every_form_of_the_points_fits_the_same_model(self):
+        pairs = [(1.0, 0.2), (-0.0, -0.5), (1.0, 0.8), (0.0, 0.1), (2.5, -0.0)]
+        forms = [
+            zip([u for u, _ in pairs], [y for _, y in pairs]),
+            (pair for pair in pairs),
+            pairs,
+            [list(pair) for pair in pairs],
+            np.array(pairs),
+        ]
+        models = [fit_points(form, SvmConfig(), (-1, 1)) for form in forms]
+        # repr round-trips every float, the sign of -0.0 included.
+        assert len({repr(model) for model in models}) == 1
+        assert [repr(u) for u, _ in models[0].points] == ["1.0", "-0.0", "2.5"]
+
     def test_train_mae_reported_finite(self):
         model = fit_points(
             [(0.0, -0.5), (1.0, 0.1), (2.0, 0.9)],
@@ -151,8 +182,10 @@ class TestFit:
             fit_points([], SvmConfig(), (-1, 1))
 
     def test_non_finite_label_rejected(self):
-        with pytest.raises(ValueError):
-            fit_points([(0.0, float("inf"))], SvmConfig(), (-1, 1))
+        for points in ([(0.0, float("inf"))], np.array([[0.0, np.inf]])):
+            with pytest.raises(ValueError) as err:
+                fit_points(points, SvmConfig(), (-1, 1))
+            assert "non-finite training point (0.0, inf)" in str(err.value)
 
     def test_nonpositive_regularization_rejected(self):
         with pytest.raises(ValueError):
