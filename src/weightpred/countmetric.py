@@ -16,8 +16,9 @@ exactly on equivalent pairs.  Elements with empty neighborhoods all sit in
 the count-zero class.
 
 All sums run over a canonically sorted value order so results do not depend
-on enumeration order (see :func:`stable_mean`), and add left to right (see
-:func:`ordered_sum`) so they do not depend on the Python version.
+on enumeration order (see :func:`stable_mean`), and add left to right from
+0.0 in ``np.bincount`` (see :func:`ordered_sum`).  :func:`key_classes` groups
+values by equal keys (band counts, SVM embeddings, repeated edge pairs).
 
 :func:`profile_arrays` fills every profile in one batch over the graph's
 integer arrays, and :class:`CountMetric` reads one element's profile from
@@ -26,19 +27,18 @@ them by token.  Each element's neighbors form one segment of a flat array of
 the ascending order of training weights.  One sort on ``element * n + rank``
 both deduplicates each segment and orders it by weight, and ``np.bincount``
 adds each segment's weights left to right from 0.0, so every average has the
-bits of ``ordered_sum(sorted(ws)) / len(ws)``.  Only ``np.bincount`` may
-sum here: ``np.sum`` and ``np.mean`` add pairwise and change the last bits.
+bits of ``ordered_sum(sorted(ws)) / len(ws)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .graph import DirectedGraph, WeightKind, Weighting
+from .graph import DirectedGraph, WeightKind, Weighting, _encode
 
 # Most (element, candidate neighbor) pairs the batched profile fill holds at
 # once.  It bounds the fill's working memory, which would otherwise grow with
@@ -47,16 +47,14 @@ from .graph import DirectedGraph, WeightKind, Weighting
 _CHUNK_ENTRIES = 16_384
 
 
-def ordered_sum(values: Iterable[float]) -> float:
+def ordered_sum(values: Sequence[float]) -> float:
     """``((0.0 + v0) + v1) + ...`` in IEEE doubles, one rounding per addition.
 
-    Builtin ``sum()`` adds floats this way up to CPython 3.11; from 3.12 it
-    compensates rounding error (gh-100425), which changes the last bits.
+    ``np.bincount`` adds its weights in this order.  ``np.sum`` adds
+    pairwise, and builtin ``sum()`` compensates rounding error from CPython
+    3.12 on (gh-100425); either changes the last bits.
     """
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+    return float(np.bincount(np.zeros(len(values), np.intp), weights=values, minlength=1)[0])
 
 
 def stable_mean(values: Sequence[float]) -> float:
@@ -66,21 +64,34 @@ def stable_mean(values: Sequence[float]) -> float:
     predictions and profiles are bit-identical no matter how the caller
     enumerated the underlying sets.
     """
-    vals = sorted(values)
-    if not vals:
+    if not len(values):
         raise ValueError("stable_mean of an empty sequence")
-    return ordered_sum(vals) / len(vals)
+    return ordered_sum(np.sort(values)) / len(values)
 
 
-def sorted_groups(keys: Iterable, values: Iterable) -> dict:
-    """key -> its values in ascending order, keys in first-appearance order
-    (of equal keys, such as ``0.0`` and ``-0.0``, the first stands)."""
-    groups: dict = {}
-    for key, value in zip(keys, values):
-        groups.setdefault(key, []).append(value)
-    for group in groups.values():
-        group.sort()
-    return groups
+def key_classes(keys, values) -> tuple:
+    """The classes of equal keys, as ``(table, sorted_values, ptr)``.
+
+    ``table`` holds the distinct keys in first-appearance order, numbered by
+    :func:`weightpred.graph._encode` (of equal keys, such as ``0.0`` and
+    ``-0.0``, the first stands).  Class ``k`` holds the values of key
+    ``table[k]`` ascending, equal ones in input order, as one slice:
+    ``sorted_values[ptr[k]:ptr[k + 1]]``.
+    """
+    table, ids = _encode(np.asarray(keys).tolist())
+    values = np.asarray(values)
+    n = len(values)
+    # Two stable composite-key sorts (see _grouped): by value, then by class.
+    by_value, _ = _grouped(np.searchsorted(np.sort(values), values), n, np.arange(n))
+    return (table, *_grouped(ids[by_value], len(table), values[by_value]))
+
+
+def _training_weights(weighting: Weighting, training: Sequence) -> list:
+    """The training elements' weights; ``DomainError`` for one without."""
+    missing = [a for a in training if a not in weighting.weights]
+    if missing:
+        raise DomainError(f"training element {missing[0]!r} has no weight")
+    return [float(weighting.weights[a]) for a in training]
 
 
 @dataclass(frozen=True)

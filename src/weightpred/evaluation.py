@@ -258,14 +258,10 @@ def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentRe
     test_counts = band_counts[split.test].tolist()
 
     if config.method == "knn":
-        predict = KnnClasses(
-            train_counts.tolist(), train_weights.tolist(), config.knn_config()
-        ).predict_count
+        predict = KnnClasses(train_counts, train_weights, config.knn_config()).predict_count
     else:
         model = svm_mod.fit_points(
-            zip(train_counts.tolist(), train_weights.tolist()),
-            config.svm_config(),
-            value_range,
+            np.stack((train_counts, train_weights), axis=1), config.svm_config(), value_range
         )
         predict = lambda c: svm_mod.predict_at(model, float(c))
 

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .countmetric import sorted_groups, stable_mean
+from .countmetric import key_classes, stable_mean
 from .errors import (
     DomainError, ParseError, SettingError, check_float, check_int, read_bytes, utf8_text,
 )
@@ -235,19 +235,20 @@ def _collapse(graph: DirectedGraph, weights: list, stamps: list) -> tuple:
     """
     if not _repeats(graph):
         return np.arange(len(weights)), weights, stamps
-    first, out_weights, out_stamps = [], [], []
     # Each pair's records, in file order.
-    for group in sorted_groups(_pair_keys(graph).tolist(), range(len(weights))).values():
-        first.append(group[0])
-        if len(group) == 1 or all(stamps[i] is not None for i in group):
+    _, records, ptr = key_classes(_pair_keys(graph), np.arange(len(weights)))
+    first = records[ptr[:-1]]
+    out_weights = list(map(weights.__getitem__, first.tolist()))
+    out_stamps = list(map(stamps.__getitem__, first.tolist()))
+    for k in np.flatnonzero(np.diff(ptr) > 1).tolist():
+        group = records[ptr[k]:ptr[k + 1]].tolist()
+        if all(stamps[i] is not None for i in group):
             # max keeps the first of equal keys; scan backwards so the last wins.
             i = max(reversed(group), key=stamps.__getitem__)
-            out_weights.append(weights[i])
-            out_stamps.append(stamps[i])
+            out_weights[k], out_stamps[k] = weights[i], stamps[i]
         else:
-            out_weights.append(stable_mean([weights[i] for i in group]))
-            out_stamps.append(None)
-    return np.array(first, dtype=np.intp), out_weights, out_stamps
+            out_weights[k], out_stamps[k] = stable_mean([weights[i] for i in group]), None
+    return first, out_weights, out_stamps
 
 
 def collapse_duplicates(records: Sequence[EdgeRecord]) -> list:

@@ -15,11 +15,11 @@ neighborhood falls back to the global training mean, flagged.
 
 The distance depends on an element only through its integer band count, so
 the training weights are grouped by count once (one ascending class per
-distinct count, see :func:`weightpred.countmetric.sorted_groups`) and
-classes are selected, never single elements.  A query is
-answered from its band count alone: :class:`KnnClasses` works on the
-training counts and weights as given, and :class:`KnnModel` reads them from
-a metric and training elements, then memoises one answer per query count.
+count, see :func:`weightpred.countmetric.key_classes`) and classes are
+selected, never single elements.  A query is answered from its band count alone:
+:class:`KnnClasses` works on the training counts and weights as given, lists
+or arrays, and :class:`KnnModel` reads them from a metric and training
+elements, then memoises one answer per query count.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .countmetric import CountMetric, ordered_sum, sorted_groups, stable_mean
-from .errors import DomainError, PredictionError, SettingError, check_int
+import numpy as np
+
+from .countmetric import CountMetric, _training_weights, key_classes, ordered_sum, stable_mean
+from .errors import PredictionError, SettingError, check_int
 
 ZERO_DISTANCE_POLICIES = ("exclude", "include")
 DENOMINATOR_POLICIES = ("neighborhood_size", "fixed_k")
@@ -73,29 +75,29 @@ class KnnClasses:
     training order: one class of weights per distinct count."""
 
     def __init__(self, counts: Sequence[int], weights: Sequence[float], config: KnnConfig):
-        if not weights:
-            raise PredictionError("kNN requires a non-empty training set")
         self.config = config
-        self._classes = sorted_groups(counts, weights)  # band count -> its weights
-        self._fallback = stable_mean(weights)
+        # Class k holds the weights of band count self._counts[k], ascending.
+        self._counts, self._weights, self._ptr = key_classes(counts, weights)
+        if not len(self._weights):
+            raise PredictionError("kNN requires a non-empty training set")
+        self._fallback = stable_mean(self._weights)
 
     def _select(self, c: int):
-        """Counts of the classes chosen for query count c, and the degenerate flag."""
-        dists = {t: abs(t - c) for t in self._classes}
-        if self.config.zero_distance_policy == "exclude":
-            dists = {t: d for t, d in dists.items() if d > 0}
-        values = sorted(set(dists.values()))
+        """Table positions of the classes chosen for query count c, and the degenerate flag."""
+        dists = [abs(t - c) for t in self._counts]
+        include = self.config.zero_distance_policy == "include"
+        values = sorted({d for d in dists if d > 0 or include})
         chosen = set(values[: self.config.k])
-        return {t for t, d in dists.items() if d in chosen}, len(values) < self.config.k
+        return [k for k, d in enumerate(dists) if d in chosen], len(values) < self.config.k
 
     def predict_count(self, c: int) -> KnnPrediction:
         """The answer for every query whose band count is c."""
         chosen, degenerate = self._select(c)
-        weights = sorted(w for t in chosen for w in self._classes[t])
-        n = len(weights)
+        classes = [self._weights[self._ptr[k]:self._ptr[k + 1]] for k in chosen]
+        n = sum(map(len, classes))
         denom = n if self.config.denominator_policy == "neighborhood_size" else self.config.k
         return KnnPrediction(
-            value=ordered_sum(weights) / denom if n else self._fallback,
+            value=ordered_sum(np.sort(np.concatenate(classes))) / denom if n else self._fallback,
             used_fallback=n == 0,
             degenerate=degenerate,
             neighborhood_size=n,
@@ -107,24 +109,16 @@ class KnnModel(KnnClasses):
 
     def __init__(self, metric: CountMetric, training: Sequence, config: KnnConfig = KnnConfig()):
         training = tuple(training)
-        domain = metric.weighting.weights
-        for elem in training:
-            if elem not in domain:
-                raise DomainError(f"training element {elem!r} has no weight")
-        super().__init__(
-            [metric.profile(a).band_count for a in training],
-            [float(domain[a]) for a in training],
-            config,
-        )
+        weights = _training_weights(metric.weighting, training)
+        super().__init__([metric.profile(a).band_count for a in training], weights, config)
         self.metric = metric
         self.training = training
         self._memo: dict = {}  # query band count -> KnnPrediction
 
     def neighborhood(self, x) -> KnnNeighborhood:
         chosen, degenerate = self._select(self.metric.profile(x).band_count)
-        elems = tuple(
-            a for a in self.training if self.metric.profile(a).band_count in chosen
-        )
+        counts = {self._counts[k] for k in chosen}
+        elems = tuple(a for a in self.training if self.metric.profile(a).band_count in counts)
         return KnnNeighborhood(elements=elems, degenerate=degenerate)
 
     def predict(self, x) -> KnnPrediction:

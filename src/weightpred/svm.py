@@ -14,11 +14,11 @@ labels are reproduced exactly.
 
 Band counts are small integers, so distinct training elements frequently
 collide at the same embedding value.  Colliding points are merged before
-fitting (label = mean of the group, over the ascending classes of
-:func:`weightpred.countmetric.sorted_groups`, as in kNN) to keep the normal
-system full rank; the merge count is reported on the model.  A point's
-fitted value is its merged point's, so ``train_mae`` needs no kernel matrix
-beyond the fit's m x m one.
+fitting, one per class of :func:`weightpred.countmetric.key_classes` in
+first-appearance order, labelled with the mean of the class's ascending
+labels as in kNN; that keeps the normal system full rank, and the merge
+count is reported on the model.  A point's fitted value is its merged
+point's, so ``train_mae`` needs no kernel matrix beyond the fit's m x m one.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .countmetric import CountMetric, ordered_sum, sorted_groups
+from .countmetric import CountMetric, _training_weights, key_classes
 from .errors import PredictionError, SettingError, check_float, check_int
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf")
@@ -123,28 +123,27 @@ def fit_points(
     value_range: tuple = (-1.0, 1.0),
 ) -> SvmModel:
     """Fit the expansion to explicit (embedding, label) pairs."""
-    points = [(float(u), float(y)) for u, y in points]
-    if not points:
+    # An iterator (a zip, a generator) is read once into a list.
+    pairs = np.array(list(points) if iter(points) is points else points, dtype=float)
+    if not len(pairs):
         raise PredictionError("cannot fit a model to an empty training set")
-    for u, y in points:
-        if not (math.isfinite(u) and math.isfinite(y)):
-            raise ValueError(f"non-finite training point ({u!r}, {y!r})")
-
-    u_all = np.array([u for u, _ in points])
+    pairs = pairs.reshape(len(pairs), 2)
+    bad = pairs[~np.isfinite(pairs).all(axis=1)].tolist()
+    if bad:
+        raise ValueError("non-finite training point ({!r}, {!r})".format(*bad[0]))
+    u_all, y_all = np.ascontiguousarray(pairs.T)
 
     kernel = config.kernel
     if kernel.kind == "rbf" and kernel.gamma is None:
         gamma = 1.0 / (2.0 * float(np.var(u_all)) + _EPS)
         kernel = KernelSpec(kind="rbf", degree=kernel.degree, gamma=gamma, coef0=kernel.coef0)
 
-    # Merge embedding collisions; group order follows first appearance.
-    groups = sorted_groups(u_all.tolist(), [y for _, y in points])
-    merged = [(u, ordered_sum(ys) / len(ys)) for u, ys in groups.items()]  # = stable_mean(ys)
-    merged_count = len(points) - len(merged)
-
-    u_m = np.array([u for u, _ in merged])
-    y_m = np.array([y for _, y in merged])
-    m = len(merged)
+    # Merge embedding collisions; class order follows first appearance.
+    table, labels, ptr = key_classes(u_all, y_all)
+    m = len(table)
+    sizes = np.diff(ptr)
+    u_m = np.array(table)
+    y_m = np.bincount(np.repeat(np.arange(m), sizes), weights=labels, minlength=m) / sizes
 
     # A kernel can overflow on large embeddings (a high polynomial degree);
     # that surfaces as the non-finite fit rejected below, not as warnings.
@@ -158,8 +157,8 @@ def fit_points(
         )
 
         # A point's fitted value is that of its merged point.
-        fitted = np.repeat(design @ beta, list(map(len, groups.values())))
-        train_mae = float(np.abs(fitted - np.concatenate(list(groups.values()))).mean())
+        fitted = np.repeat(design @ beta, sizes)
+        train_mae = float(np.abs(fitted - labels).mean())
     if not (np.isfinite(beta).all() and math.isfinite(train_mae)):
         raise PredictionError(
             f"SVM fit is not finite under {kernel} on embeddings up to "
@@ -167,12 +166,12 @@ def fit_points(
         )
 
     return SvmModel(
-        points=tuple(merged),
+        points=tuple(zip(table, y_m.tolist())),
         coefficients=tuple(float(b) for b in beta[1:]),
         intercept=float(beta[0]),
         kernel=kernel,
         value_range=(float(value_range[0]), float(value_range[1])),
-        merged_count=merged_count,
+        merged_count=len(u_all) - m,
         train_mae=train_mae,
     )
 
@@ -180,9 +179,8 @@ def fit_points(
 def fit(metric: CountMetric, training: Sequence, config: SvmConfig = SvmConfig()) -> SvmModel:
     """Fit from training elements, embedding them through the metric."""
     training = tuple(training)
-    points = [(metric.transfer(a), metric.weighting.weights[a]) for a in training]
-    weighting = metric.weighting
-    return fit_points(points, config, value_range=(weighting.lo, weighting.hi))
+    points = zip(map(metric.transfer, training), _training_weights(metric.weighting, training))
+    return fit_points(points, config, value_range=(metric.weighting.lo, metric.weighting.hi))
 
 
 def _predict_raw(model: SvmModel, u) -> np.ndarray:

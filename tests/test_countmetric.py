@@ -1,7 +1,6 @@
 """Profiles, band counts, and the metric-modulo-equivalence axioms."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from weightpred import (
 from weightpred.ingest import DatasetSpec, parse_edge_list
 
 from helpers import (
+    _left_sum,
     brute_neighbors,
     brute_profile,
     random_instance,
@@ -49,19 +49,23 @@ class TestAvgNeighborWeight:
 
 @given(st.lists(st.tuples(
     st.sampled_from([0.0, -0.0, 1.0, -2.5, 7.0]),
-    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0]) | st.floats(min_value=-1.0, max_value=1.0),
 ), max_size=40))
-def test_sorted_groups_keep_first_appearance_and_sort_each_group(pairs):
+def test_key_classes_keep_first_appearance_and_sort_each_class(pairs):
     keys = [k for k, _ in pairs]
-    groups = countmetric.sorted_groups(keys, [v for _, v in pairs])
-    # 0.0 and -0.0 are one key, and the first of them stands for the group.
+    table, values, ptr = countmetric.key_classes(keys, [v for _, v in pairs])
+    # Dict oracle: of 0.0 and -0.0 the first stands for the class.
+    groups = {}
+    for k, v in pairs:
+        groups.setdefault(k, []).append(v)
     signed = lambda ks: [(k, math.copysign(1.0, k)) for k in ks]
-    assert signed(groups) == signed(dict.fromkeys(keys))
-    assert all(group == sorted(group) for group in groups.values())
-    assert Counter((k, v) for k, group in groups.items() for v in group) == Counter(pairs)
-    for k, group in groups.items():
-        mean = countmetric.ordered_sum(group) / len(group)
-        assert mean == stable_mean([v for j, v in pairs if j == k])
+    assert signed(table) == signed(groups)
+    assert all(type(k) is float for k in table)
+    assert ptr[0] == 0 and ptr[-1] == len(values) == len(pairs)
+    for i, want in enumerate(groups.values()):
+        got = values[ptr[i]:ptr[i + 1]].tolist()
+        assert [v.hex() for v in got] == [v.hex() for v in sorted(want)]
+        assert countmetric.ordered_sum(got).hex() == _left_sum(sorted(want)).hex()
 
 
 class TestBandCount:

@@ -5,6 +5,7 @@ import pytest
 
 from weightpred import (
     CountMetric,
+    DomainError,
     KnnConfig,
     KnnModel,
     PredictionError,
@@ -12,6 +13,8 @@ from weightpred import (
     Weighting,
     build_graph,
 )
+
+from weightpred.knn import KnnClasses
 
 from helpers import brute_knn, brute_profile, random_instance, universe_of
 
@@ -105,11 +108,29 @@ class TestPredict:
             KnnModel(m, [])
 
     def test_training_element_without_weight_rejected(self, fig1, origin_weights):
-        from weightpred import DomainError
-
         m = CountMetric(fig1, origin_weights, 0.2)
         with pytest.raises(DomainError):
             KnnModel(m, ["b", "a"])
+        with pytest.raises(DomainError, match="training element 'a' has no weight"):
+            KnnModel(m, ["a"])
+
+    @pytest.mark.parametrize("zero_distance_policy", ["exclude", "include"])
+    @pytest.mark.parametrize("denominator_policy", ["neighborhood_size", "fixed_k"])
+    def test_classes_answer_alike_from_lists_and_arrays(
+        self, zero_distance_policy, denominator_policy
+    ):
+        rng = np.random.default_rng(7)
+        counts = rng.integers(0, 9, 60)
+        weights = rng.uniform(-1, 1, 60)
+        weights[:6] = [0.0, -0.0, 0.0, -0.0, 0.5, -0.5]
+        config = KnnConfig(3, zero_distance_policy, denominator_policy)
+        lists = KnnClasses(counts.tolist(), weights.tolist(), config)
+        arrays = KnnClasses(counts, weights, config)
+        for c in range(12):
+            want = lists.predict_count(c)
+            got = arrays.predict_count(c)
+            assert got == want
+            assert type(got.value) is float and got.value.hex() == want.value.hex()
 
 
 class TestPredictionProperties:

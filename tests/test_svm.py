@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from weightpred import (
     CountMetric,
+    DomainError,
     KernelSpec,
     PredictionError,
     SvmConfig,
@@ -237,6 +238,11 @@ class TestPredict:
         pc = predict_weight_svm(model, metric, "c")
         assert metric.transfer("b") == metric.transfer("c")
         assert pb.value == pc.value
+
+    def test_training_element_without_weight_rejected(self, fig1, origin_weights):
+        metric = CountMetric(fig1, origin_weights, 0.2)
+        with pytest.raises(DomainError, match="training element 'a' has no weight"):
+            fit(metric, ["a"])
 
     def test_fit_from_metric_uses_weight_range(self, fig1, origin_weights):
         metric = CountMetric(fig1, origin_weights, 0.2)
