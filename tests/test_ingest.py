@@ -172,6 +172,40 @@ class TestCollapseDuplicates:
         records = [EdgeRecord("a", "b", 1.0, 5), EdgeRecord("a", "c", 2.0, 6)]
         assert collapse_duplicates(records) == records
 
+    @given(st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 1),
+                  # 0.1 + 0.2 + 0.3 rounds differently in another order.
+                  st.one_of(st.floats(-10.0, 10.0),
+                            st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1 / 3])),
+                  st.one_of(st.none(), st.integers(0, 3))),
+        min_size=1, max_size=40,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_dict_oracle(self, rows):
+        """Stamped and unstamped groups mixed in one call, several averaged
+        groups, ties and ``-0.0``, compared bit for bit with a dict oracle."""
+        records = [EdgeRecord(f"o{o}", f"t{t}", w, ts) for o, t, w, ts in rows]
+        groups = {}
+        for r in records:
+            groups.setdefault(r.pair, []).append(r)
+        want = []
+        for (o, t), group in groups.items():
+            if all(r.timestamp is not None for r in group):
+                latest = max(r.timestamp for r in group)
+                want.append([r for r in group if r.timestamp == latest][-1])
+            elif len(group) == 1:  # a lone record is kept as is, -0.0 included
+                want.append(group[0])
+            else:
+                total = 0.0
+                for w in sorted(r.weight for r in group):
+                    total += w
+                want.append(EdgeRecord(o, t, total / len(group)))
+
+        def bits(r):
+            return r.origin, r.terminal, r.weight.hex(), r.timestamp
+
+        assert list(map(bits, collapse_duplicates(records))) == list(map(bits, want))
+
 
 class TestRescale:
     def test_golden_values(self):
@@ -341,8 +375,14 @@ class TestSnapshot:
         snap = load_snapshot(out)
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         assert snap.digest() == "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+        again = tmp_path / "again.json"
         with pytest.raises(ValueError, match="not JSON compliant"):
-            save_snapshot(snap, tmp_path / "again.json")
+            save_snapshot(snap, again)
+        assert not again.exists()
+        again.write_bytes(b"kept")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_snapshot(snap, again)
+        assert again.read_bytes() == b"kept"
 
     def test_digest_independent_of_directory(self, tmp_path):
         raw = self._write_raw(tmp_path)
