@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .countmetric import key_classes, stable_mean
+from .countmetric import key_classes
 from .errors import (
     DomainError, ParseError, SettingError, check_float, check_int, read_bytes, utf8_text,
 )
@@ -240,14 +240,25 @@ def _collapse(graph: DirectedGraph, weights: list, stamps: list) -> tuple:
     first = records[ptr[:-1]]
     out_weights = list(map(weights.__getitem__, first.tolist()))
     out_stamps = list(map(stamps.__getitem__, first.tolist()))
-    for k in np.flatnonzero(np.diff(ptr) > 1).tolist():
+    sizes = np.diff(ptr)
+    averaged = np.zeros(len(sizes), dtype=bool)
+    for k in np.flatnonzero(sizes > 1).tolist():
         group = records[ptr[k]:ptr[k + 1]].tolist()
         if all(stamps[i] is not None for i in group):
             # max keeps the first of equal keys; scan backwards so the last wins.
             i = max(reversed(group), key=stamps.__getitem__)
             out_weights[k], out_stamps[k] = weights[i], stamps[i]
         else:
-            out_weights[k], out_stamps[k] = stable_mean([weights[i] for i in group]), None
+            averaged[k] = True
+    if averaged.any():
+        # Every mean at once, each pair's sum over its weights ascending from
+        # 0.0: the bits of stable_mean.
+        pair = np.repeat(np.arange(averaged.sum()), sizes[averaged])
+        rows = records[np.repeat(averaged, sizes)]
+        _, ascending, _ = key_classes(pair, np.array(weights)[rows])
+        means = np.bincount(pair, weights=ascending) / sizes[averaged]
+        for k, mean in zip(np.flatnonzero(averaged).tolist(), means.tolist()):
+            out_weights[k], out_stamps[k] = mean, None
     return first, out_weights, out_stamps
 
 
@@ -494,10 +505,10 @@ def _json_text(snapshot: Snapshot, nl: str) -> str:
 
     The form is three levels deep: the object's members, array items and
     edge-row items, each level starting its lines with one of ``nl1``,
-    ``nl2`` and ``nl3``.  Each token is encoded once per vertex and each
-    weight written by ``float.__repr__``, as the encoder writes them, and
-    the rows are joined at once: a row's ``]``, the comma and the next
-    row's ``[`` make one separator.
+    ``nl2`` and ``nl3``.  As the encoder writes them, each token is encoded
+    once per vertex and each weight by ``float.__repr__`` once per bit
+    pattern.  A row is three parts gathered by id, separators included (the
+    previous row's ``],[`` leads its origin); all are joined at once.
     """
     c = snapshot.columns
     nl1, nl2, nl3 = (nl and nl + "  " * level for level in (1, 2, 3))
@@ -512,13 +523,24 @@ def _json_text(snapshot: Snapshot, nl: str) -> str:
     def array(items: list) -> str:
         return f"[{nl2}{f',{nl2}'.join(items)}{nl1}]" if items else "[]"
 
+    def gather(table: list, ids: np.ndarray) -> list:
+        return np.array(table, dtype=object)[ids].tolist()
+
     origins = list(map(encode_basestring_ascii, c.origins))
     terminals = list(map(encode_basestring_ascii, c.terminals))
-    rows = f"{nl2}],{nl2}[{nl3}".join(map(f",{nl3}".join, zip(
-        map(origins.__getitem__, c.src.tolist()),
-        map(terminals.__getitem__, c.dst.tolist()),
-        map(float.__repr__, c.weight.tolist()),
-    )))
+    bits = c.weight.view(np.int64)  # -0.0 and 0.0 differ here
+    distinct = np.sort(bits)
+    distinct = np.append(distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]])
+    row_sep, item_sep = f"{nl2}],{nl2}[{nl3}", f",{nl3}"
+    parts = [None] * (3 * len(bits))
+    parts[0::3] = gather([row_sep + o + item_sep for o in origins], c.src)
+    parts[1::3] = gather([t + item_sep for t in terminals], c.dst)
+    parts[2::3] = gather(list(map(float.__repr__, distinct.view(float).tolist())),
+                         np.searchsorted(distinct, bits))
+    if parts:  # the first row follows no other
+        parts[0] = parts[0][len(row_sep):]
+    rows = "".join(parts)
+    del parts  # its 3n references would outlive the copies of the text below
     members = {
         "edges": f"[{nl2}[{nl3}{rows}{nl2}]{nl1}]" if rows else "[]",
         "format": small(SNAPSHOT_FORMAT),
@@ -587,7 +609,9 @@ _SNAPSHOT_KEYS = {
 
 def save_snapshot(snapshot: Snapshot, path) -> None:
     """Write ``json.dumps(form, sort_keys=True, indent=2)`` of the snapshot."""
-    Path(path).write_text(_json_text(snapshot, "\n") + "\n", encoding="utf-8")
+    text = _json_text(snapshot, "\n")  # before the file is opened: it may raise
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines((text, "\n"))
 
 
 def _weight_array(weights: list) -> Optional[np.ndarray]:
