@@ -18,7 +18,7 @@ the count-zero class.
 All sums run over a canonically sorted value order so results do not depend
 on enumeration order (see :func:`stable_mean`), and add left to right from
 0.0 in ``np.bincount`` (see :func:`ordered_sum`).  :func:`key_classes` groups
-values by equal keys (band counts, SVM embeddings, repeated edge pairs).
+values by equal keys (SVM embeddings, repeated edge pairs).
 
 :func:`profile_arrays` fills every profile in one batch over the graph's
 integer arrays, and :class:`CountMetric` reads one element's profile from

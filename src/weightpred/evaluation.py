@@ -17,6 +17,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,7 +33,7 @@ from .fairness import (
     check_stopping_rule,
     fairness_goodness,
 )
-from .graph import WeightKind
+from .graph import DirectedGraph, WeightKind
 from .ingest import PRNG_NAME, TASKS, Snapshot, SplitPlan, split_ids
 from .knn import KnnClasses, KnnConfig
 from . import svm as svm_mod
@@ -210,10 +211,28 @@ class EvaluationReport:
         return f"({self.mae:.3f}, {self.rmse:.3f})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
+    """A run's report and its test rows as columns: row i is element
+    ``test[i]`` of ``graph``, ``predicted[i]`` against ``truth[i]``, with the
+    row flags set in ``flags[answer[i]]``.  Rows and tokens are built only
+    when ``predictions`` is read."""
+
     report: EvaluationReport
-    predictions: tuple  # PredictionRows in test order
+    graph: DirectedGraph
+    test: np.ndarray
+    predicted: np.ndarray
+    truth: np.ndarray
+    answer: np.ndarray
+    flags: np.ndarray  # one row of booleans per answer, a column per row flag
+
+    @cached_property
+    def predictions(self) -> tuple:
+        """The PredictionRows in test order, built on first use."""
+        names = [tuple(f for f, on in zip(_ROW_FLAGS, row) if on) for row in self.flags.tolist()]
+        return tuple(map(PredictionRow, self.graph.tokens(WeightKind(self.report.task), self.test),
+                         self.predicted.tolist(), self.truth.tolist(),
+                         map(names.__getitem__, self.answer.tolist())))
 
 
 def tally_flags(rows) -> dict:
@@ -255,34 +274,25 @@ def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentRe
         split.graph, kind, split.train, train_weights, h, config.exclude_self
     )
     train_counts = band_counts[split.train]
-    test_counts = band_counts[split.test].tolist()
+    # Both predictors see a query only through its band count: one answer
+    # per distinct test count, ascending, all in one batch.
+    distinct = np.flatnonzero(np.bincount(band_counts[split.test]))
+    answer = np.searchsorted(distinct, band_counts[split.test])
 
     if config.method == "knn":
-        predict = KnnClasses(train_counts, train_weights, config.knn_config()).predict_count
+        p = KnnClasses(train_counts, train_weights, config.knn_config()).predict_counts(distinct)
     else:
         model = svm_mod.fit_points(
             np.stack((train_counts, train_weights), axis=1), config.svm_config(), value_range
         )
-        predict = lambda c: svm_mod.predict_at(model, float(c))
+        p = svm_mod.predict_embeddings(model, distinct)
+    none = np.zeros(len(distinct), dtype=bool)
+    flags = np.stack([getattr(p, attr, none) for attr in _ROW_FLAGS.values()], axis=1)
+    # Each answer's flags count once per test element that got it.
+    tally = np.bincount(answer, minlength=len(distinct)) @ flags
 
-    # Both predictors see a query only through its band count: one answer
-    # (value, row flags) per distinct test count, in first-appearance order.
-    answers = {}
-    for c in dict.fromkeys(test_counts):
-        p = predict(c)
-        answers[c] = p.value, tuple(
-            f for f, attr in _ROW_FLAGS.items() if getattr(p, attr, False)
-        )
-    # Tokens come back here only, for the test elements' rows.
-    truths = table[split.test].tolist()
-    rows = tuple(
-        PredictionRow(elem, value, truth, flags)
-        for elem, (value, flags), truth in zip(
-            split.graph.tokens(kind, split.test), map(answers.get, test_counts), truths
-        )
-    )
-
-    preds = [r.predicted for r in rows]
+    preds = p.value[answer]
+    truths = table[split.test]
     per_count = np.bincount(train_counts)
     report = EvaluationReport(
         task=config.task,
@@ -290,12 +300,11 @@ def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentRe
         mae=mae(preds, truths),
         rmse=rmse(preds, truths),
         n_train=len(split.train),
-        n_test=len(rows),
+        n_test=len(split.test),
         h=h,
         seed=config.seed,
         prng=PRNG_NAME,
-        flags={**dict.fromkeys(_ROW_FLAGS, 0), **tally_flags(rows),
-               "h_stddev_zero": int(h_fell_back)},
+        flags={**dict(zip(_ROW_FLAGS, tally.tolist())), "h_stddev_zero": int(h_fell_back)},
         tie_stats={
             "distinct_train_counts": int(np.count_nonzero(per_count)),
             "max_count_multiplicity": int(per_count.max()),
@@ -303,7 +312,7 @@ def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentRe
         config=config.to_dict(),
         snapshot_digest=snapshot.digest(),
     )
-    return ExperimentResult(report=report, predictions=rows)
+    return ExperimentResult(report, split.graph, split.test, preds, truths, answer, flags)
 
 
 # ---- prediction files and text tables ---------------------------------------

@@ -29,6 +29,7 @@ exactly from a seed.
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -696,6 +697,18 @@ def load_snapshot(path) -> Snapshot:
     first is named), or vertex lists that differ from the edges'
     first-appearance order.
     """
+    # Reference counting frees the acyclic document; until it is dropped, the
+    # cyclic collector would only walk its lists again and again.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_snapshot(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_snapshot(path) -> Snapshot:
     where = str(path)
     try:
         payload = json.loads(utf8_text(read_bytes(path, "snapshot"), path))

@@ -14,9 +14,10 @@ predictions outside the training range when ties inflate the set.  An empty
 neighborhood falls back to the global training mean, flagged.
 
 The distance depends on an element only through its integer band count, so
-the training weights are grouped by count once (one ascending class per
-count, see :func:`weightpred.countmetric.key_classes`) and classes are
-selected, never single elements.  A query is answered from its band count alone:
+the training weights are grouped by count once, one class per count in
+ascending order, and classes are selected, never single elements.  The k
+smallest distinct distances from a count c lie among the k nearest classes
+on each side of c, so all queries are answered in one batch.
 :class:`KnnClasses` works on the training counts and weights as given, lists
 or arrays, and :class:`KnnModel` reads them from a metric and training
 elements, then memoises one answer per query count.
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .countmetric import CountMetric, _training_weights, key_classes, ordered_sum, stable_mean
+from .countmetric import CountMetric, _grouped, _training_weights, ordered_sum, stable_mean
 from .errors import PredictionError, SettingError, check_int
 
 ZERO_DISTANCE_POLICIES = ("exclude", "include")
@@ -76,32 +77,55 @@ class KnnClasses:
 
     def __init__(self, counts: Sequence[int], weights: Sequence[float], config: KnnConfig):
         self.config = config
-        # Class k holds the weights of band count self._counts[k], ascending.
-        self._counts, self._weights, self._ptr = key_classes(counts, weights)
-        if not len(self._weights):
+        counts = np.asarray(counts)
+        if not len(counts):
             raise PredictionError("kNN requires a non-empty training set")
+        # Class j holds the weights of the j-th smallest distinct count,
+        # self._counts[j], as self._weights[self._ptr[j]:self._ptr[j + 1]].
+        ordered = np.sort(counts)
+        self._counts = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        rank = np.searchsorted(self._counts, counts)
+        self._weights, self._ptr = _grouped(rank, len(self._counts), np.asarray(weights, float))
         self._fallback = stable_mean(self._weights)
 
-    def _select(self, c: int):
-        """Table positions of the classes chosen for query count c, and the degenerate flag."""
-        dists = [abs(t - c) for t in self._counts]
+    def _runs(self, q: np.ndarray) -> tuple:
+        """``(lo, left, right, hi, degenerate)``: query ``q[i]`` chooses the
+        classes ``lo[i]:left[i]`` below it and ``right[i]:hi[i]`` above it."""
+        t, k, w = self._counts, self.config.k, min(self.config.k, len(self._counts))
         include = self.config.zero_distance_policy == "include"
-        values = sorted({d for d in dists if d > 0 or include})
-        chosen = set(values[: self.config.k])
-        return [k for k, d in enumerate(dists) if d in chosen], len(values) < self.config.k
+        left = np.searchsorted(t, q, "right" if include else "left")
+        right = np.searchsorted(t, q, "right")
+        # Distances to the w nearest classes on each side, inf past the ends.
+        # Sorted, with each repeat (one distance on both sides) moved past the
+        # end, column k holds the k-th smallest distinct distance, or inf
+        # (every qualifying class) when fewer than k are finite.
+        padded = np.concatenate((np.full(w, -np.inf), t, np.full(w, np.inf)))
+        steps = np.arange(w)
+        dist = np.concatenate((q[:, None] - padded[left[:, None] + (w - 1) - steps],
+                               padded[right[:, None] + w + steps] - q[:, None]), axis=1)
+        dist.sort(axis=1)
+        dist[:, 1:][dist[:, 1:] == dist[:, :-1]] = np.inf
+        dist.sort(axis=1)
+        reach = dist[:, min(k, 2 * w) - 1]
+        lo, hi = np.searchsorted(t, q - reach), np.searchsorted(t, q + reach, "right")
+        return lo, left, right, hi, reach == np.inf
+
+    def predict_counts(self, counts) -> KnnPrediction:
+        """The answers for query band counts: each field holds one per query."""
+        lo, left, right, hi, degenerate = self._runs(np.asarray(counts, dtype=float).reshape(-1))
+        p = self._ptr
+        sizes = p[left] - p[lo] + p[hi] - p[right]
+        values = np.full(len(sizes), self._fallback)
+        fixed_k = self.config.denominator_policy == "fixed_k"
+        for i, (a, b, c, d) in enumerate(zip(*(p[x].tolist() for x in (lo, left, right, hi)))):
+            if a < b or c < d:
+                chosen = np.sort(np.concatenate((self._weights[a:b], self._weights[c:d])))
+                values[i] = ordered_sum(chosen) / (self.config.k if fixed_k else len(chosen))
+        return KnnPrediction(values, sizes == 0, degenerate, sizes)
 
     def predict_count(self, c: int) -> KnnPrediction:
         """The answer for every query whose band count is c."""
-        chosen, degenerate = self._select(c)
-        classes = [self._weights[self._ptr[k]:self._ptr[k + 1]] for k in chosen]
-        n = sum(map(len, classes))
-        denom = n if self.config.denominator_policy == "neighborhood_size" else self.config.k
-        return KnnPrediction(
-            value=ordered_sum(np.sort(np.concatenate(classes))) / denom if n else self._fallback,
-            used_fallback=n == 0,
-            degenerate=degenerate,
-            neighborhood_size=n,
-        )
+        return KnnPrediction(*(a.item() for a in vars(self.predict_counts([c])).values()))
 
 
 class KnnModel(KnnClasses):
@@ -116,8 +140,9 @@ class KnnModel(KnnClasses):
         self._memo: dict = {}  # query band count -> KnnPrediction
 
     def neighborhood(self, x) -> KnnNeighborhood:
-        chosen, degenerate = self._select(self.metric.profile(x).band_count)
-        counts = {self._counts[k] for k in chosen}
+        runs = self._runs(np.array([float(self.metric.profile(x).band_count)]))
+        lo, left, right, hi, degenerate = (r.item() for r in runs)
+        counts = {*self._counts[lo:left].tolist(), *self._counts[right:hi].tolist()}
         elems = tuple(a for a in self.training if self.metric.profile(a).band_count in counts)
         return KnnNeighborhood(elements=elems, degenerate=degenerate)
 

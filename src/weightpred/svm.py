@@ -24,6 +24,7 @@ point's, so ``train_mae`` needs no kernel matrix beyond the fit's m x m one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import math
@@ -109,6 +110,11 @@ class SvmModel:
     merged_count: int  # original points absorbed by embedding collisions
     train_mae: float  # mean unclamped |fitted - label| over the unmerged points
 
+    @cached_property
+    def _expansion(self) -> tuple:  # merged embeddings, coefficients x labels
+        u_m, y_m = np.array(self.points).T
+        return u_m, np.array(self.coefficients) * y_m
+
 
 @dataclass(frozen=True)
 class SvmPrediction:
@@ -184,20 +190,33 @@ def fit(metric: CountMetric, training: Sequence, config: SvmConfig = SvmConfig()
 
 
 def _predict_raw(model: SvmModel, u) -> np.ndarray:
+    """The unclamped expansion at each embedding in ``u``."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    u_m = np.array([p for p, _ in model.points])
-    y_m = np.array([y for _, y in model.points])
-    k = _kernel_matrix(model.kernel, u, u_m)
-    coef = np.array(model.coefficients)
-    return model.intercept + k @ (coef * y_m)
+    u_m, coef = model._expansion
+    raw = np.empty(len(u))
+    # Kernel rows in blocks no larger than the fit's m x m matrix, each row
+    # its own (1, m) @ (m,) product: a (rows, m) one rounds differently.
+    for a in range(0, len(u), len(u_m)):
+        rows = _kernel_matrix(model.kernel, u[a:a + len(u_m)], u_m)
+        raw[a:a + len(rows)] = [(row[None] @ coef)[0] for row in rows]
+    return model.intercept + raw
+
+
+def predict_embeddings(model: SvmModel, embeddings) -> SvmPrediction:
+    """Predict at embedding values, clamping into the weight range: each
+    field holds one entry per embedding."""
+    raw = _predict_raw(model, embeddings)
+    lo, hi = model.value_range
+    # Python's min(max(raw, lo), hi), which keeps raw's -0.0.
+    value = np.where(lo > raw, lo, raw)
+    value = np.where(hi < value, hi, value)
+    return SvmPrediction(value=value, clamped=value != raw, raw=raw)
 
 
 def predict_at(model: SvmModel, embedding: float) -> SvmPrediction:
     """Predict at an embedding value, clamping into the weight range."""
-    raw = float(_predict_raw(model, embedding)[0])
-    lo, hi = model.value_range
-    value = min(max(raw, lo), hi)
-    return SvmPrediction(value=value, clamped=value != raw, raw=raw)
+    p = predict_embeddings(model, [embedding])
+    return SvmPrediction(*(a.item() for a in vars(p).values()))
 
 
 def predict_weight_svm(model: SvmModel, metric: CountMetric, element) -> SvmPrediction:

@@ -23,6 +23,7 @@ from weightpred import (
     run_experiment,
     save_snapshot,
 )
+from weightpred import evaluation
 from weightpred import svm as svm_mod
 from weightpred.errors import SettingError
 from weightpred.evaluation import (
@@ -32,7 +33,7 @@ from weightpred.evaluation import (
     write_predictions,
 )
 from weightpred.fairness import check_stopping_rule
-from weightpred.graph import graph_of
+from weightpred.graph import DirectedGraph, WeightKind, graph_of
 from weightpred.ingest import TASKS, Columns, SplitPlan
 
 from helpers import token_pipeline, write_rating_file
@@ -164,10 +165,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize("task", TASKS)
     def test_one_answer_per_distinct_test_count(self, task, monkeypatch):
         predict_raw = svm_mod._predict_raw
-        embeddings = []
+        calls = []
 
         def spy_predict_raw(model, u):
-            embeddings.append(u)
+            calls.append(np.asarray(u).tolist())
             return predict_raw(model, u)
 
         monkeypatch.setattr(svm_mod, "_predict_raw", spy_predict_raw)
@@ -190,7 +191,40 @@ class TestRunExperiment:
         assert [e for e, _ in truths] == [row.element for row in rows["svm"]]
         counts = [metric.profile(row.element).band_count for row in rows["svm"]]
         assert len(set(counts)) < len(counts)  # some test counts repeat
-        assert sorted(embeddings) == sorted(set(counts))
+        # The SVM run made one batched call, at exactly the distinct counts.
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted(set(counts))
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rows_and_tokens_are_built_only_when_read(self, task, method, monkeypatch):
+        built, token_calls = [], []
+        row_type, tokens = evaluation.PredictionRow, DirectedGraph.tokens
+
+        def spy_row(*args):
+            built.append(args)
+            return row_type(*args)
+
+        def spy_tokens(graph, kind, ids):
+            token_calls.append((graph, kind))
+            return tokens(graph, kind, ids)
+
+        monkeypatch.setattr(evaluation, "PredictionRow", spy_row)
+        monkeypatch.setattr(DirectedGraph, "tokens", spy_tokens)
+        snap = _synthetic_snapshot()
+        result = run_experiment(snap, _config(task, method))
+        assert built == []
+        assert [kind for graph, kind in token_calls if graph is result.graph] == []
+        rows = result.predictions
+        assert len(built) == len(rows) == result.report.n_test
+        assert all(type(row) is row_type for row in rows)
+        # Edge tokens come from one call for the edges, which makes one for
+        # each side; a vertex task's from one call.
+        want = {"edge": [WeightKind.EDGE, WeightKind.ORIGIN, WeightKind.TERMINAL]}
+        assert [kind for graph, kind in token_calls if graph is result.graph] == want.get(
+            task, [WeightKind(task)]
+        )
+        assert result.predictions is rows
 
     def test_run_builds_no_token_views_of_the_snapshot(self):
         snap = _synthetic_snapshot()

@@ -1,5 +1,6 @@
 """Parsing, rescaling, duplicate collapse, snapshots, and seeded splits."""
 
+import gc
 import hashlib
 import json
 import math
@@ -648,6 +649,35 @@ def test_load_snapshot_rejects_malformed_schema(tmp_path, corrupt, located):
     path.write_text(json.dumps(payload))
     with pytest.raises(ParseError, match=re.escape(str(path)) + ".*" + re.escape(located)):
         load_snapshot(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_load_snapshot_pauses_the_cyclic_collector_and_restores_it(
+    tmp_path, monkeypatch, enabled
+):
+    """The collector is off while the document is parsed, and afterwards as
+    the caller had it, after a load and after a refusal alike."""
+    loads, seen = json.loads, []
+
+    def spy_loads(text):
+        seen.append(gc.isenabled())
+        return loads(text)
+
+    monkeypatch.setattr(json, "loads", spy_loads)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_snapshot_payload()))
+    bad.write_text(json.dumps({**_snapshot_payload(), "edges": []}))
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert len(load_snapshot(good).edges) == 3
+        assert gc.isenabled() is enabled
+        with pytest.raises(ParseError, match="snapshot has no edges"):
+            load_snapshot(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen == [False, False]
 
 
 _CLEAN_TOKENS = st.text(alphabet='ab#\u00e9,"\t ', min_size=1, max_size=3).filter(

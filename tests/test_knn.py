@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weightpred import (
     CountMetric,
@@ -14,9 +16,9 @@ from weightpred import (
     build_graph,
 )
 
-from weightpred.knn import KnnClasses
+from weightpred.knn import DENOMINATOR_POLICIES, ZERO_DISTANCE_POLICIES, KnnClasses
 
-from helpers import brute_knn, brute_profile, random_instance, universe_of
+from helpers import _left_sum, brute_knn, brute_profile, random_instance, universe_of
 
 APPROX = 1e-12
 
@@ -196,3 +198,52 @@ class TestBruteForceOracle:
                     nb = model.neighborhood(elem)
                     assert set(nb.elements) == want
                     assert nb.degenerate == want_degenerate
+
+
+class TestBatchedAnswers:
+    """Every query count of one batch against a full scan of the training set."""
+
+    @given(
+        training=st.lists(st.tuples(
+            st.integers(0, 12),
+            # 0.1 + 0.2 + 0.3 rounds differently in another order.
+            st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3]),
+        ), min_size=1, max_size=30),
+        queries=st.lists(st.integers(-3, 18), min_size=1, max_size=12),
+        k=st.integers(1, 16),
+        zero_distance_policy=st.sampled_from(ZERO_DISTANCE_POLICIES),
+        denominator_policy=st.sampled_from(DENOMINATOR_POLICIES),
+        as_arrays=st.booleans(),
+    )
+    # k = 1; k beyond the classes (degenerate); queries outside the training
+    # counts, below and above, and on a training count.
+    @example([(2, 0.1), (2, 0.2), (5, 0.3), (9, -0.0)], [-3, 2, 5, 18], 1,
+             "exclude", "neighborhood_size", False)
+    @example([(2, 0.1), (2, 0.2), (5, 0.3), (9, -0.0)], [-3, 2, 5, 18], 9,
+             "include", "fixed_k", True)
+    @example([(4, 0.5)], [4, 0, 17], 2, "exclude", "fixed_k", True)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_full_scan(self, training, queries, k, zero_distance_policy,
+                                 denominator_policy, as_arrays):
+        counts = {i: c for i, (c, _) in enumerate(training)}
+        weights = [w for _, w in training]
+        config = KnnConfig(k, zero_distance_policy, denominator_policy)
+        if as_arrays:
+            knn = KnnClasses(np.array(list(counts.values())), np.array(weights), config)
+            got = knn.predict_counts(np.array(queries))
+        else:
+            knn = KnnClasses(list(counts.values()), weights, config)
+            got = knn.predict_counts(queries)
+        fallback = _left_sum(sorted(weights)) / len(weights)
+        for i, q in enumerate(queries):
+            chosen, degenerate = brute_knn(counts, q, counts, k, zero_distance_policy)
+            n = len(chosen)
+            denom = n if denominator_policy == "neighborhood_size" else k
+            value = _left_sum(sorted(weights[a] for a in chosen)) / denom if n else fallback
+            assert float(got.value[i]).hex() == value.hex()
+            assert (bool(got.used_fallback[i]), bool(got.degenerate[i]),
+                    int(got.neighborhood_size[i])) == (n == 0, degenerate, n)
+            one = knn.predict_count(q)
+            assert type(one.value) is float and one.value.hex() == value.hex()
+            assert (one.used_fallback, one.degenerate, one.neighborhood_size) == (
+                n == 0, degenerate, n)

@@ -19,7 +19,7 @@ from weightpred import (
     predict_at,
     predict_weight_svm,
 )
-from weightpred.svm import _kernel_matrix
+from weightpred.svm import _kernel_matrix, predict_embeddings
 
 from helpers import _left_sum
 
@@ -250,3 +250,28 @@ class TestPredict:
         assert model.value_range == (0.0, 1.0)
         for o in fig1.origins:
             assert 0.0 <= predict_weight_svm(model, metric, o).value <= 1.0
+
+
+class TestBatchedPredict:
+    @pytest.mark.parametrize("kernel", [
+        KernelSpec("linear"), KernelSpec("polynomial", degree=3, coef0=0.5), KernelSpec("rbf"),
+    ], ids=["linear", "polynomial", "rbf"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_answer_has_the_bits_of_one_embedding_alone(self, kernel, seed):
+        rng = np.random.default_rng(seed)
+        points = list(zip(rng.integers(0, 8, 30).astype(float), rng.uniform(-1, 1, 30)))
+        model = fit_points(points, SvmConfig(kernel=kernel, regularization=1e-6), (-0.5, 0.5))
+        # More embeddings than merged points, so the kernel rows take
+        # several blocks; -0.0 and far-off values clamp.
+        embeddings = [-0.0, *rng.integers(-5, 40, 3 * len(model.points)).astype(float)]
+        batch = predict_embeddings(model, embeddings)
+        u_m = np.array([u for u, _ in model.points])
+        coef = np.array(model.coefficients) * np.array([y for _, y in model.points])
+        for i, u in enumerate(embeddings):
+            one = predict_at(model, u)
+            # The product as one embedding alone computes it.
+            raw = float((model.intercept + _kernel_matrix(model.kernel, np.array([u]), u_m) @ coef)[0])
+            assert one.raw.hex() == float(batch.raw[i]).hex() == raw.hex()
+            assert one.value.hex() == float(batch.value[i]).hex()
+            assert one.clamped == bool(batch.clamped[i])
+        assert batch.clamped.any() and not batch.clamped.all()
