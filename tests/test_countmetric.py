@@ -68,6 +68,20 @@ def test_key_classes_keep_first_appearance_and_sort_each_class(pairs):
         assert countmetric.ordered_sum(got).hex() == _left_sum(sorted(want)).hex()
 
 
+@given(st.lists(st.floats(allow_nan=False) | st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+]), max_size=60).map(np.array) | st.lists(
+    st.integers(-2**53, 2**53), max_size=60).map(lambda v: np.array(v, dtype=np.int64)))
+def test_key_classes_order_values_as_their_sorted_rank(values):
+    # Reference: each value's rank in the sorted values (equal values,
+    # 0.0 and -0.0 among them, share one), ties in input order.
+    rank = np.searchsorted(np.sort(values), values)
+    want = values[np.argsort(rank, kind="stable")]
+    _, got, _ = countmetric.key_classes(np.zeros(len(values)), values)
+    assert got.dtype == values.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestBandCount:
     def test_fig1_counts(self, fig1, origin_weights):
         m = CountMetric(fig1, origin_weights, 0.2)

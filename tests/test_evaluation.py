@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightpred import (
@@ -376,6 +376,60 @@ class TestTables:
         assert "Terminal weights" in text
         assert "Edge weights" in text
         assert text.count("(") == 6  # one (MAE, RMSE) cell per run
+
+
+# The settings the grid test varies, each as config fields; a walk starts
+# from every setting's first value.
+_GRID_SETTINGS = {
+    "task": [{"task": t} for t in TASKS],
+    "method": [{"method": m} for m in METHODS],
+    "seed": [{"seed": 3}, {"seed": 4}],
+    "sample_size": [{"sample_size": None}, {"sample_size": 90}],
+    "split": [{}, {"train_count": 12}, {"train_fraction": 0.5}],
+    "h": [{}, {"h_mode": "fixed", "h_value": 0.05}],
+    "exclude_self": [{}, {"exclude_self": True}],
+    "fg_tol": [{}, {"fg_tol": 1e-2}],
+    "fg_max_iter": [{}, {"fg_max_iter": 1}],
+}
+
+
+@pytest.fixture(scope="module")
+def fresh_run(tmp_path_factory):
+    """Config -> the report and predictions bytes of its run on a freshly
+    loaded copy of the grid snapshot, and the snapshot's path."""
+    path = tmp_path_factory.mktemp("grid")
+    save_snapshot(_synthetic_snapshot(n_edges=120, n_vertices=30), path / "snap.json")
+    done = {}
+
+    def run(config):
+        if config not in done:
+            done[config] = _report_and_file(
+                run_experiment(load_snapshot(path / "snap.json"), config), path / "want.csv")
+        return done[config]
+    return run, path
+
+
+def _report_and_file(result, path):
+    write_predictions(path, result)
+    return result.report.to_json(), path.read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(st.tuples(st.sampled_from(sorted(_GRID_SETTINGS)), st.integers(0, 2)),
+                      min_size=1, max_size=16))
+# Fairness settings change an origin's band counts under a small fixed h.
+@example(steps=[("h", 1), ("fg_max_iter", 1), ("fg_tol", 1)])
+def test_runs_on_one_snapshot_match_runs_on_fresh_copies(fresh_run, steps):
+    """Whatever runs came before on a snapshot, a run's report and
+    predictions file are those of the run on a freshly loaded copy.  Each
+    step sets one setting, so consecutive runs often differ in one."""
+    run, path = fresh_run
+    shared = load_snapshot(path / "snap.json")
+    chosen = {name: values[0] for name, values in _GRID_SETTINGS.items()}
+    for name, i in steps:
+        chosen[name] = _GRID_SETTINGS[name][i % len(_GRID_SETTINGS[name])]
+        config = ExperimentConfig(**{k: v for kw in chosen.values() for k, v in kw.items()})
+        assert _report_and_file(run_experiment(shared, config), path / "got.csv") == run(config)
 
 
 @pytest.fixture(scope="module")
