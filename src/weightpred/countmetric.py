@@ -81,8 +81,12 @@ def key_classes(keys, values) -> tuple:
     table, ids = _encode(np.asarray(keys).tolist())
     values = np.asarray(values)
     n = len(values)
-    # Two stable composite-key sorts (see _grouped): by value, then by class.
-    by_value, _ = _grouped(np.searchsorted(np.sort(values), values), n, np.arange(n))
+    # The values' order as int64 keys (0.0 and -0.0 equal), sorted stably by
+    # the low then the high 32 bits, then stably by class (see _grouped).
+    bits = (values + 0.0).view(np.int64)
+    bits ^= (bits >> 63) & (2**63 - 1)
+    by_value = _stable_order(bits & 0xFFFFFFFF)
+    by_value = by_value[_stable_order((bits[by_value] >> 32) + 2**31)]
     return (table, *_grouped(ids[by_value], len(table), values[by_value]))
 
 
@@ -221,13 +225,17 @@ def profile_arrays(
 def _grouped(keys: np.ndarray, n_keys: int, values: np.ndarray) -> tuple:
     """``values`` grouped by ``keys``, each group in input order, and the
     group offsets: group k is ``grouped[ptr[k]:ptr[k + 1]]``."""
-    n = len(keys)
     ptr = np.zeros(n_keys + 1, dtype=np.intp)
     np.cumsum(np.bincount(keys, minlength=n_keys), out=ptr[1:])
-    # A stable order from the same np.sort the chunks use: the first call of
-    # each further numpy sort routine adds 0.1-0.3 MiB of resident code.
-    order = np.sort(keys * n + np.arange(n)) % max(n, 1)
-    return values[order], ptr
+    return values[_stable_order(keys)], ptr
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """The stable argsort of nonnegative ``keys`` below 2**32, from the same
+    np.sort the chunks use: the first call of each further numpy sort
+    routine adds 0.1-0.3 MiB of resident code."""
+    n = len(keys)
+    return np.sort(keys * n + np.arange(n)) % max(n, 1)
 
 
 def _candidate_groups(graph: DirectedGraph, kind: WeightKind, rank_of: np.ndarray) -> tuple:

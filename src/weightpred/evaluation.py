@@ -33,7 +33,7 @@ from .fairness import (
     check_stopping_rule,
     fairness_goodness,
 )
-from .graph import DirectedGraph, WeightKind
+from .graph import DirectedGraph, WeightKind, _read_only
 from .ingest import PRNG_NAME, TASKS, Snapshot, SplitPlan, split_ids
 from .knn import KnnClasses, KnnConfig
 from . import svm as svm_mod
@@ -250,29 +250,47 @@ def _training_bandwidth(config: ExperimentConfig, train_weights: np.ndarray) -> 
     return _H_FLOOR, True
 
 
+def _memo(snapshot: Snapshot, level: str, key: tuple, compute):
+    """``compute()``, or the value the snapshot holds for ``level`` if it was
+    computed for ``key``.  A level holds its last key only, as one ``(key,
+    value)`` tuple, so a concurrent reader never gets another key's value."""
+    held = snapshot._memo.get(level)
+    if held is None or held[0] != key:
+        held = snapshot._memo[level] = (key, compute())
+    return held[1]
+
+
 def _task_data(snapshot: Snapshot, config: ExperimentConfig) -> tuple:
     """The id split, the weight of every element of the task by id in the
-    split's graph, and the range of those weights."""
+    split's graph, the range of those weights, and the settings they depend
+    on."""
     columns = snapshot.columns
-    split = split_ids(columns, config.split_plan(), config.task)
-    weight = columns.weight[split.sampled]
+    key = (config.split_plan(), config.task)
+    split = _memo(snapshot, "split", key, lambda: split_ids(columns, *key))
     if config.task == "edge":
-        return split, weight, (-1.0, 1.0)
-    scores = fairness_goodness(split.graph, weight, config.fg_tol, config.fg_max_iter)
+        return split, columns.weight[split.sampled], (-1.0, 1.0), key
+    # The sample depends on the seed and sample size only, so the origin and
+    # terminal tasks share one fairness run.
+    fg = (config.seed, config.sample_size, config.fg_tol, config.fg_max_iter)
+    scores = _memo(snapshot, "fairness", fg, lambda: fairness_goodness(
+        split.graph, columns.weight[split.sampled], config.fg_tol, config.fg_max_iter))
     if config.task == "origin":
-        return split, scores.fairness, (0.0, 1.0)
-    return split, scores.goodness, (-1.0, 1.0)
+        return split, scores.fairness, (0.0, 1.0), key + fg
+    return split, scores.goodness, (-1.0, 1.0), key + fg
 
 
 def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentResult:
-    """Execute one (task, method, seed) run end to end."""
-    split, table, value_range = _task_data(snapshot, config)
+    """Execute one (task, method, seed) run end to end.
+
+    The split, the fairness scores and the band counts are computed once
+    per snapshot while the settings they depend on stay the same, so the
+    cells of a task-major grid share them."""
+    split, table, value_range, key = _task_data(snapshot, config)
     kind = WeightKind(config.task)
     train_weights = table[split.train]
     h, h_fell_back = _training_bandwidth(config, train_weights)
-    _, _, band_counts = profile_arrays(
-        split.graph, kind, split.train, train_weights, h, config.exclude_self
-    )
+    band_counts = _memo(snapshot, "profile", (*key, h, config.exclude_self), lambda: _read_only(
+        profile_arrays(split.graph, kind, split.train, train_weights, h, config.exclude_self)[2]))
     train_counts = band_counts[split.train]
     # Both predictors see a query only through its band count: one answer
     # per distinct test count, ascending, all in one batch.

@@ -37,7 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, SettingError, check_float, check_int
-from .graph import DirectedGraph, check_weights
+from .graph import DirectedGraph, _read_only, check_weights
 
 _RANGE_SLACK = 1e-9
 
@@ -105,7 +105,8 @@ def fairness_goodness(
     graph: DirectedGraph, w: np.ndarray, tol: float, max_iter: int
 ) -> FgScores:
     """The iteration over ``graph``'s id arrays; ``w[i]`` is edge ``i``'s
-    weight, finite and in [-1, 1].  Scores come back as arrays by vertex id."""
+    weight, finite and in [-1, 1].  Scores come back as read-only arrays by
+    vertex id."""
     n_o, n_t = len(graph.origins), len(graph.terminals)
     src, dst = graph.src, graph.dst
     out_deg = np.bincount(src, minlength=n_o)
@@ -135,8 +136,8 @@ def fairness_goodness(
             break
 
     return FgScores(
-        fairness=fairness,
-        goodness=goodness,
+        fairness=_read_only(fairness),
+        goodness=_read_only(goodness),
         iterations=iterations,
         converged=converged,
         max_changes=tuple(max_changes),

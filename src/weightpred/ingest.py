@@ -48,7 +48,7 @@ from .countmetric import key_classes
 from .errors import (
     DomainError, ParseError, SettingError, check_float, check_int, read_bytes, utf8_text,
 )
-from .graph import DirectedGraph, WeightKind, graph_of
+from .graph import DirectedGraph, WeightKind, _read_only, graph_of
 
 PRNG_NAME = "numpy-pcg64"
 SNAPSHOT_FORMAT = "weightpred-snapshot-v1"
@@ -357,7 +357,8 @@ class IdSplit:
     ``sampled`` holds the sampled edge rows in sample order.  ``graph`` is
     their graph, edge ``i`` being row ``sampled[i]``, with its vertices
     renumbered in order of first appearance.  ``train`` and ``test`` are ids
-    in ``graph`` of the task's elements.
+    in ``graph`` of the task's elements.  The arrays are read-only, since
+    runs on one snapshot share a split.
     """
 
     sampled: np.ndarray
@@ -384,12 +385,13 @@ def split_ids(graph: DirectedGraph, plan: SplitPlan, task: str) -> IdSplit:
         raise DomainError(f"sample_size {size} exceeds the {n} available records")
 
     rng = make_rng(plan.seed)
-    rows = rng.choice(n, size=size, replace=False)
+    rows = _read_only(rng.choice(n, size=size, replace=False))
     sampled = graph.subgraph(rows)
     if task == "edge":
         order = np.arange(size)
     else:
         order = rng.permutation(len(getattr(sampled, f"{task}s")))  # origins/terminals
+    order = _read_only(order)  # so are its train and test views
     train_size = plan.resolve_train_size(len(order))
     return IdSplit(rows, sampled, order[:train_size], order[train_size:])
 
@@ -497,6 +499,12 @@ class Snapshot:
     @functools.cached_property
     def _digest(self) -> str:
         return "sha256:" + hashlib.sha256(_json_text(self, "").encode()).hexdigest()
+
+    @functools.cached_property
+    def _memo(self) -> dict:
+        """Steps that runs on this snapshot share: level -> ``(key, value)``
+        of the level's last key (see ``evaluation.run_experiment``)."""
+        return {}
 
 
 def _json_text(snapshot: Snapshot, nl: str) -> str:

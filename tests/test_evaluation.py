@@ -236,6 +236,35 @@ class TestRunExperiment:
         assert not views & vars(snap.columns).keys()
         assert "edges" not in vars(snap)
 
+    def test_a_task_major_grid_computes_each_shared_step_once(self, monkeypatch):
+        calls = Counter()
+
+        def spy(name):
+            real = getattr(evaluation, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(evaluation, name, counted)
+
+        for name in ("split_ids", "fairness_goodness", "profile_arrays"):
+            spy(name)
+        snap = _synthetic_snapshot(n_edges=120, n_vertices=30)
+        results = [run_experiment(snap, _config(task, method))
+                   for task in TASKS for method in METHODS]
+        assert calls == {"split_ids": 3, "fairness_goodness": 1, "profile_arrays": 3}
+        # One (key, value) entry per level, of the last task.
+        assert sorted(snap._memo) == ["fairness", "profile", "split"]
+        assert all(len(held) == 2 for held in snap._memo.values())
+        # The shared arrays are read-only, so no caller can change the next cell.
+        split, scores = snap._memo["split"][1], snap._memo["fairness"][1]
+        for array in (split.sampled, split.train, split.test, scores.fairness,
+                      scores.goodness, snap._memo["profile"][1]):
+            assert not array.flags.writeable
+        for result in results:
+            with pytest.raises(ValueError):
+                result.test[0] = 0
+
     def test_config_echo_reconstructs_run(self):
         snap = _synthetic_snapshot()
         rep = run_experiment(snap, _config("terminal", "knn")).report
