@@ -82,7 +82,7 @@ def key_classes(keys, values) -> tuple:
     values = np.asarray(values)
     n = len(values)
     # The values' order as int64 keys (0.0 and -0.0 equal), sorted stably by
-    # the low then the high 32 bits, then stably by class (see _grouped).
+    # the low then the high 32 bits, then stably by class with _grouped.
     bits = (values + 0.0).view(np.int64)
     bits ^= (bits >> 63) & (2**63 - 1)
     by_value = _stable_order(bits & 0xFFFFFFFF)
@@ -231,9 +231,10 @@ def _grouped(keys: np.ndarray, n_keys: int, values: np.ndarray) -> tuple:
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """The stable argsort of nonnegative ``keys`` below 2**32, from the same
-    np.sort the chunks use: the first call of each further numpy sort
-    routine adds 0.1-0.3 MiB of resident code."""
+    """The stable argsort of fewer than 2**31 nonnegative ``keys`` below
+    2**32 (so ``keys * n`` fits in int64), from the same np.sort the chunks
+    use: the first call of each further numpy sort routine adds 0.1-0.3 MiB
+    of resident code."""
     n = len(keys)
     return np.sort(keys * n + np.arange(n)) % max(n, 1)
 
