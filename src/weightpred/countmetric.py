@@ -18,7 +18,8 @@ the count-zero class.
 All sums run over a canonically sorted value order so results do not depend
 on enumeration order (see :func:`stable_mean`), and add left to right from
 0.0 in ``np.bincount`` (see :func:`ordered_sum`).  :func:`key_classes` groups
-values by equal keys (SVM embeddings, repeated edge pairs).
+values by equal keys (SVM embeddings, repeated edge pairs).  Every ascending
+order here is the stable one of :func:`_ascending`.
 
 :func:`profile_arrays` fills every profile in one batch over the graph's
 integer arrays, and :class:`CountMetric` reads one element's profile from
@@ -38,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .graph import DirectedGraph, WeightKind, Weighting, _encode
+from .graph import DirectedGraph, WeightKind, Weighting
 
 # Most (element, candidate neighbor) pairs the batched profile fill holds at
 # once.  It bounds the fill's working memory, which would otherwise grow with
@@ -72,21 +73,26 @@ def stable_mean(values: Sequence[float]) -> float:
 def key_classes(keys, values) -> tuple:
     """The classes of equal keys, as ``(table, sorted_values, ptr)``.
 
-    ``table`` holds the distinct keys in first-appearance order, numbered by
-    :func:`weightpred.graph._encode` (of equal keys, such as ``0.0`` and
-    ``-0.0``, the first stands).  Class ``k`` holds the values of key
-    ``table[k]`` ascending, equal ones in input order, as one slice:
-    ``sorted_values[ptr[k]:ptr[k + 1]]``.
+    ``table`` holds the distinct keys in first-appearance order, as Python
+    scalars (of equal keys, such as ``0.0`` and ``-0.0``, the first stands).
+    Class ``k`` holds the values of key ``table[k]`` ascending, equal ones in
+    input order, as one slice: ``sorted_values[ptr[k]:ptr[k + 1]]``.
     """
-    table, ids = _encode(np.asarray(keys).tolist())
-    values = np.asarray(values)
-    n = len(values)
-    # The values' order as int64 keys (0.0 and -0.0 equal), sorted stably by
-    # the low then the high 32 bits, then stably by class with _grouped.
-    bits = (values + 0.0).view(np.int64)
-    bits ^= (bits >> 63) & (2**63 - 1)
-    by_value = _stable_order(bits & 0xFFFFFFFF)
-    by_value = by_value[_stable_order((bits[by_value] >> 32) + 2**31)]
+    keys, values = np.asarray(keys), np.asarray(values)
+    # A class starts where the keys, in ascending order, change; its first
+    # index is that of its first key, since the order is stable.
+    by_key = _ascending(keys)
+    ascending = keys[by_key]
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(ascending[1:], ascending[:-1], out=starts[1:])
+    # Number the classes by first appearance.
+    by_first = _stable_order(by_key[starts])
+    number = np.empty(len(by_first), dtype=np.intp)
+    number[by_first] = np.arange(len(by_first))
+    ids = np.empty(len(keys), dtype=np.intp)
+    ids[by_key] = number[np.cumsum(starts) - 1]
+    by_value = _ascending(values)
+    table = tuple(ascending[starts][by_first].tolist())
     return (table, *_grouped(ids[by_value], len(table), values[by_value]))
 
 
@@ -174,10 +180,9 @@ def profile_arrays(
         n = len(graph.src)
     else:
         n = len(graph.origins if kind is WeightKind.ORIGIN else graph.terminals)
-    # Training elements in ascending weight order (Python's sort, not an
-    # argsort: see _grouped); rank_of[x] is x's position in it, or -1 for an
-    # element outside the training domain.
-    by_weight = sorted(range(len(train)), key=weights.tolist().__getitem__)
+    # Training elements in ascending weight order; rank_of[x] is x's
+    # position in it, or -1 for an element outside the training domain.
+    by_weight = _ascending(weights)
     sorted_weight = weights[by_weight]
     rank_of = np.full(n, -1, dtype=np.intp)
     rank_of[train[by_weight]] = np.arange(len(by_weight))
@@ -228,6 +233,19 @@ def _grouped(keys: np.ndarray, n_keys: int, values: np.ndarray) -> tuple:
     ptr = np.zeros(n_keys + 1, dtype=np.intp)
     np.cumsum(np.bincount(keys, minlength=n_keys), out=ptr[1:])
     return values[_stable_order(keys)], ptr
+
+
+def _ascending(x: np.ndarray) -> np.ndarray:
+    """The stable ascending order of the float or integer array ``x`` (0.0
+    and -0.0 equal), by two :func:`_stable_order` passes over the low and
+    then the high 32 bits of an order-preserving int64 key."""
+    if x.dtype.kind == "f":
+        bits = (x.astype(np.float64, copy=False) + 0.0).view(np.int64)
+        bits ^= (bits >> 63) & (2**63 - 1)
+    else:
+        bits = x.astype(np.int64, copy=False)
+    order = _stable_order(bits & 0xFFFFFFFF)
+    return order[_stable_order((bits[order] >> 32) + 2**31)]
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:

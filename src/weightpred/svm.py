@@ -15,10 +15,11 @@ labels are reproduced exactly.
 Band counts are small integers, so distinct training elements frequently
 collide at the same embedding value.  Colliding points are merged before
 fitting, one per class of :func:`weightpred.countmetric.key_classes` in
-first-appearance order, labelled with the mean of the class's ascending
-labels as in kNN; that keeps the normal system full rank, and the merge
-count is reported on the model.  A point's fitted value is its merged
-point's, so ``train_mae`` needs no kernel matrix beyond the fit's m x m one.
+first-appearance order (the first point's embedding stands for its class),
+labelled with the mean of the class's ascending labels as in kNN; that
+keeps the normal system full rank, and the merge count is reported on the
+model.  A point's fitted value is its merged point's, so ``train_mae`` needs
+no kernel matrix beyond the fit's m x m one.
 """
 
 from __future__ import annotations

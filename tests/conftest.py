@@ -2,11 +2,16 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import weightpred
 from weightpred import WeightKind
 
 from helpers import fig_graph, fig_weighting
+
+# A deeper and reproducible property check, chosen with
+# ``--hypothesis-profile ci``: ten times the default number of examples.
+settings.register_profile("ci", max_examples=1000, derandomize=True)
 
 
 @pytest.fixture(scope="session", autouse=True)

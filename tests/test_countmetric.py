@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import weightpred.countmetric as countmetric
@@ -22,6 +22,7 @@ from helpers import (
     _left_sum,
     brute_neighbors,
     brute_profile,
+    random_graph,
     random_instance,
     universe_of,
     write_rating_file,
@@ -80,6 +81,37 @@ def test_key_classes_order_values_as_their_sorted_rank(values):
     _, got, _ = countmetric.key_classes(np.zeros(len(values)), values)
     assert got.dtype == values.dtype
     assert got.tobytes() == want.tobytes()
+
+
+# Keys that differ in one 32-bit half only: negative, at and above 2**32,
+# and around +-2**53, where float64 keys could no longer tell them apart.
+_INT64_KEYS = st.sampled_from([
+    0, 1, -1, 2**31, -2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, -2**32,
+    2**53, 2**53 + 1, -2**53, -2**53 - 1, 2**63 - 1, -2**63,
+]) | st.integers(-2**63, 2**63 - 1)
+_FLOAT_KEYS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5]) | st.floats(allow_nan=False)
+
+
+@given(st.lists(st.tuples(_INT64_KEYS, st.floats(allow_nan=False)), max_size=40).map(
+    lambda pairs: (np.array([k for k, _ in pairs], dtype=np.int64), pairs)
+) | st.lists(st.tuples(_FLOAT_KEYS, st.floats(allow_nan=False)), max_size=40).map(
+    lambda pairs: ([k for k, _ in pairs], pairs)
+))
+@example((np.array([], dtype=np.int64), []))
+@example(([], []))
+@example((np.array([2**53, 2**53 + 1, 2**53]), [(2**53, 0.0), (2**53 + 1, 0.0), (2**53, 0.0)]))
+def test_key_classes_number_classes_as_a_dict_does(case):
+    keys, pairs = case
+    table, values, ptr = countmetric.key_classes(keys, np.array([v for _, v in pairs]))
+    # Dict oracle: classes in first-appearance order; of 0.0 and -0.0 the
+    # first stands for the class.
+    groups = {}
+    for k, v in pairs:
+        groups.setdefault(k, []).append(v)
+    assert [(type(k), repr(k)) for k in table] == [(type(k), repr(k)) for k in groups]
+    assert ptr.tolist() == np.cumsum([0, *map(len, groups.values())]).tolist()
+    for i, want in enumerate(groups.values()):
+        assert values[ptr[i]:ptr[i + 1]].tobytes() == np.array(sorted(want)).tobytes()
 
 
 class TestBandCount:
@@ -210,6 +242,27 @@ def _assert_matches_oracle(metric, graph, elements, h, exclude_self=False):
         assert prof.neighbor_count == len(
             brute_neighbors(graph, weighting, elem, exclude_self)
         )
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(WeightKind)),
+    st.booleans(),
+    st.sampled_from([5e-324, 0.25, 1.0]),
+    st.data(),
+)
+def test_profiles_with_tied_weights_match_oracle(seed, kind, exclude_self, h, data):
+    # Training weights from a small set holding 0.0, -0.0 and a subnormal,
+    # so many tie; ties keep their input order in the fill's weight order.
+    graph = random_graph(np.random.default_rng(seed))
+    elements = universe_of(graph, kind)
+    drawn = data.draw(st.lists(
+        st.sampled_from([0.0, -0.0, 5e-324, 0.5, -0.5]) | st.none(),
+        min_size=len(elements), max_size=len(elements),
+    ))
+    weights = {x: w for x, w in zip(elements, drawn) if w is not None}
+    metric = CountMetric(graph, Weighting(kind, weights, -1.0, 1.0), h, exclude_self=exclude_self)
+    _assert_matches_oracle(metric, graph, elements, h, exclude_self)
 
 
 class TestChunkBoundaries:
