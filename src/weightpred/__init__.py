@@ -18,7 +18,6 @@ from .ingest import (
     Snapshot,
     SplitPlan,
     build_snapshot,
-    collapse_duplicates,
     load_snapshot,
     make_split,
     parse_edge_list,
@@ -32,12 +31,10 @@ from .svm import (
     SvmConfig,
     fit,
     fit_points,
-    kernel_eval,
-    predict_at,
     predict_weight_svm,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CountMetric",
@@ -58,17 +55,14 @@ __all__ = [
     "WeightpredError",
     "build_graph",
     "build_snapshot",
-    "collapse_duplicates",
     "compute_fairness_goodness",
     "fit",
     "fit_points",
-    "kernel_eval",
     "load_snapshot",
     "mae",
     "make_split",
     "neighbors",
     "parse_edge_list",
-    "predict_at",
     "predict_weight_svm",
     "rescale",
     "rescale_inverse",

@@ -273,8 +273,12 @@ def cmd_evaluate(args) -> int:
     if args.predictions is not None:
         if args.snapshot is not None:
             raise UsageError("pass either --predictions or --snapshot, not both")
-        if args.repeat is not None and args.repeat != 1:
-            raise UsageError("--repeat applies only to snapshot mode")
+        # A predictions file carries its run's settings; a flag would be ignored.
+        for dest in ("task", "method", "repeat", "config", *args.config_flags):
+            if getattr(args, dest) is not None:
+                raise UsageError(
+                    f"--{dest.replace('_', '-')} applies only to snapshot mode"
+                )
         rows, meta = read_predictions(args.predictions)
         preds = [r.predicted for r in rows]
         truths = [r.truth for r in rows]

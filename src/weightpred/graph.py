@@ -113,15 +113,6 @@ class DirectedGraph:
             dst=dst,
         )
 
-    def has_origin(self, token) -> bool:
-        return token in self.origin_id
-
-    def has_terminal(self, token) -> bool:
-        return token in self.terminal_id
-
-    def has_edge(self, edge) -> bool:
-        return edge in self.edge_id
-
     def out_edges(self, origin) -> tuple:
         """Edges leaving ``origin``, in insertion order."""
         if origin not in self.origin_id:
@@ -281,7 +272,7 @@ def neighbors(
             if beta in domain
         )
     else:
-        if not graph.has_edge(element):
+        if element not in graph.edge_id:
             raise DomainError(f"edge {element!r} is not in the graph")
         o, t = element
         found = (

@@ -13,17 +13,17 @@ declared raw range and are rescaled to [-1, 1] with the affine map
 ``w' = (2w - (a + b)) / (b - a)``.
 
 Duplicate (origin, terminal) records collapse to one edge: the latest
-record wins when timestamps are present, otherwise weights are averaged.
+record wins when timestamps are present (ties: the last in file order),
+otherwise weights are averaged.
 
 A snapshot is the canonical JSON form of a dataset (vertex lists, edges
 with scaled weights, and a provenance block); experiments run off
 snapshots, never raw files.  In memory a snapshot is held as columns, from
 the raw file to its digest: vertex token tables, ``src``/``dst`` id arrays
 and a weight array.  The record-level functions (:func:`parse_edge_list`,
-:func:`collapse_duplicates`, :func:`make_split`, ``Snapshot.edges``) read
-those columns back as :class:`EdgeRecord` objects.  All sampling uses
-numpy's PCG64 generator (recorded in every report) so splits reproduce
-exactly from a seed.
+:func:`make_split`, ``Snapshot.edges``) read those columns back as
+:class:`EdgeRecord` objects.  All sampling uses numpy's PCG64 generator
+(recorded in every report) so splits reproduce exactly from a seed.
 """
 
 from __future__ import annotations
@@ -227,57 +227,35 @@ def _repeats(graph: DirectedGraph) -> bool:
 
 def _collapse(graph: DirectedGraph, weights: list, stamps: list) -> tuple:
     """Collapse the records of repeated pairs, record ``i`` being edge ``i``
-    of ``graph``.
+    of ``graph`` and ``stamps`` either all numbers or all ``None``.
 
-    Returns the index of each pair's first record, in order, and
-    each pair's weight and timestamp: the latest record's when the whole
-    group carries timestamps (ties: last in file order), else the mean of
-    the group's weights and no timestamp.
+    Returns the index of each pair's first record, in order, and each pair's
+    weight: the latest record's when there are timestamps (ties: last in
+    file order), else the mean of the pair's weights.
     """
     if not _repeats(graph):
-        return np.arange(len(weights)), weights, stamps
+        return np.arange(len(weights)), weights
     # Each pair's records, in file order.
     _, records, ptr = key_classes(_pair_keys(graph), np.arange(len(weights)))
     first = records[ptr[:-1]]
-    out_weights = list(map(weights.__getitem__, first.tolist()))
-    out_stamps = list(map(stamps.__getitem__, first.tolist()))
+    out = list(map(weights.__getitem__, first.tolist()))
     sizes = np.diff(ptr)
-    averaged = np.zeros(len(sizes), dtype=bool)
-    for k in np.flatnonzero(sizes > 1).tolist():
-        group = records[ptr[k]:ptr[k + 1]].tolist()
-        if all(stamps[i] is not None for i in group):
+    repeated = np.flatnonzero(sizes > 1)
+    if stamps[0] is not None:
+        for k in repeated.tolist():
+            group = records[ptr[k]:ptr[k + 1]].tolist()
             # max keeps the first of equal keys; scan backwards so the last wins.
-            i = max(reversed(group), key=stamps.__getitem__)
-            out_weights[k], out_stamps[k] = weights[i], stamps[i]
-        else:
-            averaged[k] = True
-    if averaged.any():
-        # Every mean at once, each pair's sum over its weights ascending from
-        # 0.0: the bits of stable_mean.
-        pair = np.repeat(np.arange(averaged.sum()), sizes[averaged])
-        rows = records[np.repeat(averaged, sizes)]
-        _, ascending, _ = key_classes(pair, np.array(weights)[rows])
-        means = np.bincount(pair, weights=ascending) / sizes[averaged]
-        for k, mean in zip(np.flatnonzero(averaged).tolist(), means.tolist()):
-            out_weights[k], out_stamps[k] = mean, None
-    return first, out_weights, out_stamps
-
-
-def collapse_duplicates(records: Sequence[EdgeRecord]) -> list:
-    """Collapse repeat (origin, terminal) records to a single edge.
-
-    Latest timestamp wins when the whole group carries timestamps (ties:
-    last occurrence in file order); otherwise the weights are averaged.
-    """
-    records = list(records)
-    graph = graph_of([r.origin for r in records], [r.terminal for r in records])
-    first, weights, stamps = _collapse(
-        graph, [r.weight for r in records], [r.timestamp for r in records]
-    )
-    return [
-        EdgeRecord(records[i].origin, records[i].terminal, w, ts)
-        for i, w, ts in zip(first.tolist(), weights, stamps)
-    ]
+            out[k] = weights[max(reversed(group), key=stamps.__getitem__)]
+        return first, out
+    # Every mean at once, each pair's sum over its weights ascending from
+    # 0.0: the bits of stable_mean.
+    pair = np.repeat(np.arange(len(repeated)), sizes[repeated])
+    rows = records[np.repeat(sizes > 1, sizes)]
+    _, ascending, _ = key_classes(pair, np.array(weights)[rows])
+    means = np.bincount(pair, weights=ascending) / sizes[repeated]
+    for k, mean in zip(repeated.tolist(), means.tolist()):
+        out[k] = mean
+    return first, out
 
 
 def _rescale(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -581,7 +559,7 @@ def build_snapshot(
     data = read_bytes(spec.path, "file")
     origins, terminals, weights, stamps = _parse(spec, data)
     graph = graph_of(origins, terminals)
-    rows, weights, _ = _collapse(graph, weights, stamps)
+    rows, weights = _collapse(graph, weights, stamps)
     lo, hi = spec.weight_range
     weight = _rescale(np.array(weights, dtype=float), lo, hi)
     sampling = None

@@ -123,10 +123,6 @@ class KnnClasses:
                 values[i] = ordered_sum(chosen) / (self.config.k if fixed_k else len(chosen))
         return KnnPrediction(values, sizes == 0, degenerate, sizes)
 
-    def predict_count(self, c: int) -> KnnPrediction:
-        """The answer for every query whose band count is c."""
-        return KnnPrediction(*(a.item() for a in vars(self.predict_counts([c])).values()))
-
 
 class KnnModel(KnnClasses):
     """kNN predictor bound to a metric and a fixed training enumeration."""
@@ -149,5 +145,6 @@ class KnnModel(KnnClasses):
     def predict(self, x) -> KnnPrediction:
         c = self.metric.profile(x).band_count
         if c not in self._memo:
-            self._memo[c] = self.predict_count(c)
+            p = self.predict_counts([c])
+            self._memo[c] = KnnPrediction(*(a.item() for a in vars(p).values()))
         return self._memo[c]

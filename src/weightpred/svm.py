@@ -67,17 +67,6 @@ class KernelSpec:
             raise SettingError("gamma", f"of an rbf kernel must be positive, got {self.gamma!r}")
 
 
-def kernel_eval(spec: KernelSpec, u: float, v: float) -> float:
-    """Evaluate the kernel on a pair of reals."""
-    if spec.kind == "linear":
-        return u * v
-    if spec.kind == "polynomial":
-        return (u * v + spec.coef0) ** spec.degree
-    if spec.gamma is None:
-        raise ValueError("rbf kernel has unresolved gamma; fit a model first")
-    return math.exp(-spec.gamma * (u - v) ** 2)
-
-
 def _kernel_matrix(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if spec.kind == "linear":
         return np.outer(u, v)
@@ -214,12 +203,7 @@ def predict_embeddings(model: SvmModel, embeddings) -> SvmPrediction:
     return SvmPrediction(value=value, clamped=value != raw, raw=raw)
 
 
-def predict_at(model: SvmModel, embedding: float) -> SvmPrediction:
-    """Predict at an embedding value, clamping into the weight range."""
-    p = predict_embeddings(model, [embedding])
-    return SvmPrediction(*(a.item() for a in vars(p).values()))
-
-
 def predict_weight_svm(model: SvmModel, metric: CountMetric, element) -> SvmPrediction:
     """Predict the weight of an element of the metric's kind."""
-    return predict_at(model, metric.transfer(element))
+    p = predict_embeddings(model, [metric.transfer(element)])
+    return SvmPrediction(*(a.item() for a in vars(p).values()))

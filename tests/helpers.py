@@ -25,7 +25,6 @@ from weightpred import (
     fit_points,
     mae,
     make_split,
-    predict_at,
     rmse,
     stable_mean,
 )
@@ -186,6 +185,15 @@ def brute_knn(counts, query_count, training, k, zero_distance_policy="exclude"):
     return elements, len(distinct) < k
 
 
+def brute_kernel(spec, u, v):
+    """The kernel of ``spec`` on one pair of reals, from its formula."""
+    if spec.kind == "linear":
+        return u * v
+    if spec.kind == "polynomial":
+        return (u * v + spec.coef0) ** spec.degree
+    return math.exp(-spec.gamma * (u - v) ** 2)
+
+
 def brute_fairness_goodness(edges, weights, tol=1e-6, max_iter=100):
     """Direct dict-based iteration of the two averaging sweeps; each score
     is a left-to-right sum over the vertex's edges in edge order."""
@@ -222,26 +230,28 @@ def reference_run(snapshot, config):
 
     It makes the generator calls the library documents (``rng.choice`` of
     the sampled edges, then ``rng.permutation`` of the sampled vertex list
-    for a vertex task) and reads the same settings from ``config``: train
-    size, ``h`` (training std-dev, floored at 1e-12), fairness stopping rule
-    and predictor settings.  Fairness scores, neighbor sets, band counts and
+    for a vertex task), takes each sampled edge's tokens and weight by id
+    from ``snapshot.columns``, and reads the same settings from
+    ``config``: train size, ``h`` (training std-dev, floored at 1e-12),
+    fairness stopping rule and predictor settings.  Fairness scores, neighbor sets, band counts and
     kNN neighborhoods come from quadratic scans; the SVM is fitted with
     ``fit_points`` on (band count, weight) in training order and asked once
-    per test element.
+    per test element through ``svm.predict_embeddings``.
 
     Returns a dict: ``rows`` ((element, predicted, truth, flags) per test
     element), ``counts`` (element -> band count), ``train`` and ``test``
     (element lists), ``h``, ``h_stddev_zero``, ``tie_stats``, ``mae`` and
     ``rmse``.  Raises ``DomainError`` where the library's split must.
     """
-    records = list(snapshot.edges)
-    size = len(records) if config.sample_size is None else config.sample_size
-    if size > len(records):
-        raise DomainError(f"sample_size {size} exceeds the {len(records)} records")
+    c = snapshot.columns
+    src, dst, weight = c.src.tolist(), c.dst.tolist(), c.weight.tolist()
+    size = len(weight) if config.sample_size is None else config.sample_size
+    if size > len(weight):
+        raise DomainError(f"sample_size {size} exceeds the {len(weight)} records")
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    sampled = [records[i] for i in rng.choice(len(records), size=size, replace=False)]
-    edges = [(r.origin, r.terminal) for r in sampled]
-    edge_weights = {e: r.weight for e, r in zip(edges, sampled)}
+    sampled = rng.choice(len(weight), size=size, replace=False).tolist()
+    edges = [(c.origins[src[i]], c.terminals[dst[i]]) for i in sampled]
+    edge_weights = {e: weight[i] for e, i in zip(edges, sampled)}
     if config.task == "edge":
         universe, table, value_range = edges, edge_weights, (-1.0, 1.0)
     else:
@@ -287,8 +297,8 @@ def reference_run(snapshot, config):
             value_range,
         )
         for x in test:
-            p = predict_at(model, float(counts[x]))
-            rows.append((x, p.value, table[x], ("clamped",) * p.clamped))
+            p = svm.predict_embeddings(model, [float(counts[x])])
+            rows.append((x, p.value.item(), table[x], ("clamped",) * p.clamped.item()))
 
     train_counts = Counter(counts[a] for a in train)
     preds, truths = [r[1] for r in rows], [r[2] for r in rows]

@@ -32,10 +32,10 @@ from weightpred import (
     compute_fairness_goodness,
     fit_points,
     mae,
-    predict_at,
     rmse,
     run_experiment,
 )
+from weightpred.svm import predict_embeddings
 
 from helpers import (
     brute_fairness_goodness,
@@ -205,7 +205,7 @@ def test_criterion_5_svm_sanity():
     # Single point: the unpenalized intercept absorbs the label exactly.
     for kernel in (KernelSpec("linear"), KernelSpec("rbf", gamma=1.0)):
         model = fit_points([(2.0, 0.7)], SvmConfig(kernel=kernel), (-1, 1))
-        assert abs(predict_at(model, 2.0).raw - 0.7) < 1e-9
+        assert abs(predict_embeddings(model, [2.0]).raw[0] - 0.7) < 1e-9
 
     # Two points, linear kernel, against an augmented least-squares solve.
     points = [(0.0, 0.3), (1.0, 0.9)]
@@ -229,7 +229,7 @@ def test_criterion_5_svm_sanity():
         (-1, 1),
     )
     for q in (0.0, 1.0, 3.0, 9.0):
-        assert abs(predict_at(constant, q).raw - 0.4) < 1e-6
+        assert abs(predict_embeddings(constant, [q]).raw[0] - 0.4) < 1e-6
 
 
 def _synthetic_snapshot(n_edges, seed):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from weightpred import load_snapshot
-from weightpred.cli import main
+from weightpred.cli import build_parser, main
 
 from helpers import FIG_EDGES, write_rating_file
 
@@ -33,6 +33,25 @@ def snapshot_file(tmp_path_factory, rating_file):
 # Pieces of a predictions file: its first line and a well-formed table.
 _V1 = "# format: weightpred-predictions-v1\n"
 _ROWS = "element,predicted,truth,flags\nv1,0.5,0.25,\n"
+
+
+@pytest.fixture(scope="module")
+def predictions_file(tmp_path_factory, snapshot_file):
+    out = tmp_path_factory.mktemp("preds") / "preds.csv"
+    assert main(_run_args(snapshot_file, "edge", "knn", out)) == 0
+    return out
+
+
+# Each flag ``evaluate --predictions`` refuses, with a value it parses.
+_FILE_MODE_REFUSED = [
+    ("--task", "origin"), ("--method", "svm"), ("--repeat", "2"), ("--config", None),
+    ("--seed", "4"), ("--sample-size", "all"), ("--train-count", "10"),
+    ("--train-fraction", "0.5"), ("--h", "0.1"), ("--k", "9"),
+    ("--zero-distance-policy", "include"), ("--denominator-policy", "fixed_k"),
+    ("--kernel", "linear"), ("--gamma", "0.5"), ("--degree", "2"), ("--coef0", "0.5"),
+    ("--reg-lambda", "0.1"), ("--fg-tol", "0.001"), ("--fg-max-iter", "5"),
+    ("--exclude-self", None),
+]
 
 
 def _run_args(snapshot, task, method, out, **extra):
@@ -398,11 +417,28 @@ class TestEvaluate:
                      "--snapshot", str(snapshot_file)])
         assert code == 1
 
-    def test_repeat_in_file_mode_is_usage_error(self, tmp_path):
-        preds = tmp_path / "p.csv"
-        preds.write_text("x")
-        code = main(["evaluate", "--predictions", str(preds), "--repeat", "2"])
+    @pytest.mark.parametrize("flag,value", _FILE_MODE_REFUSED,
+                             ids=[flag[2:] for flag, _ in _FILE_MODE_REFUSED])
+    def test_run_flag_in_file_mode_is_usage_error(
+        self, predictions_file, tmp_path, capsys, flag, value
+    ):
+        report = tmp_path / "report.json"
+        if flag == "--config":
+            value = tmp_path / "run.json"
+            value.write_text(json.dumps({"k": 9}))
+        extra = [flag] if value is None else [flag, str(value)]
+        code = main(["evaluate", "--predictions", str(predictions_file), *extra,
+                     "--report", str(report)])
         assert code == 1
+        assert f"usage error: {flag} applies only to snapshot mode" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_every_run_flag_is_refused_in_file_mode(self):
+        evaluate = build_parser().parse_args(["evaluate"])
+        flags = {"--" + dest.replace("_", "-") for dest in evaluate.config_flags}
+        assert flags | {"--task", "--method", "--repeat", "--config"} == {
+            flag for flag, _ in _FILE_MODE_REFUSED
+        }
 
     @pytest.mark.parametrize("extra,problem", [
         ([], "pass --predictions or --snapshot"),

@@ -114,6 +114,19 @@ def test_key_classes_number_classes_as_a_dict_does(case):
         assert values[ptr[i]:ptr[i + 1]].tobytes() == np.array(sorted(want)).tobytes()
 
 
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 3, 4, 5, *(2**k + d for k in (3, 10, 16) for d in (-1, 0, 1))]
+)
+def test_stable_order_is_the_stable_argsort(n):
+    # Index counts at and around powers of two, where the index field widens;
+    # keys at both ends of the documented range, most of them tied.
+    rng = np.random.default_rng(n)
+    keys = rng.choice(np.array([0, 1, 2**31, 2**32 - 2, 2**32 - 1]), n)
+    keys[:2] = [2**32 - 1, 0][:n]
+    got = countmetric._stable_order(keys)
+    assert got.tolist() == np.argsort(keys, kind="stable").tolist()
+
+
 class TestBandCount:
     def test_fig1_counts(self, fig1, origin_weights):
         m = CountMetric(fig1, origin_weights, 0.2)

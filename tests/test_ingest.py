@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightpred import (
@@ -19,7 +19,6 @@ from weightpred import (
     Snapshot,
     SplitPlan,
     build_snapshot,
-    collapse_duplicates,
     load_snapshot,
     make_split,
     parse_edge_list,
@@ -141,71 +140,70 @@ def test_dataset_spec_rejects_bad_setting(tmp_path, weight_range, delimiter, set
     assert err.value.setting == setting
 
 
+def _collapsed(path, rows, ts):
+    """The (origin, terminal, weight) edges ``build_snapshot`` makes of a raw
+    file of ``rows``; over the range [-1, 1] rescaling keeps every bit."""
+    path.write_text("".join(",".join(map(str, row[:3 + ts])) + "\n" for row in rows))
+    snap = build_snapshot(_spec(path, rng=(-1.0, 1.0), ts=ts))
+    return [(r.origin, r.terminal, r.weight) for r in snap.edges]
+
+
 class TestCollapseDuplicates:
-    def test_latest_timestamp_wins(self):
-        records = [
-            EdgeRecord("a", "b", 1.0, 100),
-            EdgeRecord("a", "b", 5.0, 300),
-            EdgeRecord("a", "b", 3.0, 200),
-        ]
-        (out,) = collapse_duplicates(records)
-        assert out.weight == 5.0
+    def test_latest_timestamp_wins(self, tmp_path):
+        rows = [("a", "b", 0.1, 100), ("a", "b", 0.5, 300), ("a", "b", 0.3, 200)]
+        assert _collapsed(tmp_path / "d.csv", rows, True) == [("a", "b", 0.5)]
 
-    def test_timestamp_tie_goes_to_last_record(self):
-        records = [EdgeRecord("a", "b", 1.0, 5.0), EdgeRecord("a", "b", 2.0, 5.0)]
-        (out,) = collapse_duplicates(records)
-        assert out.weight == 2.0
+    def test_timestamp_tie_goes_to_last_record(self, tmp_path):
+        rows = [("a", "b", 0.1, 5.0), ("a", "b", 0.2, 5.0)]
+        assert _collapsed(tmp_path / "d.csv", rows, True) == [("a", "b", 0.2)]
 
-    def test_mean_without_timestamps(self):
-        records = [EdgeRecord("a", "b", 1.0), EdgeRecord("a", "b", 2.0)]
-        (out,) = collapse_duplicates(records)
-        assert out.weight == pytest.approx(1.5)
+    def test_mean_without_timestamps(self, tmp_path):
+        rows = [("a", "b", 0.1), ("c", "d", -0.0), ("a", "b", 0.2)]
+        (ab, cd) = _collapsed(tmp_path / "d.csv", rows, False)
+        assert ab == ("a", "b", pytest.approx(0.15))
+        assert cd == ("c", "d", 0.0)
+        assert math.copysign(1.0, cd[2]) == -1.0  # a lone record is kept as is
 
-    def test_mean_when_a_group_lacks_a_timestamp(self):
-        records = [EdgeRecord("a", "b", 1.0, 5.0), EdgeRecord("c", "d", -0.0),
-                   EdgeRecord("e", "f", 4.0, 6.0), EdgeRecord("a", "b", 2.0)]
-        out = collapse_duplicates(records)
-        assert out == [EdgeRecord("a", "b", 1.5), EdgeRecord("c", "d", 0.0),
-                       EdgeRecord("e", "f", 4.0, 6.0)]
-        assert math.copysign(1.0, out[1].weight) == -1.0  # a lone record is kept as is
+    def test_distinct_pairs_untouched(self, tmp_path):
+        rows = [("a", "b", 0.1, 5), ("a", "c", 0.2, 6)]
+        assert _collapsed(tmp_path / "d.csv", rows, True) == [r[:3] for r in rows]
 
-    def test_distinct_pairs_untouched(self):
-        records = [EdgeRecord("a", "b", 1.0, 5), EdgeRecord("a", "c", 2.0, 6)]
-        assert collapse_duplicates(records) == records
-
-    @given(st.lists(
+    @given(st.booleans(), st.lists(
         st.tuples(st.integers(0, 2), st.integers(0, 1),
                   # 0.1 + 0.2 + 0.3 rounds differently in another order.
-                  st.one_of(st.floats(-10.0, 10.0),
+                  st.one_of(st.floats(-1.0, 1.0),
                             st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1 / 3])),
-                  st.one_of(st.none(), st.integers(0, 3))),
-        min_size=1, max_size=40,
+                  st.integers(0, 3)),
+        min_size=1, max_size=60,
     ))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_a_dict_oracle(self, rows):
-        """Stamped and unstamped groups mixed in one call, several averaged
-        groups, ties and ``-0.0``, compared bit for bit with a dict oracle."""
-        records = [EdgeRecord(f"o{o}", f"t{t}", w, ts) for o, t, w, ts in rows]
+    # Added in file order, 0.3 + 0.2 + 0.1 is 0.6; ascending, it is 0.6000000000000001.
+    @example(False, [(0, 0, 0.3, 0), (1, 1, -0.0, 0), (0, 0, 0.2, 0), (0, 0, 0.1, 0)])
+    @settings(deadline=None)
+    def test_matches_a_dict_oracle(self, tmp_path_factory, ts, rows):
+        """Many rows over six pairs, with or without a timestamp column,
+        ties and ``-0.0``, compared bit for bit with a dict oracle."""
+        rows = [(f"o{o}", f"t{t}", w, stamp) for o, t, w, stamp in rows]
         groups = {}
-        for r in records:
-            groups.setdefault(r.pair, []).append(r)
+        for row in rows:
+            groups.setdefault(row[:2], []).append(row)
         want = []
         for (o, t), group in groups.items():
-            if all(r.timestamp is not None for r in group):
-                latest = max(r.timestamp for r in group)
-                want.append([r for r in group if r.timestamp == latest][-1])
+            if ts:
+                latest = max(row[3] for row in group)
+                want.append((o, t, [row for row in group if row[3] == latest][-1][2]))
             elif len(group) == 1:  # a lone record is kept as is, -0.0 included
-                want.append(group[0])
+                want.append((o, t, group[0][2]))
             else:
                 total = 0.0
-                for w in sorted(r.weight for r in group):
+                for w in sorted(row[2] for row in group):
                     total += w
-                want.append(EdgeRecord(o, t, total / len(group)))
+                want.append((o, t, total / len(group)))
 
-        def bits(r):
-            return r.origin, r.terminal, r.weight.hex(), r.timestamp
+        def bits(edges):
+            return [(o, t, w.hex()) for o, t, w in edges]
 
-        assert list(map(bits, collapse_duplicates(records))) == list(map(bits, want))
+        path = tmp_path_factory.mktemp("collapse") / "d.csv"
+        assert bits(_collapsed(path, rows, ts)) == bits(want)
 
 
 class TestRescale:

@@ -128,11 +128,12 @@ class TestPredict:
         config = KnnConfig(3, zero_distance_policy, denominator_policy)
         lists = KnnClasses(counts.tolist(), weights.tolist(), config)
         arrays = KnnClasses(counts, weights, config)
-        for c in range(12):
-            want = lists.predict_count(c)
-            got = arrays.predict_count(c)
-            assert got == want
-            assert type(got.value) is float and got.value.hex() == want.value.hex()
+        queries = list(range(12))
+        want = lists.predict_counts(queries)
+        got = arrays.predict_counts(queries)
+        for name, column in vars(want).items():
+            assert column.tolist() == getattr(got, name).tolist()
+        assert list(map(float.hex, got.value.tolist())) == list(map(float.hex, want.value.tolist()))
 
 
 class TestPredictionProperties:
@@ -243,7 +244,7 @@ class TestBatchedAnswers:
             assert float(got.value[i]).hex() == value.hex()
             assert (bool(got.used_fallback[i]), bool(got.degenerate[i]),
                     int(got.neighborhood_size[i])) == (n == 0, degenerate, n)
-            one = knn.predict_count(q)
-            assert type(one.value) is float and one.value.hex() == value.hex()
-            assert (one.used_fallback, one.degenerate, one.neighborhood_size) == (
-                n == 0, degenerate, n)
+            one = knn.predict_counts([q])
+            assert float(one.value[0]).hex() == value.hex()
+            assert (bool(one.used_fallback[0]), bool(one.degenerate[0]),
+                    int(one.neighborhood_size[0])) == (n == 0, degenerate, n)

@@ -4,6 +4,7 @@ costs no more than the commands need."""
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import weightpred
 
@@ -11,6 +12,11 @@ import weightpred
 def test_every_exported_name_resolves():
     missing = [name for name in weightpred.__all__ if not hasattr(weightpred, name)]
     assert missing == []
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert f'\nversion = "{weightpred.__version__}"\n' in pyproject.read_text(encoding="utf-8")
 
 
 def test_numpy_random_is_imported_only_to_sample(tmp_path):

@@ -15,13 +15,11 @@ from weightpred import (
     SvmConfig,
     fit,
     fit_points,
-    kernel_eval,
-    predict_at,
     predict_weight_svm,
 )
 from weightpred.svm import _kernel_matrix, predict_embeddings
 
-from helpers import _left_sum
+from helpers import _left_sum, brute_kernel
 
 finite_reals = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -36,13 +34,13 @@ class TestKernelSpec:
             KernelSpec("rbf", gamma=-1.0)
 
     def test_golden_values(self):
-        assert kernel_eval(KernelSpec("linear"), 2.0, 3.0) == 6.0
-        assert kernel_eval(KernelSpec("rbf", gamma=0.7), 1.5, 1.5) == 1.0
-        assert kernel_eval(KernelSpec("polynomial", degree=2, coef0=1.0), 1.0, 1.0) == 4.0
-
-    def test_unresolved_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_eval(KernelSpec("rbf"), 0.0, 1.0)
+        for spec, u, v, want in (
+            (KernelSpec("linear"), 2.0, 3.0, 6.0),
+            (KernelSpec("rbf", gamma=0.7), 1.5, 1.5, 1.0),
+            (KernelSpec("polynomial", degree=2, coef0=1.0), 1.0, 1.0, 4.0),
+        ):
+            assert brute_kernel(spec, u, v) == want
+            assert _kernel_matrix(spec, np.array([u]), np.array([v]))[0, 0] == want
 
     @given(finite_reals, finite_reals)
     @settings(max_examples=80)
@@ -52,7 +50,8 @@ class TestKernelSpec:
             KernelSpec("polynomial", degree=3, coef0=0.5),
             KernelSpec("rbf", gamma=0.25),
         ):
-            assert kernel_eval(spec, u, v) == kernel_eval(spec, v, u)
+            mat = _kernel_matrix(spec, np.array([u, v]), np.array([u, v]))
+            assert mat[0, 1] == mat[1, 0]
 
     def test_matrix_agrees_with_scalar(self):
         u = np.array([0.0, 1.0, 2.5])
@@ -65,7 +64,7 @@ class TestKernelSpec:
             mat = _kernel_matrix(spec, u, v)
             for i, a in enumerate(u):
                 for j, b in enumerate(v):
-                    assert mat[i, j] == pytest.approx(kernel_eval(spec, a, b), rel=1e-15)
+                    assert mat[i, j] == pytest.approx(brute_kernel(spec, a, b), rel=1e-15)
 
 
 class TestFit:
@@ -75,7 +74,7 @@ class TestFit:
         for kernel in (KernelSpec("linear"), KernelSpec("rbf", gamma=1.0),
                        KernelSpec("polynomial", degree=2, coef0=1.0)):
             model = fit_points([(2.0, 0.7)], SvmConfig(kernel=kernel), (-1, 1))
-            assert abs(predict_at(model, 2.0).raw - 0.7) < 1e-6
+            assert abs(predict_embeddings(model, [2.0]).raw[0] - 0.7) < 1e-6
 
     def test_constant_labels_reproduced_everywhere(self):
         model = fit_points(
@@ -84,7 +83,7 @@ class TestFit:
             (-1, 1),
         )
         for u in (0.0, 1.0, 3.0, 10.0, -4.0):
-            assert abs(predict_at(model, u).raw - 0.4) < 1e-6
+            assert abs(predict_embeddings(model, [u]).raw[0] - 0.4) < 1e-6
 
     def test_two_point_linear_matches_explicit_solve(self):
         # Independent oracle: augmented least squares for the same objective
@@ -165,7 +164,7 @@ class TestFit:
         assert model.merged_count > 0
         residuals = [
             abs(model.intercept + sum(
-                c * y_j * kernel_eval(model.kernel, u, u_j)
+                c * y_j * brute_kernel(model.kernel, u, u_j)
                 for c, (u_j, y_j) in zip(model.coefficients, model.points)
             ) - y)
             for u, y in points
@@ -211,12 +210,12 @@ class TestPredict:
         model = fit_points(
             [(0.0, 0.25), (2.0, 0.25)], SvmConfig(kernel=KernelSpec("linear")), (-1, 1)
         )
-        assert predict_at(model, 5.0).value == pytest.approx(0.25, abs=1e-6)
+        assert predict_embeddings(model, [5.0]).value[0] == pytest.approx(0.25, abs=1e-6)
 
     def test_lone_point_query_hits_label(self):
         model = fit_points([(3.0, -0.6)], SvmConfig(kernel=KernelSpec("rbf", gamma=2.0)), (-1, 1))
-        pred = predict_at(model, 3.0)
-        assert abs(pred.value - (-0.6)) < 1e-6
+        pred = predict_embeddings(model, [3.0])
+        assert abs(pred.value[0] - (-0.6)) < 1e-6
 
     def test_clamping_flags_and_bounds(self):
         # A steep linear fit pushed far outside the training embeddings
@@ -226,10 +225,10 @@ class TestPredict:
             SvmConfig(kernel=KernelSpec("linear"), regularization=1e-6),
             (-1, 1),
         )
-        pred = predict_at(model, 50.0)
-        assert pred.clamped
-        assert -1.0 <= pred.value <= 1.0
-        assert pred.raw != pred.value
+        pred = predict_embeddings(model, [50.0])
+        assert pred.clamped[0]
+        assert -1.0 <= pred.value[0] <= 1.0
+        assert pred.raw[0] != pred.value[0]
 
     def test_prediction_depends_only_on_embedding(self, fig1, origin_weights):
         metric = CountMetric(fig1, origin_weights, 0.2)
@@ -268,10 +267,10 @@ class TestBatchedPredict:
         u_m = np.array([u for u, _ in model.points])
         coef = np.array(model.coefficients) * np.array([y for _, y in model.points])
         for i, u in enumerate(embeddings):
-            one = predict_at(model, u)
+            one = predict_embeddings(model, [u])
             # The product as one embedding alone computes it.
             raw = float((model.intercept + _kernel_matrix(model.kernel, np.array([u]), u_m) @ coef)[0])
-            assert one.raw.hex() == float(batch.raw[i]).hex() == raw.hex()
-            assert one.value.hex() == float(batch.value[i]).hex()
-            assert one.clamped == bool(batch.clamped[i])
+            assert float(one.raw[0]).hex() == float(batch.raw[i]).hex() == raw.hex()
+            assert float(one.value[0]).hex() == float(batch.value[i]).hex()
+            assert one.clamped[0] == batch.clamped[i]
         assert batch.clamped.any() and not batch.clamped.all()
