@@ -34,7 +34,7 @@ from .svm import (
     predict_weight_svm,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "CountMetric",

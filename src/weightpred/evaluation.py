@@ -379,7 +379,8 @@ def read_predictions(path):
     The metadata holds each ``# key: value`` header line's value as text,
     except ``config``, which is parsed from JSON.  Only lines before the
     column-header row are header lines: after it, a line that starts with
-    ``#`` is a row whose first token does.
+    ``#`` is a row whose first token does.  A row's flags are distinct names
+    of ``_ROW_FLAGS``.
     """
     text = utf8_text(read_bytes(path, "predictions"), path)
     meta = {}
@@ -438,6 +439,10 @@ def read_predictions(path):
         else:
             element = rec[0]
         flags = tuple(f for f in rec[flags_col].split("|") if f)
+        for k, flag in enumerate(flags):
+            if flag not in _ROW_FLAGS or flag in flags[:k]:
+                fault = "repeated" if flag in _ROW_FLAGS else "unknown"
+                raise ParseError(f"{fault} row flag {flag!r}", path=str(path), line=lineno)
         rows.append(PredictionRow(element, *values, flags))
     if not rows:
         raise ParseError("no prediction rows", path=str(path))

@@ -33,8 +33,8 @@ import gc
 import hashlib
 import json
 import math
-import numbers
 import re
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -52,6 +52,9 @@ from .graph import DirectedGraph, WeightKind, _read_only, graph_of
 
 PRNG_NAME = "numpy-pcg64"
 SNAPSHOT_FORMAT = "weightpred-snapshot-v1"
+
+# The largest raw weight bound: within it, 2w, a + b and b - a are finite.
+_MAX_BOUND = sys.float_info.max / 2
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -74,6 +77,10 @@ class DatasetSpec:
             check_float(name, value)
             if not math.isfinite(value):
                 raise SettingError(name, f"must be finite, got {value!r}")
+            if abs(value) > _MAX_BOUND:
+                raise SettingError(
+                    name, f"must be at most {_MAX_BOUND!r} in magnitude, got {value!r}"
+                )
         if not a < b:
             raise SettingError(
                 "weight_min", f"must be below the maximum, got range [{a}, {b}]"
@@ -268,10 +275,16 @@ def rescale(value: float, lo: float, hi: float) -> float:
 
     The exact image always lies in [-1, 1]; cancellation error for ranges
     with large offsets can overshoot by a few ulps, so the result is
-    clamped back in.
+    clamped back in.  Raises ``ValueError`` for an empty range, or one with
+    a bound above ``sys.float_info.max / 2`` in magnitude, where the map
+    overflows.
     """
     if not lo < hi:
         raise ValueError(f"source range [{lo}, {hi}] is empty")
+    if max(abs(lo), abs(hi)) > _MAX_BOUND:
+        raise ValueError(
+            f"source range [{lo}, {hi}] has a bound above {_MAX_BOUND!r} in magnitude"
+        )
     if not lo <= value <= hi:
         raise DomainError(f"value {value!r} outside [{lo}, {hi}]")
     return float(_rescale(np.float64(value), lo, hi))
@@ -414,31 +427,14 @@ class Snapshot:
     ``terminals[columns.dst[i]]`` with weight ``columns.weight[i]`` in
     [-1, 1], no pair repeats, and ``origins`` and ``terminals`` are the
     edges' tokens in order of first appearance.  :func:`build_snapshot`
-    makes such a snapshot; :func:`load_snapshot` and :meth:`from_edges`
-    check all of that with one edge check.  ``Snapshot(columns, ...)``
-    itself checks nothing.
+    makes such a snapshot and :func:`load_snapshot` checks all of that;
+    ``Snapshot(columns, ...)`` checks nothing.  :meth:`digest` identifies a
+    snapshot (``==`` is identity).
     """
 
     columns: Columns
     raw_weight_range: tuple
     provenance: dict
-
-    @classmethod
-    def from_edges(cls, edges, raw_weight_range, provenance) -> "Snapshot":
-        """The snapshot of ``edges``, :class:`EdgeRecord` objects in order.
-
-        Runs the edge check of :func:`load_snapshot`: raises ``ValueError``
-        for no edges, or naming the first edge, its pair and its fault, for
-        each edge that :func:`load_snapshot` rejects.
-        """
-        edges = tuple(edges)
-        if not edges:
-            raise ValueError("snapshot has no edges")
-        columns = _edge_columns(
-            [[r.origin, r.terminal, r.weight] for r in edges],
-            lambda i, fault: ValueError(f"edge {i} {edges[i].pair!r}: {fault}"),
-        )
-        return cls(columns, tuple(raw_weight_range), provenance)
 
     @property
     def origins(self) -> tuple:
@@ -458,17 +454,6 @@ class Snapshot:
             c.tokens(WeightKind.TERMINAL, c.dst),
             c.weight.tolist(),
         ))
-
-    def __eq__(self, other):
-        if not isinstance(other, Snapshot):
-            return NotImplemented
-        a, b = self.columns, other.columns
-        return (
-            (self.raw_weight_range, self.provenance, a.origins, a.terminals)
-            == (other.raw_weight_range, other.provenance, b.origins, b.terminals)
-            and all(np.array_equal(getattr(a, k), getattr(b, k))
-                    for k in ("src", "dst", "weight"))
-        )
 
     def digest(self) -> str:
         """Content hash of the canonical JSON form, computed once per snapshot."""
@@ -602,12 +587,12 @@ def save_snapshot(snapshot: Snapshot, path) -> None:
 
 
 def _weight_array(weights: list) -> Optional[np.ndarray]:
-    """``weights`` as a float array, or ``None`` unless each is a real
-    number in [-1, 1] and not a ``bool``."""
+    """``weights``, JSON values, as a float array, or ``None`` unless each
+    is an ``int`` or ``float`` (not a ``bool``) in [-1, 1]."""
     kinds = set(map(type, weights))
-    if any(not issubclass(k, numbers.Real) or issubclass(k, (bool, np.bool_)) for k in kinds):
+    if not kinds <= {int, float}:
         return None
-    if not kinds <= {float}:  # compared before conversion, so no int overflows
+    if int in kinds:  # compared before conversion, so no int overflows
         weights = [float(w) if -1.0 <= w <= 1.0 else math.nan for w in weights]
     weight = np.array(weights, dtype=float)
     return weight if ((weight >= -1.0) & (weight <= 1.0)).all() else None  # NaN fails
@@ -654,10 +639,10 @@ def _edge_fault(edge, i: int, first_seen: dict) -> Optional[str]:
     return f"repeats the (origin, terminal) pair of edge {j}" if j < i else None
 
 
-def _edge_columns(edges: list, fail) -> Columns:
-    """A snapshot's edges as columns, checked at once (tokens once each);
-    after a failed check, ``fail(i, fault)`` is raised for the first edge
-    ``i`` that :func:`_edge_fault` rejects."""
+def _edge_columns(edges: list, path: str) -> Columns:
+    """The ``edges`` of the snapshot file at ``path`` as columns, checked at
+    once (tokens once each); after a failed check, the :class:`ParseError`
+    names the first edge that :func:`_edge_fault` rejects, and its fault."""
     if set(map(type, edges)) == {list} and set(map(len, edges)) == {3}:
         origins, terminals, weights = _transpose(edges, 3)
         if set(map(type, origins)) == {str} == set(map(type, terminals)):
@@ -670,7 +655,7 @@ def _edge_columns(edges: list, fail) -> Columns:
     for i, edge in enumerate(edges):
         fault = _edge_fault(edge, i, first_seen)
         if fault:
-            raise fail(i, fault)
+            raise ParseError(f"edge {i}: {fault}", path=path)
     raise AssertionError("the bulk edge check rejects edges that each pass")
 
 
@@ -721,9 +706,7 @@ def _load_snapshot(path) -> Snapshot:
     if not payload["edges"]:
         raise ParseError("snapshot has no edges", path=where)
 
-    columns = _edge_columns(
-        payload["edges"], lambda i, fault: ParseError(f"edge {i}: {fault}", path=where)
-    )
+    columns = _edge_columns(payload["edges"], where)
     for name, ids in (("origins", columns.src), ("terminals", columns.dst)):
         listed, expected = payload[name], list(getattr(columns, name))
         if listed == expected:

@@ -186,10 +186,12 @@ def _predict_raw(model: SvmModel, u) -> np.ndarray:
     raw = np.empty(len(u))
     # Kernel rows in blocks no larger than the fit's m x m matrix, each row
     # its own (1, m) @ (m,) product: a (rows, m) one rounds differently.
-    for a in range(0, len(u), len(u_m)):
-        rows = _kernel_matrix(model.kernel, u[a:a + len(u_m)], u_m)
-        raw[a:a + len(rows)] = [(row[None] @ coef)[0] for row in rows]
-    return model.intercept + raw
+    # As in the fit, an overflowing kernel gives values, not warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, len(u), len(u_m)):
+            rows = _kernel_matrix(model.kernel, u[a:a + len(u_m)], u_m)
+            raw[a:a + len(rows)] = [(row[None] @ coef)[0] for row in rows]
+        return model.intercept + raw
 
 
 def predict_embeddings(model: SvmModel, embeddings) -> SvmPrediction:

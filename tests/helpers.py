@@ -29,6 +29,7 @@ from weightpred import (
     stable_mean,
 )
 from weightpred import svm
+from weightpred.ingest import Snapshot, _edge_columns
 
 # The 7-edge example network used throughout the golden tests.
 FIG_EDGES = [
@@ -479,6 +480,20 @@ def reference_ingest(spec, sample_size=None, seed=None):
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return text, "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+
+
+# ---- snapshots of edge lists ---------------------------------------------------
+
+SYNTHETIC_PROVENANCE = {"source_path": "synthetic", "source_sha256": "0" * 64,
+                        "sampling": None}
+
+
+def snapshot_of(edges, raw_weight_range=(-1.0, 1.0), provenance=SYNTHETIC_PROVENANCE):
+    """The snapshot of ``edges``, ``(origin, terminal, weight)`` triples in
+    order, made by the edge check of ``load_snapshot``: an edge that a
+    snapshot file may not hold raises its ``ParseError``."""
+    columns = _edge_columns([[o, t, w] for o, t, w in edges], "edges")
+    return Snapshot(columns, tuple(raw_weight_range), provenance)
 
 
 # ---- reference snapshot edge check ---------------------------------------------

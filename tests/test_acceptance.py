@@ -19,11 +19,9 @@ import pytest
 from weightpred import (
     CountMetric,
     DatasetSpec,
-    EdgeRecord,
     ExperimentConfig,
     KnnConfig,
     KnnModel,
-    Snapshot,
     SvmConfig,
     KernelSpec,
     WeightKind,
@@ -46,6 +44,7 @@ from helpers import (
     fig_weighting,
     random_graph,
     random_instance,
+    snapshot_of,
     universe_of,
     write_rating_file,
 )
@@ -240,13 +239,8 @@ def _synthetic_snapshot(n_edges, seed):
         if (o, t) in pairs:
             continue
         pairs.add((o, t))
-        records.append(EdgeRecord(o, t, float(rng.uniform(-1.0, 1.0))))
-    return Snapshot.from_edges(
-        tuple(records),
-        raw_weight_range=(-1.0, 1.0),
-        provenance={"source_path": "synthetic", "source_sha256": "0" * 64,
-                    "sampling": None},
-    )
+        records.append((o, t, float(rng.uniform(-1.0, 1.0))))
+    return snapshot_of(records)
 
 
 @criterion(6, "MAE/RMSE hand cases exact to 1e-12; rmse >= mae on all reports")
@@ -268,14 +262,8 @@ def test_criterion_6_error_metrics():
                 assert report.rmse >= report.mae * (1 - 1e-12) >= 0.0
 
     # Constant-weight network: every method is exact.
-    records = [EdgeRecord(f"o{i % 9}", f"t{(i * 5) % 13}", -0.3) for i in range(50)]
-    dedup = list({r.pair: r for r in records}.values())
-    snap_const = Snapshot.from_edges(
-        tuple(dedup),
-        raw_weight_range=(-1.0, 1.0),
-        provenance={"source_path": "synthetic", "source_sha256": "0" * 64,
-                    "sampling": None},
-    )
+    pairs = dict.fromkeys((f"o{i % 9}", f"t{(i * 5) % 13}") for i in range(50))
+    snap_const = snapshot_of((o, t, -0.3) for o, t in pairs)
     for method in ("knn", "svm"):
         report = run_experiment(
             snap_const, ExperimentConfig(task="edge", method=method, seed=3)

@@ -109,6 +109,9 @@ class TestIngest:
         (["--weight-min=-inf"], "--weight-min"),
         (["--weight-max=nan"], "--weight-max"),
         (["--delimiter", ""], "--delimiter"),
+        (["--weight-min", "1e308", "--weight-max", "1.7e308"], "--weight-min"),
+        (["--weight-min=-1e308", "--weight-max", "1e308"], "--weight-min"),
+        (["--weight-max", "9e307"], "--weight-max"),
     ])
     def test_bad_flag_is_usage_error_without_output(
         self, rating_file, tmp_path, capsys, extra, flag
@@ -387,8 +390,12 @@ class TestEvaluate:
         (_V1 + "element,predicted,truth,flags\nv1,0.5,0.25\n",
          "line 3: expected 4 fields, got 3"),
         (_V1 + "element,predicted,truth,flags\n", "no prediction rows"),
+        (_V1 + "element,predicted,truth,flags\nv1,0.5,0.25,\nv2,0.5,0.25,bogus|clamped\n",
+         "line 4: unknown row flag 'bogus'"),
+        (_V1 + "element,predicted,truth,flags\nv1,0.5,0.25,fallback_mean|fallback_mean\n",
+         "line 3: repeated row flag 'fallback_mean'"),
     ], ids=["wrong-format", "config-not-json", "config-nan", "config-not-object",
-            "no-truth-column", "short-row", "header-only"])
+            "no-truth-column", "short-row", "header-only", "unknown-flag", "repeated-flag"])
     def test_malformed_predictions_file_is_parse_error(
         self, tmp_path, capsys, body, located
     ):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from weightpred import (
     DatasetSpec,
-    EdgeRecord,
     ExperimentConfig,
     KnnConfig,
     Snapshot,
@@ -36,7 +35,7 @@ from weightpred.fairness import check_stopping_rule
 from weightpred.graph import DirectedGraph, WeightKind, graph_of
 from weightpred.ingest import TASKS, Columns, SplitPlan
 
-from helpers import token_pipeline, write_rating_file
+from helpers import snapshot_of, token_pipeline, write_rating_file
 
 weight_lists = st.lists(
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=1, max_size=40
@@ -79,24 +78,13 @@ def _synthetic_snapshot(n_edges=60, seed=0, n_vertices=12):
         if (o, t) in pairs:
             continue
         pairs.add((o, t))
-        records.append(EdgeRecord(o, t, float(rng.uniform(-1.0, 1.0))))
-    return Snapshot.from_edges(
-        tuple(records),
-        raw_weight_range=(-1.0, 1.0),
-        provenance={"source_path": "synthetic", "source_sha256": "0" * 64,
-                    "sampling": None},
-    )
+        records.append((o, t, float(rng.uniform(-1.0, 1.0))))
+    return snapshot_of(records)
 
 
 def _constant_snapshot(n_edges=40):
-    records = [EdgeRecord(f"o{i % 8}", f"t{(i * 3) % 11}", 0.25) for i in range(n_edges)]
-    dedup = list({r.pair: r for r in records}.values())
-    return Snapshot.from_edges(
-        tuple(dedup),
-        raw_weight_range=(-1.0, 1.0),
-        provenance={"source_path": "synthetic", "source_sha256": "0" * 64,
-                    "sampling": None},
-    )
+    pairs = dict.fromkeys((f"o{i % 8}", f"t{(i * 3) % 11}") for i in range(n_edges))
+    return snapshot_of((o, t, 0.25) for o, t in pairs)
 
 
 def _config(task, method, **kw):
@@ -347,10 +335,7 @@ class TestPredictionFiles:
         # The raw line "#b,x,3" gives the origin "#b": after the column
         # header, a line starting with "#" is a row, not a header line.
         snap = _synthetic_snapshot()
-        snap = Snapshot.from_edges(
-            [EdgeRecord("#" + r.origin, "# " + r.terminal, r.weight) for r in snap.edges],
-            snap.raw_weight_range, snap.provenance,
-        )
+        snap = snapshot_of(("#" + r.origin, "# " + r.terminal, r.weight) for r in snap.edges)
         result = run_experiment(snap, _config(task, "knn"))
         path = tmp_path / "preds.csv"
         write_predictions(path, result)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -28,11 +29,11 @@ from weightpred import (
 )
 from weightpred.errors import SettingError
 from weightpred.graph import graph_of
-from weightpred.ingest import SNAPSHOT_FORMAT, Columns
+from weightpred.ingest import SNAPSHOT_FORMAT, Columns, _rescale
 
 from helpers import (
     LINE_BOUNDARIES, reference_edge_fault, reference_ingest, reference_line_fault,
-    write_rating_file,
+    snapshot_of, write_rating_file,
 )
 
 
@@ -133,7 +134,10 @@ class TestParseEdgeList:
     ((-10.0, 10.0), "", "delimiter"),
     ((False, True), ",", "weight_min"),
     ((-10.0, "10"), ",", "weight_max"),
-], ids=["min-infinite", "max-nan", "reversed", "empty-delimiter", "bools", "string"])
+    ((1e308, 1.7e308), ",", "weight_min"),
+    ((-1.0, 1e308), ",", "weight_max"),
+], ids=["min-infinite", "max-nan", "reversed", "empty-delimiter", "bools", "string",
+        "min-above-half-the-largest-float", "max-above-half-the-largest-float"])
 def test_dataset_spec_rejects_bad_setting(tmp_path, weight_range, delimiter, setting):
     with pytest.raises(SettingError) as err:
         _spec(tmp_path / "d.csv", rng=weight_range, delim=delimiter)
@@ -241,6 +245,23 @@ class TestRescale:
         nudged = min(value + (hi - lo) * 1e-3, hi)
         assert rescale(nudged, lo, hi) >= scaled
 
+    @pytest.mark.parametrize("lo,hi", [(1e308, 1.7e308), (-1e308, 1e308), (-1.0, 9e307)])
+    def test_a_bound_above_half_the_largest_float_is_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="has a bound above"):
+            rescale(hi, lo, hi)
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_in_range_values_map_into_the_unit_interval(self, data):
+        """Within ``DatasetSpec``'s bound, ``2w``, ``lo + hi`` and ``hi - lo``
+        are finite, so every image is a number in [-1, 1]."""
+        bound = sys.float_info.max / 2
+        ends = st.floats(-bound, bound) | st.sampled_from([-bound, bound, 0.0])
+        lo, hi = sorted(data.draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+        inside = st.floats(lo, hi) | st.sampled_from([lo, hi])
+        scaled = _rescale(np.array(data.draw(st.lists(inside, min_size=1, max_size=8))), lo, hi)
+        assert ((scaled >= -1.0) & (scaled <= 1.0)).all()  # NaN fails
+
 
 def _records(n):
     return [EdgeRecord(f"o{i % 17}", f"t{i % 23}", ((i * 7) % 21 - 10) / 10.0) for i in range(n)]
@@ -322,9 +343,7 @@ class TestSnapshot:
         snap = build_snapshot(_spec(raw))
         out = tmp_path / "snap.json"
         save_snapshot(snap, out)
-        loaded = load_snapshot(out)
-        assert loaded == snap
-        assert loaded.digest() == snap.digest()
+        _assert_same_snapshot(load_snapshot(out), snap)
 
     @given(st.lists(
         st.tuples(st.integers(0, 6), st.integers(0, 6),
@@ -355,12 +374,22 @@ class TestSnapshot:
         assert columns.edges == tuple(r.pair for r in snap.edges)
         assert columns.weight.tolist() == [r.weight for r in snap.edges]
 
-    def test_columns_reject_a_repeated_pair(self):
-        edges = (EdgeRecord("a", "x", 0.1), EdgeRecord("b", "x", 0.2),
-                 EdgeRecord("a", "x", 0.3))
-        message = "edge 2 ('a', 'x'): repeats the (origin, terminal) pair of edge 0"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            Snapshot.from_edges(edges, raw_weight_range=(-1.0, 1.0), provenance={})
+    def test_columns_reject_a_repeated_pair(self, tmp_path):
+        path = tmp_path / "snap.json"
+        _write_edges(path, [["a", "x", 0.1], ["b", "x", 0.2], ["a", "x", 0.3]])
+        message = "edge 2: repeats the (origin, terminal) pair of edge 0"
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_snapshot(path)
+
+    def test_a_snapshot_is_its_digest_and_not_its_weight_values(self):
+        """``0.0 == -0.0``, yet the snapshot file spells them apart: two
+        snapshots that differ only there have equal weight values but
+        different weight bytes and digests.  ``==`` is identity."""
+        plus, minus = snapshot_of([("a", "x", 0.0)]), snapshot_of([("a", "x", -0.0)])
+        assert np.array_equal(plus.columns.weight, minus.columns.weight)
+        assert plus.columns.weight.tobytes() != minus.columns.weight.tobytes()
+        assert plus.digest() != minus.digest()
+        assert plus != snapshot_of([("a", "x", 0.0)])
 
     def test_non_finite_provenance_keeps_the_digest_form(self, tmp_path):
         """``load_snapshot`` does not look inside ``provenance``: a NaN there
@@ -438,10 +467,7 @@ class TestSnapshot:
         terminals = [r.terminal for r in snap.edges]
         assert list(snap.origins) == sorted(set(origins), key=origins.index)
         assert list(snap.terminals) == sorted(set(terminals), key=terminals.index)
-        # The edges alone fix the vertex lists: neither constructor takes them.
-        with pytest.raises(TypeError):
-            Snapshot.from_edges(snap.edges, origins=snap.origins, terminals=snap.terminals,
-                                raw_weight_range=snap.raw_weight_range, provenance={})
+        # The edges alone fix the vertex lists: the constructor does not take them.
         with pytest.raises(TypeError):
             Snapshot(columns=snap.columns, origins=snap.origins, terminals=snap.terminals,
                      raw_weight_range=snap.raw_weight_range, provenance={})
@@ -541,6 +567,23 @@ def _snapshot_payload():
         "edges": [["a", "x", 0.5], ["b", "y", -0.25], ["a", "y", 1.0]],
         "provenance": {"source_path": "raw.csv", "source_sha256": "0", "sampling": None},
     }
+
+
+def _write_edges(path, edges):
+    """Write a snapshot file holding ``edges``, its vertex lists in the
+    order the edges first name them."""
+    payload = _snapshot_payload()
+    payload.update(edges=edges, origins=list(dict.fromkeys(e[0] for e in edges)),
+                   terminals=list(dict.fromkeys(e[1] for e in edges)))
+    path.write_text(json.dumps(payload))
+
+
+def _assert_same_snapshot(a, b):
+    """``a`` and ``b`` have one digest and the same columns, bit for bit."""
+    assert a.digest() == b.digest()
+    for name in ("src", "dst", "weight"):
+        x, y = getattr(a.columns, name), getattr(b.columns, name)
+        assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes())
 
 
 def _drop(key):
@@ -734,12 +777,12 @@ def _faulty_edges(draw):
     return edges
 
 
-@given(_faulty_edges(), st.booleans())
+@given(_faulty_edges())
 @settings(max_examples=300, deadline=None)
-def test_the_bulk_check_and_the_walk_agree(tmp_path_factory, edges, numpy_weights):
-    """``load_snapshot`` and ``Snapshot.from_edges`` load exactly what a
-    per-edge reference accepts, and otherwise name the edge and the fault
-    it names; none reaches the walk's ``AssertionError``."""
+def test_the_bulk_check_and_the_walk_agree(tmp_path_factory, edges):
+    """``load_snapshot`` loads exactly what a per-edge reference accepts,
+    and otherwise names the edge and the fault it names; none reaches the
+    walk's ``AssertionError``."""
     path = tmp_path_factory.mktemp("edges") / "snap.json"
     payload = _snapshot_payload()
     payload["edges"] = edges
@@ -749,36 +792,12 @@ def test_the_bulk_check_and_the_walk_agree(tmp_path_factory, edges, numpy_weight
         payload["terminals"] = list(dict.fromkeys(e[1] for e in edges))
     path.write_text(json.dumps(payload))
     if want is None:
-        loaded = load_snapshot(path)
+        load_snapshot(path)
     else:
         i, fault = want
         with pytest.raises(ParseError) as err:
             load_snapshot(path)
         assert str(err.value) == f"{path}: edge {i}: {fault}"
-
-    # from_edges takes records: float weights may be numpy floats there.
-    records = [
-        EdgeRecord(o, t, np.float64(w) if numpy_weights and type(w) is float else w)
-        for o, t, w in (e for e in edges if type(e) is list and len(e) == 3)
-    ]
-    want = reference_edge_fault([[r.origin, r.terminal, r.weight] for r in records])
-    provenance = payload["provenance"]
-    if not records:
-        with pytest.raises(ValueError, match="^snapshot has no edges$"):
-            Snapshot.from_edges(records, (-10.0, 10.0), provenance)
-    elif want is None:
-        built = Snapshot.from_edges(records, (-10.0, 10.0), provenance)
-        save_snapshot(built, path)
-        again = load_snapshot(path)
-        assert again == built and again.digest() == built.digest()
-        if len(records) == len(edges):
-            assert built == loaded and built.digest() == loaded.digest()
-    else:
-        i, fault = want
-        pair = (records[i].origin, records[i].terminal)
-        with pytest.raises(ValueError) as err:
-            Snapshot.from_edges(records, (-10.0, 10.0), provenance)
-        assert str(err.value) == f"edge {i} {pair!r}: {fault}"
 
 
 @pytest.mark.parametrize("edge,fault", [
@@ -788,15 +807,15 @@ def test_the_bulk_check_and_the_walk_agree(tmp_path_factory, edges, numpy_weight
     ([7, "x", 0.5], "expected [origin, terminal, weight], got [7, 'x', 0.5]"),
     (["a", "x", "0.5"], "weight '0.5' is not a number in [-1, 1]"),
     (["a", "x", True], "weight True is not a number in [-1, 1]"),
-    (["a", "x", np.bool_(False)], "weight np.False_ is not a number in [-1, 1]"),
-    (["a", "x", np.float64(1.5)], "weight np.float64(1.5) is not a number in [-1, 1]"),
-], ids=["empty", "padded", "line-boundary", "int-token", "string-weight", "bool-weight",
-        "numpy-bool-weight", "numpy-weight-above-1"])
-def test_from_edges_rejects_what_load_snapshot_rejects(edge, fault):
-    edges = [EdgeRecord("b", "y", -0.25), EdgeRecord(*edge)]
-    message = f"edge 1 {edges[1].pair!r}: {fault}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Snapshot.from_edges(edges, (-10.0, 10.0), {})
+], ids=["empty", "padded", "line-boundary", "int-token", "string-weight", "bool-weight"])
+def test_load_snapshot_names_the_bad_edge_and_its_fault(tmp_path, edge, fault):
+    edges = [["b", "y", -0.25], edge]
+    assert reference_edge_fault(edges) == (1, fault)
+    path = tmp_path / "snap.json"
+    _write_edges(path, edges)
+    with pytest.raises(ParseError) as err:
+        load_snapshot(path)
+    assert str(err.value) == f"{path}: edge 1: {fault}"
 
 
 @pytest.mark.parametrize("weight", [True, False, "1", None, 10**400, -(10**400)])
@@ -809,18 +828,15 @@ def test_load_snapshot_rejects_a_weight_that_is_not_a_number_in_range(tmp_path, 
         load_snapshot(path)
 
 
-def test_from_edges_rejects_no_edges():
-    with pytest.raises(ValueError, match="^snapshot has no edges$"):
-        Snapshot.from_edges([], (-10.0, 10.0), {})
-
-
-def test_from_edges_accepts_numpy_and_integer_weights():
-    snap = Snapshot.from_edges(
-        [EdgeRecord("a", "x", np.float64(0.5)), EdgeRecord("a", "y", np.float32(-0.25)),
-         EdgeRecord("b", "x", 1), EdgeRecord("b", "y", np.int64(0))],
-        (-10.0, 10.0), {},
-    )
-    assert snap.columns.weight.tolist() == [0.5, -0.25, 1.0, 0.0]
+def test_load_snapshot_reads_integer_weights_as_floats(tmp_path):
+    """JSON ``0``, ``1`` and ``-1`` load as the floats of ``0.0``, ``1.0``
+    and ``-1.0``: the same weights and the same digest."""
+    ints, floats = tmp_path / "ints.json", tmp_path / "floats.json"
+    _write_edges(ints, [["a", "x", 0.5], ["a", "y", 0], ["b", "x", 1], ["b", "y", -1]])
+    _write_edges(floats, [["a", "x", 0.5], ["a", "y", 0.0], ["b", "x", 1.0], ["b", "y", -1.0]])
+    loaded = load_snapshot(ints)
+    _assert_same_snapshot(loaded, load_snapshot(floats))
+    assert loaded.columns.weight.tolist() == [0.5, 0.0, 1.0, -1.0]
 
 
 def test_a_token_that_is_not_utf8_text_is_rejected(tmp_path):
@@ -835,10 +851,6 @@ def test_a_token_that_is_not_utf8_text_is_rejected(tmp_path):
     message = "edge 0: token 'a\\ud800' is not UTF-8 text"
     with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_snapshot(path)
-    edges = [EdgeRecord("b", "y", -0.25), EdgeRecord("b", "z\udfff", 0.5)]
-    message = "edge 1 ('b', 'z\\udfff'): token 'z\\udfff' is not UTF-8 text"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Snapshot.from_edges(edges, (-10.0, 10.0), {})
 
 
 # ---- raw files: byte-order mark and line numbers ------------------------------
@@ -1005,7 +1017,7 @@ def test_the_snapshot_writer_matches_json_dumps(tmp_path_factory, pairs, data, w
     weight = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324, 0.1]),
                        st.floats(-1.0, 1.0))
     edges = [[o, t, data.draw(weight)] for o, t in pairs]
-    snap = Snapshot.from_edges([EdgeRecord(*e) for e in edges], weight_range, provenance)
+    snap = snapshot_of(edges, weight_range, provenance)
     _assert_written_as_json_dumps(snap, edges, tmp_path_factory.mktemp("writer") / "s.json")
 
 

@@ -5,11 +5,12 @@ tests pin every prediction, truth, flag, ``h``, MAE, RMSE and ``tie_stats``
 of the library pipeline on small snapshots of every shape: tokens that are
 both origins and terminals, training weights that are all equal (the ``h``
 floor), queries in an empty count-zero class, sampled subsets and both
-``exclude_self`` settings.  Also pins how a snapshot built in Python with a
-bad weight fails.
+``exclude_self`` settings.  Also pins how a snapshot file with a bad
+weight fails to load.
 """
 
-import re
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -18,26 +19,19 @@ from hypothesis import strategies as st
 
 from weightpred import (
     DomainError,
-    EdgeRecord,
     ExperimentConfig,
-    Snapshot,
-    make_split,
+    ParseError,
+    load_snapshot,
     run_experiment,
+    save_snapshot,
 )
 from weightpred.evaluation import METHODS
-from weightpred.ingest import TASKS
+from weightpred.ingest import TASKS, split_ids
 
-from helpers import reference_run
-
-_PROVENANCE = {"source_path": "synthetic", "source_sha256": "0" * 64, "sampling": None}
-
+from helpers import reference_edge_fault, reference_run, snapshot_of
 
 def _snapshot(pairs, weights):
-    return Snapshot.from_edges(
-        (EdgeRecord(o, t, w) for (o, t), w in zip(pairs, weights)),
-        raw_weight_range=(-1.0, 1.0),
-        provenance=_PROVENANCE,
-    )
+    return snapshot_of((o, t, w) for (o, t), w in zip(pairs, weights))
 
 
 def _bits(x):
@@ -154,7 +148,7 @@ def test_reference_cases_cover_each_listed_shape():
     assert all(seen.values()), seen
 
 
-# ---- a bad weight in a snapshot built in Python -------------------------------
+# ---- a bad weight in a snapshot file ------------------------------------------
 
 
 def _clean_snapshot():
@@ -165,40 +159,41 @@ def _clean_snapshot():
     return _snapshot(pairs, [float(rng.uniform(-1.0, 1.0)) for _ in pairs])
 
 
+def _assert_load_rejects(tmp_path, config, row, bad):
+    """The clean snapshot's file loads and runs under ``config``; with
+    weight ``bad`` at edge ``row`` it fails to load, naming that edge and
+    the fault the reference names."""
+    path = tmp_path / "snap.json"
+    save_snapshot(_clean_snapshot(), path)
+    run_experiment(load_snapshot(path), config)
+    payload = json.loads(path.read_text())
+    payload["edges"][row][2] = bad
+    path.write_text(json.dumps(payload))
+    i, fault = reference_edge_fault(payload["edges"])
+    assert i == row
+    with pytest.raises(ParseError) as err:
+        load_snapshot(path)
+    assert str(err.value) == f"{path}: edge {row}: {fault}"
+
+
 @pytest.mark.parametrize("task", TASKS)
 @pytest.mark.parametrize("bad", [float("nan"), 1.5, -2.0])
-def test_bad_snapshot_weight_is_rejected_naming_the_edge(task, bad):
-    """``load_snapshot`` rejects such a file; ``Snapshot.from_edges``
-    rejects such edges with a ``ValueError`` naming the edge, before any run.
-    The bad edge is a training edge of the run's split."""
-    clean = _clean_snapshot()
+def test_bad_snapshot_weight_is_rejected_naming_the_edge(tmp_path, task, bad):
+    """The bad edge is a training edge of the run's split."""
     config = ExperimentConfig(task=task, method="knn", seed=4)
-    target = make_split(clean.edges, config.split_plan(), "edge").train[0]
-    with pytest.raises(ValueError, match=re.escape(repr(target.pair))):
-        Snapshot.from_edges(
-            (EdgeRecord(r.origin, r.terminal, bad) if r == target else r
-             for r in clean.edges),
-            raw_weight_range=clean.raw_weight_range,
-            provenance=clean.provenance,
-        )
+    split = split_ids(_clean_snapshot().columns, config.split_plan(), "edge")
+    _assert_load_rejects(tmp_path, config, int(split.sampled[split.train[0]]), bad)
 
 
 @pytest.mark.parametrize("task", TASKS)
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.5])
 @pytest.mark.parametrize("where", ["test", "unsampled"])
-def test_bad_weight_outside_the_training_set_is_rejected(task, bad, where):
-    """``from_edges`` checks every edge: a held-out or unsampled one too."""
-    clean = _clean_snapshot()
+def test_bad_weight_outside_the_training_set_is_rejected(tmp_path, task, bad, where):
+    """``load_snapshot`` checks every edge: a held-out or unsampled one too."""
     config = ExperimentConfig(task=task, method="svm", seed=4, sample_size=10)
-    split = make_split(clean.edges, config.split_plan(), "edge")
+    split = split_ids(_clean_snapshot().columns, config.split_plan(), "edge")
     if where == "test":
-        target = split.test[-1]
-    else:
-        target = next(r for r in clean.edges if r not in split.sampled)
-    with pytest.raises(ValueError, match=re.escape(repr(target.pair))):
-        Snapshot.from_edges(
-            (EdgeRecord(r.origin, r.terminal, bad) if r == target else r
-             for r in clean.edges),
-            raw_weight_range=clean.raw_weight_range,
-            provenance=clean.provenance,
-        )
+        row = int(split.sampled[split.test[-1]])
+    else:  # the first edge the sample leaves out
+        row = next(i for i in itertools.count() if i not in split.sampled)
+    _assert_load_rejects(tmp_path, config, row, bad)

@@ -177,6 +177,16 @@ class TestFit:
         var = np.var([0.0, 2.0, 4.0])
         assert model.kernel.gamma == pytest.approx(1.0 / (2.0 * var + 1e-12))
 
+    def test_an_overflowing_kernel_predicts_without_warnings(self):
+        """At ``gamma=1e308`` the kernel of distinct embeddings overflows to
+        ``exp(-inf) == 0`` in the prediction as in the fit: each embedding
+        then sees only its own training point."""
+        pts = [(0.0, 0.1), (2.0, 0.5), (4.0, 0.9)]
+        model = fit_points(pts, SvmConfig(kernel=KernelSpec("rbf", gamma=1e308)), (-1, 1))
+        p = predict_embeddings(model, [0.0, 1.0, 4.0])
+        assert np.isfinite(p.raw).all()
+        assert p.raw[1] == model.intercept
+
     def test_empty_training_rejected(self):
         with pytest.raises(PredictionError):
             fit_points([], SvmConfig(), (-1, 1))
