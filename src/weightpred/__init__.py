@@ -21,8 +21,6 @@ from .ingest import (
     load_snapshot,
     make_split,
     parse_edge_list,
-    rescale,
-    rescale_inverse,
     save_snapshot,
 )
 from .knn import KnnConfig, KnnModel
@@ -34,7 +32,7 @@ from .svm import (
     predict_weight_svm,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CountMetric",
@@ -64,8 +62,6 @@ __all__ = [
     "neighbors",
     "parse_edge_list",
     "predict_weight_svm",
-    "rescale",
-    "rescale_inverse",
     "rmse",
     "run_experiment",
     "save_snapshot",

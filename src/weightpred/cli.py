@@ -284,14 +284,14 @@ def cmd_evaluate(args) -> int:
         truths = [r.truth for r in rows]
         report = {
             "format": REPORT_FORMAT,
-            "task": meta.get("task"),
-            "method": meta.get("method"),
+            "task": meta["task"],
+            "method": meta["method"],
             "mae": mae(preds, truths),
             "rmse": rmse(preds, truths),
             "n_test": len(rows),
             "flags": tally_flags(rows),
-            "config": meta.get("config"),
-            "snapshot_digest": meta.get("snapshot_digest"),
+            "config": meta["config"],
+            "snapshot_digest": meta["snapshot_digest"],
             "scored_from": "predictions-file",
         }
         if args.report:

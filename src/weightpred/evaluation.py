@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -50,6 +51,17 @@ PROTOCOL_SAMPLE_SIZE = 5000
 # that raises it (a predictor without the attribute never raises the flag).
 _ROW_FLAGS = {"fallback_mean": "used_fallback", "degenerate": "degenerate",
               "clamped": "clamped"}
+
+# Each flags field a predictions file can hold, the empty one included: the
+# `|`-join of an in-order subset of _ROW_FLAGS, to that subset.
+_FLAG_FIELDS = {"|".join(names): names for r in range(len(_ROW_FLAGS) + 1)
+                for names in combinations(_ROW_FLAGS, r)}
+
+# The `# key: value` lines that open a predictions file, in order, and the
+# column header of each task that follows them.
+_HEADER_KEYS = ("format", "task", "method", "snapshot_digest", "config")
+_COLUMNS = {task: ("origin,terminal" if task == "edge" else "element") + ",predicted,truth,flags"
+            for task in TASKS}
 
 # Bandwidth when the training weights have zero spread; keeps h > 0 while
 # still treating only exactly-average weights as in-band.
@@ -339,17 +351,13 @@ def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentRe
 def write_predictions(path, result: ExperimentResult) -> None:
     """Write per-element predictions as CSV with a self-describing header."""
     report = result.report
-    buf = io.StringIO()
-    buf.write(f"# format: {PREDICTIONS_FORMAT}\n")
-    buf.write(f"# task: {report.task}\n")
-    buf.write(f"# method: {report.method}\n")
-    buf.write(f"# snapshot_digest: {report.snapshot_digest}\n")
     config = json.dumps(report.config, sort_keys=True, allow_nan=False)
-    buf.write(f"# config: {config}\n")
+    values = (PREDICTIONS_FORMAT, report.task, report.method, report.snapshot_digest, config)
+    buf = io.StringIO()
+    buf.writelines(f"# {key}: {value}\n" for key, value in zip(_HEADER_KEYS, values))
+    buf.write(_COLUMNS[report.task] + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     edge = report.task == "edge"
-    key = ["origin", "terminal"] if edge else ["element"]
-    writer.writerow(key + ["predicted", "truth", "flags"])
     for row in result.predictions:
         element = row.element if edge else (row.element,)
         writer.writerow([*element, repr(row.predicted), repr(row.truth),
@@ -374,78 +382,59 @@ def _parse_config_header(text, path, line) -> dict:
 
 
 def read_predictions(path):
-    """Read a predictions file; returns (rows, metadata dict).
+    """Read a predictions file in the layout :func:`write_predictions`
+    writes; returns (rows, metadata dict).
 
-    The metadata holds each ``# key: value`` header line's value as text,
-    except ``config``, which is parsed from JSON.  Only lines before the
-    column-header row are header lines: after it, a line that starts with
-    ``#`` is a row whose first token does.  A row's flags are distinct names
-    of ``_ROW_FLAGS``.
+    Lines 1-5 are the ``# key: value`` lines of ``_HEADER_KEYS`` in order:
+    the format, a task of ``TASKS``, a method of ``METHODS``, the snapshot
+    digest and the config, a JSON object.  The metadata holds each value,
+    the config parsed.  Line 6 is the task's column header, and each later
+    line is a row, whose flags field is one of ``_FLAG_FIELDS``.
     """
-    text = utf8_text(read_bytes(path, "predictions"), path)
+    where = str(path)
+    lines = utf8_text(read_bytes(path, "predictions"), path).splitlines()
+    if lines[:1] != [f"# format: {PREDICTIONS_FORMAT}"]:
+        raise ParseError(f"not a {PREDICTIONS_FORMAT} file", path=where, line=1)
     meta = {}
-    data_lines = []
-    linenos = []  # file line number of each data line
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not data_lines and line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if ": " in body:
-                key, value = body.split(": ", 1)
-                if key == "config":
-                    value = _parse_config_header(value, str(path), lineno)
-                meta[key] = value
-        elif line.strip():
-            data_lines.append(line)
-            linenos.append(lineno)
-    if meta.get("format") != PREDICTIONS_FORMAT:
-        raise ParseError(
-            f"not a {PREDICTIONS_FORMAT} file", path=str(path)
-        )
-    if not data_lines:
-        raise ParseError("no prediction rows", path=str(path))
+    for lineno, (key, line) in enumerate(zip(_HEADER_KEYS, lines[:5] + [""] * 5), start=1):
+        prefix = f"# {key}: "
+        if not line.startswith(prefix):
+            raise ParseError(f"expected the {prefix.strip()!r} line", path=where, line=lineno)
+        meta[key] = line[len(prefix):]
+    for lineno, key, allowed in ((2, "task", TASKS), (3, "method", METHODS)):
+        if meta[key] not in allowed:
+            raise ParseError(f"{key} {meta[key]!r} is not one of {allowed}",
+                             path=where, line=lineno)
+    meta["config"] = _parse_config_header(meta["config"], where, 5)
+    header = _COLUMNS[meta["task"]]
+    if lines[5:6] != [header]:
+        raise ParseError(f"expected the column header {header!r}", path=where, line=6)
 
-    reader = csv.reader(data_lines)
-    header = next(reader)
-    try:
-        pred_col = header.index("predicted")
-        truth_col = header.index("truth")
-        flags_col = header.index("flags")
-    except ValueError:
-        raise ParseError(
-            f"missing required columns in header {header!r}", path=str(path)
-        ) from None
-
+    edge, width = meta["task"] == "edge", len(header.split(","))
     rows = []
-    for lineno, rec in zip(linenos[1:], reader):
-        if len(rec) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(rec)}",
-                path=str(path), line=lineno,
-            )
+    reader = csv.reader(lines[6:])
+    for rec in reader:
+        lineno = 6 + reader.line_num
+        if len(rec) != width:
+            raise ParseError(f"expected {width} fields, got {len(rec)}", path=where, line=lineno)
+        *element, predicted, truth, field = rec
         values = []
-        for col in (pred_col, truth_col):
+        for name, text in (("predicted", predicted), ("truth", truth)):
             try:
-                value = float(rec[col])
+                value = float(text)
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise ParseError(
-                    f"{header[col]} value {rec[col]!r} is not a finite number",
-                    path=str(path), line=lineno,
-                )
+                raise ParseError(f"{name} value {text!r} is not a finite number",
+                                 path=where, line=lineno)
             values.append(value)
-        if header[0] == "origin":
-            element = (rec[0], rec[1])
-        else:
-            element = rec[0]
-        flags = tuple(f for f in rec[flags_col].split("|") if f)
-        for k, flag in enumerate(flags):
-            if flag not in _ROW_FLAGS or flag in flags[:k]:
-                fault = "repeated" if flag in _ROW_FLAGS else "unknown"
-                raise ParseError(f"{fault} row flag {flag!r}", path=str(path), line=lineno)
-        rows.append(PredictionRow(element, *values, flags))
+        flags = _FLAG_FIELDS.get(field)
+        if flags is None:
+            raise ParseError(f"row flags {field!r} are not an in-order |-join of "
+                             f"{', '.join(_ROW_FLAGS)}", path=where, line=lineno)
+        rows.append(PredictionRow(tuple(element) if edge else element[0], *values, flags))
     if not rows:
-        raise ParseError("no prediction rows", path=str(path))
+        raise ParseError("no prediction rows", path=where)
     return rows, meta
 
 

@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .countmetric import key_classes
+from .countmetric import _ascending, key_classes
 from .errors import (
     DomainError, ParseError, SettingError, check_float, check_int, read_bytes, utf8_text,
 )
@@ -237,62 +237,40 @@ def _collapse(graph: DirectedGraph, weights: list, stamps: list) -> tuple:
     of ``graph`` and ``stamps`` either all numbers or all ``None``.
 
     Returns the index of each pair's first record, in order, and each pair's
-    weight: the latest record's when there are timestamps (ties: last in
-    file order), else the mean of the pair's weights.
+    weight as a float array: the latest record's when there are timestamps
+    (ties: last in file order), else the mean of the pair's weights.
     """
+    weight = np.array(weights, dtype=float)
     if not _repeats(graph):
-        return np.arange(len(weights)), weights
+        return np.arange(len(weight)), weight
+    keys = _pair_keys(graph)
     # Each pair's records, in file order.
-    _, records, ptr = key_classes(_pair_keys(graph), np.arange(len(weights)))
-    first = records[ptr[:-1]]
-    out = list(map(weights.__getitem__, first.tolist()))
-    sizes = np.diff(ptr)
-    repeated = np.flatnonzero(sizes > 1)
+    _, records, ptr = key_classes(keys, np.arange(len(weight)))
+    first, sizes = records[ptr[:-1]], np.diff(ptr)
     if stamps[0] is not None:
-        for k in repeated.tolist():
-            group = records[ptr[k]:ptr[k + 1]].tolist()
-            # max keeps the first of equal keys; scan backwards so the last wins.
-            out[k] = weights[max(reversed(group), key=stamps.__getitem__)]
-        return first, out
-    # Every mean at once, each pair's sum over its weights ascending from
-    # 0.0: the bits of stable_mean.
-    pair = np.repeat(np.arange(len(repeated)), sizes[repeated])
-    rows = records[np.repeat(sizes > 1, sizes)]
-    _, ascending, _ = key_classes(pair, np.array(weights)[rows])
-    means = np.bincount(pair, weights=ascending) / sizes[repeated]
-    for k, mean in zip(repeated.tolist(), means.tolist()):
-        out[k] = mean
-    return first, out
+        # Each pair's ranks in the stable time order, ascending: the last is
+        # its latest record, and of tied ones the last in file order.
+        by_time = _ascending(np.array(stamps))
+        rank = np.empty_like(by_time)
+        rank[by_time] = np.arange(len(by_time))
+        _, ranks, _ = key_classes(keys, rank)
+        return first, weight[by_time[ranks[ptr[1:] - 1]]]
+    # Each pair's weights ascending, summed from 0.0: the bits of
+    # stable_mean.  A lone record keeps its own bits, -0.0 included.
+    _, ascending, _ = key_classes(keys, weight)
+    means = np.bincount(np.repeat(np.arange(len(sizes)), sizes), weights=ascending) / sizes
+    return first, np.where(sizes > 1, means, weight[first])
 
 
 def _rescale(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """:func:`rescale` of each value, unchecked."""
-    return np.minimum(np.maximum((2.0 * values - (lo + hi)) / (hi - lo), -1.0), 1.0)
-
-
-def rescale(value: float, lo: float, hi: float) -> float:
-    """Affine map of ``value`` from [lo, hi] onto [-1, 1].
+    """The affine map of each value from [lo, hi] onto [-1, 1].
 
     The exact image always lies in [-1, 1]; cancellation error for ranges
     with large offsets can overshoot by a few ulps, so the result is
-    clamped back in.  Raises ``ValueError`` for an empty range, or one with
-    a bound above ``sys.float_info.max / 2`` in magnitude, where the map
-    overflows.
+    clamped back in.  Within ``DatasetSpec``'s bound on lo and hi, no step
+    of the map overflows.
     """
-    if not lo < hi:
-        raise ValueError(f"source range [{lo}, {hi}] is empty")
-    if max(abs(lo), abs(hi)) > _MAX_BOUND:
-        raise ValueError(
-            f"source range [{lo}, {hi}] has a bound above {_MAX_BOUND!r} in magnitude"
-        )
-    if not lo <= value <= hi:
-        raise DomainError(f"value {value!r} outside [{lo}, {hi}]")
-    return float(_rescale(np.float64(value), lo, hi))
-
-
-def rescale_inverse(scaled: float, lo: float, hi: float) -> float:
-    """Map a value in [-1, 1] back onto [lo, hi]."""
-    return (scaled * (hi - lo) + (lo + hi)) / 2.0
+    return np.minimum(np.maximum((2.0 * values - (lo + hi)) / (hi - lo), -1.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -544,9 +522,9 @@ def build_snapshot(
     data = read_bytes(spec.path, "file")
     origins, terminals, weights, stamps = _parse(spec, data)
     graph = graph_of(origins, terminals)
-    rows, weights = _collapse(graph, weights, stamps)
+    rows, weight = _collapse(graph, weights, stamps)
     lo, hi = spec.weight_range
-    weight = _rescale(np.array(weights, dtype=float), lo, hi)
+    weight = _rescale(weight, lo, hi)
     sampling = None
     if sample_size is not None:
         if sample_size > len(rows):

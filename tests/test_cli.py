@@ -30,9 +30,13 @@ def snapshot_file(tmp_path_factory, rating_file):
     return out
 
 
-# Pieces of a predictions file: its first line and a well-formed table.
-_V1 = "# format: weightpred-predictions-v1\n"
-_ROWS = "element,predicted,truth,flags\nv1,0.5,0.25,\n"
+# Pieces of a predictions file of the origin task: its first four lines, its
+# config line, its column header and a well-formed table.
+_V1 = ("# format: weightpred-predictions-v1\n# task: origin\n# method: knn\n"
+       "# snapshot_digest: sha256:00\n")
+_CONFIG = "# config: {}\n"
+_HEAD = "element,predicted,truth,flags\n"
+_ROWS = _HEAD + "v1,0.5,0.25,\n"
 
 
 @pytest.fixture(scope="module")
@@ -354,15 +358,12 @@ class TestEvaluate:
 
     def test_empty_predictions_file_rejected(self, tmp_path):
         preds = tmp_path / "empty.csv"
-        preds.write_text("# format: weightpred-predictions-v1\n")
+        preds.write_text(_V1 + _CONFIG + _HEAD)
         assert main(["evaluate", "--predictions", str(preds)]) == 2
 
     def test_predictions_without_truth_rejected(self, tmp_path):
         preds = tmp_path / "nt.csv"
-        preds.write_text(
-            "# format: weightpred-predictions-v1\n"
-            "element,predicted,truth,flags\nv1,0.5,,\n"
-        )
+        preds.write_text(_V1 + _CONFIG + _HEAD + "v1,0.5,,\n")
         assert main(["evaluate", "--predictions", str(preds)]) == 2
 
     @pytest.mark.parametrize("predicted,truth", [
@@ -370,32 +371,50 @@ class TestEvaluate:
     ])
     def test_bad_prediction_value_rejected(self, tmp_path, capsys, predicted, truth):
         preds = tmp_path / "p.csv"
-        preds.write_text(
-            "# format: weightpred-predictions-v1\n"
-            f"element,predicted,truth,flags\nv1,0.25,0.5,\nv2,{predicted},{truth},\n"
-        )
+        preds.write_text(_V1 + _CONFIG + _HEAD + f"v1,0.25,0.5,\nv2,{predicted},{truth},\n")
         report = tmp_path / "report.json"
         code = main(["evaluate", "--predictions", str(preds), "--report", str(report)])
         assert code == 2
-        assert "line 4" in capsys.readouterr().err
+        assert "line 8" in capsys.readouterr().err
         assert not report.exists()
 
     @pytest.mark.parametrize("body,located", [
-        ("# format: weightpred-predictions-v2\n" + _ROWS,
-         "not a weightpred-predictions-v1 file"),
-        (_V1 + '# config: {"k": \n' + _ROWS, "line 2: config is not valid JSON"),
-        (_V1 + '# config: {"h_value": NaN}\n' + _ROWS, "line 2: config is not valid JSON"),
-        (_V1 + "# config: 3\n" + _ROWS, "line 2: config is not a JSON object"),
-        (_V1 + "element,predicted,flags\nv1,0.5,\n", "missing required columns"),
-        (_V1 + "element,predicted,truth,flags\nv1,0.5,0.25\n",
-         "line 3: expected 4 fields, got 3"),
-        (_V1 + "element,predicted,truth,flags\n", "no prediction rows"),
-        (_V1 + "element,predicted,truth,flags\nv1,0.5,0.25,\nv2,0.5,0.25,bogus|clamped\n",
-         "line 4: unknown row flag 'bogus'"),
-        (_V1 + "element,predicted,truth,flags\nv1,0.5,0.25,fallback_mean|fallback_mean\n",
-         "line 3: repeated row flag 'fallback_mean'"),
+        (_V1.replace("v1", "v2") + _CONFIG + _ROWS,
+         "line 1: not a weightpred-predictions-v1 file"),
+        (_V1 + '# config: {"k": \n' + _ROWS, "line 5: config is not valid JSON"),
+        (_V1 + '# config: {"h_value": NaN}\n' + _ROWS, "line 5: config is not valid JSON"),
+        (_V1 + "# config: 3\n" + _ROWS, "line 5: config is not a JSON object"),
+        (_V1 + _CONFIG + "element,predicted,flags\nv1,0.5,\n",
+         "line 6: expected the column header 'element,predicted,truth,flags'"),
+        (_V1 + _CONFIG + _HEAD + "v1,0.5,0.25\n",
+         "line 7: expected 4 fields, got 3"),
+        (_V1 + _CONFIG + _HEAD, "no prediction rows"),
+        (_V1 + _CONFIG + _HEAD + "v1,0.5,0.25,\nv2,0.5,0.25,bogus|clamped\n",
+         "line 8: row flags 'bogus|clamped' are not an in-order |-join of"),
+        (_V1 + _CONFIG + _HEAD + "v1,0.5,0.25,fallback_mean|fallback_mean\n",
+         "line 7: row flags 'fallback_mean|fallback_mean' are not"),
+        (_V1 + _CONFIG + _HEAD + "v1,0.5,0.25,fallback_mean||clamped\n",
+         "line 7: row flags 'fallback_mean||clamped' are not"),
+        (_V1 + _CONFIG + _HEAD + "v1,0.5,0.25,clamped|fallback_mean\n",
+         "line 7: row flags 'clamped|fallback_mean' are not"),
+        ("# format: weightpred-predictions-v1\n" + _ROWS,
+         "line 2: expected the '# task:' line"),
+        (_V1 + "# task: edge\n" + _CONFIG + _ROWS, "line 5: expected the '# config:' line"),
+        (_V1.replace("origin", "vertex") + _CONFIG + _ROWS,
+         "line 2: task 'vertex' is not one of ('origin', 'terminal', 'edge')"),
+        (_V1.replace("knn", "svr") + _CONFIG + _ROWS,
+         "line 3: method 'svr' is not one of ('knn', 'svm')"),
+        (_V1.replace("origin", "edge") + _CONFIG + _ROWS,
+         "line 6: expected the column header 'origin,terminal,predicted,truth,flags'"),
+        (_V1 + _CONFIG + "predicted,element,truth,flags\n0.5,v1,0.25,\n",
+         "line 6: expected the column header"),
+        (_V1 + _CONFIG + "element,predicted,truth,flags,note\nv1,0.5,0.25,,x\n",
+         "line 6: expected the column header"),
     ], ids=["wrong-format", "config-not-json", "config-nan", "config-not-object",
-            "no-truth-column", "short-row", "header-only", "unknown-flag", "repeated-flag"])
+            "no-truth-column", "short-row", "header-only", "unknown-flag", "repeated-flag",
+            "empty-flag", "flags-out-of-order", "no-task-line", "repeated-task-line",
+            "unknown-task", "unknown-method", "columns-of-another-task",
+            "reordered-columns", "extra-column"])
     def test_malformed_predictions_file_is_parse_error(
         self, tmp_path, capsys, body, located
     ):
@@ -558,7 +577,7 @@ class TestConfigFile:
 @pytest.mark.parametrize("role,content,line", [
     ("input", b"a,b,1\ncaf\xe9,x,2\n", 2),
     ("snapshot", b'{"format":\n"caf\xe9"}\n', 2),
-    ("predictions", _V1.encode() + b"element,predicted,truth,flags\ncaf\xe9,0.5,0.25,\n", 3),
+    ("predictions", (_V1 + _CONFIG + _HEAD).encode() + b"caf\xe9,0.5,0.25,\n", 7),
     ("config", b'{\n  "seed":\n  "\xff"}', 3),
 ], ids=["raw-file", "snapshot", "predictions", "config"])
 def test_file_that_is_not_utf8_is_parse_error(

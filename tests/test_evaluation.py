@@ -287,6 +287,11 @@ class TestRunExperiment:
         assert config.svm_config() == svm_mod.SvmConfig()
 
 
+# The five lines that open a predictions file of the origin task.
+_HEADER = ("# format: weightpred-predictions-v1\n# task: origin\n# method: knn\n"
+           "# snapshot_digest: sha256:00\n# config: {}\n")
+
+
 class TestPredictionFiles:
     def test_roundtrip_edge_task(self, tmp_path):
         snap = _synthetic_snapshot()
@@ -358,22 +363,18 @@ class TestPredictionFiles:
 
     def test_missing_truth_rejected(self, tmp_path):
         path = tmp_path / "preds.csv"
-        path.write_text(
-            "# format: weightpred-predictions-v1\n"
-            "element,predicted,truth,flags\n"
-            "a,0.5,,\n"
-        )
+        path.write_text(_HEADER + "element,predicted,truth,flags\na,0.5,,\n")
         from weightpred import ParseError
 
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="line 7: truth value '' is not a finite number"):
             read_predictions(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "preds.csv"
-        path.write_text("# format: weightpred-predictions-v1\n")
+        path.write_text(_HEADER + "element,predicted,truth,flags\n")
         from weightpred import ParseError
 
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="no prediction rows"):
             read_predictions(path)
 
 
