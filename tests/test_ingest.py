@@ -222,6 +222,25 @@ class TestRescale:
             got = _rescale(np.array(values), lo, hi)
             assert got.tobytes() == np.array(want).tobytes()
 
+    @given(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=120)
+    def test_roundtrip_and_monotone(self, lo, width, frac):
+        """The README's inverse formula, ``(s * (hi - lo) + (lo + hi)) / 2``,
+        takes an image back to its value, and a larger value's image is not
+        smaller."""
+        hi = lo + max(width, 0.0) + 1.0
+        value = min(max(lo + frac * (hi - lo), lo), hi)
+        nudged = min(value + (hi - lo) * 1e-3, hi)
+        scaled, scaled_nudged = _rescale(np.array([value, nudged]), lo, hi)
+        assert -1.0 - 1e-12 <= scaled <= 1.0 + 1e-12
+        back = (scaled * (hi - lo) + (lo + hi)) / 2
+        assert back == pytest.approx(value, abs=1e-12 * max(1.0, abs(hi), abs(lo)))
+        assert scaled_nudged >= scaled
+
     @given(st.data())
     @settings(max_examples=200)
     def test_in_range_values_map_into_the_unit_interval(self, data):
