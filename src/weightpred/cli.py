@@ -54,6 +54,7 @@ from .ingest import (
     TASKS,
     DatasetSpec,
     Snapshot,
+    _write_file,
     build_snapshot,
     load_snapshot,
     save_snapshot,
@@ -243,7 +244,7 @@ def cmd_gen_weights(args) -> int:
         "snapshot_digest": snapshot.digest(),
     }
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    Path(args.output).write_text(text + "\n", encoding="utf-8")
+    _write_file(args.output, text + "\n")
     print(f"converged={scores.converged} iterations={scores.iterations}")
     print(f"scores written to {args.output}")
     return 0
@@ -296,7 +297,7 @@ def cmd_evaluate(args) -> int:
         }
         if args.report:
             text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-            Path(args.report).write_text(text + "\n", encoding="utf-8")
+            _write_file(args.report, text + "\n")
         print(f"({report['mae']:.3f}, {report['rmse']:.3f})")
         return 0
 
@@ -314,8 +315,7 @@ def cmd_evaluate(args) -> int:
         result = run_experiment(snapshot, config)
         rep = result.report
         if args.report:
-            path = _report_path(args.report, config.seed, repeat)
-            Path(path).write_text(rep.to_json(), encoding="utf-8")
+            _write_file(_report_path(args.report, config.seed, repeat), rep.to_json())
         print(f"{rep.task} {rep.method} seed={rep.seed} {rep.pair()}")
     return 0
 
@@ -327,16 +327,16 @@ def cmd_reproduce_tables(args) -> int:
     label = args.label or Path(args.snapshot).stem
     print(_snapshot_summary(snapshot))
     print()
+    if args.output_dir:
+        out = Path(args.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
     reports = []
     for config in configs:
         result = run_experiment(snapshot, config)
         reports.append(result.report)
         if args.output_dir:
-            out = Path(args.output_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / f"report_{config.task}_{config.method}.json").write_text(
-                result.report.to_json(), encoding="utf-8"
-            )
+            _write_file(out / f"report_{config.task}_{config.method}.json",
+                        result.report.to_json())
     print(format_tables(reports, label=label))
     return 0
 

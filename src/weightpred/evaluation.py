@@ -15,11 +15,11 @@ import dataclasses
 import io
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from .fairness import (
     fairness_goodness,
 )
 from .graph import DirectedGraph, WeightKind, _read_only
-from .ingest import PRNG_NAME, TASKS, Snapshot, SplitPlan, split_ids
+from .ingest import PRNG_NAME, TASKS, Snapshot, SplitPlan, _write_file, split_ids
 from .knn import KnnClasses, KnnConfig
 from . import svm as svm_mod
 
@@ -60,6 +60,7 @@ _FLAG_FIELDS = {"|".join(names): names for r in range(len(_ROW_FLAGS) + 1)
 # The `# key: value` lines that open a predictions file, in order, and the
 # column header of each task that follows them.
 _HEADER_KEYS = ("format", "task", "method", "snapshot_digest", "config")
+_DIGEST = re.compile("sha256:[0-9a-f]{64}")
 _COLUMNS = {task: ("origin,terminal" if task == "edge" else "element") + ",predicted,truth,flags"
             for task in TASKS}
 
@@ -362,8 +363,7 @@ def write_predictions(path, result: ExperimentResult) -> None:
         element = row.element if edge else (row.element,)
         writer.writerow([*element, repr(row.predicted), repr(row.truth),
                          "|".join(row.flags)])
-    # Encoded before the file opens, so a token UTF-8 cannot encode writes no file.
-    Path(path).write_bytes(buf.getvalue().encode("utf-8"))
+    _write_file(path, buf.getvalue())
 
 
 def _parse_config_header(text, path, line) -> dict:
@@ -387,9 +387,11 @@ def read_predictions(path):
 
     Lines 1-5 are the ``# key: value`` lines of ``_HEADER_KEYS`` in order:
     the format, a task of ``TASKS``, a method of ``METHODS``, the snapshot
-    digest and the config, a JSON object.  The metadata holds each value,
-    the config parsed.  Line 6 is the task's column header, and each later
-    line is a row, whose flags field is one of ``_FLAG_FIELDS``.
+    digest (``sha256:`` and 64 lowercase hex digits) and the config, a JSON
+    object whose ``task`` and ``method`` are the header's.  The metadata
+    holds each value, the config parsed.  Line 6 is the task's column
+    header, and each later line is a row, whose flags field is one of
+    ``_FLAG_FIELDS``.
     """
     where = str(path)
     lines = utf8_text(read_bytes(path, "predictions"), path).splitlines()
@@ -405,7 +407,14 @@ def read_predictions(path):
         if meta[key] not in allowed:
             raise ParseError(f"{key} {meta[key]!r} is not one of {allowed}",
                              path=where, line=lineno)
-    meta["config"] = _parse_config_header(meta["config"], where, 5)
+    if not _DIGEST.fullmatch(meta["snapshot_digest"]):
+        raise ParseError(f"snapshot_digest {meta['snapshot_digest']!r} is not 'sha256:' "
+                         "and 64 lowercase hex digits", path=where, line=4)
+    meta["config"] = config = _parse_config_header(meta["config"], where, 5)
+    for key in ("task", "method"):
+        if config.get(key) != meta[key]:
+            raise ParseError(f"config {key} {config.get(key)!r} is not the header's "
+                             f"{meta[key]!r}", path=where, line=5)
     header = _COLUMNS[meta["task"]]
     if lines[5:6] != [header]:
         raise ParseError(f"expected the column header {header!r}", path=where, line=6)

@@ -33,7 +33,9 @@ import gc
 import hashlib
 import json
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -557,11 +559,36 @@ _SNAPSHOT_KEYS = {
 }
 
 
+def _write_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, as a new file where one can be.
+
+    Every file the package writes goes through here.  The text is encoded
+    before the path is touched, so a text UTF-8 cannot encode leaves an
+    existing file as it was.  A regular file with one link that the caller
+    may write is unlinked, and the new file takes its permission bits: on
+    ext4 (``auto_da_alloc``) truncating a just-written file in place, or
+    renaming over it, waits for the old file's writeback.  A symlink, a
+    hard-linked file, or a file that cannot be unlinked is written through,
+    truncated in place.
+    """
+    data = text.encode("utf-8")
+    mode = None
+    try:
+        old = os.lstat(path)
+        if stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and os.access(path, os.W_OK):
+            os.unlink(path)
+            mode = old.st_mode & 0o777
+    except OSError:
+        pass  # no file there, or one to write through
+    with open(path, "wb") as f:
+        if mode is not None:
+            os.fchmod(f.fileno(), mode)
+        f.write(data)
+
+
 def save_snapshot(snapshot: Snapshot, path) -> None:
     """Write ``json.dumps(form, sort_keys=True, indent=2)`` of the snapshot."""
-    text = _json_text(snapshot, "\n")  # before the file is opened: it may raise
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines((text, "\n"))
+    _write_file(path, _json_text(snapshot, "\n") + "\n")
 
 
 def _weight_array(weights: list) -> Optional[np.ndarray]:

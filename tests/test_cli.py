@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from weightpred import load_snapshot
+from weightpred import load_snapshot, save_snapshot
 from weightpred.cli import build_parser, main
+from weightpred.evaluation import ExperimentConfig, run_experiment, write_predictions
 
 from helpers import FIG_EDGES, write_rating_file
 
@@ -32,9 +34,10 @@ def snapshot_file(tmp_path_factory, rating_file):
 
 # Pieces of a predictions file of the origin task: its first four lines, its
 # config line, its column header and a well-formed table.
+_DIGEST = "sha256:" + "0" * 64
 _V1 = ("# format: weightpred-predictions-v1\n# task: origin\n# method: knn\n"
-       "# snapshot_digest: sha256:00\n")
-_CONFIG = "# config: {}\n"
+       f"# snapshot_digest: {_DIGEST}\n")
+_CONFIG = '# config: {"method": "knn", "task": "origin"}\n'
 _HEAD = "element,predicted,truth,flags\n"
 _ROWS = _HEAD + "v1,0.5,0.25,\n"
 
@@ -404,8 +407,16 @@ class TestEvaluate:
          "line 2: task 'vertex' is not one of ('origin', 'terminal', 'edge')"),
         (_V1.replace("knn", "svr") + _CONFIG + _ROWS,
          "line 3: method 'svr' is not one of ('knn', 'svm')"),
-        (_V1.replace("origin", "edge") + _CONFIG + _ROWS,
+        (_V1.replace("origin", "edge") + _CONFIG.replace("origin", "edge") + _ROWS,
          "line 6: expected the column header 'origin,terminal,predicted,truth,flags'"),
+        (_V1.replace(_DIGEST, "not-a-digest") + _CONFIG + _ROWS,
+         "line 4: snapshot_digest 'not-a-digest' is not 'sha256:' and 64 lowercase hex"),
+        (_V1.replace(_DIGEST, _DIGEST.replace("0", "A")) + _CONFIG + _ROWS,
+         "line 4: snapshot_digest 'sha256:AAAA"),
+        (_V1 + '# config: {"method": "svm", "task": "edge"}\n' + _ROWS,
+         "line 5: config task 'edge' is not the header's 'origin'"),
+        (_V1 + '# config: {"task": "origin"}\n' + _ROWS,
+         "line 5: config method None is not the header's 'knn'"),
         (_V1 + _CONFIG + "predicted,element,truth,flags\n0.5,v1,0.25,\n",
          "line 6: expected the column header"),
         (_V1 + _CONFIG + "element,predicted,truth,flags,note\nv1,0.5,0.25,,x\n",
@@ -414,7 +425,8 @@ class TestEvaluate:
             "no-truth-column", "short-row", "header-only", "unknown-flag", "repeated-flag",
             "empty-flag", "flags-out-of-order", "no-task-line", "repeated-task-line",
             "unknown-task", "unknown-method", "columns-of-another-task",
-            "reordered-columns", "extra-column"])
+            "digest-not-sha256", "digest-uppercase-hex", "config-of-another-cell",
+            "config-without-method", "reordered-columns", "extra-column"])
     def test_malformed_predictions_file_is_parse_error(
         self, tmp_path, capsys, body, located
     ):
@@ -428,13 +440,16 @@ class TestEvaluate:
 
     def test_non_finite_result_writes_no_report(self, snapshot_file, tmp_path):
         report = tmp_path / "report.json"
-        code = main([
+        args = [
             "evaluate", "--snapshot", str(snapshot_file), "--task", "edge",
             "--method", "svm", "--sample-size", "300", "--kernel", "polynomial",
             "--degree", "400", "--report", str(report),
-        ])
-        assert code == 3
+        ]
+        assert main(args) == 3
         assert not report.exists()
+        report.write_bytes(b"kept")
+        assert main(args) == 3
+        assert report.read_bytes() == b"kept"
 
     def test_both_modes_at_once_is_usage_error(self, snapshot_file, tmp_path):
         preds = tmp_path / "p.csv"
@@ -633,3 +648,104 @@ class TestDeterminismAcrossProcesses:
             assert proc.returncode == 0, proc.stderr
             outputs.append(report.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def _cli(*args) -> None:
+    assert main([str(a) for a in args]) == 0
+
+
+# Every writer of the package, as a call that writes the file ``out``; the
+# grid writes its origin kNN report there, so ``out`` is always named
+# ``report_origin_knn.json``.
+_RUN = ("--sample-size", "300", "--seed", "7")
+_WRITERS = {
+    "save_snapshot": lambda out, snap, preds: save_snapshot(load_snapshot(snap), out),
+    "write_predictions": lambda out, snap, preds: write_predictions(out, run_experiment(
+        load_snapshot(snap), ExperimentConfig("origin", "knn", sample_size=300, seed=7),
+    )),
+    "gen-weights": lambda out, snap, preds: _cli(
+        "gen-weights", "--snapshot", snap, "--output", out),
+    "evaluate-predictions": lambda out, snap, preds: _cli(
+        "evaluate", "--predictions", preds, "--report", out),
+    "evaluate-snapshot": lambda out, snap, preds: _cli(
+        "evaluate", "--snapshot", snap, "--task", "origin", "--method", "knn", *_RUN,
+        "--report", out),
+    "reproduce-tables": lambda out, snap, preds: _cli(
+        "reproduce-tables", "--snapshot", snap, *_RUN, "--output-dir", out.parent),
+}
+_OUT = "report_origin_knn.json"
+
+
+@pytest.mark.parametrize("writer", list(_WRITERS))
+class TestOutputFiles:
+    """Each output is written as a new file where one can be, and through a
+    symlink or a hard link; a rerun writes the bytes of a first run."""
+
+    @pytest.fixture
+    def write(self, snapshot_file, predictions_file, writer):
+        return lambda out: _WRITERS[writer](out, snapshot_file, predictions_file)
+
+    @pytest.fixture
+    def fresh(self, tmp_path, write):
+        """The bytes the writer puts in a path that held no file."""
+        out = tmp_path / "fresh" / _OUT
+        out.parent.mkdir()
+        write(out)
+        return out.read_bytes()
+
+    def test_an_open_reader_keeps_the_old_bytes(self, tmp_path, write, fresh):
+        # Truncating the old file in place would show the reader the new bytes.
+        out = tmp_path / _OUT
+        out.write_bytes(b"OLD\n")
+        with open(out, "rb") as reader:
+            write(out)
+            assert reader.read() == b"OLD\n"
+        assert out.read_bytes() == fresh
+
+    def test_a_symlinked_output_keeps_its_link(self, tmp_path, write, fresh):
+        target, out = tmp_path / "target", tmp_path / _OUT
+        target.write_bytes(b"OLD\n")
+        out.symlink_to(target)
+        write(out)
+        assert out.is_symlink() and os.readlink(out) == str(target)
+        assert target.read_bytes() == fresh
+
+    def test_a_hard_linked_output_is_written_through(self, tmp_path, write, fresh):
+        out, other = tmp_path / _OUT, tmp_path / "other"
+        out.write_bytes(b"OLD\n")
+        os.link(out, other)
+        write(out)
+        assert out.read_bytes() == other.read_bytes() == fresh
+        assert out.samefile(other)
+
+    def test_a_rewritten_output_keeps_its_mode(self, tmp_path, write, fresh):
+        out = tmp_path / _OUT
+        out.write_bytes(b"OLD\n")
+        out.chmod(0o600)
+        write(out)
+        assert out.stat().st_mode & 0o777 == 0o600
+        assert out.read_bytes() == fresh
+
+    def test_a_file_it_cannot_unlink_is_written_through(
+        self, tmp_path, write, fresh, monkeypatch
+    ):
+        def refuse(path):
+            raise PermissionError(13, "refused", str(path))
+
+        out = tmp_path / _OUT
+        out.write_bytes(b"OLD\n")
+        inode = out.stat().st_ino
+        monkeypatch.setattr(os, "unlink", refuse)
+        write(out)
+        assert (out.stat().st_ino, out.read_bytes()) == (inode, fresh)
+
+
+@pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                    reason="root may write a read-only file")
+def test_a_read_only_output_is_refused(snapshot_file, tmp_path, capsys):
+    out = tmp_path / "fg.json"
+    out.write_bytes(b"OLD\n")
+    out.chmod(0o444)
+    assert main(["gen-weights", "--snapshot", str(snapshot_file), "--output", str(out)]) == 2
+    assert "Permission denied" in capsys.readouterr().err
+    assert out.read_bytes() == b"OLD\n"

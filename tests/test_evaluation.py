@@ -289,7 +289,8 @@ class TestRunExperiment:
 
 # The five lines that open a predictions file of the origin task.
 _HEADER = ("# format: weightpred-predictions-v1\n# task: origin\n# method: knn\n"
-           "# snapshot_digest: sha256:00\n# config: {}\n")
+           f"# snapshot_digest: sha256:{'0' * 64}\n"
+           '# config: {"method": "knn", "task": "origin"}\n')
 
 
 class TestPredictionFiles:
@@ -360,6 +361,10 @@ class TestPredictionFiles:
         with pytest.raises(UnicodeEncodeError):
             write_predictions(path, result)
         assert not path.exists()
+        path.write_bytes(b"kept")
+        with pytest.raises(UnicodeEncodeError):
+            write_predictions(path, result)
+        assert path.read_bytes() == b"kept"
 
     def test_missing_truth_rejected(self, tmp_path):
         path = tmp_path / "preds.csv"
