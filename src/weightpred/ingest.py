@@ -566,10 +566,13 @@ def _write_file(path, text: str) -> None:
     before the path is touched, so a text UTF-8 cannot encode leaves an
     existing file as it was.  A regular file with one link that the caller
     may write is unlinked, and the new file takes its permission bits: on
-    ext4 (``auto_da_alloc``) truncating a just-written file in place, or
-    renaming over it, waits for the old file's writeback.  A symlink, a
-    hard-linked file, or a file that cannot be unlinked is written through,
-    truncated in place.
+    ext4, truncating in place (or renaming over) makes the file's blocks be
+    allocated at close (``auto_da_alloc``), and freeing allocated blocks on
+    the next rewrite took about 0.1 s, where a new file's blocks wait for
+    the kernel's writeback (about 30 s).  The price is that window: a power
+    loss in it can leave the path empty, with the old bytes gone.  A
+    symlink, a hard-linked file, or a file that cannot be unlinked is
+    written through, truncated in place.
     """
     data = text.encode("utf-8")
     mode = None
@@ -580,9 +583,14 @@ def _write_file(path, text: str) -> None:
             mode = old.st_mode & 0o777
     except OSError:
         pass  # no file there, or one to write through
-    with open(path, "wb") as f:
-        if mode is not None:
-            os.fchmod(f.fileno(), mode)
+    if mode is None:
+        with open(path, "wb") as f:
+            f.write(data)
+        return
+    # Created exclusively, so a link planted after the unlink is refused,
+    # and never wider than the old mode, so no reader opens it in between.
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags | os.O_EXCL, mode)) as f:
+        os.fchmod(f.fileno(), mode)  # the umask may have narrowed it
         f.write(data)
 
 

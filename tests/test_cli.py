@@ -726,6 +726,42 @@ class TestOutputFiles:
         assert out.stat().st_mode & 0o777 == 0o600
         assert out.read_bytes() == fresh
 
+    def test_the_new_file_is_never_wider_than_the_old(self, tmp_path, write, monkeypatch):
+        fchmod, seen = os.fchmod, []
+
+        def record(fd, mode):
+            seen.append(os.fstat(fd).st_mode & 0o777)
+            fchmod(fd, mode)
+
+        out = tmp_path / _OUT
+        out.write_bytes(b"OLD\n")
+        out.chmod(0o600)
+        monkeypatch.setattr(os, "fchmod", record)
+        umask = os.umask(0)  # a default-mode file would be 0o666 until fchmod
+        try:
+            write(out)
+        finally:
+            os.umask(umask)
+        assert seen and all(mode & ~0o600 == 0 for mode in seen)
+
+    def test_a_link_planted_after_the_unlink_is_not_followed(
+        self, tmp_path, write, monkeypatch
+    ):
+        unlink, victim = os.unlink, tmp_path / "victim"
+        victim.write_bytes(b"VICTIM\n")
+
+        def plant(path):
+            unlink(path)
+            os.symlink(victim, path)
+
+        out = tmp_path / _OUT
+        out.write_bytes(b"OLD\n")
+        monkeypatch.setattr(os, "unlink", plant)
+        # The library writers raise; the CLI's ``_cli`` sees exit 2.
+        with pytest.raises((FileExistsError, AssertionError)):
+            write(out)
+        assert out.is_symlink() and victim.read_bytes() == b"VICTIM\n"
+
     def test_a_file_it_cannot_unlink_is_written_through(
         self, tmp_path, write, fresh, monkeypatch
     ):
