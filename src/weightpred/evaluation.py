@@ -390,7 +390,8 @@ def read_predictions(path):
     digest (``sha256:`` and 64 lowercase hex digits) and the config, a JSON
     object whose ``task`` and ``method`` are the header's.  The metadata
     holds each value, the config parsed.  Line 6 is the task's column
-    header, and each later line is a row, whose flags field is one of
+    header, and each later line is a row, whose predicted and truth values
+    are finite numbers in [-1, 1] and whose flags field is one of
     ``_FLAG_FIELDS``.
     """
     where = str(path)
@@ -435,6 +436,9 @@ def read_predictions(path):
                 value = math.nan
             if not math.isfinite(value):
                 raise ParseError(f"{name} value {text!r} is not a finite number",
+                                 path=where, line=lineno)
+            if not -1.0 <= value <= 1.0:  # scaled weights, so the scores stay finite
+                raise ParseError(f"{name} value {text!r} is outside [-1, 1]",
                                  path=where, line=lineno)
             values.append(value)
         flags = _FLAG_FIELDS.get(field)

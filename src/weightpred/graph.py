@@ -26,6 +26,8 @@ reproducible across processes.
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -158,10 +160,14 @@ def _first_appearance(ids: np.ndarray, n_ids: int) -> tuple:
     return order, _read_only(new_id[ids])
 
 
-def _encode(tokens) -> tuple:
-    """Distinct tokens in first-appearance order, and each token's position."""
-    ids: dict = {}
-    out = np.array([ids.setdefault(t, len(ids)) for t in tokens], dtype=np.intp)
+def _encode(tokens: Sequence) -> tuple:
+    """Distinct tokens in first-appearance order, and each token's position.
+
+    A token's first lookup numbers it (``defaultdict`` over a counter), so
+    the tokens are read in one C-level ``map`` with no Python frame per token.
+    """
+    ids = defaultdict(itertools.count().__next__)
+    out = np.fromiter(map(ids.__getitem__, tokens), np.intp, len(tokens))
     return tuple(ids), _read_only(out)
 
 

@@ -652,24 +652,74 @@ def _edge_fault(edge, i: int, first_seen: dict) -> Optional[str]:
     return f"repeats the (origin, terminal) pair of edge {j}" if j < i else None
 
 
-def _edge_columns(edges: list, path: str) -> Columns:
-    """The ``edges`` of the snapshot file at ``path`` as columns, checked at
-    once (tokens once each); after a failed check, the :class:`ParseError`
-    names the first edge that :func:`_edge_fault` rejects, and its fault."""
+def _listed_ids(tokens: list, listed: list) -> Optional[np.ndarray]:
+    """Each of ``tokens``' position in ``listed``, or ``None`` unless
+    ``listed`` is the tokens' distinct strings in first-appearance order.
+
+    The tokens are numbered through one dict over the list (an entry listed
+    twice keeps its last position).  The order then holds exactly when every
+    entry is a ``str``, every token is found, and each id is at most one
+    above the running maximum of the ids before it, the last maximum being
+    ``len(listed) - 1``: every position is then some token's first id, so
+    no entry repeats either.
+    """
+    if set(map(type, listed)) != {str}:
+        return None
+    position = dict(zip(listed, range(len(listed))))
+    try:  # a token that is not a str equals no entry, or is unhashable
+        ids = np.fromiter(map(position.__getitem__, tokens), np.intp, len(tokens))
+    except (KeyError, TypeError):
+        return None
+    top = np.maximum.accumulate(ids)
+    if top[0] != 0 or top[-1] != len(listed) - 1 or (np.diff(top) > 1).any():
+        return None
+    return _read_only(ids)
+
+
+def _edge_columns(edges: list, origins: list, terminals: list, path: str) -> Columns:
+    """The ``edges`` of the snapshot file at ``path`` as columns, their
+    tokens numbered through the file's ``origins`` and ``terminals`` lists,
+    and all of it checked at once.
+
+    After a failed check, the :class:`ParseError` names the first edge that
+    :func:`_edge_fault` rejects, and its fault; with none, the first vertex
+    list that differs from the edges' first-appearance order, and where.
+    """
     if set(map(type, edges)) == {list} and set(map(len, edges)) == {3}:
-        origins, terminals, weights = _transpose(edges, 3)
-        if set(map(type, origins)) == {str} == set(map(type, terminals)):
-            graph = graph_of(origins, terminals)
-            weight = _weight_array(weights)
-            if (weight is not None and _clean(graph.origins)
-                    and _clean(graph.terminals) and not _repeats(graph)):
+        edge_origins, edge_terminals, weights = _transpose(edges, 3)
+        src = _listed_ids(edge_origins, origins)
+        dst = _listed_ids(edge_terminals, terminals)
+        weight = _weight_array(weights)
+        if src is not None and dst is not None and weight is not None:
+            graph = DirectedGraph(tuple(origins), tuple(terminals), src, dst)
+            if _clean(graph.origins) and _clean(graph.terminals) and not _repeats(graph):
                 return Columns.of(graph, weight)
     first_seen: dict = {}
     for i, edge in enumerate(edges):
         fault = _edge_fault(edge, i, first_seen)
         if fault:
             raise ParseError(f"edge {i}: {fault}", path=path)
-    raise AssertionError("the bulk edge check rejects edges that each pass")
+    graph = graph_of([e[0] for e in edges], [e[1] for e in edges])
+    for name, listed, ids in (("origins", origins, graph.src),
+                              ("terminals", terminals, graph.dst)):
+        expected = list(getattr(graph, name))
+        if listed == expected:
+            continue
+        j = next(
+            (j for j, (a, b) in enumerate(zip(listed, expected)) if a != b),
+            min(len(listed), len(expected)),
+        )
+        if j < len(expected):
+            i = int(np.argmax(ids == j))  # ids number tokens by first appearance
+            detail = f"expected {expected[j]!r}, first seen in edge {i}"
+        else:
+            detail = f"{listed[j]!r} appears in no edge"
+        raise ParseError(
+            f"{name} differ from the edges' first-appearance order at "
+            f"position {j}: {detail}",
+            path=path,
+        )
+    raise AssertionError("the bulk edge check rejects a snapshot whose edges and lists pass")
 
 
 def load_snapshot(path) -> Snapshot:
@@ -719,23 +769,5 @@ def _load_snapshot(path) -> Snapshot:
     if not payload["edges"]:
         raise ParseError("snapshot has no edges", path=where)
 
-    columns = _edge_columns(payload["edges"], where)
-    for name, ids in (("origins", columns.src), ("terminals", columns.dst)):
-        listed, expected = payload[name], list(getattr(columns, name))
-        if listed == expected:
-            continue
-        j = next(
-            (j for j, (a, b) in enumerate(zip(listed, expected)) if a != b),
-            min(len(listed), len(expected)),
-        )
-        if j < len(expected):
-            i = int(np.argmax(ids == j))  # ids number tokens by first appearance
-            detail = f"expected {expected[j]!r}, first seen in edge {i}"
-        else:
-            detail = f"{listed[j]!r} appears in no edge"
-        raise ParseError(
-            f"{name} differ from the edges' first-appearance order at "
-            f"position {j}: {detail}",
-            path=where,
-        )
+    columns = _edge_columns(payload["edges"], payload["origins"], payload["terminals"], where)
     return Snapshot(columns, tuple(weight_range), payload["provenance"])

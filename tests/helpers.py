@@ -491,8 +491,13 @@ SYNTHETIC_PROVENANCE = {"source_path": "synthetic", "source_sha256": "0" * 64,
 def snapshot_of(edges, raw_weight_range=(-1.0, 1.0), provenance=SYNTHETIC_PROVENANCE):
     """The snapshot of ``edges``, ``(origin, terminal, weight)`` triples in
     order, made by the edge check of ``load_snapshot``: an edge that a
-    snapshot file may not hold raises its ``ParseError``."""
-    columns = _edge_columns([[o, t, w] for o, t, w in edges], "edges")
+    snapshot file may not hold raises its ``ParseError``.  The vertex lists
+    are the edges' first-appearance tables, built by ``dict.fromkeys``, so
+    the check numbers the edges through them as it does a file's lists."""
+    edges = [[o, t, w] for o, t, w in edges]
+    origins = list(dict.fromkeys(e[0] for e in edges))
+    terminals = list(dict.fromkeys(e[1] for e in edges))
+    columns = _edge_columns(edges, origins, terminals, "edges")
     return Snapshot(columns, tuple(raw_weight_range), provenance)
 
 
@@ -535,6 +540,34 @@ def reference_edge_fault(edges):
             j = first_edge[(origin, terminal)]
             return i, f"repeats the (origin, terminal) pair of edge {j}"
         first_edge[(origin, terminal)] = i
+    return None
+
+
+def reference_vertex_list_fault(edges, origins, terminals):
+    """The fault ``load_snapshot`` names for a snapshot whose ``edges``
+    pass :func:`reference_edge_fault` but whose vertex lists are not the
+    edges' tokens in first-appearance order, or ``None``.
+
+    ``origins`` is checked before ``terminals``.  At the first position
+    where a list and the ``dict.fromkeys`` order of the edges' tokens differ,
+    or where one of them ends, the message names the token expected there
+    and the first edge that holds it, or else the listed entry that no
+    expected token matches.
+    """
+    for name, side, listed in (("origins", 0, origins), ("terminals", 1, terminals)):
+        tokens = [edge[side] for edge in edges]
+        expected = list(dict.fromkeys(tokens))
+        if listed == expected:
+            continue
+        j = 0
+        while j < min(len(listed), len(expected)) and listed[j] == expected[j]:
+            j += 1
+        if j < len(expected):
+            token = expected[j]
+            detail = f"expected {token!r}, first seen in edge {tokens.index(token)}"
+        else:
+            detail = f"{listed[j]!r} appears in no edge"
+        return f"{name} differ from the edges' first-appearance order at position {j}: {detail}"
     return None
 
 

@@ -421,12 +421,20 @@ class TestEvaluate:
          "line 6: expected the column header"),
         (_V1 + _CONFIG + "element,predicted,truth,flags,note\nv1,0.5,0.25,,x\n",
          "line 6: expected the column header"),
+        (_V1 + _CONFIG + _HEAD + "v1,1e308,-1e308,\n",
+         "line 7: predicted value '1e308' is outside [-1, 1]"),
+        (_V1 + _CONFIG + _HEAD + "v1,0.5,0.25,\nv2,-0.5,-1e308,\n",
+         "line 8: truth value '-1e308' is outside [-1, 1]"),
+        (_V1 + _CONFIG + _HEAD + "v1,1.5,0.25,\n",
+         "line 7: predicted value '1.5' is outside [-1, 1]"),
     ], ids=["wrong-format", "config-not-json", "config-nan", "config-not-object",
             "no-truth-column", "short-row", "header-only", "unknown-flag", "repeated-flag",
             "empty-flag", "flags-out-of-order", "no-task-line", "repeated-task-line",
             "unknown-task", "unknown-method", "columns-of-another-task",
             "digest-not-sha256", "digest-uppercase-hex", "config-of-another-cell",
-            "config-without-method", "reordered-columns", "extra-column"])
+            "config-without-method", "reordered-columns", "extra-column",
+            "values-near-the-float-maximum", "truth-near-the-float-minimum",
+            "predicted-above-1"])
     def test_malformed_predictions_file_is_parse_error(
         self, tmp_path, capsys, body, located
     ):

@@ -31,7 +31,7 @@ from weightpred.ingest import SNAPSHOT_FORMAT, Columns, _rescale
 
 from helpers import (
     LINE_BOUNDARIES, reference_edge_fault, reference_ingest, reference_line_fault,
-    snapshot_of, write_rating_file,
+    reference_vertex_list_fault, snapshot_of, write_rating_file,
 )
 
 
@@ -632,6 +632,24 @@ def _broken_terminal(boundary):
     (lambda s: s.update(origins=["b", "a"]), "first seen in edge 0"),
     (lambda s: s.update(terminals=["x"]), "first seen in edge 1"),
     (lambda s: s.update(origins=["a", "b", "c"]), "'c' appears in no edge"),
+    (lambda s: s.update(origins=["a", "b", "a"]), "origins differ from the edges' "
+     "first-appearance order at position 2: 'a' appears in no edge"),
+    (lambda s: s.update(terminals=["x", 7]), "terminals differ from the edges' "
+     "first-appearance order at position 1: expected 'y', first seen in edge 1"),
+    (lambda s: s.update(origins=["a", "c"]), "origins differ from the edges' "
+     "first-appearance order at position 1: expected 'b', first seen in edge 1"),
+    # Ids 0, 2, 1: the tokens and the length match, and only the running
+    # maximum rises by more than one.
+    (lambda s: s.update(origins=["a", "b", "c"], edges=[
+        ["a", "x", 0.5], ["c", "y", -0.25], ["b", "y", 1.0]]),
+     "origins differ from the edges' first-appearance order at position 1: "
+     "expected 'c', first seen in edge 1"),
+    (lambda s: s.update(origins=["1", "b"], edges=[
+        [1, "x", 0.5], ["b", "y", -0.25], ["1", "y", 1.0]]),
+     "edge 0: expected [origin, terminal, weight], got [1, 'x', 0.5]"),
+    (lambda s: s.update(origins=[7, "b"], edges=[
+        [7, "x", 0.5], ["b", "y", -0.25], [7, "y", 1.0]]),
+     "edge 0: expected [origin, terminal, weight], got [7, 'x', 0.5]"),
     (lambda s: s.update(edges=[], origins=[], terminals=[]), "snapshot has no edges"),
     (lambda s: s.update(raw_weight_range=[5, "x", None]), "raw_weight_range [5, 'x', None]"),
     (lambda s: s.update(raw_weight_range=[10.0, -10.0]), "raw_weight_range [10.0, -10.0]"),
@@ -665,7 +683,10 @@ def _broken_terminal(boundary):
     "padded-origin", "padded-terminal",
     "string-weight",
     "nan-weight", "inf-weight", "weight-above-1", "repeated-pair",
-    "origins-reordered", "terminals-short", "origins-extra", "empty-edges",
+    "origins-reordered", "terminals-short", "origins-extra",
+    "origins-repeated-entry", "terminals-int-entry", "origins-stray-token",
+    "origins-skip-ahead", "int-edge-token-listed-as-string", "int-edge-token-listed-as-int",
+    "empty-edges",
     "range-three-items", "range-reversed", "range-infinite", "range-bool",
     "repeat-before-nan", "nan-before-repeat", "string-weight-before-short-edge",
     "short-edge-before-repeat", "padded-before-empty", "empty-before-padded",
@@ -792,6 +813,75 @@ def test_the_bulk_check_and_the_walk_agree(tmp_path_factory, edges):
         with pytest.raises(ParseError) as err:
             load_snapshot(path)
         assert str(err.value) == f"{path}: edge {i}: {fault}"
+
+
+_STRAYS = st.one_of(_CLEAN_TOKENS, st.sampled_from([7, 1, None, 0.5, True, ["a"], {}]))
+
+
+@st.composite
+def _listed_snapshots(draw):
+    """A snapshot's edges, half of them with faults, and its two vertex
+    lists: the first-appearance tables of the edges' string tokens put
+    through 0-3 perturbations (swap, drop, duplicate, insert, replace)."""
+    if draw(st.booleans()):
+        edges = draw(_faulty_edges())
+    else:
+        pairs = draw(st.lists(st.tuples(_CLEAN_TOKENS, _CLEAN_TOKENS),
+                              min_size=1, max_size=10, unique=True))
+        edges = [[o, t, draw(st.floats(-1.0, 1.0))] for o, t in pairs]
+    lists = [
+        list(dict.fromkeys(e[side] for e in edges
+                           if type(e) is list and len(e) > side and type(e[side]) is str))
+        for side in (0, 1)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        listed = lists[draw(st.integers(0, 1))]
+        kind = draw(st.sampled_from(["swap", "drop", "duplicate", "insert", "replace"]))
+        at = draw(st.integers(0, len(listed)))
+        if kind == "insert":
+            listed.insert(at, draw(_STRAYS))
+            continue
+        if not listed:
+            continue
+        i = draw(st.integers(0, len(listed) - 1))
+        if kind == "swap":
+            j = draw(st.integers(0, len(listed) - 1))
+            listed[i], listed[j] = listed[j], listed[i]
+        elif kind == "drop":
+            del listed[i]
+        elif kind == "duplicate":
+            listed.insert(at, listed[i])
+        else:
+            listed[i] = draw(_STRAYS)
+    return edges, *lists
+
+
+@given(_listed_snapshots())
+@settings(max_examples=300, deadline=None)
+def test_load_snapshot_accepts_exactly_the_first_appearance_lists(tmp_path_factory, snap):
+    """``load_snapshot`` accepts exactly when the edges pass
+    ``reference_edge_fault`` and each vertex list is the ``dict.fromkeys``
+    order of the edges' tokens; it then numbers each edge by the lists.
+    Otherwise it names the edge fault, or the list, position and token."""
+    edges, origins, terminals = snap
+    path = tmp_path_factory.mktemp("lists") / "snap.json"
+    payload = _snapshot_payload()
+    payload.update(edges=edges, origins=origins, terminals=terminals)
+    path.write_text(json.dumps(payload))
+    edge_fault = reference_edge_fault(edges)
+    if edge_fault is None:
+        want = reference_vertex_list_fault(edges, origins, terminals)
+    else:
+        want = "edge {}: {}".format(*edge_fault)
+    if want is None:
+        columns = load_snapshot(path).columns
+        assert (columns.origins, columns.terminals) == (tuple(origins), tuple(terminals))
+        assert columns.src.tolist() == [origins.index(e[0]) for e in edges]
+        assert columns.dst.tolist() == [terminals.index(e[1]) for e in edges]
+    else:
+        with pytest.raises(ParseError) as err:
+            load_snapshot(path)
+        assert str(err.value) == f"{path}: {want}"
 
 
 @pytest.mark.parametrize("edge,fault", [
