@@ -20,10 +20,15 @@ A snapshot is the canonical JSON form of a dataset (vertex lists, edges
 with scaled weights, and a provenance block); experiments run off
 snapshots, never raw files.  In memory a snapshot is held as columns, from
 the raw file to its digest: vertex token tables, ``src``/``dst`` id arrays
-and a weight array.  The record-level functions (:func:`parse_edge_list`,
-:func:`make_split`, ``Snapshot.edges``) read those columns back as
-:class:`EdgeRecord` objects.  All sampling uses numpy's PCG64 generator
-(recorded in every report) so splits reproduce exactly from a seed.
+and a weight array.  The file holds the same columns: the ``origins`` and
+``terminals`` lists, then ``src``, ``dst`` and ``weight`` lists, one entry
+per edge (:data:`SNAPSHOT_FORMAT`).  The digest hashes the v1 form, whose
+edges are ``[origin, terminal, weight]`` rows (:data:`DIGEST_FORMAT`), so
+it does not depend on the file layout.  The record-level functions
+(:func:`parse_edge_list`, :func:`make_split`, ``Snapshot.edges``) read the
+columns back as :class:`EdgeRecord` objects.  All sampling uses numpy's
+PCG64 generator (recorded in every report) so splits reproduce exactly
+from a seed.
 """
 
 from __future__ import annotations
@@ -53,7 +58,9 @@ from .errors import (
 from .graph import DirectedGraph, WeightKind, _read_only, graph_of
 
 PRNG_NAME = "numpy-pcg64"
-SNAPSHOT_FORMAT = "weightpred-snapshot-v1"
+SNAPSHOT_FORMAT = "weightpred-snapshot-v2"
+# The digest hashes the v1 form, so it does not move with the file layout.
+DIGEST_FORMAT = "weightpred-snapshot-v1"
 
 # The largest raw weight bound: within it, 2w, a + b and b - a are finite.
 _MAX_BOUND = sys.float_info.max / 2
@@ -111,18 +118,15 @@ def _split_line(line: str, delimiter: Optional[str]):
     return [f.strip() for f in line.split(delimiter)]
 
 
-def _transpose(rows: list, width: int) -> list:
-    """The columns of ``rows``, each a sequence of ``width`` items."""
-    return [list(map(itemgetter(k), rows)) for k in range(width)]
-
-
 def _columns(lines: list, delimiter: Optional[str], expected: int) -> Optional[list]:
     """The fields of ``lines`` as ``expected`` columns, or ``None`` unless
     every line has that many.  Token fields of a delimited line are not yet
     stripped."""
     if delimiter is None or delimiter == " " or len(delimiter) > 1:
         rows = list(map(_split_line, lines, repeat(delimiter)))
-        return _transpose(rows, expected) if set(map(len, rows)) == {expected} else None
+        if set(map(len, rows)) != {expected}:
+            return None
+        return [list(map(itemgetter(k), rows)) for k in range(expected)]
     # One character: joined lines split into one flat list, no list per line.
     if set(map(str.count, lines, repeat(delimiter))) != {expected - 1}:
         return None
@@ -452,18 +456,18 @@ class Snapshot:
 
 def _json_text(snapshot: Snapshot, nl: str) -> str:
     """The text ``json.dumps(form, sort_keys=True, ...)`` writes for the
-    snapshot's JSON form: with ``indent=2`` when ``nl`` is a line break,
-    with ``separators=(",", ":")`` when it is empty.
+    digest's form, with ``separators=(",", ":")``, when ``nl`` is empty, or
+    for the file's form, with ``indent=2``, when ``nl`` is a line break.
 
-    The form is three levels deep: the object's members, array items and
-    edge-row items, each level starting its lines with one of ``nl1``,
-    ``nl2`` and ``nl3``.  As the encoder writes them, each token is encoded
-    once per vertex and each weight by ``float.__repr__`` once per bit
-    pattern.  A row is three parts gathered by id, separators included (the
-    previous row's ``],[`` leads its origin); all are joined at once.
+    The digest's form is the v1 layout (:data:`DIGEST_FORMAT`), its edges
+    ``[origin, terminal, weight]`` rows; the file's form holds ``src``,
+    ``dst`` and ``weight`` lists.  As the encoder writes them, each token is
+    encoded once per vertex, each id once per value and each weight by
+    ``float.__repr__`` once per bit pattern; the parts are gathered by id
+    and joined at once, a row's parts with its separators.
     """
     c = snapshot.columns
-    nl1, nl2, nl3 = (nl and nl + "  " * level for level in (1, 2, 3))
+    nl1, nl2 = (nl and nl + "  " * level for level in (1, 2))
     colon = ": " if nl else ":"
 
     def small(value) -> str:
@@ -483,24 +487,25 @@ def _json_text(snapshot: Snapshot, nl: str) -> str:
     bits = c.weight.view(np.int64)  # -0.0 and 0.0 differ here
     distinct = np.sort(bits)
     distinct = np.append(distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]])
-    row_sep, item_sep = f"{nl2}],{nl2}[{nl3}", f",{nl3}"
-    parts = [None] * (3 * len(bits))
-    parts[0::3] = gather([row_sep + o + item_sep for o in origins], c.src)
-    parts[1::3] = gather([t + item_sep for t in terminals], c.dst)
-    parts[2::3] = gather(list(map(float.__repr__, distinct.view(float).tolist())),
-                         np.searchsorted(distinct, bits))
-    if parts:  # the first row follows no other
-        parts[0] = parts[0][len(row_sep):]
-    rows = "".join(parts)
-    del parts  # its 3n references would outlive the copies of the text below
-    members = {
-        "edges": f"[{nl2}[{nl3}{rows}{nl2}]{nl1}]" if rows else "[]",
-        "format": small(SNAPSHOT_FORMAT),
-        "origins": array(origins),
-        "provenance": small(snapshot.provenance),
-        "raw_weight_range": small(list(snapshot.raw_weight_range)),
-        "terminals": array(terminals),
-    }
+    weights = gather(list(map(float.__repr__, distinct.view(float).tolist())),
+                     np.searchsorted(distinct, bits))
+    members = dict(origins=array(origins), terminals=array(terminals),
+                   provenance=small(snapshot.provenance),
+                   raw_weight_range=small(list(snapshot.raw_weight_range)))
+    if nl:
+        members.update(format=small(SNAPSHOT_FORMAT), weight=array(weights),
+                       src=array(gather(list(map(str, range(len(origins)))), c.src)),
+                       dst=array(gather(list(map(str, range(len(terminals)))), c.dst)))
+    else:
+        parts = [None] * (3 * len(weights))
+        parts[0::3] = gather([f"],[{o}," for o in origins], c.src)  # after the previous row
+        parts[1::3] = gather([t + "," for t in terminals], c.dst)
+        parts[2::3] = weights
+        if parts:  # the first row follows no other
+            parts[0] = parts[0][2:]
+        rows = "".join(parts)
+        del parts  # its 3n references would outlive the copies of the text below
+        members.update(format=small(DIGEST_FORMAT), edges=f"[{rows}]]" if rows else "[]")
     body = f",{nl1}".join(f'"{key}"{colon}{members[key]}' for key in sorted(members))
     return f"{{{nl1}{body}{nl}}}"
 
@@ -554,7 +559,9 @@ _SNAPSHOT_KEYS = {
     "raw_weight_range": list,
     "origins": list,
     "terminals": list,
-    "edges": list,
+    "src": list,
+    "dst": list,
+    "weight": list,
     "provenance": dict,
 }
 
@@ -595,7 +602,8 @@ def _write_file(path, text: str) -> None:
 
 
 def save_snapshot(snapshot: Snapshot, path) -> None:
-    """Write ``json.dumps(form, sort_keys=True, indent=2)`` of the snapshot."""
+    """Write ``json.dumps(form, sort_keys=True, indent=2)`` of the
+    snapshot's file form (see :func:`_json_text`)."""
     _write_file(path, _json_text(snapshot, "\n") + "\n")
 
 
@@ -616,120 +624,116 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _clean(table: tuple) -> bool:
-    """Whether no token of ``table`` is empty, padded, holds a line boundary
-    or is not UTF-8 text, each token then ending one line of the joined
-    table (a trailing ``"\\r"`` merges with its ``"\\n"``, but it is padding)."""
+    """Whether the entries of ``table`` are distinct ``str`` tokens, none
+    empty, padded, holding a line boundary or not UTF-8 text, each token
+    then ending one line of the joined table (a trailing ``"\\r"`` merges
+    with its ``"\\n"``, but it is padding)."""
+    if set(map(type, table)) != {str} or len(set(table)) != len(table):
+        return False
     joined = "\n".join([*table, ""])
     return ("" not in table and tuple(map(str.strip, table)) == table
             and len(joined.splitlines()) == len(table) and not _SURROGATE.search(joined))
 
 
-def _edge_fault(edge, i: int, first_seen: dict) -> Optional[str]:
-    """What is wrong with ``edge``, edge ``i`` of a snapshot, or ``None``;
-    ``first_seen`` maps each pair of the edges before ``i`` to its first edge.
+def _listed_ids(values: list, n: int) -> Optional[np.ndarray]:
+    """``values``, JSON values, as an id array, or ``None`` unless each is
+    an ``int`` (not a ``bool``) in ``[0, n)`` and they number ``n``
+    vertices in order of first appearance: the first id is 0, each is at
+    most one above the running maximum of the ids before it, and the last
+    maximum is ``n - 1``."""
+    if set(map(type, values)) != {int} or min(values) < 0 or max(values) != n - 1:
+        return None  # compared before conversion, so no int overflows
+    ids = np.array(values, dtype=np.intp)
+    return None if ids[0] or (np.diff(np.maximum.accumulate(ids)) > 1).any() else _read_only(ids)
 
-    In the order checked, ``edge`` must be ``[origin, terminal, weight]``
-    with string tokens that are nonempty, carry no leading or trailing
-    whitespace (which parsing strips), hold no ``str.splitlines`` line
-    boundary (on which parsing splits) and are UTF-8 text; a weight in
-    [-1, 1]; and a pair that no earlier edge has.
-    """
-    if not (type(edge) is list and len(edge) == 3
-            and type(edge[0]) is str and type(edge[1]) is str):
-        return f"expected [origin, terminal, weight], got {edge!r}"
-    origin, terminal, weight = edge
-    if not origin or not terminal:
-        return "empty origin or terminal token"
+
+def _snapshot_columns(payload: dict, path: str) -> Columns:
+    """The edges of ``payload``, the JSON document of the snapshot file at
+    ``path``, as columns, all checked at once; after a failed check, the
+    :class:`ParseError` names the first bad entry (:func:`_snapshot_fault`)."""
+    origins, terminals = tuple(payload["origins"]), tuple(payload["terminals"])
+    weights = payload["weight"]
+    if (_clean(origins) and _clean(terminals)
+            and len(payload["src"]) == len(payload["dst"]) == len(weights)):
+        src = _listed_ids(payload["src"], len(origins))
+        dst = _listed_ids(payload["dst"], len(terminals))
+        weight = _weight_array(weights)
+        if src is not None and dst is not None and weight is not None:
+            graph = DirectedGraph(origins, terminals, src, dst)
+            if not _repeats(graph):
+                return Columns.of(graph, weight)
+    raise ParseError(_snapshot_fault(payload), path=path)
+
+
+def _token_fault(token) -> Optional[str]:
+    """What is wrong with ``token``, a vertex list entry, or ``None``: it
+    must be a nonempty string with no leading or trailing whitespace (which
+    parsing strips), no ``str.splitlines`` line boundary (on which parsing
+    splits), and be UTF-8 text."""
+    if type(token) is not str:
+        return f"expected a token string, got {token!r}"
+    if not token:
+        return "empty token"
     for bad, fault in ((lambda t: t != t.strip(), "has leading or trailing whitespace"),
                        (lambda t: t.splitlines() != [t], "holds a line boundary"),
                        (_SURROGATE.search, "is not UTF-8 text")):
-        for token in (origin, terminal):
-            if bad(token):
-                return f"token {token!r} {fault}"
-    if _weight_array([weight]) is None:  # the bulk check, so both accept the same
-        return f"weight {weight!r} is not a number in [-1, 1]"
-    j = first_seen.setdefault((origin, terminal), i)
-    return f"repeats the (origin, terminal) pair of edge {j}" if j < i else None
+        if bad(token):
+            return f"token {token!r} {fault}"
+    return None
 
 
-def _listed_ids(tokens: list, listed: list) -> Optional[np.ndarray]:
-    """Each of ``tokens``' position in ``listed``, or ``None`` unless
-    ``listed`` is the tokens' distinct strings in first-appearance order.
-
-    The tokens are numbered through one dict over the list (an entry listed
-    twice keeps its last position).  The order then holds exactly when every
-    entry is a ``str``, every token is found, and each id is at most one
-    above the running maximum of the ids before it, the last maximum being
-    ``len(listed) - 1``: every position is then some token's first id, so
-    no entry repeats either.
+def _snapshot_fault(payload: dict) -> str:
+    """What is wrong with the edges and vertex lists of ``payload``, a
+    snapshot file's document, located at the first bad entry.  In order:
+    ``src``, ``dst`` and ``weight`` have one length, above 0; per edge, its
+    ``src`` and ``dst`` are ints (not bools) indexing ``origins`` and
+    ``terminals``, each at most one above the largest id before it in its
+    list (first-appearance order), then a weight in [-1, 1] and a new pair;
+    per entry of ``origins``, then of ``terminals``, a token that passes
+    :func:`_token_fault`, is not an earlier entry and is named by an edge.
     """
-    if set(map(type, listed)) != {str}:
-        return None
-    position = dict(zip(listed, range(len(listed))))
-    try:  # a token that is not a str equals no entry, or is unhashable
-        ids = np.fromiter(map(position.__getitem__, tokens), np.intp, len(tokens))
-    except (KeyError, TypeError):
-        return None
-    top = np.maximum.accumulate(ids)
-    if top[0] != 0 or top[-1] != len(listed) - 1 or (np.diff(top) > 1).any():
-        return None
-    return _read_only(ids)
-
-
-def _edge_columns(edges: list, origins: list, terminals: list, path: str) -> Columns:
-    """The ``edges`` of the snapshot file at ``path`` as columns, their
-    tokens numbered through the file's ``origins`` and ``terminals`` lists,
-    and all of it checked at once.
-
-    After a failed check, the :class:`ParseError` names the first edge that
-    :func:`_edge_fault` rejects, and its fault; with none, the first vertex
-    list that differs from the edges' first-appearance order, and where.
-    """
-    if set(map(type, edges)) == {list} and set(map(len, edges)) == {3}:
-        edge_origins, edge_terminals, weights = _transpose(edges, 3)
-        src = _listed_ids(edge_origins, origins)
-        dst = _listed_ids(edge_terminals, terminals)
-        weight = _weight_array(weights)
-        if src is not None and dst is not None and weight is not None:
-            graph = DirectedGraph(tuple(origins), tuple(terminals), src, dst)
-            if _clean(graph.origins) and _clean(graph.terminals) and not _repeats(graph):
-                return Columns.of(graph, weight)
-    first_seen: dict = {}
-    for i, edge in enumerate(edges):
-        fault = _edge_fault(edge, i, first_seen)
-        if fault:
-            raise ParseError(f"edge {i}: {fault}", path=path)
-    graph = graph_of([e[0] for e in edges], [e[1] for e in edges])
-    for name, listed, ids in (("origins", origins, graph.src),
-                              ("terminals", terminals, graph.dst)):
-        expected = list(getattr(graph, name))
-        if listed == expected:
-            continue
-        j = next(
-            (j for j, (a, b) in enumerate(zip(listed, expected)) if a != b),
-            min(len(listed), len(expected)),
-        )
-        if j < len(expected):
-            i = int(np.argmax(ids == j))  # ids number tokens by first appearance
-            detail = f"expected {expected[j]!r}, first seen in edge {i}"
-        else:
-            detail = f"{listed[j]!r} appears in no edge"
-        raise ParseError(
-            f"{name} differ from the edges' first-appearance order at "
-            f"position {j}: {detail}",
-            path=path,
-        )
-    raise AssertionError("the bulk edge check rejects a snapshot whose edges and lists pass")
+    ids, weights = (payload["src"], payload["dst"]), payload["weight"]
+    if not len(ids[0]) == len(ids[1]) == len(weights):
+        return (f"src, dst and weight differ in length: "
+                f"{len(ids[0])}, {len(ids[1])} and {len(weights)}")
+    if not weights:
+        return "snapshot has no edges"
+    tables = (("origins", "src"), ("terminals", "dst"))
+    top, first_seen = [-1, -1], {}
+    for i, pair in enumerate(zip(*ids)):
+        for side, (name, column) in enumerate(tables):
+            n, v = len(payload[name]), pair[side]
+            if type(v) is not int or not 0 <= v < n:
+                return f"edge {i}: {column} {v!r} is not an int in [0, {n})"
+            if v > top[side] + 1:
+                return (f"edge {i}: {column} {v} breaks first-appearance order "
+                        f"(the next new id is {top[side] + 1})")
+            top[side] = max(top[side], v)
+        if _weight_array([weights[i]]) is None:  # the bulk check, so both accept the same
+            return f"edge {i}: weight {weights[i]!r} is not a number in [-1, 1]"
+        j = first_seen.setdefault(pair, i)
+        if j < i:
+            return f"edge {i}: repeats the (origin, terminal) pair of edge {j}"
+    for side, (name, _) in enumerate(tables):
+        first_entry: dict = {}
+        for j, token in enumerate(payload[name]):
+            k = first_entry.setdefault(token, j) if type(token) is str else j
+            fault = (_token_fault(token) or (k < j and f"repeats entry {k}")
+                     or (j > top[side] and f"{token!r} appears in no edge"))
+            if fault:
+                return f"{name} entry {j}: {fault}"
+    raise AssertionError("the bulk snapshot check rejects a file whose entries all pass")
 
 
 def load_snapshot(path) -> Snapshot:
-    """Read a snapshot, rejecting what :func:`build_snapshot` cannot produce.
+    """Read a snapshot file, rejecting what :func:`save_snapshot` cannot write.
 
-    Raises :class:`ParseError` naming the file (and the edge index, where
-    there is one) for a missing key, a ``raw_weight_range`` that is not two
-    finite numbers lo < hi, no edges, a bad edge (:func:`_edge_fault`; the
-    first is named), or vertex lists that differ from the edges'
-    first-appearance order.
+    Raises :class:`ParseError` naming the file, and the edge or list entry
+    where there is one: for a file of another format (a
+    :data:`DIGEST_FORMAT` file is told to re-run ``weightpred ingest``), a
+    missing key, a ``raw_weight_range`` that is not two finite numbers lo <
+    hi, or edges and vertex lists that break a rule of
+    :func:`_snapshot_fault` (the first bad entry is named).
     """
     # Reference counting frees the acyclic document; until it is dropped, the
     # cyclic collector would only walk its lists again and again.
@@ -748,11 +752,11 @@ def _load_snapshot(path) -> Snapshot:
         payload = json.loads(utf8_text(read_bytes(path, "snapshot"), path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=where) from exc
-    if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
-        found = payload.get("format") if isinstance(payload, dict) else None
-        raise ParseError(
-            f"not a {SNAPSHOT_FORMAT} file (format={found!r})", path=where
-        )
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != SNAPSHOT_FORMAT:
+        hint = (f": {found} files are no longer read; re-run `weightpred ingest` on the "
+                "raw edge list" if found == DIGEST_FORMAT else "")
+        raise ParseError(f"not a {SNAPSHOT_FORMAT} file (format={found!r}){hint}", path=where)
     for key, kind in _SNAPSHOT_KEYS.items():
         if not isinstance(payload.get(key), kind):
             raise ParseError(
@@ -766,8 +770,4 @@ def _load_snapshot(path) -> Snapshot:
             f"raw_weight_range {weight_range!r} is not two finite numbers lo < hi",
             path=where,
         )
-    if not payload["edges"]:
-        raise ParseError("snapshot has no edges", path=where)
-
-    columns = _edge_columns(payload["edges"], payload["origins"], payload["terminals"], where)
-    return Snapshot(columns, tuple(weight_range), payload["provenance"])
+    return Snapshot(_snapshot_columns(payload, where), tuple(weight_range), payload["provenance"])

@@ -29,7 +29,7 @@ from weightpred import (
     stable_mean,
 )
 from weightpred import svm
-from weightpred.ingest import Snapshot, _edge_columns
+from weightpred.ingest import Snapshot, _snapshot_columns
 
 # The 7-edge example network used throughout the golden tests.
 FIG_EDGES = [
@@ -429,9 +429,11 @@ def reference_ingest(spec, sample_size=None, seed=None):
     Splits each line as the module documents, skips a header, collapses
     repeated pairs through a dict of record groups (latest timestamp wins,
     ties to the last record, else the ``stable_mean`` of the raw weights),
-    rescales each weight in Python floats, samples with ``rng.choice`` and
-    lays the result out with ``json.dumps(..., sort_keys=True, indent=2)``.
-    For well-formed files only.  Returns ``(text, digest)``: the snapshot
+    rescales each weight in Python floats and samples with ``rng.choice``.
+    The file is ``json.dumps(..., sort_keys=True, indent=2)`` of
+    :func:`snapshot_form`; the digest hashes the compact ``json.dumps`` of a
+    v1 document built here from the edge rows, not from that form.  For
+    well-formed files only.  Returns ``(text, digest)``: the snapshot
     file's text and the ``Snapshot.digest()`` it must have.
     """
     lo, hi = spec.weight_range
@@ -465,109 +467,147 @@ def reference_ingest(spec, sample_size=None, seed=None):
         rows = sorted(rng.choice(len(edges), size=sample_size, replace=False).tolist())
         edges = [edges[i] for i in rows]
         sampling = {"seed": seed, "sample_size": sample_size, "prng": "numpy-pcg64"}
-    payload = {
+    provenance = {
+        "source_path": Path(spec.path).name,
+        "source_sha256": hashlib.sha256(Path(spec.path).read_bytes()).hexdigest(),
+        "sampling": sampling,
+    }
+    payload = snapshot_form(edges, [float(lo), float(hi)], provenance)
+    v1 = {
         "format": "weightpred-snapshot-v1",
         "raw_weight_range": [float(lo), float(hi)],
         "origins": list(dict.fromkeys(e[0] for e in edges)),
         "terminals": list(dict.fromkeys(e[1] for e in edges)),
         "edges": edges,
-        "provenance": {
-            "source_path": Path(spec.path).name,
-            "source_sha256": hashlib.sha256(Path(spec.path).read_bytes()).hexdigest(),
-            "sampling": sampling,
-        },
+        "provenance": provenance,
     }
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(v1, sort_keys=True, separators=(",", ":"))
     return text, "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
 
 
-# ---- snapshots of edge lists ---------------------------------------------------
+# ---- snapshot files and their forms --------------------------------------------
 
 SYNTHETIC_PROVENANCE = {"source_path": "synthetic", "source_sha256": "0" * 64,
                         "sampling": None}
 
 
-def snapshot_of(edges, raw_weight_range=(-1.0, 1.0), provenance=SYNTHETIC_PROVENANCE):
-    """The snapshot of ``edges``, ``(origin, terminal, weight)`` triples in
-    order, made by the edge check of ``load_snapshot``: an edge that a
-    snapshot file may not hold raises its ``ParseError``.  The vertex lists
-    are the edges' first-appearance tables, built by ``dict.fromkeys``, so
-    the check numbers the edges through them as it does a file's lists."""
-    edges = [[o, t, w] for o, t, w in edges]
+def snapshot_form(edges, raw_weight_range=(-1.0, 1.0), provenance=SYNTHETIC_PROVENANCE):
+    """The JSON document of a snapshot file that holds ``edges``,
+    ``(origin, terminal, weight)`` triples in order.  The vertex lists are
+    the edges' first-appearance tables, built by ``dict.fromkeys``, and
+    ``src`` and ``dst`` each edge's positions in them."""
+    edges = list(edges)
     origins = list(dict.fromkeys(e[0] for e in edges))
     terminals = list(dict.fromkeys(e[1] for e in edges))
-    columns = _edge_columns(edges, origins, terminals, "edges")
-    return Snapshot(columns, tuple(raw_weight_range), provenance)
+    origin_at = {o: k for k, o in enumerate(origins)}
+    terminal_at = {t: k for k, t in enumerate(terminals)}
+    return {
+        "format": "weightpred-snapshot-v2",
+        "raw_weight_range": list(raw_weight_range),
+        "origins": origins,
+        "terminals": terminals,
+        "src": [origin_at[e[0]] for e in edges],
+        "dst": [terminal_at[e[1]] for e in edges],
+        "weight": [e[2] for e in edges],
+        "provenance": provenance,
+    }
 
 
-# ---- reference snapshot edge check ---------------------------------------------
+def v1_form(payload):
+    """The v1 form of ``payload``, a snapshot file's JSON document: the
+    same members, but the edges as ``[origin, terminal, weight]`` rows and
+    the format ``weightpred-snapshot-v1``.  A snapshot's digest is the
+    SHA-256 of this form's compact, key-sorted ``json.dumps``."""
+    origins, terminals = payload["origins"], payload["terminals"]
+    return {
+        "format": "weightpred-snapshot-v1",
+        "raw_weight_range": payload["raw_weight_range"],
+        "origins": origins,
+        "terminals": terminals,
+        "edges": [[origins[s], terminals[d], w]
+                  for s, d, w in zip(payload["src"], payload["dst"], payload["weight"])],
+        "provenance": payload["provenance"],
+    }
+
+
+def snapshot_of(edges, raw_weight_range=(-1.0, 1.0), provenance=SYNTHETIC_PROVENANCE):
+    """The snapshot of ``edges``, ``(origin, terminal, weight)`` triples in
+    order, made by the check of ``load_snapshot`` on :func:`snapshot_form`:
+    edges that a snapshot file may not hold raise its ``ParseError``."""
+    payload = snapshot_form(edges, raw_weight_range, provenance)
+    return Snapshot(_snapshot_columns(payload, "edges"), tuple(raw_weight_range), provenance)
+
+
+# ---- reference snapshot check ---------------------------------------------------
 
 # The characters str.splitlines breaks a line at.
 LINE_BOUNDARIES = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def reference_edge_fault(edges):
-    """``(i, fault)`` for the first edge of a snapshot's ``edges`` list that
-    ``load_snapshot`` documents as bad, with the fault its message names,
-    or ``None``.
+def reference_snapshot_fault(payload):
+    """The fault ``load_snapshot`` names, after the file's path, for the
+    edges and vertex lists of ``payload``, a snapshot file's JSON document
+    of the right format, keys and weight range; or ``None``.
 
-    Each edge is checked on its own, in the documented order: shape, empty
-    token, padded token, token with a line boundary, token with a surrogate
-    code point (not UTF-8 text), weight (a real number, not a bool, in
-    [-1, 1]), repeated pair.
+    One entry at a time, in the documented order.  ``src``, ``dst`` and
+    ``weight`` have one length, above 0.  Then per edge: its ``src`` and
+    ``dst`` are ints (not bools) that index ``origins`` and ``terminals``,
+    and each is an id already seen in its list or the next new one; its
+    weight is a real number (not a bool) in [-1, 1]; its id pair is new.
+    Then per entry of ``origins``, then of ``terminals``: a string that is
+    nonempty, not padded with whitespace, without a line boundary, without
+    a surrogate code point (not UTF-8 text), not an earlier entry again,
+    and at the position of some edge's id.
     """
+    src, dst, weight = payload["src"], payload["dst"], payload["weight"]
+    if not len(src) == len(dst) == len(weight):
+        return f"src, dst and weight differ in length: {len(src)}, {len(dst)} and {len(weight)}"
+    if not src:
+        return "snapshot has no edges"
+    lists = {"src": payload["origins"], "dst": payload["terminals"]}
+    seen = {"src": [], "dst": []}  # the ids named so far, in order
     first_edge = {}
-    for i, edge in enumerate(edges):
-        if type(edge) is not list or len(edge) != 3 or {type(edge[0]), type(edge[1])} != {str}:
-            return i, f"expected [origin, terminal, weight], got {edge!r}"
-        origin, terminal, weight = edge
-        if origin == "" or terminal == "":
-            return i, "empty origin or terminal token"
-        padded = [t for t in (origin, terminal) if t[0].isspace() or t[-1].isspace()]
-        if padded:
-            return i, f"token {padded[0]!r} has leading or trailing whitespace"
-        broken = [t for t in (origin, terminal) if set(t) & set(LINE_BOUNDARIES)]
-        if broken:
-            return i, f"token {broken[0]!r} holds a line boundary"
-        surrogate = [t for t in (origin, terminal) if any(0xD800 <= ord(c) <= 0xDFFF for c in t)]
-        if surrogate:
-            return i, f"token {surrogate[0]!r} is not UTF-8 text"
-        real = isinstance(weight, numbers.Real) and not isinstance(weight, (bool, np.bool_))
-        if not (real and -1 <= weight <= 1):
-            return i, f"weight {weight!r} is not a number in [-1, 1]"
-        if (origin, terminal) in first_edge:
-            j = first_edge[(origin, terminal)]
-            return i, f"repeats the (origin, terminal) pair of edge {j}"
-        first_edge[(origin, terminal)] = i
-    return None
-
-
-def reference_vertex_list_fault(edges, origins, terminals):
-    """The fault ``load_snapshot`` names for a snapshot whose ``edges``
-    pass :func:`reference_edge_fault` but whose vertex lists are not the
-    edges' tokens in first-appearance order, or ``None``.
-
-    ``origins`` is checked before ``terminals``.  At the first position
-    where a list and the ``dict.fromkeys`` order of the edges' tokens differ,
-    or where one of them ends, the message names the token expected there
-    and the first edge that holds it, or else the listed entry that no
-    expected token matches.
-    """
-    for name, side, listed in (("origins", 0, origins), ("terminals", 1, terminals)):
-        tokens = [edge[side] for edge in edges]
-        expected = list(dict.fromkeys(tokens))
-        if listed == expected:
-            continue
-        j = 0
-        while j < min(len(listed), len(expected)) and listed[j] == expected[j]:
-            j += 1
-        if j < len(expected):
-            token = expected[j]
-            detail = f"expected {token!r}, first seen in edge {tokens.index(token)}"
-        else:
-            detail = f"{listed[j]!r} appears in no edge"
-        return f"{name} differ from the edges' first-appearance order at position {j}: {detail}"
+    for i in range(len(src)):
+        for column, ids in (("src", src), ("dst", dst)):
+            v, n = ids[i], len(lists[column])
+            if not (isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n):
+                return f"edge {i}: {column} {v!r} is not an int in [0, {n})"
+            if v not in seen[column]:
+                if v != len(seen[column]):
+                    return (f"edge {i}: {column} {v} breaks first-appearance order "
+                            f"(the next new id is {len(seen[column])})")
+                seen[column].append(v)
+        w = weight[i]
+        real = isinstance(w, numbers.Real) and not isinstance(w, (bool, np.bool_))
+        if not (real and -1 <= w <= 1):
+            return f"edge {i}: weight {w!r} is not a number in [-1, 1]"
+        pair = (src[i], dst[i])
+        if pair in first_edge:
+            return f"edge {i}: repeats the (origin, terminal) pair of edge {first_edge[pair]}"
+        first_edge[pair] = i
+    for name, column in (("origins", "src"), ("terminals", "dst")):
+        before = []
+        for j, token in enumerate(payload[name]):
+            if not isinstance(token, str):
+                fault = f"expected a token string, got {token!r}"
+            elif token == "":
+                fault = "empty token"
+            elif token[0].isspace() or token[-1].isspace():
+                fault = f"token {token!r} has leading or trailing whitespace"
+            elif set(token) & set(LINE_BOUNDARIES):
+                fault = f"token {token!r} holds a line boundary"
+            elif any(0xD800 <= ord(c) <= 0xDFFF for c in token):
+                fault = f"token {token!r} is not UTF-8 text"
+            elif token in before:
+                fault = f"repeats entry {before.index(token)}"
+            elif j >= len(seen[column]):
+                fault = f"{token!r} appears in no edge"
+            else:
+                fault = None
+            if fault:
+                return f"{name} entry {j}: {fault}"
+            before.append(token)
     return None
 
 

@@ -12,7 +12,7 @@ from weightpred import load_snapshot, save_snapshot
 from weightpred.cli import build_parser, main
 from weightpred.evaluation import ExperimentConfig, run_experiment, write_predictions
 
-from helpers import FIG_EDGES, write_rating_file
+from helpers import FIG_EDGES, v1_form, write_rating_file
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +257,7 @@ class TestPredict:
     def test_malformed_snapshot_is_parse_error(self, snapshot_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         payload = json.loads(snapshot_file.read_text())
-        payload["edges"][0] = payload["edges"][0][:2]
+        payload["dst"][0] = None
         bad.write_text(json.dumps(payload))
         out = tmp_path / "p.csv"
         code = main(["predict", "--snapshot", str(bad), "--task", "edge",
@@ -270,17 +270,25 @@ class TestPredict:
         # Such a token would break the predictions file into extra lines.
         bad = tmp_path / "bad.json"
         payload = json.loads(snapshot_file.read_text())
-        token = payload["origins"][0]
         payload["origins"][0] = "bad\rtok"
-        for edge in payload["edges"]:
-            if edge[0] == token:
-                edge[0] = "bad\rtok"
         bad.write_text(json.dumps(payload))
         out = tmp_path / "p.csv"
         code = main(["predict", "--snapshot", str(bad), "--task", "origin",
                      "--method", "knn", "--output", str(out)])
         assert code == 2
-        assert "edge 0: token 'bad\\rtok' holds a line boundary" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "origins entry 0: token 'bad\\rtok' holds a line boundary" in err
+        assert not out.exists()
+
+    def test_a_v1_snapshot_is_parse_error_naming_ingest(self, snapshot_file, tmp_path, capsys):
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(v1_form(json.loads(snapshot_file.read_text()))))
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--snapshot", str(old), "--task", "edge",
+                     "--method", "knn", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "weightpred-snapshot-v1" in err and "weightpred ingest" in err
         assert not out.exists()
 
     def test_snapshot_not_json_is_parse_error(self, tmp_path, capsys):

@@ -9,14 +9,16 @@ stopping rule and cut off after two sweeps.  The input passes through
 ``build_snapshot`` -> ``save_snapshot`` -> ``load_snapshot`` first, from a
 fixed relative path, because the snapshot's ``provenance.source_path``
 feeds the ``snapshot_digest`` echoed in every report.  The bytes of that
-snapshot file, and of one sampled at ingest, are pinned too.
+snapshot file, and of one sampled at ingest, are pinned too, and so are
+both files rendered in the v1 layout of the versions before 0.5.0.
 
 Pinned on CPython 3.11.7 with numpy 2.4.6.  A refactor must keep all
-twenty-six digests and both file pins; any change that alters one needs a
+twenty-six digests and the four file pins; any change that alters one needs a
 CHANGES.md entry saying why.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -33,7 +35,7 @@ from weightpred import (
 )
 from weightpred.evaluation import write_predictions
 
-from helpers import write_rating_file
+from helpers import v1_form, write_rating_file
 
 GOLDEN = {
     (1000, "origin", "knn"): "5bf0f86dbb58677b984ff3f96282425791d39d77eafdf385eeb7d5bc2c483cbb",
@@ -75,6 +77,14 @@ GOLDEN_FAIRNESS = {
 # SHA-256 of the snapshot files: every edge, and ``build_snapshot(spec,
 # sample_size=700, seed=3)``.
 GOLDEN_SNAPSHOT_FILES = {
+    "snap.json": "8e95e9fb2f22cf2c2b38e020cc106f9eaafb97adf1a7e399da549f1d73ade7e3",
+    "sampled.json": "abaca9d66b661f118bb14a7450277fa63ab6977a160eda4e28e17030f683d3a6",
+}
+
+# SHA-256 of the same files rendered in the v1 layout, whose edges are
+# ``[origin, terminal, weight]`` rows: the pins of the files that versions
+# before 0.5.0 wrote.  Equal hashes show that only the layout moved.
+GOLDEN_SNAPSHOT_V1_FILES = {
     "snap.json": "a582ad1967ce27348271b33c06afa94fac38853ef61b0054f5d0df546031f807",
     "sampled.json": "f2d9a74d7ee88d6db4a8c512826fb53355a7e3e0d60eb3d19a6a04fca87e4ec6",
 }
@@ -101,6 +111,13 @@ def snapshot(golden_dir):
 def test_snapshot_file_digest(golden_dir, name):
     digest = hashlib.sha256((golden_dir / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_SNAPSHOT_FILES[name]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SNAPSHOT_V1_FILES))
+def test_snapshot_file_in_the_v1_layout_keeps_its_pin(golden_dir, name):
+    with open(golden_dir / name, encoding="utf-8") as f:
+        text = json.dumps(v1_form(json.load(f)), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SNAPSHOT_V1_FILES[name]
 
 
 @pytest.mark.parametrize("sample_size,task,method", list(GOLDEN))

@@ -27,11 +27,11 @@ from weightpred import (
 )
 from weightpred.errors import SettingError
 from weightpred.graph import graph_of
-from weightpred.ingest import SNAPSHOT_FORMAT, Columns, _rescale
+from weightpred.ingest import Columns, _rescale
 
 from helpers import (
-    LINE_BOUNDARIES, reference_edge_fault, reference_ingest, reference_line_fault,
-    reference_vertex_list_fault, snapshot_of, write_rating_file,
+    LINE_BOUNDARIES, reference_ingest, reference_line_fault, reference_snapshot_fault,
+    snapshot_form, snapshot_of, v1_form, write_rating_file,
 )
 
 
@@ -395,7 +395,7 @@ class TestSnapshot:
         payload["provenance"]["note"] = float("nan")
         out.write_text(json.dumps(payload))
         snap = load_snapshot(out)
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(v1_form(payload), sort_keys=True, separators=(",", ":"))
         assert snap.digest() == "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
         again = tmp_path / "again.json"
         with pytest.raises(ValueError, match="not JSON compliant"):
@@ -553,49 +553,55 @@ def test_snapshot_bytes_match_the_token_level_reference(
 
 
 def _snapshot_payload():
-    return {
-        "format": "weightpred-snapshot-v1",
-        "raw_weight_range": [-10.0, 10.0],
-        "origins": ["a", "b"],
-        "terminals": ["x", "y"],
-        "edges": [["a", "x", 0.5], ["b", "y", -0.25], ["a", "y", 1.0]],
-        "provenance": {"source_path": "raw.csv", "source_sha256": "0", "sampling": None},
-    }
+    return snapshot_form(
+        [("a", "x", 0.5), ("b", "y", -0.25), ("a", "y", 1.0)], [-10.0, 10.0],
+        {"source_path": "raw.csv", "source_sha256": "0", "sampling": None},
+    )
 
 
 def _write_edges(path, edges):
     """Write a snapshot file holding ``edges``, its vertex lists in the
     order the edges first name them."""
-    payload = _snapshot_payload()
-    payload.update(edges=edges, origins=list(dict.fromkeys(e[0] for e in edges)),
-                   terminals=list(dict.fromkeys(e[1] for e in edges)))
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(snapshot_form(edges, [-10.0, 10.0])))
 
 
 def _assert_same_snapshot(a, b):
     """``a`` and ``b`` have one digest and the same columns, bit for bit."""
     assert a.digest() == b.digest()
+    assert (a.origins, a.terminals) == (b.origins, b.terminals)
     for name in ("src", "dst", "weight"):
         x, y = getattr(a.columns, name), getattr(b.columns, name)
         assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes())
+
+
+def _assert_refused_as_the_oracle_says(path, payload):
+    """``payload``, written to ``path``, fails to load with the message of
+    ``reference_snapshot_fault``."""
+    want = reference_snapshot_fault(payload)
+    assert want is not None
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError) as err:
+        load_snapshot(path)
+    assert str(err.value) == f"{path}: {want}"
 
 
 def _drop(key):
     return lambda s: s.pop(key)
 
 
-def _set_edge(i, value):
-    return lambda s: s["edges"].__setitem__(i, value)
+def _set(key, i, value):
+    return lambda s: s[key].__setitem__(i, value)
 
 
-def _faults(*edges):
-    """Set (or append, at the end) each ``(index, edge)`` in turn."""
+def _append(src, dst, weight):
+    """Append an edge by its ids."""
+    return lambda s: (s["src"].append(src), s["dst"].append(dst), s["weight"].append(weight))
+
+
+def _each(*corrupts):
     def corrupt(s):
-        for i, edge in edges:
-            if i < len(s["edges"]):
-                s["edges"][i] = edge
-            else:
-                s["edges"].append(edge)
+        for c in corrupts:
+            c(s)
     return corrupt
 
 
@@ -607,77 +613,74 @@ def test_line_boundaries_are_those_of_splitlines():
     )
 
 
-def _broken_terminal(boundary):
-    """Edges 1 and 2 share a terminal token that holds ``boundary``."""
-    def corrupt(s):
-        s["terminals"][1] = f"y{boundary}z"
-        for edge in s["edges"][1:]:
-            edge[1] = f"y{boundary}z"
-    return corrupt
-
-
+# The file holds origins ["a", "b"], terminals ["x", "y"], src [0, 1, 0],
+# dst [0, 1, 1] and weight [0.5, -0.25, 1.0].  Case ids kept from the
+# [origin, terminal, weight] layout name the fault the case had there; the
+# case now puts the same kind of fault in the id layout.
 @pytest.mark.parametrize("corrupt,located", [
-    (_drop("edges"), "key 'edges' is missing"),
+    (_drop("src"), "key 'src' is missing"),
     (_drop("provenance"), "key 'provenance' is missing"),
-    (_set_edge(1, ["b", "y"]), "edge 1: expected [origin, terminal, weight]"),
-    (_set_edge(1, ["b", "y", 0.1, 7]), "edge 1: expected [origin, terminal, weight]"),
-    (_set_edge(0, ["", "x", 0.5]), "edge 0: empty origin or terminal token"),
-    (_set_edge(0, [" a", "x", 0.5]), "edge 0: token ' a' has leading or trailing whitespace"),
-    (_set_edge(1, ["b", "y\t", 0.5]), "edge 1: token 'y\\t' has leading or trailing whitespace"),
-    (_set_edge(0, ["a", "x", "0.5"]), "edge 0: weight"),
-    (_set_edge(0, ["a", "x", float("nan")]), "edge 0: weight"),
-    (_set_edge(2, ["a", "y", float("inf")]), "edge 2: weight"),
-    (_set_edge(2, ["a", "y", 1.5]), "edge 2: weight"),
-    (lambda s: s["edges"].append(["a", "x", 0.1]), "edge 3: repeats"),
-    (lambda s: s.update(origins=["b", "a"]), "first seen in edge 0"),
-    (lambda s: s.update(terminals=["x"]), "first seen in edge 1"),
-    (lambda s: s.update(origins=["a", "b", "c"]), "'c' appears in no edge"),
-    (lambda s: s.update(origins=["a", "b", "a"]), "origins differ from the edges' "
-     "first-appearance order at position 2: 'a' appears in no edge"),
-    (lambda s: s.update(terminals=["x", 7]), "terminals differ from the edges' "
-     "first-appearance order at position 1: expected 'y', first seen in edge 1"),
-    (lambda s: s.update(origins=["a", "c"]), "origins differ from the edges' "
-     "first-appearance order at position 1: expected 'b', first seen in edge 1"),
-    # Ids 0, 2, 1: the tokens and the length match, and only the running
-    # maximum rises by more than one.
-    (lambda s: s.update(origins=["a", "b", "c"], edges=[
-        ["a", "x", 0.5], ["c", "y", -0.25], ["b", "y", 1.0]]),
-     "origins differ from the edges' first-appearance order at position 1: "
-     "expected 'c', first seen in edge 1"),
-    (lambda s: s.update(origins=["1", "b"], edges=[
-        [1, "x", 0.5], ["b", "y", -0.25], ["1", "y", 1.0]]),
-     "edge 0: expected [origin, terminal, weight], got [1, 'x', 0.5]"),
-    (lambda s: s.update(origins=[7, "b"], edges=[
-        [7, "x", 0.5], ["b", "y", -0.25], [7, "y", 1.0]]),
-     "edge 0: expected [origin, terminal, weight], got [7, 'x', 0.5]"),
-    (lambda s: s.update(edges=[], origins=[], terminals=[]), "snapshot has no edges"),
+    (lambda s: s["weight"].pop(), "src, dst and weight differ in length: 3, 3 and 2"),
+    (lambda s: s["dst"].append(0), "src, dst and weight differ in length: 3, 4 and 3"),
+    (_set("origins", 0, ""), "origins entry 0: empty token"),
+    (_set("origins", 0, " a"), "origins entry 0: token ' a' has leading or trailing whitespace"),
+    (_set("terminals", 1, "y\t"),
+     "terminals entry 1: token 'y\\t' has leading or trailing whitespace"),
+    (_set("weight", 0, "0.5"), "edge 0: weight '0.5' is not a number in [-1, 1]"),
+    (_set("weight", 0, math.nan), "edge 0: weight nan"),
+    (_set("weight", 2, math.inf), "edge 2: weight inf"),
+    (_set("weight", 2, 1.5), "edge 2: weight 1.5"),
+    (_append(0, 0, 0.1), "edge 3: repeats the (origin, terminal) pair of edge 0"),
+    (_set("src", 0, 1), "edge 0: src 1 breaks first-appearance order (the next new id is 0)"),
+    (lambda s: s.update(terminals=["x"]), "edge 1: dst 1 is not an int in [0, 1)"),
+    (lambda s: s.update(origins=["a", "b", "c"]), "origins entry 2: 'c' appears in no edge"),
+    (lambda s: s.update(origins=["a", "b", "a"]), "origins entry 2: repeats entry 0"),
+    (lambda s: s.update(terminals=["x", 7]), "terminals entry 1: expected a token string, got 7"),
+    (_set("src", 1, -1), "edge 1: src -1 is not an int in [0, 2)"),
+    # Ids 0, 2, 1: every id is in range, and only the running maximum rises
+    # by more than one.
+    (lambda s: s.update(origins=["a", "b", "c"], src=[0, 2, 1]),
+     "edge 1: src 2 breaks first-appearance order (the next new id is 1)"),
+    (_set("src", 0, "0"), "edge 0: src '0' is not an int in [0, 2)"),
+    (lambda s: s.update(origins=[7, "b"]), "origins entry 0: expected a token string, got 7"),
+    (lambda s: s.update(src=[], dst=[], weight=[], origins=[], terminals=[]),
+     "snapshot has no edges"),
     (lambda s: s.update(raw_weight_range=[5, "x", None]), "raw_weight_range [5, 'x', None]"),
     (lambda s: s.update(raw_weight_range=[10.0, -10.0]), "raw_weight_range [10.0, -10.0]"),
     (lambda s: s.update(raw_weight_range=[-10.0, math.inf]), "raw_weight_range [-10.0, inf]"),
     (lambda s: s.update(raw_weight_range=[-10.0, True]), "raw_weight_range [-10.0, True]"),
     # Two faults: the lower edge index is named, whatever the kinds.
-    (_faults((1, ["a", "x", 0.2]), (3, ["c", "z", float("nan")])),
+    (_each(_set("src", 1, 0), _set("dst", 1, 0), _append(1, 1, math.nan)),
      "edge 1: repeats the (origin, terminal) pair of edge 0"),
-    (_faults((1, ["b", "y", float("nan")]), (3, ["a", "x", 0.1])), "edge 1: weight nan"),
-    (_faults((1, ["b", "y", "0.5"]), (2, ["a", "y"])), "edge 1: weight '0.5'"),
-    (_faults((1, ["b", "y"]), (3, ["a", "x", 0.1])), "edge 1: expected"),
-    (_faults((1, ["b", " y", 0.5]), (2, ["", "y", 1.0])), "edge 1: token ' y'"),
-    (_faults((1, ["b", "", 0.5]), (2, ["a", " y", 1.0])), "edge 1: empty origin"),
-    (_faults((2, ["b", "y", 0.1]), (1, ["b", "y", 2.0])), "edge 1: weight 2.0"),
-    # Two faults in one edge: the check that runs first per edge is named.
-    (_set_edge(0, ["", "x", "0.5"]), "edge 0: empty origin or terminal token"),
-    (_set_edge(0, [" a", "x", float("nan")]), "edge 0: token ' a'"),
-    (_set_edge(2, ["a", "x", float("nan")]), "edge 2: weight nan"),
-    (_set_edge(0, ["a\rb", "x", 0.5]), "edge 0: token 'a\\rb' holds a line boundary"),
-    (_set_edge(1, ["b", "y\r", 0.5]), "edge 1: token 'y\\r' has leading or trailing whitespace"),
-    (_faults((1, ["b", "y\x0cz", 0.5]), (2, ["", "y", 1.0])), "edge 1: token 'y\\x0cz'"),
-    (_faults((1, ["b", "", 0.5]), (2, ["a\x85b", "y", 1.0])), "edge 1: empty origin"),
-    (_faults((1, ["b", "y", 2.0]), (2, ["a", "y\u2028z", 1.0])), "edge 1: weight 2.0"),
-    (_set_edge(0, [" a\nb", "x", 0.5]), "edge 0: token ' a\\nb' has leading"),
-    (_set_edge(0, ["a\u2029b", "x", float("nan")]), "edge 0: token 'a\\u2029b' holds"),
-    # The token's first edge is named, not a later one that repeats it.
-    *[(_broken_terminal(c), f"edge 1: token {f'y{c}z'!r} holds a line boundary")
+    (_each(_set("weight", 1, math.nan), _append(0, 0, 0.1)), "edge 1: weight nan"),
+    (_each(_set("weight", 1, "0.5"), _set("dst", 2, None)), "edge 1: weight '0.5'"),
+    (_each(_set("dst", 1, [1]), _append(0, 0, 0.1)), "edge 1: dst [1] is not an int"),
+    # Two bad entries: origins before terminals.
+    (_each(_set("origins", 1, " b"), _set("terminals", 0, "")), "origins entry 1: token ' b'"),
+    (_each(_set("origins", 1, ""), _set("terminals", 1, " y")), "origins entry 1: empty token"),
+    # Per edge, the ids before the weight before the pair.
+    (_each(_set("weight", 1, 2.0), _set("src", 2, 1), _set("dst", 2, 1)),
+     "edge 1: weight 2.0"),
+    # A bad edge before a bad list entry.
+    (_each(_set("origins", 0, ""), _set("weight", 0, "0.5")), "edge 0: weight '0.5'"),
+    (_each(_set("origins", 0, " a"), _set("weight", 0, math.nan)), "edge 0: weight nan"),
+    (_each(_set("dst", 2, 0), _set("weight", 2, math.nan)), "edge 2: weight nan"),
+    (_set("origins", 0, "a\rb"), "origins entry 0: token 'a\\rb' holds a line boundary"),
+    (_set("terminals", 1, "y\r"),
+     "terminals entry 1: token 'y\\r' has leading or trailing whitespace"),
+    (_each(_set("origins", 1, "b\x0cz"), _set("terminals", 0, "")),
+     "origins entry 1: token 'b\\x0cz' holds"),
+    (_each(_set("origins", 1, ""), _set("terminals", 0, "a\x85b")),
+     "origins entry 1: empty token"),
+    (_each(_set("weight", 1, 2.0), _set("terminals", 1, "y\u2028z")), "edge 1: weight 2.0"),
+    (_set("origins", 0, " a\nb"), "origins entry 0: token ' a\\nb' has leading"),
+    (_each(_set("origins", 0, "a\u2029b"), _set("weight", 0, math.nan)), "edge 0: weight nan"),
+    *[(_set("terminals", 1, f"y{c}z"),
+       f"terminals entry 1: token {f'y{c}z'!r} holds a line boundary")
       for c in LINE_BOUNDARIES],
+    (_set("dst", 0, False), "edge 0: dst False is not an int in [0, 2)"),
+    (_set("src", 2, 0.0), "edge 2: src 0.0 is not an int in [0, 2)"),
+    (_set("dst", 2, 10**400), f"edge 2: dst {10**400} is not an int in [0, 2)"),
 ], ids=[
     "no-edges", "no-provenance", "two-fields", "four-fields", "empty-origin",
     "padded-origin", "padded-terminal",
@@ -695,6 +698,7 @@ def _broken_terminal(boundary):
     "line-break-before-empty", "empty-before-line-break", "weight-before-line-break",
     "padded-and-line-break", "line-break-and-nan",
     *[f"line-boundary-U+{ord(c):04X}" for c in LINE_BOUNDARIES],
+    "bool-id", "float-id", "huge-id",
 ])
 def test_load_snapshot_rejects_malformed_schema(tmp_path, corrupt, located):
     path = tmp_path / "snap.json"
@@ -703,7 +707,25 @@ def test_load_snapshot_rejects_malformed_schema(tmp_path, corrupt, located):
     assert len(load_snapshot(path).edges) == 3
     corrupt(payload)
     path.write_text(json.dumps(payload))
-    with pytest.raises(ParseError, match=re.escape(str(path)) + ".*" + re.escape(located)):
+    with pytest.raises(ParseError) as err:
+        load_snapshot(path)
+    assert str(err.value).startswith(f"{path}: {located}")
+    try:  # where the columns are at fault, the oracle gives the whole message
+        want = reference_snapshot_fault(payload)
+    except KeyError:
+        want = None
+    assert want is None or str(err.value) == f"{path}: {want}"
+
+
+def test_a_v1_file_is_refused_with_the_step_that_replaces_it(tmp_path):
+    """A file in the ``[origin, terminal, weight]`` layout of 0.4.0 and
+    before is refused, naming its format and ``weightpred ingest``."""
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(v1_form(_snapshot_payload())))
+    message = ("not a weightpred-snapshot-v2 file (format='weightpred-snapshot-v1'): "
+               "weightpred-snapshot-v1 files are no longer read; re-run `weightpred ingest` "
+               "on the raw edge list")
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_snapshot(path)
 
 
@@ -722,7 +744,7 @@ def test_load_snapshot_pauses_the_cyclic_collector_and_restores_it(
     monkeypatch.setattr(json, "loads", spy_loads)
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(_snapshot_payload()))
-    bad.write_text(json.dumps({**_snapshot_payload(), "edges": []}))
+    bad.write_text(json.dumps({**_snapshot_payload(), "src": [], "dst": [], "weight": []}))
     was = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
@@ -736,106 +758,111 @@ def test_load_snapshot_pauses_the_cyclic_collector_and_restores_it(
     assert seen == [False, False]
 
 
+# Any token the token rules let through: non-BMP characters, quotes,
+# backslashes, C0 controls other than line breaks, DEL.
+_ANY_TOKENS = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\U0001f600"]),
+        st.characters(exclude_categories=("Cs",), exclude_characters=LINE_BOUNDARIES),
+    ),
+    min_size=1, max_size=4,
+).filter(lambda t: t == t.strip())
 _CLEAN_TOKENS = st.text(alphabet='ab#\u00e9,"\t ', min_size=1, max_size=3).filter(
     lambda t: t == t.strip()
 )
 _BAD_WEIGHTS = [
     "0.5", None, [0.5], math.nan, math.inf, -math.inf, 1.5, -1.0000001, 2, -2, 10**400,
 ]
+_BAD_IDS = [True, False, 0.0, 1.0, "0", None, [0], -1, 10**400]
 _SPACES = " \t\u00a0\u3000" + LINE_BOUNDARIES
+_STRAYS = st.one_of(_CLEAN_TOKENS, st.sampled_from([7, 1, None, 0.5, True, ["a"], {}]))
+
+
+def _bad_token(draw, token):
+    """``token`` made empty, padded, broken by a line boundary, or not
+    UTF-8 text."""
+    kind = draw(st.sampled_from(["empty", "padded", "boundary", "surrogate"]))
+    if kind == "empty":
+        return ""
+    at = draw(st.integers(0, len(token)))
+    if kind == "padded":
+        space = draw(st.sampled_from(_SPACES))
+        return draw(st.sampled_from([space + token, token + space]))
+    if kind == "boundary":  # inside the token, or it is padding first
+        c = draw(st.sampled_from([*LINE_BOUNDARIES, "\r\n"]))
+        return token[:at] + c + token[at:] if 0 < at < len(token) else token + c + token
+    # High surrogates only: JSON reads an escaped high-low pair as one
+    # character, so two faults could otherwise make a valid token.
+    return token[:at] + chr(draw(st.integers(0xD800, 0xDBFF))) + token[at:]
 
 
 @st.composite
-def _faulty_edges(draw):
-    """A snapshot's ``edges`` list: distinct pairs with weights in [-1, 1],
+def _faulty_payloads(draw):
+    """A snapshot file's document: distinct pairs with weights in [-1, 1],
     then 0-3 faults of random kinds at random positions."""
     pairs = draw(st.lists(st.tuples(_CLEAN_TOKENS, _CLEAN_TOKENS),
                           min_size=1, max_size=10, unique=True))
     weights = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1, 0, 1]))
-    edges = [[o, t, draw(weights)] for o, t in pairs]
+    payload = snapshot_form((o, t, draw(weights)) for o, t in pairs)
     for _ in range(draw(st.integers(0, 3))):
-        i = draw(st.integers(0, len(edges) - 1))
-        edge = edges[i] if type(edges[i]) is list else ["a", "b", 0.5]
-        side = draw(st.integers(0, 1))
-        token = str(edge[side]) if len(edge) > side else "a"
+        column = draw(st.sampled_from(["src", "dst", "weight"]))
+        name = draw(st.sampled_from(["origins", "terminals"]))
+        n = min(map(len, (payload["src"], payload["dst"], payload["weight"])))
+        i = draw(st.integers(0, max(n - 1, 0)))
         kind = draw(st.sampled_from([
-            "shape", "token-type", "empty", "padded", "boundary", "surrogate", "weight",
-            "repeat",
+            "length", "id", "order", "weight", "repeat", "token", "stray", "twice",
         ]))
-        if kind == "shape":
-            edges[i] = draw(st.sampled_from([edge[:2], [*edge, 7], [], "edge", None]))
+        if kind == "length":
+            if payload[column] and draw(st.booleans()):
+                payload[column].pop()
+            else:
+                payload[column].append(0)
+        elif n == 0:
             continue
-        edge = list(edge[:3]) + [0.5] * (3 - len(edge))
-        if kind == "token-type":
-            edge[side] = draw(st.sampled_from([7, None, 0.5, ["a"]]))
-        elif kind == "empty":
-            edge[side] = ""
-        elif kind == "padded":
-            space = draw(st.sampled_from(_SPACES))
-            edge[side] = draw(st.sampled_from([space + token, token + space]))
-        elif kind == "boundary":
-            at = draw(st.integers(0, len(token)))
-            c = draw(st.sampled_from([*LINE_BOUNDARIES, "\r\n"]))
-            edge[side] = token[:at] + c + token[at:]
-        elif kind == "surrogate":
-            # High surrogates only: JSON reads an escaped high-low pair as one
-            # character, so two faults could otherwise make a valid token.
-            at = draw(st.integers(0, len(token)))
-            edge[side] = token[:at] + chr(draw(st.integers(0xD800, 0xDBFF))) + token[at:]
+        elif kind == "id":
+            payload[column][i] = draw(st.sampled_from(_BAD_IDS + [len(payload[name])]))
+        elif kind == "order" and column != "weight":
+            payload[column][i] = draw(st.integers(0, len(payload[name])))
         elif kind == "weight":
-            edge[2] = draw(st.one_of(st.booleans(), st.sampled_from(_BAD_WEIGHTS)))
-        else:  # repeat an earlier or later edge's pair
-            other = edges[draw(st.integers(0, len(edges) - 1))]
-            if type(other) is list and len(other) == 3:
-                edge[:2] = other[:2]
-        edges[i] = edge
-    return edges
+            payload["weight"][i] = draw(st.one_of(st.booleans(), st.sampled_from(_BAD_WEIGHTS)))
+        elif kind == "repeat":
+            k = draw(st.integers(0, n - 1))
+            payload["src"][i], payload["dst"][i] = payload["src"][k], payload["dst"][k]
+        elif kind == "token" and payload[name]:
+            j = draw(st.integers(0, len(payload[name]) - 1))
+            token = payload[name][j]
+            payload[name][j] = _bad_token(draw, token) if type(token) is str else ""
+        elif kind == "stray":
+            payload[name].insert(draw(st.integers(0, len(payload[name]))), draw(_STRAYS))
+        elif kind == "twice" and payload[name]:
+            payload[name].append(draw(st.sampled_from(payload[name])))
+    return payload
 
 
-@given(_faulty_edges())
+@given(_faulty_payloads())
 @settings(max_examples=300, deadline=None)
-def test_the_bulk_check_and_the_walk_agree(tmp_path_factory, edges):
-    """``load_snapshot`` loads exactly what a per-edge reference accepts,
-    and otherwise names the edge and the fault it names; none reaches the
+def test_the_bulk_check_and_the_walk_agree(tmp_path_factory, payload):
+    """``load_snapshot`` loads exactly what a per-entry reference accepts,
+    and otherwise names the entry and the fault it names; none reaches the
     walk's ``AssertionError``."""
     path = tmp_path_factory.mktemp("edges") / "snap.json"
-    payload = _snapshot_payload()
-    payload["edges"] = edges
-    want = reference_edge_fault(edges)
-    if want is None:
-        payload["origins"] = list(dict.fromkeys(e[0] for e in edges))
-        payload["terminals"] = list(dict.fromkeys(e[1] for e in edges))
+    if reference_snapshot_fault(payload) is not None:
+        _assert_refused_as_the_oracle_says(path, payload)
+        return
     path.write_text(json.dumps(payload))
-    if want is None:
-        load_snapshot(path)
-    else:
-        i, fault = want
-        with pytest.raises(ParseError) as err:
-            load_snapshot(path)
-        assert str(err.value) == f"{path}: edge {i}: {fault}"
-
-
-_STRAYS = st.one_of(_CLEAN_TOKENS, st.sampled_from([7, 1, None, 0.5, True, ["a"], {}]))
+    columns = load_snapshot(path).columns
+    assert (columns.src.tolist(), columns.dst.tolist()) == (payload["src"], payload["dst"])
 
 
 @st.composite
 def _listed_snapshots(draw):
-    """A snapshot's edges, half of them with faults, and its two vertex
-    lists: the first-appearance tables of the edges' string tokens put
-    through 0-3 perturbations (swap, drop, duplicate, insert, replace)."""
-    if draw(st.booleans()):
-        edges = draw(_faulty_edges())
-    else:
-        pairs = draw(st.lists(st.tuples(_CLEAN_TOKENS, _CLEAN_TOKENS),
-                              min_size=1, max_size=10, unique=True))
-        edges = [[o, t, draw(st.floats(-1.0, 1.0))] for o, t in pairs]
-    lists = [
-        list(dict.fromkeys(e[side] for e in edges
-                           if type(e) is list and len(e) > side and type(e[side]) is str))
-        for side in (0, 1)
-    ]
+    """A snapshot file's document whose two vertex lists are put through
+    0-3 perturbations (swap, drop, duplicate, insert, replace)."""
+    pairs = draw(st.lists(st.tuples(_CLEAN_TOKENS, _CLEAN_TOKENS),
+                          min_size=1, max_size=10, unique=True))
+    payload = snapshot_form((o, t, draw(st.floats(-1.0, 1.0))) for o, t in pairs)
     for _ in range(draw(st.integers(0, 3))):
-        listed = lists[draw(st.integers(0, 1))]
+        listed = payload[draw(st.sampled_from(["origins", "terminals"]))]
         kind = draw(st.sampled_from(["swap", "drop", "duplicate", "insert", "replace"]))
         at = draw(st.integers(0, len(listed)))
         if kind == "insert":
@@ -853,60 +880,113 @@ def _listed_snapshots(draw):
             listed.insert(at, listed[i])
         else:
             listed[i] = draw(_STRAYS)
-    return edges, *lists
+    return payload
 
 
 @given(_listed_snapshots())
 @settings(max_examples=300, deadline=None)
-def test_load_snapshot_accepts_exactly_the_first_appearance_lists(tmp_path_factory, snap):
-    """``load_snapshot`` accepts exactly when the edges pass
-    ``reference_edge_fault`` and each vertex list is the ``dict.fromkeys``
-    order of the edges' tokens; it then numbers each edge by the lists.
-    Otherwise it names the edge fault, or the list, position and token."""
-    edges, origins, terminals = snap
+def test_load_snapshot_accepts_exactly_the_first_appearance_lists(tmp_path_factory, payload):
+    """``load_snapshot`` accepts exactly the vertex lists that hold one
+    distinct clean token per id the edges name; the edges' ids then number
+    each list in order of first appearance, and the lists are the columns'
+    tables.  Otherwise it names the list, the entry and the fault, or the
+    edge whose id a shortened list lacks."""
     path = tmp_path_factory.mktemp("lists") / "snap.json"
-    payload = _snapshot_payload()
-    payload.update(edges=edges, origins=origins, terminals=terminals)
+    if reference_snapshot_fault(payload) is not None:
+        _assert_refused_as_the_oracle_says(path, payload)
+        return
     path.write_text(json.dumps(payload))
-    edge_fault = reference_edge_fault(edges)
-    if edge_fault is None:
-        want = reference_vertex_list_fault(edges, origins, terminals)
+    columns = load_snapshot(path).columns
+    assert (columns.origins, columns.terminals) == (
+        tuple(payload["origins"]), tuple(payload["terminals"]))
+    for ids, table in ((columns.src, columns.origins), (columns.dst, columns.terminals)):
+        assert list(dict.fromkeys(ids.tolist())) == list(range(len(table)))
+
+
+@st.composite
+def _perturbations(draw, payload):
+    """One fault of a valid snapshot file's document, of the kinds
+    ``load_snapshot`` must refuse: an id out of range, a ``bool`` or
+    ``float`` id, order broken, a vertex listed twice, a repeated pair, a
+    padded, line-breaking or surrogate token, or a weight outside [-1, 1]."""
+    payload = json.loads(json.dumps(payload))
+    n = len(payload["src"])
+    i = draw(st.integers(0, n - 1))
+    side = draw(st.sampled_from([("src", "origins"), ("dst", "terminals")]))
+    column, name = side
+    ordered = [s for s in (("src", "origins"), ("dst", "terminals")) if len(payload[s[1]]) > 1]
+    kinds = ["range", "type", "twice", "token", "weight"]
+    kinds += ["order"] * bool(ordered) + ["repeat"] * (n > 1)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "range":
+        payload[column][i] = draw(st.sampled_from([-1, len(payload[name]), 2**63]))
+    elif kind == "type":
+        v = payload[column][i]
+        payload[column][i] = draw(st.sampled_from([bool(v), float(v)]))
+    elif kind == "order":  # the first appearances of ids 0 and 1 swap ids
+        column, name = draw(st.sampled_from(ordered))
+        first = payload[column].index(1)
+        payload[column][0], payload[column][first] = 1, 0
+    elif kind == "repeat":
+        k, i = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        payload["src"][i], payload["dst"][i] = payload["src"][k], payload["dst"][k]
+    elif kind == "twice":
+        payload[name].insert(draw(st.integers(0, len(payload[name]))),
+                             draw(st.sampled_from(payload[name])))
+    elif kind == "token":
+        j = draw(st.integers(0, len(payload[name]) - 1))
+        payload[name][j] = _bad_token(draw, payload[name][j])
     else:
-        want = "edge {}: {}".format(*edge_fault)
-    if want is None:
-        columns = load_snapshot(path).columns
-        assert (columns.origins, columns.terminals) == (tuple(origins), tuple(terminals))
-        assert columns.src.tolist() == [origins.index(e[0]) for e in edges]
-        assert columns.dst.tolist() == [terminals.index(e[1]) for e in edges]
-    else:
-        with pytest.raises(ParseError) as err:
-            load_snapshot(path)
-        assert str(err.value) == f"{path}: {want}"
+        payload["weight"][i] = draw(st.sampled_from(
+            [1.0000000000000002, -1.5, 2, -2, 10**400, math.inf, math.nan]))
+    return payload
+
+
+@given(
+    st.lists(st.tuples(_ANY_TOKENS, _ANY_TOKENS), min_size=1, max_size=12, unique=True),
+    st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+    st.data(),
+)
+@settings(deadline=None)
+def test_load_keeps_a_saved_snapshot_and_refuses_a_perturbed_one(
+    tmp_path_factory, pairs, weights, data
+):
+    """``load_snapshot(save_snapshot(s))`` has the digest and the columns of
+    ``s``, bit for bit; the saved file with one fault is refused with the
+    message of ``reference_snapshot_fault``."""
+    root = tmp_path_factory.mktemp("perturbed")
+    snap = snapshot_of((o, t, w) for (o, t), w in zip(pairs, weights))
+    save_snapshot(snap, root / "snap.json")
+    _assert_same_snapshot(load_snapshot(root / "snap.json"), snap)
+    payload = json.loads((root / "snap.json").read_text(encoding="utf-8"))
+    _assert_refused_as_the_oracle_says(root / "bad.json", data.draw(_perturbations(payload)))
 
 
 @pytest.mark.parametrize("edge,fault", [
-    (["", "x", 0.5], "empty origin or terminal token"),
-    ([" a", "x", 0.5], "token ' a' has leading or trailing whitespace"),
-    (["a\rb", "x", 0.5], "token 'a\\rb' holds a line boundary"),
-    ([7, "x", 0.5], "expected [origin, terminal, weight], got [7, 'x', 0.5]"),
-    (["a", "x", "0.5"], "weight '0.5' is not a number in [-1, 1]"),
-    (["a", "x", True], "weight True is not a number in [-1, 1]"),
+    (["", "x", 0.5], "origins entry 1: empty token"),
+    ([" a", "x", 0.5], "origins entry 1: token ' a' has leading or trailing whitespace"),
+    (["a\rb", "x", 0.5], "origins entry 1: token 'a\\rb' holds a line boundary"),
+    ([7, "x", 0.5], "origins entry 1: expected a token string, got 7"),
+    (["a", "x", "0.5"], "edge 1: weight '0.5' is not a number in [-1, 1]"),
+    (["a", "x", True], "edge 1: weight True is not a number in [-1, 1]"),
 ], ids=["empty", "padded", "line-boundary", "int-token", "string-weight", "bool-weight"])
 def test_load_snapshot_names_the_bad_edge_and_its_fault(tmp_path, edge, fault):
-    edges = [["b", "y", -0.25], edge]
-    assert reference_edge_fault(edges) == (1, fault)
+    """A bad weight is named by its edge, a bad token by its list entry."""
+    payload = snapshot_form([["b", "y", -0.25], edge], [-10.0, 10.0])
+    assert reference_snapshot_fault(payload) == fault
     path = tmp_path / "snap.json"
-    _write_edges(path, edges)
+    path.write_text(json.dumps(payload))
     with pytest.raises(ParseError) as err:
         load_snapshot(path)
-    assert str(err.value) == f"{path}: edge 1: {fault}"
+    assert str(err.value) == f"{path}: {fault}"
 
 
 @pytest.mark.parametrize("weight", [True, False, "1", None, 10**400, -(10**400)])
 def test_load_snapshot_rejects_a_weight_that_is_not_a_number_in_range(tmp_path, weight):
     path = tmp_path / "snap.json"
     payload = _snapshot_payload()
-    payload["edges"][1][2] = weight
+    payload["weight"][1] = weight
     path.write_text(json.dumps(payload))
     with pytest.raises(ParseError, match=re.escape(f"edge 1: weight {weight!r} is not")):
         load_snapshot(path)
@@ -929,10 +1009,8 @@ def test_a_token_that_is_not_utf8_text_is_rejected(tmp_path):
     path = tmp_path / "snap.json"
     payload = _snapshot_payload()
     payload["origins"][0] = "a\ud800"
-    for edge in payload["edges"][::2]:
-        edge[0] = "a\ud800"
     path.write_text(json.dumps(payload))
-    message = "edge 0: token 'a\\ud800' is not UTF-8 text"
+    message = "origins entry 0: token 'a\\ud800' is not UTF-8 text"
     with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_snapshot(path)
 
@@ -1051,15 +1129,6 @@ def test_the_raw_bulk_parse_and_the_walk_agree(tmp_path_factory, raw):
 
 # ---- the snapshot writer against json.dumps -----------------------------------
 
-# Any token the token rules let through: non-BMP characters, quotes,
-# backslashes, C0 controls other than line breaks, DEL.
-_ANY_TOKENS = st.text(
-    st.one_of(
-        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\U0001f600"]),
-        st.characters(exclude_categories=("Cs",), exclude_characters=LINE_BOUNDARIES),
-    ),
-    min_size=1, max_size=4,
-).filter(lambda t: t == t.strip())
 _PROVENANCE = st.dictionaries(st.text(max_size=4), st.recursive(
     st.none() | st.text(max_size=4) | st.integers(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
@@ -1068,24 +1137,15 @@ _PROVENANCE = st.dictionaries(st.text(max_size=4), st.recursive(
 ), max_size=4)
 
 
-def _json_form(snapshot, edges):
-    return {
-        "format": SNAPSHOT_FORMAT,
-        "raw_weight_range": list(snapshot.raw_weight_range),
-        "origins": list(dict.fromkeys(e[0] for e in edges)),
-        "terminals": list(dict.fromkeys(e[1] for e in edges)),
-        "edges": edges,
-        "provenance": snapshot.provenance,
-    }
-
-
 def _assert_written_as_json_dumps(snapshot, edges, path):
-    form = _json_form(snapshot, edges)
+    """The file is ``json.dumps`` of the id form, and the digest hashes the
+    compact ``json.dumps`` of its v1 form."""
+    form = snapshot_form(edges, list(snapshot.raw_weight_range), snapshot.provenance)
     save_snapshot(snapshot, path)
     assert path.read_bytes() == (
         json.dumps(form, sort_keys=True, indent=2, allow_nan=False) + "\n"
     ).encode()
-    compact = json.dumps(form, sort_keys=True, separators=(",", ":"))
+    compact = json.dumps(v1_form(form), sort_keys=True, separators=(",", ":"))
     assert snapshot.digest() == "sha256:" + hashlib.sha256(compact.encode()).hexdigest()
 
 

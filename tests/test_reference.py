@@ -28,7 +28,7 @@ from weightpred import (
 from weightpred.evaluation import METHODS
 from weightpred.ingest import TASKS, split_ids
 
-from helpers import reference_edge_fault, reference_run, snapshot_of
+from helpers import reference_run, reference_snapshot_fault, snapshot_of
 
 def _snapshot(pairs, weights):
     return snapshot_of((o, t, w) for (o, t), w in zip(pairs, weights))
@@ -167,13 +167,13 @@ def _assert_load_rejects(tmp_path, config, row, bad):
     save_snapshot(_clean_snapshot(), path)
     run_experiment(load_snapshot(path), config)
     payload = json.loads(path.read_text())
-    payload["edges"][row][2] = bad
+    payload["weight"][row] = bad
     path.write_text(json.dumps(payload))
-    i, fault = reference_edge_fault(payload["edges"])
-    assert i == row
+    fault = reference_snapshot_fault(payload)
+    assert fault.startswith(f"edge {row}: ")
     with pytest.raises(ParseError) as err:
         load_snapshot(path)
-    assert str(err.value) == f"{path}: edge {row}: {fault}"
+    assert str(err.value) == f"{path}: {fault}"
 
 
 @pytest.mark.parametrize("task", TASKS)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from weightpred import (
@@ -43,7 +43,6 @@ class TestKernelSpec:
             assert _kernel_matrix(spec, np.array([u]), np.array([v]))[0, 0] == want
 
     @given(finite_reals, finite_reals)
-    @settings(max_examples=80)
     def test_symmetry(self, u, v):
         for spec in (
             KernelSpec("linear"),
