@@ -20,9 +20,11 @@ A snapshot is the canonical JSON form of a dataset (vertex lists, edges
 with scaled weights, and a provenance block); experiments run off
 snapshots, never raw files.  In memory a snapshot is held as columns, from
 the raw file to its digest: vertex token tables, ``src``/``dst`` id arrays
-and a weight array.  The file holds the same columns: the ``origins`` and
-``terminals`` lists, then ``src``, ``dst`` and ``weight`` lists, one entry
-per edge (:data:`SNAPSHOT_FORMAT`).  The digest hashes the v1 form, whose
+and a weight array.  The raw file is parsed a pass of lines at a time, each
+token numbered as the pass reads it, so no list of the file's fields is
+built.  The file holds the same columns: the ``origins`` and ``terminals``
+lists, then ``src``, ``dst`` and ``weight`` lists, one entry per edge
+(:data:`SNAPSHOT_FORMAT`).  The digest hashes the v1 form, whose
 edges are ``[origin, terminal, weight]`` rows (:data:`DIGEST_FORMAT`), so
 it does not depend on the file layout.  The record-level functions
 (:func:`parse_edge_list`, :func:`make_split`, ``Snapshot.edges``) read the
@@ -42,8 +44,9 @@ import os
 import re
 import stat
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -134,35 +137,54 @@ def _columns(lines: list, delimiter: Optional[str], expected: int) -> Optional[l
     return [fields[k::expected] for k in range(expected)]
 
 
+# Characters per pass of the raw-file parse, each pass ending after a "\n".
+_PASS_CHARS = 1 << 16
+
+
 def _parse(spec: DatasetSpec, data: bytes) -> tuple:
     """The records of ``data``, the bytes of the raw edge list at
-    ``spec.path``, as columns in file order: origin tokens, terminal tokens,
-    weights, and timestamps (all ``None`` without them).
+    ``spec.path``, in file order: the graph of their (origin, terminal)
+    pairs, repeats included, their weights, and their timestamps (``None``
+    without them), as float arrays.
 
-    The whole file is split and checked at once; if any check fails,
-    :func:`_raise_at_first_bad_line` names the line.
+    The text is split in passes of about :data:`_PASS_CHARS` characters,
+    each ending just after a ``"\\n"``, so the passes' lines are the file's
+    ``str.splitlines`` lines.  A pass numbers its tokens as it converts its
+    numbers, so only one pass's fields are held at a time.  The columns are
+    checked at once; if any check fails, :func:`_raise_at_first_bad_line`
+    names the line.
     """
     text = utf8_text(data, spec.path)
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    columns = _columns(lines, spec.delimiter, 4 if spec.has_timestamp else 3)
-    if columns and _number(columns[2][0]) is None:
-        columns = [column[1:] for column in columns]  # header row
-    if columns and columns[0]:
-        origins = list(map(str.strip, columns[0]))
-        terminals = list(map(str.strip, columns[1]))
-        try:
-            weights = list(map(float, columns[2]))
-            stamps = (list(map(float, columns[3])) if spec.has_timestamp
-                      else [None] * len(origins))
-        except ValueError:
-            weights = stamps = None
+    width = 4 if spec.has_timestamp else 3
+    ids = [defaultdict(count().__next__) for _ in range(2)]
+    passes, start = [], 0  # per pass: src, dst, weight[, stamp]
+    try:
+        while start < len(text):
+            end = text.find("\n", start + _PASS_CHARS - 1) + 1 or len(text)
+            lines = list(filter(None, map(str.strip, text[start:end].splitlines())))
+            start = end
+            if not lines:
+                continue
+            columns = _columns(lines, spec.delimiter, width)
+            if columns is None:  # a line with another field count
+                raise ValueError
+            if not passes and _number(columns[2][0]) is None:
+                columns = [column[1:] for column in columns]  # header row
+            n = len(columns[0])
+            passes.append(
+                [np.fromiter(map(table.__getitem__, map(str.strip, column)), np.intp, n)
+                 for table, column in zip(ids, columns)]
+                + [np.fromiter(map(float, column), float, n) for column in columns[2:]])
+    except ValueError:
+        passes = []
+    if passes:
+        src, dst, weight, *stamp = map(np.concatenate, zip(*passes))
         lo, hi = spec.weight_range
-        if (weights is not None
-                and all(map(math.isfinite, weights))
-                and lo <= min(weights) and max(weights) <= hi
-                and "" not in origins and "" not in terminals
-                and (not spec.has_timestamp or all(map(math.isfinite, stamps)))):
-            return origins, terminals, weights, stamps
+        if (len(src) and ((weight >= lo) & (weight <= hi)).all()  # NaN fails
+                and "" not in ids[0] and "" not in ids[1]
+                and all(np.isfinite(s).all() for s in stamp)):
+            graph = DirectedGraph(tuple(ids[0]), tuple(ids[1]), _read_only(src), _read_only(dst))
+            return graph, weight, stamp[0] if stamp else None
     _raise_at_first_bad_line(text, spec)
 
 
@@ -221,10 +243,14 @@ def _raise_at_first_bad_line(text: str, spec: DatasetSpec):
 def parse_edge_list(spec: DatasetSpec) -> list:
     """Parse a raw edge list into records, validating every line.
 
-    Raises :class:`ParseError` with the offending line number on malformed
-    fields or weights outside the declared range.
+    The records are read back from :func:`_parse`'s graph and arrays, in
+    file order.  Raises :class:`ParseError` with the offending line number
+    on malformed fields or weights outside the declared range.
     """
-    return list(map(EdgeRecord, *_parse(spec, read_bytes(spec.path, "file"))))
+    graph, weight, stamp = _parse(spec, read_bytes(spec.path, "file"))
+    return list(map(EdgeRecord, graph.tokens(WeightKind.ORIGIN, graph.src),
+                    graph.tokens(WeightKind.TERMINAL, graph.dst), weight.tolist(),
+                    repeat(None) if stamp is None else stamp.tolist()))
 
 
 def _pair_keys(graph: DirectedGraph) -> np.ndarray:
@@ -238,25 +264,25 @@ def _repeats(graph: DirectedGraph) -> bool:
     return bool((key[1:] == key[:-1]).any())
 
 
-def _collapse(graph: DirectedGraph, weights: list, stamps: list) -> tuple:
+def _collapse(graph: DirectedGraph, weight: np.ndarray, stamp: Optional[np.ndarray]) -> tuple:
     """Collapse the records of repeated pairs, record ``i`` being edge ``i``
-    of ``graph`` and ``stamps`` either all numbers or all ``None``.
+    of ``graph`` with weight ``weight[i]`` and timestamp ``stamp[i]``
+    (``stamp`` is ``None`` without timestamps).
 
     Returns the index of each pair's first record, in order, and each pair's
     weight as a float array: the latest record's when there are timestamps
     (ties: last in file order), else the mean of the pair's weights.
     """
-    weight = np.array(weights, dtype=float)
     if not _repeats(graph):
         return np.arange(len(weight)), weight
     keys = _pair_keys(graph)
     # Each pair's records, in file order.
     _, records, ptr = key_classes(keys, np.arange(len(weight)))
     first, sizes = records[ptr[:-1]], np.diff(ptr)
-    if stamps[0] is not None:
+    if stamp is not None:
         # Each pair's ranks in the stable time order, ascending: the last is
         # its latest record, and of tied ones the last in file order.
-        by_time = _ascending(np.array(stamps))
+        by_time = _ascending(stamp)
         rank = np.empty_like(by_time)
         rank[by_time] = np.arange(len(by_time))
         _, ranks, _ = key_classes(keys, rank)
@@ -457,57 +483,71 @@ class Snapshot:
 def _json_text(snapshot: Snapshot, nl: str) -> str:
     """The text ``json.dumps(form, sort_keys=True, ...)`` writes for the
     digest's form, with ``separators=(",", ":")``, when ``nl`` is empty, or
-    for the file's form, with ``indent=2``, when ``nl`` is a line break.
+    for the file's form, with ``indent=2`` and a final line break, when
+    ``nl`` is a line break.
 
     The digest's form is the v1 layout (:data:`DIGEST_FORMAT`), its edges
     ``[origin, terminal, weight]`` rows; the file's form holds ``src``,
     ``dst`` and ``weight`` lists.  As the encoder writes them, each token is
     encoded once per vertex, each id once per value and each weight by
-    ``float.__repr__`` once per bit pattern; the parts are gathered by id
-    and joined at once, a row's parts with its separators.
+    ``float.__repr__`` once per bit pattern; the parts, each after its
+    separator, are gathered by id into one flat list and joined once, so
+    no member's text is copied before the whole text is made.
     """
     c = snapshot.columns
     nl1, nl2 = (nl and nl + "  " * level for level in (1, 2))
     colon = ": " if nl else ":"
 
-    def small(value) -> str:
+    def small(value) -> list:
         if not nl:  # the digest's form, which spells a non-finite number NaN
-            return json.dumps(value, sort_keys=True, separators=(",", ":"))
+            return [json.dumps(value, sort_keys=True, separators=(",", ":"))]
         text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
-        return text.replace("\n", nl1)
-
-    def array(items: list) -> str:
-        return f"[{nl2}{f',{nl2}'.join(items)}{nl1}]" if items else "[]"
+        return [text.replace("\n", nl1)]
 
     def gather(table: list, ids: np.ndarray) -> list:
         return np.array(table, dtype=object)[ids].tolist()
+
+    def array(table: list, ids: Optional[np.ndarray] = None) -> list:
+        """The parts of the array of ``table``'s entries (at ``ids``)."""
+        items = [f",{nl2}{entry}" for entry in table]
+        if ids is not None:
+            items = gather(items, ids)
+        if not items:
+            return ["[]"]
+        items[0] = "[" + items[0][1:]
+        items.append(f"{nl1}]")
+        return items
 
     origins = list(map(encode_basestring_ascii, c.origins))
     terminals = list(map(encode_basestring_ascii, c.terminals))
     bits = c.weight.view(np.int64)  # -0.0 and 0.0 differ here
     distinct = np.sort(bits)
     distinct = np.append(distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]])
-    weights = gather(list(map(float.__repr__, distinct.view(float).tolist())),
-                     np.searchsorted(distinct, bits))
+    spelled = list(map(float.__repr__, distinct.view(float).tolist()))
+    at = np.searchsorted(distinct, bits)
     members = dict(origins=array(origins), terminals=array(terminals),
                    provenance=small(snapshot.provenance),
                    raw_weight_range=small(list(snapshot.raw_weight_range)))
     if nl:
-        members.update(format=small(SNAPSHOT_FORMAT), weight=array(weights),
-                       src=array(gather(list(map(str, range(len(origins)))), c.src)),
-                       dst=array(gather(list(map(str, range(len(terminals)))), c.dst)))
+        members.update(format=small(SNAPSHOT_FORMAT), weight=array(spelled, at),
+                       src=array(list(map(str, range(len(origins)))), c.src),
+                       dst=array(list(map(str, range(len(terminals)))), c.dst))
     else:
-        parts = [None] * (3 * len(weights))
-        parts[0::3] = gather([f"],[{o}," for o in origins], c.src)  # after the previous row
-        parts[1::3] = gather([t + "," for t in terminals], c.dst)
-        parts[2::3] = weights
-        if parts:  # the first row follows no other
-            parts[0] = parts[0][2:]
-        rows = "".join(parts)
-        del parts  # its 3n references would outlive the copies of the text below
-        members.update(format=small(DIGEST_FORMAT), edges=f"[{rows}]]" if rows else "[]")
-    body = f",{nl1}".join(f'"{key}"{colon}{members[key]}' for key in sorted(members))
-    return f"{{{nl1}{body}{nl}}}"
+        rows = [None] * (3 * len(at))
+        rows[0::3] = gather([f"],[{o}," for o in origins], c.src)  # after the previous row
+        rows[1::3] = gather([t + "," for t in terminals], c.dst)
+        rows[2::3] = gather(spelled, at)
+        if rows:  # the first row follows no other
+            rows[0] = "[" + rows[0][2:]
+            rows.append("]]")
+        members.update(format=small(DIGEST_FORMAT), edges=rows or ["[]"])
+    parts = []
+    for key in sorted(members):
+        parts.append(f',{nl1}"{key}"{colon}')
+        parts += members.pop(key)  # each member's parts, dropped once moved
+    parts[0] = "{" + parts[0][1:]
+    parts.append(f"{nl}}}{nl}")
+    return "".join(parts)
 
 
 def build_snapshot(
@@ -527,9 +567,8 @@ def build_snapshot(
     if seed is not None:
         check_int("seed", seed, 0)
     data = read_bytes(spec.path, "file")
-    origins, terminals, weights, stamps = _parse(spec, data)
-    graph = graph_of(origins, terminals)
-    rows, weight = _collapse(graph, weights, stamps)
+    graph, weight, stamp = _parse(spec, data)
+    rows, weight = _collapse(graph, weight, stamp)
     lo, hi = spec.weight_range
     weight = _rescale(weight, lo, hi)
     sampling = None
@@ -604,7 +643,7 @@ def _write_file(path, text: str) -> None:
 def save_snapshot(snapshot: Snapshot, path) -> None:
     """Write ``json.dumps(form, sort_keys=True, indent=2)`` of the
     snapshot's file form (see :func:`_json_text`)."""
-    _write_file(path, _json_text(snapshot, "\n") + "\n")
+    _write_file(path, _json_text(snapshot, "\n"))
 
 
 def _weight_array(weights: list) -> Optional[np.ndarray]:
@@ -731,9 +770,10 @@ def load_snapshot(path) -> Snapshot:
     Raises :class:`ParseError` naming the file, and the edge or list entry
     where there is one: for a file of another format (a
     :data:`DIGEST_FORMAT` file is told to re-run ``weightpred ingest``), a
-    missing key, a ``raw_weight_range`` that is not two finite numbers lo <
-    hi, or edges and vertex lists that break a rule of
-    :func:`_snapshot_fault` (the first bad entry is named).
+    missing or unknown key, a provenance holding a non-finite number, a
+    ``raw_weight_range`` that is not two finite numbers lo < hi, or edges
+    and vertex lists that break a rule of :func:`_snapshot_fault` (the
+    first bad entry is named).
     """
     # Reference counting frees the acyclic document; until it is dropped, the
     # cyclic collector would only walk its lists again and again.
@@ -762,6 +802,13 @@ def _load_snapshot(path) -> Snapshot:
             raise ParseError(
                 f"key {key!r} is missing or not a JSON {kind.__name__}", path=where
             )
+    extra = sorted(payload.keys() - _SNAPSHOT_KEYS.keys() - {"format"})
+    if extra:
+        raise ParseError(f"unknown key {extra[0]!r}", path=where)
+    try:  # as save_snapshot writes it
+        json.dumps(payload["provenance"], allow_nan=False)
+    except ValueError:
+        raise ParseError("provenance holds a non-finite number", path=where) from None
     weight_range = payload["raw_weight_range"]
     if not (len(weight_range) == 2
             and all(type(v) in (int, float) and math.isfinite(v) for v in weight_range)

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from weightpred import (
     parse_edge_list,
     save_snapshot,
 )
+import weightpred.ingest
 from weightpred.errors import SettingError
 from weightpred.graph import graph_of
 from weightpred.ingest import Columns, _rescale
@@ -386,15 +388,18 @@ class TestSnapshot:
         assert plus != snapshot_of([("a", "x", 0.0)])
 
     def test_non_finite_provenance_keeps_the_digest_form(self, tmp_path):
-        """``load_snapshot`` does not look inside ``provenance``: a NaN there
-        loads, and the digest spells it as compact ``json.dumps`` does.  Only
-        the saved form refuses it."""
+        """A snapshot made in memory with a NaN in ``provenance`` has a
+        digest that spells it as compact ``json.dumps`` does; the saved form
+        refuses it, and ``load_snapshot`` refuses a file that holds it."""
         out = tmp_path / "snap.json"
         save_snapshot(build_snapshot(_spec(self._write_raw(tmp_path))), out)
         payload = json.loads(out.read_text())
         payload["provenance"]["note"] = float("nan")
+        loaded = load_snapshot(out)
+        snap = Snapshot(loaded.columns, loaded.raw_weight_range, payload["provenance"])
         out.write_text(json.dumps(payload))
-        snap = load_snapshot(out)
+        with pytest.raises(ParseError, match="provenance holds a non-finite number"):
+            load_snapshot(out)
         blob = json.dumps(v1_form(payload), sort_keys=True, separators=(",", ":"))
         assert snap.digest() == "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
         again = tmp_path / "again.json"
@@ -529,14 +534,26 @@ def _write_raw_file(path, delimiter, ts, header, rows, data):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@given(_raw_files(), st.floats(0.0, 1.0), st.integers(0, 2**32), st.booleans(), st.data())
+# Pass sizes of the raw-file parse: a line or less per pass, a few lines, and
+# the default (one pass for a small file).
+_PASS_SIZES = st.sampled_from([1, 2, 16, weightpred.ingest._PASS_CHARS])
+
+
+def _pass_chars(n):
+    """``_PASS_CHARS`` set to ``n`` for the ``with`` block (in a test body,
+    as hypothesis refuses function-scoped fixtures)."""
+    return mock.patch.object(weightpred.ingest, "_PASS_CHARS", n)
+
+
+@given(_raw_files(), st.floats(0.0, 1.0), st.integers(0, 2**32), st.booleans(), _PASS_SIZES,
+       st.data())
 @settings(max_examples=120, deadline=None)
 def test_snapshot_bytes_match_the_token_level_reference(
-    tmp_path_factory, raw, fraction, seed, sampled, data
+    tmp_path_factory, raw, fraction, seed, sampled, pass_chars, data
 ):
     """File bytes and digest equal a record-at-a-time ingest's: repeated
     pairs with and without timestamps (ties included), tricky tokens, every
-    delimiter, a header line, and sampling at ingest."""
+    delimiter, a header line, sampling at ingest, and any pass size."""
     delimiter, weight_range, ts, header, rows = raw
     root = tmp_path_factory.mktemp("reference")
     path = root / "raw.txt"
@@ -545,7 +562,8 @@ def test_snapshot_bytes_match_the_token_level_reference(
     n_pairs = len({(o, t) for o, t, _, _ in rows})
     sample = dict(sample_size=1 + int(fraction * (n_pairs - 1)), seed=seed) if sampled else {}
     want_text, want_digest = reference_ingest(spec, **sample)
-    snap = build_snapshot(spec, **sample)
+    with _pass_chars(pass_chars):
+        snap = build_snapshot(spec, **sample)
     save_snapshot(snap, root / "snap.json")
     assert (root / "snap.json").read_bytes() == want_text.encode()
     assert snap.digest() == want_digest
@@ -681,6 +699,10 @@ def test_line_boundaries_are_those_of_splitlines():
     (_set("dst", 0, False), "edge 0: dst False is not an int in [0, 2)"),
     (_set("src", 2, 0.0), "edge 2: src 0.0 is not an int in [0, 2)"),
     (_set("dst", 2, 10**400), f"edge 2: dst {10**400} is not an int in [0, 2)"),
+    # save_snapshot cannot write either: it refuses NaN and keeps no other key.
+    (lambda s: s["provenance"].update(source_sha256=math.nan),
+     "provenance holds a non-finite number"),
+    (lambda s: s.update(extra=1), "unknown key 'extra'"),
 ], ids=[
     "no-edges", "no-provenance", "two-fields", "four-fields", "empty-origin",
     "padded-origin", "padded-terminal",
@@ -698,7 +720,7 @@ def test_line_boundaries_are_those_of_splitlines():
     "line-break-before-empty", "empty-before-line-break", "weight-before-line-break",
     "padded-and-line-break", "line-break-and-nan",
     *[f"line-boundary-U+{ord(c):04X}" for c in LINE_BOUNDARIES],
-    "bool-id", "float-id", "huge-id",
+    "bool-id", "float-id", "huge-id", "nan-provenance", "extra-key",
 ])
 def test_load_snapshot_rejects_malformed_schema(tmp_path, corrupt, located):
     path = tmp_path / "snap.json"
@@ -715,6 +737,16 @@ def test_load_snapshot_rejects_malformed_schema(tmp_path, corrupt, located):
     except KeyError:
         want = None
     assert want is None or str(err.value) == f"{path}: {want}"
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_a_provenance_number_the_writer_cannot_spell_is_refused(tmp_path, number):
+    """``json.loads`` reads each of these as a float that is not finite;
+    the digest would hash it, but no snapshot file can hold it."""
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(_snapshot_payload()).replace('"0"', number))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: provenance holds a non"):
+        load_snapshot(path)
 
 
 def test_a_v1_file_is_refused_with_the_step_that_replaces_it(tmp_path):
@@ -1100,31 +1132,88 @@ def _faulty_raw_files(draw):
     return delimiter, (lo, hi), ts, text
 
 
-@given(_faulty_raw_files())
-@settings(max_examples=300, deadline=None)
-def test_the_raw_bulk_parse_and_the_walk_agree(tmp_path_factory, raw):
+def _outcome(spec, root):
+    """What ``build_snapshot`` then ``save_snapshot`` make of ``spec``:
+    the file's bytes and the digest, or the :class:`ParseError` text."""
+    try:
+        snap = build_snapshot(spec)
+    except ParseError as err:
+        return str(err)
+    save_snapshot(snap, root / "snap.json")
+    return (root / "snap.json").read_bytes(), snap.digest()
+
+
+def _reference_outcome(spec):
+    """:func:`_outcome` as the per-line and record-at-a-time references
+    give it."""
+    want = reference_line_fault(spec)
+    if want is None:
+        text, digest = reference_ingest(spec)
+        return text.encode(), digest
+    line, fault = want
+    return f"{spec.path}: " + (f"line {line}: " if line else "") + fault
+
+
+@given(_faulty_raw_files(), _PASS_SIZES)
+# At least 300 examples, and the profile's count where it is higher.
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_the_raw_bulk_parse_and_the_walk_agree(tmp_path_factory, raw, pass_chars):
     """``build_snapshot`` ingests exactly the raw files a per-line reference
     accepts, as the record-at-a-time reference ingests them, and otherwise
-    names the line and fault the reference names; none reaches the walk's
-    ``AssertionError``."""
+    names the line and fault the reference names, at any pass size; none
+    reaches the walk's ``AssertionError``."""
     delimiter, weight_range, ts, text = raw
     root = tmp_path_factory.mktemp("raw")
     path = root / "raw.txt"
     path.write_bytes(text.encode("utf-8"))
     spec = DatasetSpec(str(path), weight_range, ts, delimiter)
-    want = reference_line_fault(spec)
-    if want is None:
-        want_text, want_digest = reference_ingest(spec)
-        snap = build_snapshot(spec)
-        save_snapshot(snap, root / "snap.json")
-        assert (root / "snap.json").read_bytes() == want_text.encode()
-        assert snap.digest() == want_digest
-    else:
-        line, fault = want
-        with pytest.raises(ParseError) as err:
-            build_snapshot(spec)
-        where = f"{path}: " + (f"line {line}: " if line else "")
-        assert str(err.value) == where + fault
+    with _pass_chars(pass_chars):
+        assert _outcome(spec, root) == _reference_outcome(spec)
+
+
+# Small files, ingested below at every pass size up to their length.
+_BOUNDARY_FILES = {
+    "bad-line-in-the-last-pass": "a,b,1,0\nc,d,2,1\ne,f,11,2\n",
+    "blank-lines-and-crlf": "a,b,1,0\r\n\r\n \t\r\nc,d,2,1\r\n\n\r\ne,f,3,2\r\n\r\n",
+    "header": "\r\n \nsource,target,rating,time\r\na,b,1,0\nc,d,2,1",
+    "header-only-first": "a,b,1,0\nsource,target,rating,time\nc,d,2,1\n",
+    "u2028-line-break": "a,b,1,0\u2028c,d,2,1\ne,f,3,2\u2028\u2028g,h,x,3\n",
+    "u2028-no-fault": "a,b,1,0\u2028c,d,2,1\ne,f,3,2\u2028g,h,-1,3\n",
+}
+
+
+@pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+@pytest.mark.parametrize("text", list(_BOUNDARY_FILES.values()), ids=list(_BOUNDARY_FILES))
+def test_pass_boundaries_change_nothing(tmp_path, text, bom):
+    """At every pass size, from one character to the whole file, ingest
+    gives what the references give: the same bytes and digest, or the same
+    located fault.  A byte-order mark is dropped before the parse, so it
+    moves no line; its file's own hash then differs from the reference's,
+    and the one-pass outcome stands in for it."""
+    path = tmp_path / "raw.csv"
+    path.write_bytes(text.encode("utf-8"))
+    spec = _spec(path)
+    want = _reference_outcome(spec)
+    if bom:
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        if not isinstance(want, str):
+            with _pass_chars(len(text) + 1):  # one pass
+                want = _outcome(spec, tmp_path)
+    for pass_chars in range(1, len(text) + 2):
+        with _pass_chars(pass_chars):
+            assert _outcome(spec, tmp_path) == want, pass_chars
+
+
+def test_a_bad_line_in_the_last_of_several_default_passes_is_named(tmp_path):
+    path = tmp_path / "raw.csv"
+    write_rating_file(path, 8000)
+    with path.open("a", encoding="utf-8") as f:
+        f.write("u1,u2,11,1289000000\n")
+    assert len(path.read_text()) > 2 * weightpred.ingest._PASS_CHARS
+    spec = _spec(path)
+    want = f"{path}: line 8001: weight 11.0 outside declared range [-10.0, 10.0]"
+    assert _reference_outcome(spec) == want
+    assert _outcome(spec, tmp_path) == want
 
 
 # ---- the snapshot writer against json.dumps -----------------------------------
