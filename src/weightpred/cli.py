@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DomainError, ParseError, PredictionError, SettingError, read_bytes, utf8_text,
+    DomainError, ParseError, PredictionError, SettingError, check_float, json_value,
+    read_bytes, utf8_text,
 )
 from .evaluation import (
     METHODS,
@@ -121,10 +122,7 @@ def _given(args) -> dict:
     """
     given = {}
     if args.config:
-        try:
-            loaded = json.loads(utf8_text(read_bytes(args.config, "config"), args.config))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", path=args.config) from exc
+        loaded = json_value(utf8_text(read_bytes(args.config, "config"), args.config), args.config)
         if not isinstance(loaded, dict):
             raise ParseError("config file must hold a JSON object", path=args.config)
         given = {k: v for k, v in loaded.items() if k in args.config_flags}
@@ -189,7 +187,7 @@ def _experiment_config(args, task, method) -> ExperimentConfig:
 
 
 def _snapshot_summary(snapshot: Snapshot) -> str:
-    weight = snapshot.columns.weight
+    weight = snapshot.weight
     pct = 100.0 * int((weight > 0).sum()) / len(weight)
     return (
         f"origins={len(snapshot.origins)} terminals={len(snapshot.terminals)} "
@@ -205,6 +203,8 @@ def cmd_ingest(args) -> int:
     lo, hi = given.get("weight_min"), given.get("weight_max")
     if lo is None or hi is None:
         raise UsageError("--weight-min and --weight-max are required")
+    for name, value in (("weight_min", lo), ("weight_max", hi)):
+        check_float(name, value)  # before float(), which an int may overflow
     sample = given.get("sample", "all")
     if sample != "all" and sample < 1:
         raise UsageError(f"--sample must be a positive integer or 'all', got {sample}")
@@ -232,12 +232,11 @@ def cmd_gen_weights(args) -> int:
     max_iter = given.get("fg_max_iter", DEFAULT_MAX_ITER)
     check_stopping_rule(tol, max_iter)
     snapshot = load_snapshot(args.snapshot)
-    columns = snapshot.columns
-    scores = fairness_goodness(columns, columns.weight, tol, max_iter)
+    scores = fairness_goodness(snapshot.graph, snapshot.weight, tol, max_iter)
     payload = {
         "format": FG_FORMAT,
-        "fairness": dict(zip(columns.origins, scores.fairness.tolist())),
-        "goodness": dict(zip(columns.terminals, scores.goodness.tolist())),
+        "fairness": dict(zip(snapshot.origins, scores.fairness.tolist())),
+        "goodness": dict(zip(snapshot.terminals, scores.goodness.tolist())),
         "iterations": scores.iterations,
         "converged": scores.converged,
         "config": {"tol": tol, "max_iter": max_iter},

@@ -1,12 +1,14 @@
 """Exception types shared across the package, the setting-type checks, and
-the reading of input files as UTF-8 text.
+the reading of input files as UTF-8 text and JSON.
 
 The CLI maps these onto its exit-code contract: usage problems (including
 a :class:`SettingError`) exit 1, IO/parse problems exit 2, and
 domain/numeric problems exit 3.
 """
 
+import json
 import numbers
+import sys
 from pathlib import Path
 
 
@@ -54,6 +56,17 @@ def utf8_text(data: bytes, path) -> str:
                          path=str(path), line=line) from None
 
 
+def json_value(text: str, path, line=None, what="invalid JSON", **options):
+    """``json.loads(text, **options)`` of text from the file at ``path``, or
+    a :class:`ParseError` saying ``what`` and naming the file (and ``line``)
+    for any text it refuses: bad JSON, an integer of more digits than
+    ``int`` converts, or nesting deeper than the recursion limit."""
+    try:
+        return json.loads(text, **options)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{what}: {exc}", path=str(path), line=line) from None
+
+
 class SettingError(WeightpredError, ValueError):
     """A setting is out of its range; ``setting`` names the parameter."""
 
@@ -74,10 +87,13 @@ def check_int(setting, value, minimum) -> None:
 
 
 def check_float(setting, value) -> None:
-    """Raise ``SettingError`` unless ``value`` is a real number.  A ``bool``
-    is not a float setting, as for the CLI's ``--config`` values."""
+    """Raise ``SettingError`` unless ``value`` is a real number that a
+    float can hold.  A ``bool`` is not a float setting, as for the CLI's
+    ``--config`` values."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise SettingError(setting, f"must be a number, got {value!r}")
+    if not isinstance(value, float) and abs(value) > sys.float_info.max:  # float() overflows
+        raise SettingError(setting, f"must be at most {sys.float_info.max!r} in magnitude")
 
 
 class DomainError(WeightpredError):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .countmetric import profile_arrays
 from .errors import (
-    ParseError, PredictionError, SettingError, check_float, read_bytes, utf8_text,
+    ParseError, PredictionError, SettingError, check_float, json_value, read_bytes, utf8_text,
 )
 from .fairness import (
     DEFAULT_MAX_ITER,
@@ -277,16 +277,15 @@ def _task_data(snapshot: Snapshot, config: ExperimentConfig) -> tuple:
     """The id split, the weight of every element of the task by id in the
     split's graph, the range of those weights, and the settings they depend
     on."""
-    columns = snapshot.columns
     key = (config.split_plan(), config.task)
-    split = _memo(snapshot, "split", key, lambda: split_ids(columns, *key))
+    split = _memo(snapshot, "split", key, lambda: split_ids(snapshot.graph, *key))
     if config.task == "edge":
-        return split, columns.weight[split.sampled], (-1.0, 1.0), key
+        return split, snapshot.weight[split.sampled], (-1.0, 1.0), key
     # The sample depends on the seed and sample size only, so the origin and
     # terminal tasks share one fairness run.
     fg = (config.seed, config.sample_size, config.fg_tol, config.fg_max_iter)
     scores = _memo(snapshot, "fairness", fg, lambda: fairness_goodness(
-        split.graph, columns.weight[split.sampled], config.fg_tol, config.fg_max_iter))
+        split.graph, snapshot.weight[split.sampled], config.fg_tol, config.fg_max_iter))
     if config.task == "origin":
         return split, scores.fairness, (0.0, 1.0), key + fg
     return split, scores.goodness, (-1.0, 1.0), key + fg
@@ -372,10 +371,7 @@ def _parse_config_header(text, path, line) -> dict:
     def reject(name):
         raise ValueError(f"{name} is not a JSON value")
 
-    try:
-        config = json.loads(text, parse_constant=reject)
-    except ValueError as exc:
-        raise ParseError(f"config is not valid JSON: {exc}", path=path, line=line) from None
+    config = json_value(text, path, line, "config is not valid JSON", parse_constant=reject)
     if not isinstance(config, dict):
         raise ParseError("config is not a JSON object", path=path, line=line)
     return config

@@ -16,27 +16,25 @@ Duplicate (origin, terminal) records collapse to one edge: the latest
 record wins when timestamps are present (ties: the last in file order),
 otherwise weights are averaged.
 
-A snapshot is the canonical JSON form of a dataset (vertex lists, edges
-with scaled weights, and a provenance block); experiments run off
-snapshots, never raw files.  In memory a snapshot is held as columns, from
-the raw file to its digest: vertex token tables, ``src``/``dst`` id arrays
-and a weight array.  The raw file is parsed a pass of lines at a time, each
-token numbered as the pass reads it, so no list of the file's fields is
-built.  The file holds the same columns: the ``origins`` and ``terminals``
-lists, then ``src``, ``dst`` and ``weight`` lists, one entry per edge
-(:data:`SNAPSHOT_FORMAT`).  The digest hashes the v1 form, whose
-edges are ``[origin, terminal, weight]`` rows (:data:`DIGEST_FORMAT`), so
-it does not depend on the file layout.  The record-level functions
-(:func:`parse_edge_list`, :func:`make_split`, ``Snapshot.edges``) read the
-columns back as :class:`EdgeRecord` objects.  All sampling uses numpy's
-PCG64 generator (recorded in every report) so splits reproduce exactly
-from a seed.
+A snapshot is the canonical form of a dataset: a graph of integer ids
+(vertex token tables and ``src``/``dst`` arrays), the scaled weight of each
+edge, the raw weight range and a provenance block; experiments run off
+snapshots, never raw files.  The raw file is parsed a pass of lines at a
+time, each token numbered as the pass reads it, so no list of the file's
+fields is built.  The file is compact, key-sorted JSON of the same
+arrays: the ``origins`` and ``terminals`` lists, then ``src``, ``dst`` and
+``weight`` lists, one entry per edge (:data:`SNAPSHOT_FORMAT`).  The digest
+hashes the v1 form, whose edges are ``[origin, terminal, weight]`` rows
+(:data:`DIGEST_FORMAT`), so it does not depend on the file layout.  The
+record-level functions (:func:`parse_edge_list`, :func:`make_split`,
+``Snapshot.edges``) read the arrays back as :class:`EdgeRecord` objects.
+All sampling uses numpy's PCG64 generator (recorded in every report) so
+splits reproduce exactly from a seed.
 """
 
 from __future__ import annotations
 
 import functools
-import gc
 import hashlib
 import json
 import math
@@ -56,7 +54,8 @@ import numpy as np
 
 from .countmetric import _ascending, key_classes
 from .errors import (
-    DomainError, ParseError, SettingError, check_float, check_int, read_bytes, utf8_text,
+    DomainError, ParseError, SettingError, check_float, check_int, json_value, read_bytes,
+    utf8_text,
 )
 from .graph import DirectedGraph, WeightKind, _read_only, graph_of
 
@@ -141,11 +140,11 @@ def _columns(lines: list, delimiter: Optional[str], expected: int) -> Optional[l
 _PASS_CHARS = 1 << 16
 
 
-def _parse(spec: DatasetSpec, data: bytes) -> tuple:
-    """The records of ``data``, the bytes of the raw edge list at
-    ``spec.path``, in file order: the graph of their (origin, terminal)
-    pairs, repeats included, their weights, and their timestamps (``None``
-    without them), as float arrays.
+def _parse(spec: DatasetSpec, text: str) -> tuple:
+    """The records of ``text``, the raw edge list at ``spec.path``, in file
+    order: the graph of their (origin, terminal) pairs, repeats included,
+    their weights, and their timestamps (``None`` without them), as float
+    arrays.
 
     The text is split in passes of about :data:`_PASS_CHARS` characters,
     each ending just after a ``"\\n"``, so the passes' lines are the file's
@@ -154,7 +153,6 @@ def _parse(spec: DatasetSpec, data: bytes) -> tuple:
     checked at once; if any check fails, :func:`_raise_at_first_bad_line`
     names the line.
     """
-    text = utf8_text(data, spec.path)
     width = 4 if spec.has_timestamp else 3
     ids = [defaultdict(count().__next__) for _ in range(2)]
     passes, start = [], 0  # per pass: src, dst, weight[, stamp]
@@ -247,7 +245,7 @@ def parse_edge_list(spec: DatasetSpec) -> list:
     file order.  Raises :class:`ParseError` with the offending line number
     on malformed fields or weights outside the declared range.
     """
-    graph, weight, stamp = _parse(spec, read_bytes(spec.path, "file"))
+    graph, weight, stamp = _parse(spec, utf8_text(read_bytes(spec.path, "file"), spec.path))
     return list(map(EdgeRecord, graph.tokens(WeightKind.ORIGIN, graph.src),
                     graph.tokens(WeightKind.TERMINAL, graph.dst), weight.tolist(),
                     repeat(None) if stamp is None else stamp.tolist()))
@@ -416,53 +414,40 @@ def make_split(records: Sequence[EdgeRecord], plan: SplitPlan, task: str) -> Spl
 
 
 @dataclass(frozen=True, eq=False)
-class Columns(DirectedGraph):
-    """A snapshot's edges as integer columns: its graph, whose vertex tables
-    are the snapshot's ``origins`` and ``terminals``, and ``weight[i]``, the
-    scaled weight of edge ``i``."""
-
-    weight: np.ndarray
-
-    @classmethod
-    def of(cls, graph: DirectedGraph, weight: np.ndarray) -> "Columns":
-        weight.flags.writeable = False
-        return cls(graph.origins, graph.terminals, graph.src, graph.dst, weight)
-
-
-@dataclass(frozen=True, eq=False)
 class Snapshot:
-    """Canonical dataset form: scaled edges as columns, plus provenance.
+    """Canonical dataset form: a graph of scaled edges, plus provenance.
 
-    Edge ``i`` runs from ``origins[columns.src[i]]`` to
-    ``terminals[columns.dst[i]]`` with weight ``columns.weight[i]`` in
-    [-1, 1], no pair repeats, and ``origins`` and ``terminals`` are the
-    edges' tokens in order of first appearance.  :func:`build_snapshot`
-    makes such a snapshot and :func:`load_snapshot` checks all of that;
-    ``Snapshot(columns, ...)`` checks nothing.  :meth:`digest` identifies a
-    snapshot (``==`` is identity).
+    Edge ``i`` of ``graph`` runs from ``origins[graph.src[i]]`` to
+    ``terminals[graph.dst[i]]`` with weight ``weight[i]`` in [-1, 1], no
+    pair repeats, and ``origins`` and ``terminals`` are the edges' tokens in
+    order of first appearance.  :func:`build_snapshot` makes such a
+    snapshot and :func:`load_snapshot` checks all of that; ``Snapshot(graph,
+    weight, ...)`` checks nothing.  :meth:`digest` identifies a snapshot
+    (``==`` is identity).
     """
 
-    columns: Columns
+    graph: DirectedGraph
+    weight: np.ndarray
     raw_weight_range: tuple
     provenance: dict
 
     @property
     def origins(self) -> tuple:
-        return self.columns.origins
+        return self.graph.origins
 
     @property
     def terminals(self) -> tuple:
-        return self.columns.terminals
+        return self.graph.terminals
 
     @functools.cached_property
     def edges(self) -> tuple:
         """The edges as :class:`EdgeRecord` objects, built on first use."""
-        c = self.columns
+        g = self.graph
         return tuple(map(
             EdgeRecord,
-            c.tokens(WeightKind.ORIGIN, c.src),
-            c.tokens(WeightKind.TERMINAL, c.dst),
-            c.weight.tolist(),
+            g.tokens(WeightKind.ORIGIN, g.src),
+            g.tokens(WeightKind.TERMINAL, g.dst),
+            self.weight.tolist(),
         ))
 
     def digest(self) -> str:
@@ -471,7 +456,7 @@ class Snapshot:
 
     @functools.cached_property
     def _digest(self) -> str:
-        return "sha256:" + hashlib.sha256(_json_text(self, "").encode()).hexdigest()
+        return "sha256:" + hashlib.sha256(_json_text(self, file=False).encode()).hexdigest()
 
     @functools.cached_property
     def _memo(self) -> dict:
@@ -480,11 +465,11 @@ class Snapshot:
         return {}
 
 
-def _json_text(snapshot: Snapshot, nl: str) -> str:
-    """The text ``json.dumps(form, sort_keys=True, ...)`` writes for the
-    digest's form, with ``separators=(",", ":")``, when ``nl`` is empty, or
-    for the file's form, with ``indent=2`` and a final line break, when
-    ``nl`` is a line break.
+def _json_text(snapshot: Snapshot, file: bool) -> str:
+    """The text ``json.dumps(form, sort_keys=True, separators=(",", ":"))``
+    writes for the snapshot's file form, then one line break, when ``file``
+    is true, or for the digest's form, where a non-finite number is spelled
+    ``NaN`` and not refused (``allow_nan``).
 
     The digest's form is the v1 layout (:data:`DIGEST_FORMAT`), its edges
     ``[origin, terminal, weight]`` rows; the file's form holds ``src``,
@@ -494,33 +479,28 @@ def _json_text(snapshot: Snapshot, nl: str) -> str:
     separator, are gathered by id into one flat list and joined once, so
     no member's text is copied before the whole text is made.
     """
-    c = snapshot.columns
-    nl1, nl2 = (nl and nl + "  " * level for level in (1, 2))
-    colon = ": " if nl else ":"
+    g = snapshot.graph
 
     def small(value) -> list:
-        if not nl:  # the digest's form, which spells a non-finite number NaN
-            return [json.dumps(value, sort_keys=True, separators=(",", ":"))]
-        text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
-        return [text.replace("\n", nl1)]
+        return [json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=not file)]
 
     def gather(table: list, ids: np.ndarray) -> list:
         return np.array(table, dtype=object)[ids].tolist()
 
     def array(table: list, ids: Optional[np.ndarray] = None) -> list:
         """The parts of the array of ``table``'s entries (at ``ids``)."""
-        items = [f",{nl2}{entry}" for entry in table]
+        items = ["," + entry for entry in table]
         if ids is not None:
             items = gather(items, ids)
         if not items:
             return ["[]"]
         items[0] = "[" + items[0][1:]
-        items.append(f"{nl1}]")
+        items.append("]")
         return items
 
-    origins = list(map(encode_basestring_ascii, c.origins))
-    terminals = list(map(encode_basestring_ascii, c.terminals))
-    bits = c.weight.view(np.int64)  # -0.0 and 0.0 differ here
+    origins = list(map(encode_basestring_ascii, g.origins))
+    terminals = list(map(encode_basestring_ascii, g.terminals))
+    bits = snapshot.weight.view(np.int64)  # -0.0 and 0.0 differ here
     distinct = np.sort(bits)
     distinct = np.append(distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]])
     spelled = list(map(float.__repr__, distinct.view(float).tolist()))
@@ -528,14 +508,14 @@ def _json_text(snapshot: Snapshot, nl: str) -> str:
     members = dict(origins=array(origins), terminals=array(terminals),
                    provenance=small(snapshot.provenance),
                    raw_weight_range=small(list(snapshot.raw_weight_range)))
-    if nl:
+    if file:
         members.update(format=small(SNAPSHOT_FORMAT), weight=array(spelled, at),
-                       src=array(list(map(str, range(len(origins)))), c.src),
-                       dst=array(list(map(str, range(len(terminals)))), c.dst))
+                       src=array(list(map(str, range(len(origins)))), g.src),
+                       dst=array(list(map(str, range(len(terminals)))), g.dst))
     else:
         rows = [None] * (3 * len(at))
-        rows[0::3] = gather([f"],[{o}," for o in origins], c.src)  # after the previous row
-        rows[1::3] = gather([t + "," for t in terminals], c.dst)
+        rows[0::3] = gather([f"],[{o}," for o in origins], g.src)  # after the previous row
+        rows[1::3] = gather([t + "," for t in terminals], g.dst)
         rows[2::3] = gather(spelled, at)
         if rows:  # the first row follows no other
             rows[0] = "[" + rows[0][2:]
@@ -543,10 +523,10 @@ def _json_text(snapshot: Snapshot, nl: str) -> str:
         members.update(format=small(DIGEST_FORMAT), edges=rows or ["[]"])
     parts = []
     for key in sorted(members):
-        parts.append(f',{nl1}"{key}"{colon}')
+        parts.append(f',"{key}":')
         parts += members.pop(key)  # each member's parts, dropped once moved
     parts[0] = "{" + parts[0][1:]
-    parts.append(f"{nl}}}{nl}")
+    parts.append("}\n" if file else "}")
     return "".join(parts)
 
 
@@ -567,7 +547,10 @@ def build_snapshot(
     if seed is not None:
         check_int("seed", seed, 0)
     data = read_bytes(spec.path, "file")
-    graph, weight, stamp = _parse(spec, data)
+    source_sha256 = hashlib.sha256(data).hexdigest()
+    text, data = utf8_text(data, spec.path), None  # the parse holds the text alone
+    graph, weight, stamp = _parse(spec, text)
+    del text
     rows, weight = _collapse(graph, weight, stamp)
     lo, hi = spec.weight_range
     weight = _rescale(weight, lo, hi)
@@ -583,11 +566,12 @@ def build_snapshot(
     if len(rows) < len(graph.src):
         graph = graph.subgraph(rows)
     return Snapshot(
-        columns=Columns.of(graph, weight),
+        graph=graph,
+        weight=_read_only(weight),
         raw_weight_range=(float(lo), float(hi)),
         provenance={
             "source_path": Path(spec.path).name,
-            "source_sha256": hashlib.sha256(data).hexdigest(),
+            "source_sha256": source_sha256,
             "sampling": sampling,
         },
     )
@@ -641,9 +625,9 @@ def _write_file(path, text: str) -> None:
 
 
 def save_snapshot(snapshot: Snapshot, path) -> None:
-    """Write ``json.dumps(form, sort_keys=True, indent=2)`` of the
-    snapshot's file form (see :func:`_json_text`)."""
-    _write_file(path, _json_text(snapshot, "\n"))
+    """Write ``json.dumps(form, sort_keys=True, separators=(",", ":"))`` of
+    the snapshot's file form and a line break (see :func:`_json_text`)."""
+    _write_file(path, _json_text(snapshot, file=True))
 
 
 def _weight_array(weights: list) -> Optional[np.ndarray]:
@@ -686,9 +670,9 @@ def _listed_ids(values: list, n: int) -> Optional[np.ndarray]:
     return None if ids[0] or (np.diff(np.maximum.accumulate(ids)) > 1).any() else _read_only(ids)
 
 
-def _snapshot_columns(payload: dict, path: str) -> Columns:
-    """The edges of ``payload``, the JSON document of the snapshot file at
-    ``path``, as columns, all checked at once; after a failed check, the
+def _snapshot_columns(payload: dict, path: str) -> tuple:
+    """The graph and weights of ``payload``, the JSON document of the snapshot
+    file at ``path``, all checked at once; after a failed check, the
     :class:`ParseError` names the first bad entry (:func:`_snapshot_fault`)."""
     origins, terminals = tuple(payload["origins"]), tuple(payload["terminals"])
     weights = payload["weight"]
@@ -700,7 +684,7 @@ def _snapshot_columns(payload: dict, path: str) -> Columns:
         if src is not None and dst is not None and weight is not None:
             graph = DirectedGraph(origins, terminals, src, dst)
             if not _repeats(graph):
-                return Columns.of(graph, weight)
+                return graph, _read_only(weight)
     raise ParseError(_snapshot_fault(payload), path=path)
 
 
@@ -775,23 +759,8 @@ def load_snapshot(path) -> Snapshot:
     and vertex lists that break a rule of :func:`_snapshot_fault` (the
     first bad entry is named).
     """
-    # Reference counting frees the acyclic document; until it is dropped, the
-    # cyclic collector would only walk its lists again and again.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _load_snapshot(path)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _load_snapshot(path) -> Snapshot:
     where = str(path)
-    try:
-        payload = json.loads(utf8_text(read_bytes(path, "snapshot"), path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", path=where) from exc
+    payload = json_value(utf8_text(read_bytes(path, "snapshot"), path), where)
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != SNAPSHOT_FORMAT:
         hint = (f": {found} files are no longer read; re-run `weightpred ingest` on the "
@@ -811,10 +780,10 @@ def _load_snapshot(path) -> Snapshot:
         raise ParseError("provenance holds a non-finite number", path=where) from None
     weight_range = payload["raw_weight_range"]
     if not (len(weight_range) == 2
-            and all(type(v) in (int, float) and math.isfinite(v) for v in weight_range)
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in weight_range)
             and weight_range[0] < weight_range[1]):
         raise ParseError(
             f"raw_weight_range {weight_range!r} is not two finite numbers lo < hi",
             path=where,
         )
-    return Snapshot(_snapshot_columns(payload, where), tuple(weight_range), payload["provenance"])
+    return Snapshot(*_snapshot_columns(payload, where), tuple(weight_range), payload["provenance"])

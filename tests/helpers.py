@@ -232,7 +232,7 @@ def reference_run(snapshot, config):
     It makes the generator calls the library documents (``rng.choice`` of
     the sampled edges, then ``rng.permutation`` of the sampled vertex list
     for a vertex task), takes each sampled edge's tokens and weight by id
-    from ``snapshot.columns``, and reads the same settings from
+    from ``snapshot.graph`` and ``snapshot.weight``, and reads the same settings from
     ``config``: train size, ``h`` (training std-dev, floored at 1e-12),
     fairness stopping rule and predictor settings.  Fairness scores, neighbor sets, band counts and
     kNN neighborhoods come from quadratic scans; the SVM is fitted with
@@ -244,14 +244,14 @@ def reference_run(snapshot, config):
     (element lists), ``h``, ``h_stddev_zero``, ``tie_stats``, ``mae`` and
     ``rmse``.  Raises ``DomainError`` where the library's split must.
     """
-    c = snapshot.columns
-    src, dst, weight = c.src.tolist(), c.dst.tolist(), c.weight.tolist()
+    g = snapshot.graph
+    src, dst, weight = g.src.tolist(), g.dst.tolist(), snapshot.weight.tolist()
     size = len(weight) if config.sample_size is None else config.sample_size
     if size > len(weight):
         raise DomainError(f"sample_size {size} exceeds the {len(weight)} records")
     rng = np.random.Generator(np.random.PCG64(config.seed))
     sampled = rng.choice(len(weight), size=size, replace=False).tolist()
-    edges = [(c.origins[src[i]], c.terminals[dst[i]]) for i in sampled]
+    edges = [(g.origins[src[i]], g.terminals[dst[i]]) for i in sampled]
     edge_weights = {e: weight[i] for e, i in zip(edges, sampled)}
     if config.task == "edge":
         universe, table, value_range = edges, edge_weights, (-1.0, 1.0)
@@ -430,7 +430,7 @@ def reference_ingest(spec, sample_size=None, seed=None):
     repeated pairs through a dict of record groups (latest timestamp wins,
     ties to the last record, else the ``stable_mean`` of the raw weights),
     rescales each weight in Python floats and samples with ``rng.choice``.
-    The file is ``json.dumps(..., sort_keys=True, indent=2)`` of
+    The file is ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of
     :func:`snapshot_form`; the digest hashes the compact ``json.dumps`` of a
     v1 document built here from the edge rows, not from that form.  For
     well-formed files only.  Returns ``(text, digest)``: the snapshot
@@ -481,7 +481,7 @@ def reference_ingest(spec, sample_size=None, seed=None):
         "edges": edges,
         "provenance": provenance,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     blob = json.dumps(v1, sort_keys=True, separators=(",", ":"))
     return text, "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
 
@@ -536,7 +536,7 @@ def snapshot_of(edges, raw_weight_range=(-1.0, 1.0), provenance=SYNTHETIC_PROVEN
     order, made by the check of ``load_snapshot`` on :func:`snapshot_form`:
     edges that a snapshot file may not hold raise its ``ParseError``."""
     payload = snapshot_form(edges, raw_weight_range, provenance)
-    return Snapshot(_snapshot_columns(payload, "edges"), tuple(raw_weight_range), provenance)
+    return Snapshot(*_snapshot_columns(payload, "edges"), tuple(raw_weight_range), provenance)
 
 
 # ---- reference snapshot check ---------------------------------------------------

@@ -219,6 +219,50 @@ def test_out_of_range_setting_is_usage_error(
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key", [
+    ("predict", "h"), ("predict", "gamma"), ("predict", "coef0"), ("predict", "reg_lambda"),
+    ("predict", "fg_tol"), ("gen-weights", "fg_tol"), ("ingest", "weight_min"),
+    ("ingest", "weight_max"),
+])
+def test_config_int_beyond_float_range_is_usage_error(
+    snapshot_file, rating_file, tmp_path, capsys, command, key
+):
+    """A JSON int no float can hold is an out-of-range setting: exit 1
+    naming the flag."""
+    cfg, out = tmp_path / "run.json", tmp_path / "out"
+    cfg.write_text(json.dumps({key: 10**400}))
+    other_bound = {"weight_min": ["--weight-max", "10"], "weight_max": ["--weight-min", "-10"]}
+    args = {
+        "predict": ["predict", "--snapshot", str(snapshot_file), "--task", "origin",
+                    "--method", "svm"],
+        "gen-weights": ["gen-weights", "--snapshot", str(snapshot_file)],
+        "ingest": ["ingest", "--input", str(rating_file), *other_bound.get(key, [])],
+    }[command]
+    assert main([*args, "--output", str(out), "--config", str(cfg)]) == 1
+    assert f"--{key.replace('_', '-')} must be at most" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "gen-weights"])
+@pytest.mark.parametrize("old,new", [
+    ('"sampling":null', '"sampling":' + "[" * 200_000 + "]" * 200_000),
+    ('"src":[0', '"src":[' + "7" * 5_000),
+], ids=["deep-provenance", "long-src-id"])
+def test_snapshot_json_that_json_loads_refuses_is_parse_error(
+    snapshot_file, tmp_path, capsys, command, old, new
+):
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    text = snapshot_file.read_text(encoding="utf-8")
+    assert old in text
+    bad.write_text(text.replace(old, new, 1), encoding="utf-8")
+    args = [command, "--snapshot", str(bad), "--output", str(out)]
+    if command == "predict":
+        args += ["--task", "origin", "--method", "knn"]
+    assert main(args) == 2
+    assert f"{bad}: invalid JSON: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPredict:
     def test_edge_task_row_count(self, snapshot_file, tmp_path):
         out = tmp_path / "preds.csv"
@@ -435,6 +479,8 @@ class TestEvaluate:
          "line 8: truth value '-1e308' is outside [-1, 1]"),
         (_V1 + _CONFIG + _HEAD + "v1,1.5,0.25,\n",
          "line 7: predicted value '1.5' is outside [-1, 1]"),
+        (_V1 + "# config: " + "[" * 200_000 + "]" * 200_000 + "\n" + _ROWS,
+         "line 5: config is not valid JSON: maximum recursion"),
     ], ids=["wrong-format", "config-not-json", "config-nan", "config-not-object",
             "no-truth-column", "short-row", "header-only", "unknown-flag", "repeated-flag",
             "empty-flag", "flags-out-of-order", "no-task-line", "repeated-task-line",
@@ -442,7 +488,7 @@ class TestEvaluate:
             "digest-not-sha256", "digest-uppercase-hex", "config-of-another-cell",
             "config-without-method", "reordered-columns", "extra-column",
             "values-near-the-float-maximum", "truth-near-the-float-minimum",
-            "predicted-above-1"])
+            "predicted-above-1", "config-deep-nesting"])
     def test_malformed_predictions_file_is_parse_error(
         self, tmp_path, capsys, body, located
     ):
@@ -588,7 +634,9 @@ class TestConfigFile:
         (None, "cannot read config"),
         ('{"seed": 7', "invalid JSON"),
         ("[7]", "config file must hold a JSON object"),
-    ], ids=["missing", "invalid-json", "not-an-object"])
+        ('{"seed": ' + "[" * 200_000 + "]" * 200_000 + "}", "invalid JSON: maximum recursion"),
+        ('{"seed": ' + "7" * 5_000 + "}", "invalid JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["missing", "invalid-json", "not-an-object", "deep-nesting", "long-int"])
     def test_bad_config_file_is_parse_error(
         self, snapshot_file, tmp_path, capsys, text, located
     ):

@@ -33,7 +33,7 @@ from weightpred.evaluation import (
 )
 from weightpred.fairness import check_stopping_rule
 from weightpred.graph import DirectedGraph, WeightKind, graph_of
-from weightpred.ingest import TASKS, Columns, SplitPlan
+from weightpred.ingest import TASKS, SplitPlan
 
 from helpers import snapshot_of, token_pipeline, write_rating_file
 
@@ -221,7 +221,7 @@ class TestRunExperiment:
                 run_experiment(snap, _config(task, method))
         views = {"edges", "origin_index", "terminal_index",
                  "origin_id", "terminal_id", "edge_id"}
-        assert not views & vars(snap.columns).keys()
+        assert not views & vars(snap.graph).keys()
         assert "edges" not in vars(snap)
 
     def test_a_task_major_grid_computes_each_shared_step_once(self, monkeypatch):
@@ -353,8 +353,8 @@ class TestPredictionFiles:
         # Snapshot(...) checks nothing, so a lone surrogate can reach the writer.
         snap = _synthetic_snapshot()
         pairs = [("o\ud800" if r.origin == "o0" else r.origin, r.terminal) for r in snap.edges]
-        columns = Columns.of(graph_of(*zip(*pairs)), snap.columns.weight.copy())
-        snap = Snapshot(columns, snap.raw_weight_range, snap.provenance)
+        snap = Snapshot(graph_of(*zip(*pairs)), snap.weight, snap.raw_weight_range,
+                        snap.provenance)
         result = run_experiment(snap, _config("edge", "knn"))
         assert "o\ud800" in {r.element[0] for r in result.predictions}
         path = tmp_path / "preds.csv"
@@ -507,6 +507,18 @@ def test_setting_types_reject_bools_and_floats(build, setting, value):
 def test_float_settings_reject_bools(field, setting, value):
     fixed = {"h_mode": "fixed", "h_value": 0.5}
     with pytest.raises(SettingError, match="must be a number") as err:
+        ExperimentConfig(task="edge", method="svm", **{**fixed, field: value})
+    assert err.value.setting == setting
+
+
+@pytest.mark.parametrize("field,setting", [
+    ("h_value", "h_value"), ("fg_tol", "tol"), ("gamma", "gamma"), ("coef0", "coef0"),
+    ("reg_lambda", "regularization"),
+])
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["above", "below"])
+def test_float_settings_reject_ints_beyond_float_range(field, setting, value):
+    fixed = {"h_mode": "fixed", "h_value": 0.5}
+    with pytest.raises(SettingError, match="must be at most 1.7976931348623157e") as err:
         ExperimentConfig(task="edge", method="svm", **{**fixed, field: value})
     assert err.value.setting == setting
 

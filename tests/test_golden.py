@@ -75,10 +75,11 @@ GOLDEN_FAIRNESS = {
 }
 
 # SHA-256 of the snapshot files: every edge, and ``build_snapshot(spec,
-# sample_size=700, seed=3)``.
+# sample_size=700, seed=3)``.  Since 0.6.0 the files are compact JSON; the
+# indented files of 0.5.0 held the same documents.
 GOLDEN_SNAPSHOT_FILES = {
-    "snap.json": "8e95e9fb2f22cf2c2b38e020cc106f9eaafb97adf1a7e399da549f1d73ade7e3",
-    "sampled.json": "abaca9d66b661f118bb14a7450277fa63ab6977a160eda4e28e17030f683d3a6",
+    "snap.json": "8441de037a043d9088e9dc01ca591d58a7f168bc901a10e801e0cdd0c0272728",
+    "sampled.json": "1e29bf2bf4f9886f70f111fb9915c4cc9b4ce9cf631f0956698c0cf8a03c7fd0",
 }
 
 # SHA-256 of the same files rendered in the v1 layout, whose edges are

@@ -29,7 +29,7 @@ from weightpred import (
 import weightpred.ingest
 from weightpred.errors import SettingError
 from weightpred.graph import graph_of
-from weightpred.ingest import Columns, _rescale
+from weightpred.ingest import _rescale
 
 from helpers import (
     LINE_BOUNDARIES, reference_ingest, reference_line_fault, reference_snapshot_fault,
@@ -136,8 +136,11 @@ class TestParseEdgeList:
     ((-10.0, "10"), ",", "weight_max"),
     ((1e308, 1.7e308), ",", "weight_min"),
     ((-1.0, 1e308), ",", "weight_max"),
+    ((-(10**400), 10), ",", "weight_min"),
+    ((-10, 10**400), ",", "weight_max"),
 ], ids=["min-infinite", "max-nan", "reversed", "empty-delimiter", "bools", "string",
-        "min-above-half-the-largest-float", "max-above-half-the-largest-float"])
+        "min-above-half-the-largest-float", "max-above-half-the-largest-float",
+        "min-int-beyond-float", "max-int-beyond-float"])
 def test_dataset_spec_rejects_bad_setting(tmp_path, weight_range, delimiter, setting):
     with pytest.raises(SettingError) as err:
         _spec(tmp_path / "d.csv", rng=weight_range, delim=delimiter)
@@ -364,11 +367,10 @@ class TestSnapshot:
 
     def test_columns_hold_the_edges_as_ids(self, tmp_path):
         snap = build_snapshot(_spec(self._write_raw(tmp_path)))
-        columns = snap.columns
-        assert columns is snap.columns  # built once
-        assert (columns.origins, columns.terminals) == (snap.origins, snap.terminals)
-        assert columns.edges == tuple(r.pair for r in snap.edges)
-        assert columns.weight.tolist() == [r.weight for r in snap.edges]
+        graph = snap.graph
+        assert (graph.origins, graph.terminals) == (snap.origins, snap.terminals)
+        assert graph.edges == tuple(r.pair for r in snap.edges)
+        assert snap.weight.tolist() == [r.weight for r in snap.edges]
 
     def test_columns_reject_a_repeated_pair(self, tmp_path):
         path = tmp_path / "snap.json"
@@ -382,8 +384,8 @@ class TestSnapshot:
         snapshots that differ only there have equal weight values but
         different weight bytes and digests.  ``==`` is identity."""
         plus, minus = snapshot_of([("a", "x", 0.0)]), snapshot_of([("a", "x", -0.0)])
-        assert np.array_equal(plus.columns.weight, minus.columns.weight)
-        assert plus.columns.weight.tobytes() != minus.columns.weight.tobytes()
+        assert np.array_equal(plus.weight, minus.weight)
+        assert plus.weight.tobytes() != minus.weight.tobytes()
         assert plus.digest() != minus.digest()
         assert plus != snapshot_of([("a", "x", 0.0)])
 
@@ -396,7 +398,8 @@ class TestSnapshot:
         payload = json.loads(out.read_text())
         payload["provenance"]["note"] = float("nan")
         loaded = load_snapshot(out)
-        snap = Snapshot(loaded.columns, loaded.raw_weight_range, payload["provenance"])
+        snap = Snapshot(loaded.graph, loaded.weight, loaded.raw_weight_range,
+                        payload["provenance"])
         out.write_text(json.dumps(payload))
         with pytest.raises(ParseError, match="provenance holds a non-finite number"):
             load_snapshot(out)
@@ -468,8 +471,9 @@ class TestSnapshot:
         assert list(snap.terminals) == sorted(set(terminals), key=terminals.index)
         # The edges alone fix the vertex lists: the constructor does not take them.
         with pytest.raises(TypeError):
-            Snapshot(columns=snap.columns, origins=snap.origins, terminals=snap.terminals,
-                     raw_weight_range=snap.raw_weight_range, provenance={})
+            Snapshot(graph=snap.graph, weight=snap.weight, origins=snap.origins,
+                     terminals=snap.terminals, raw_weight_range=snap.raw_weight_range,
+                     provenance={})
 
     def test_bad_format_rejected(self, tmp_path):
         p = tmp_path / "x.json"
@@ -584,11 +588,11 @@ def _write_edges(path, edges):
 
 
 def _assert_same_snapshot(a, b):
-    """``a`` and ``b`` have one digest and the same columns, bit for bit."""
+    """``a`` and ``b`` have one digest and the same graph and weights, bit
+    for bit."""
     assert a.digest() == b.digest()
     assert (a.origins, a.terminals) == (b.origins, b.terminals)
-    for name in ("src", "dst", "weight"):
-        x, y = getattr(a.columns, name), getattr(b.columns, name)
+    for x, y in ((a.graph.src, b.graph.src), (a.graph.dst, b.graph.dst), (a.weight, b.weight)):
         assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes())
 
 
@@ -667,6 +671,7 @@ def test_line_boundaries_are_those_of_splitlines():
     (lambda s: s.update(raw_weight_range=[10.0, -10.0]), "raw_weight_range [10.0, -10.0]"),
     (lambda s: s.update(raw_weight_range=[-10.0, math.inf]), "raw_weight_range [-10.0, inf]"),
     (lambda s: s.update(raw_weight_range=[-10.0, True]), "raw_weight_range [-10.0, True]"),
+    (lambda s: s.update(raw_weight_range=[-10, 10**400]), f"raw_weight_range [-10, {10**400}]"),
     # Two faults: the lower edge index is named, whatever the kinds.
     (_each(_set("src", 1, 0), _set("dst", 1, 0), _append(1, 1, math.nan)),
      "edge 1: repeats the (origin, terminal) pair of edge 0"),
@@ -712,7 +717,7 @@ def test_line_boundaries_are_those_of_splitlines():
     "origins-repeated-entry", "terminals-int-entry", "origins-stray-token",
     "origins-skip-ahead", "int-edge-token-listed-as-string", "int-edge-token-listed-as-int",
     "empty-edges",
-    "range-three-items", "range-reversed", "range-infinite", "range-bool",
+    "range-three-items", "range-reversed", "range-infinite", "range-bool", "range-int-overflow",
     "repeat-before-nan", "nan-before-repeat", "string-weight-before-short-edge",
     "short-edge-before-repeat", "padded-before-empty", "empty-before-padded",
     "weight-before-repeat", "empty-and-string-weight", "padded-and-nan",
@@ -761,33 +766,48 @@ def test_a_v1_file_is_refused_with_the_step_that_replaces_it(tmp_path):
         load_snapshot(path)
 
 
-@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
-def test_load_snapshot_pauses_the_cyclic_collector_and_restores_it(
-    tmp_path, monkeypatch, enabled
-):
-    """The collector is off while the document is parsed, and afterwards as
-    the caller had it, after a load and after a refusal alike."""
-    loads, seen = json.loads, []
+# Text json.loads refuses with another error than JSONDecodeError: nesting
+# past the recursion limit, and an int of more digits than int() converts.
+DEEP_NESTING = "[" * 200_000 + "]" * 200_000
+LONG_INT = "7" * 5_000
 
-    def spy_loads(text):
-        seen.append(gc.isenabled())
-        return loads(text)
 
-    monkeypatch.setattr(json, "loads", spy_loads)
-    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-    good.write_text(json.dumps(_snapshot_payload()))
-    bad.write_text(json.dumps({**_snapshot_payload(), "src": [], "dst": [], "weight": []}))
+@pytest.mark.parametrize("old,new,fault", [
+    ('"0"', DEEP_NESTING, "maximum recursion depth exceeded"),
+    ('"src": [0', '"src": [' + LONG_INT, "Exceeds the limit (4300 digits)"),
+], ids=["deep-provenance", "long-src-id"])
+def test_json_that_json_loads_refuses_is_a_parse_error(tmp_path, old, new, fault):
+    """Both are refused as invalid JSON, naming the file."""
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(_snapshot_payload()).replace(old, new))
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: invalid JSON: {fault}')}"):
+        load_snapshot(path)
+
+
+def test_a_file_in_the_indented_layout_of_0_5_0_loads_as_the_compact_one(tmp_path):
+    """The file is compact ``json.dumps``; re-indented as 0.5.0 wrote it, it
+    holds the same document, so it loads to the same digest and arrays."""
+    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    save_snapshot(build_snapshot(_spec(write_rating_file(tmp_path / "r.csv", 300, seed=5))),
+                  compact)
+    text = compact.read_text(encoding="utf-8")
+    document = json.loads(text)
+    assert text == json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    indented.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
+    _assert_same_snapshot(load_snapshot(indented), load_snapshot(compact))
+
+
+def test_save_leaves_no_reference_cycles(tmp_path):
+    """Saving a snapshot leaves nothing for the cyclic collector to free."""
+    snap = build_snapshot(_spec(write_rating_file(tmp_path / "r.csv", 300, seed=5)))
     was = gc.isenabled()
+    gc.disable()
     try:
-        gc.enable() if enabled else gc.disable()
-        assert len(load_snapshot(good).edges) == 3
-        assert gc.isenabled() is enabled
-        with pytest.raises(ParseError, match="snapshot has no edges"):
-            load_snapshot(bad)
-        assert gc.isenabled() is enabled
+        gc.collect()
+        save_snapshot(snap, tmp_path / "snap.json")
+        assert gc.collect() == 0
     finally:
         gc.enable() if was else gc.disable()
-    assert seen == [False, False]
 
 
 # Any token the token rules let through: non-BMP characters, quotes,
@@ -882,8 +902,8 @@ def test_the_bulk_check_and_the_walk_agree(tmp_path_factory, payload):
         _assert_refused_as_the_oracle_says(path, payload)
         return
     path.write_text(json.dumps(payload))
-    columns = load_snapshot(path).columns
-    assert (columns.src.tolist(), columns.dst.tolist()) == (payload["src"], payload["dst"])
+    graph = load_snapshot(path).graph
+    assert (graph.src.tolist(), graph.dst.tolist()) == (payload["src"], payload["dst"])
 
 
 @st.composite
@@ -920,7 +940,7 @@ def _listed_snapshots(draw):
 def test_load_snapshot_accepts_exactly_the_first_appearance_lists(tmp_path_factory, payload):
     """``load_snapshot`` accepts exactly the vertex lists that hold one
     distinct clean token per id the edges name; the edges' ids then number
-    each list in order of first appearance, and the lists are the columns'
+    each list in order of first appearance, and the lists are the graph's
     tables.  Otherwise it names the list, the entry and the fault, or the
     edge whose id a shortened list lacks."""
     path = tmp_path_factory.mktemp("lists") / "snap.json"
@@ -928,10 +948,10 @@ def test_load_snapshot_accepts_exactly_the_first_appearance_lists(tmp_path_facto
         _assert_refused_as_the_oracle_says(path, payload)
         return
     path.write_text(json.dumps(payload))
-    columns = load_snapshot(path).columns
-    assert (columns.origins, columns.terminals) == (
+    graph = load_snapshot(path).graph
+    assert (graph.origins, graph.terminals) == (
         tuple(payload["origins"]), tuple(payload["terminals"]))
-    for ids, table in ((columns.src, columns.origins), (columns.dst, columns.terminals)):
+    for ids, table in ((graph.src, graph.origins), (graph.dst, graph.terminals)):
         assert list(dict.fromkeys(ids.tolist())) == list(range(len(table)))
 
 
@@ -984,9 +1004,9 @@ def _perturbations(draw, payload):
 def test_load_keeps_a_saved_snapshot_and_refuses_a_perturbed_one(
     tmp_path_factory, pairs, weights, data
 ):
-    """``load_snapshot(save_snapshot(s))`` has the digest and the columns of
-    ``s``, bit for bit; the saved file with one fault is refused with the
-    message of ``reference_snapshot_fault``."""
+    """``load_snapshot(save_snapshot(s))`` has the digest, the graph and the
+    weights of ``s``, bit for bit; the saved file with one fault is refused
+    with the message of ``reference_snapshot_fault``."""
     root = tmp_path_factory.mktemp("perturbed")
     snap = snapshot_of((o, t, w) for (o, t), w in zip(pairs, weights))
     save_snapshot(snap, root / "snap.json")
@@ -1032,7 +1052,7 @@ def test_load_snapshot_reads_integer_weights_as_floats(tmp_path):
     _write_edges(floats, [["a", "x", 0.5], ["a", "y", 0.0], ["b", "x", 1.0], ["b", "y", -1.0]])
     loaded = load_snapshot(ints)
     _assert_same_snapshot(loaded, load_snapshot(floats))
-    assert loaded.columns.weight.tolist() == [0.5, 0.0, 1.0, -1.0]
+    assert loaded.weight.tolist() == [0.5, 0.0, 1.0, -1.0]
 
 
 def test_a_token_that_is_not_utf8_text_is_rejected(tmp_path):
@@ -1056,8 +1076,9 @@ def test_a_byte_order_mark_and_crlf_give_the_columns_of_the_plain_file(tmp_path)
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
     want, got = build_snapshot(_spec(plain)), build_snapshot(_spec(marked))
     assert (got.origins, got.terminals) == (want.origins, want.terminals)
-    for name in ("src", "dst", "weight"):
-        assert np.array_equal(getattr(got.columns, name), getattr(want.columns, name))
+    for name in ("src", "dst"):
+        assert np.array_equal(getattr(got.graph, name), getattr(want.graph, name))
+    assert np.array_equal(got.weight, want.weight)
     # The source hash is of the bytes as read.
     assert got.provenance["source_sha256"] == hashlib.sha256(marked.read_bytes()).hexdigest()
 
@@ -1232,7 +1253,7 @@ def _assert_written_as_json_dumps(snapshot, edges, path):
     form = snapshot_form(edges, list(snapshot.raw_weight_range), snapshot.provenance)
     save_snapshot(snapshot, path)
     assert path.read_bytes() == (
-        json.dumps(form, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        json.dumps(form, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     ).encode()
     compact = json.dumps(v1_form(form), sort_keys=True, separators=(",", ":"))
     assert snapshot.digest() == "sha256:" + hashlib.sha256(compact.encode()).hexdigest()
@@ -1255,7 +1276,6 @@ def test_the_snapshot_writer_matches_json_dumps(tmp_path_factory, pairs, data, w
 
 
 def test_a_snapshot_without_edges_is_written_as_json_dumps(tmp_path):
-    """``Snapshot(columns, ...)`` checks nothing, so it may hold no edges."""
-    columns = Columns.of(graph_of([], []), np.array([], dtype=float))
-    snap = Snapshot(columns, (-1.0, 1.0), {"sampling": None})
+    """``Snapshot(graph, weight, ...)`` checks nothing, so it may hold no edges."""
+    snap = Snapshot(graph_of([], []), np.array([], dtype=float), (-1.0, 1.0), {"sampling": None})
     _assert_written_as_json_dumps(snap, [], tmp_path / "s.json")

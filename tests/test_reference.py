@@ -181,7 +181,7 @@ def _assert_load_rejects(tmp_path, config, row, bad):
 def test_bad_snapshot_weight_is_rejected_naming_the_edge(tmp_path, task, bad):
     """The bad edge is a training edge of the run's split."""
     config = ExperimentConfig(task=task, method="knn", seed=4)
-    split = split_ids(_clean_snapshot().columns, config.split_plan(), "edge")
+    split = split_ids(_clean_snapshot().graph, config.split_plan(), "edge")
     _assert_load_rejects(tmp_path, config, int(split.sampled[split.train[0]]), bad)
 
 
@@ -191,7 +191,7 @@ def test_bad_snapshot_weight_is_rejected_naming_the_edge(tmp_path, task, bad):
 def test_bad_weight_outside_the_training_set_is_rejected(tmp_path, task, bad, where):
     """``load_snapshot`` checks every edge: a held-out or unsampled one too."""
     config = ExperimentConfig(task=task, method="svm", seed=4, sample_size=10)
-    split = split_ids(_clean_snapshot().columns, config.split_plan(), "edge")
+    split = split_ids(_clean_snapshot().graph, config.split_plan(), "edge")
     if where == "test":
         row = int(split.sampled[split.test[-1]])
     else:  # the first edge the sample leaves out
