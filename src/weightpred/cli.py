@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from .evaluation import (
     ExperimentConfig,
     REPORT_FORMAT,
     format_tables,
+    indented_json,
     mae,
     read_predictions,
     rmse,
@@ -242,8 +242,7 @@ def cmd_gen_weights(args) -> int:
         "config": {"tol": tol, "max_iter": max_iter},
         "snapshot_digest": snapshot.digest(),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    _write_file(args.output, text + "\n")
+    _write_file(args.output, indented_json(payload))
     print(f"converged={scores.converged} iterations={scores.iterations}")
     print(f"scores written to {args.output}")
     return 0
@@ -295,8 +294,7 @@ def cmd_evaluate(args) -> int:
             "scored_from": "predictions-file",
         }
         if args.report:
-            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-            _write_file(args.report, text + "\n")
+            _write_file(args.report, indented_json(report))
         print(f"({report['mae']:.3f}, {report['rmse']:.3f})")
         return 0
 

@@ -188,6 +188,26 @@ class PredictionRow:
     flags: tuple
 
 
+def indented_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`` of
+    ``str``-keyed objects, lists and scalars, and a line break, spelling each
+    key and scalar by the C encoder: the pure-Python one leaves a cycle."""
+    return _indented(value, "\n") + "\n"
+
+
+_SCALAR = json.JSONEncoder(allow_nan=False).encode
+
+
+def _indented(value, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{_SCALAR(k)}: {_indented(v, inner)}" for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + inner + ("," + inner).join(_indented(v, inner) for v in value) + newline + "]"
+    return _SCALAR(value)
+
+
 @dataclass(frozen=True)
 class EvaluationReport:
     task: str
@@ -216,8 +236,7 @@ class EvaluationReport:
         return {"format": REPORT_FORMAT, **dataclasses.asdict(self)}
 
     def to_json(self) -> str:
-        text = json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)
-        return text + "\n"
+        return indented_json(self.to_dict())
 
     def pair(self) -> str:
         """The (MAE, RMSE) cell, three decimals."""

@@ -23,8 +23,9 @@ snapshots, never raw files.  The raw file is parsed a pass of lines at a
 time, each token numbered as the pass reads it, so no list of the file's
 fields is built.  The file is compact, key-sorted JSON of the same
 arrays: the ``origins`` and ``terminals`` lists, then ``src``, ``dst`` and
-``weight`` lists, one entry per edge (:data:`SNAPSHOT_FORMAT`).  The digest
-hashes the v1 form, whose edges are ``[origin, terminal, weight]`` rows
+``weight`` as base64 text of their little-endian ``uint32`` and ``float64``
+entries, one per edge (:data:`SNAPSHOT_FORMAT`).  The digest hashes the v1
+form, whose edges are ``[origin, terminal, weight]`` rows
 (:data:`DIGEST_FORMAT`), so it does not depend on the file layout.  The
 record-level functions (:func:`parse_edge_list`, :func:`make_split`,
 ``Snapshot.edges``) read the arrays back as :class:`EdgeRecord` objects.
@@ -34,6 +35,7 @@ splits reproduce exactly from a seed.
 
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
 import json
@@ -60,9 +62,13 @@ from .errors import (
 from .graph import DirectedGraph, WeightKind, _read_only, graph_of
 
 PRNG_NAME = "numpy-pcg64"
-SNAPSHOT_FORMAT = "weightpred-snapshot-v2"
+SNAPSHOT_FORMAT = "weightpred-snapshot-v3"
 # The digest hashes the v1 form, so it does not move with the file layout.
 DIGEST_FORMAT = "weightpred-snapshot-v1"
+# The snapshot file's base64 arrays and the little-endian type of an entry.
+_ARRAYS = {"src": np.dtype("<u4"), "dst": np.dtype("<u4"), "weight": np.dtype("<f8")}
+# Provenance nests at most this deep, far inside the digest's recursion limit.
+_MAX_NESTING = 100
 
 # The largest raw weight bound: within it, 2w, a + b and b - a are finite.
 _MAX_BOUND = sys.float_info.max / 2
@@ -136,8 +142,10 @@ def _columns(lines: list, delimiter: Optional[str], expected: int) -> Optional[l
     return [fields[k::expected] for k in range(expected)]
 
 
-# Characters per pass of the raw-file parse, each pass ending after a "\n".
+# Characters per pass of the raw-file parse, each pass ending after a line
+# boundary of str.splitlines ("\r\n" is one).
 _PASS_CHARS = 1 << 16
+_LINE_END = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _parse(spec: DatasetSpec, text: str) -> tuple:
@@ -147,18 +155,19 @@ def _parse(spec: DatasetSpec, text: str) -> tuple:
     arrays.
 
     The text is split in passes of about :data:`_PASS_CHARS` characters,
-    each ending just after a ``"\\n"``, so the passes' lines are the file's
-    ``str.splitlines`` lines.  A pass numbers its tokens as it converts its
-    numbers, so only one pass's fields are held at a time.  The columns are
-    checked at once; if any check fails, :func:`_raise_at_first_bad_line`
-    names the line.
+    each ending just after a line boundary, so the passes' lines are the
+    file's ``str.splitlines`` lines.  A pass numbers its tokens as it
+    converts its numbers, so only one pass's fields are held at a time.  The
+    columns are checked at once; if any check fails,
+    :func:`_raise_at_first_bad_line` names the line.
     """
     width = 4 if spec.has_timestamp else 3
     ids = [defaultdict(count().__next__) for _ in range(2)]
     passes, start = [], 0  # per pass: src, dst, weight[, stamp]
     try:
         while start < len(text):
-            end = text.find("\n", start + _PASS_CHARS - 1) + 1 or len(text)
+            cut = _LINE_END.search(text, start + _PASS_CHARS - 1)
+            end = cut.end() if cut else len(text)
             lines = list(filter(None, map(str.strip, text[start:end].splitlines())))
             start = end
             if not lines:
@@ -456,7 +465,7 @@ class Snapshot:
 
     @functools.cached_property
     def _digest(self) -> str:
-        return "sha256:" + hashlib.sha256(_json_text(self, file=False).encode()).hexdigest()
+        return "sha256:" + hashlib.sha256(_json_text(self).encode()).hexdigest()
 
     @functools.cached_property
     def _memo(self) -> dict:
@@ -465,68 +474,40 @@ class Snapshot:
         return {}
 
 
-def _json_text(snapshot: Snapshot, file: bool) -> str:
+def _json_text(snapshot: Snapshot) -> str:
     """The text ``json.dumps(form, sort_keys=True, separators=(",", ":"))``
-    writes for the snapshot's file form, then one line break, when ``file``
-    is true, or for the digest's form, where a non-finite number is spelled
-    ``NaN`` and not refused (``allow_nan``).
+    writes for the digest's form, the v1 layout (:data:`DIGEST_FORMAT`),
+    where a non-finite number is spelled ``NaN`` and not refused.
 
-    The digest's form is the v1 layout (:data:`DIGEST_FORMAT`), its edges
-    ``[origin, terminal, weight]`` rows; the file's form holds ``src``,
-    ``dst`` and ``weight`` lists.  As the encoder writes them, each token is
-    encoded once per vertex, each id once per value and each weight by
-    ``float.__repr__`` once per bit pattern; the parts, each after its
-    separator, are gathered by id into one flat list and joined once, so
-    no member's text is copied before the whole text is made.
+    Its edges are ``[origin, terminal, weight]`` rows.  As the encoder
+    writes them, each token is encoded once per vertex and each weight by
+    ``float.__repr__`` once per bit pattern; the rows' parts, each after its
+    separator, are gathered by id into one flat list that the other members
+    follow, and joined once.
     """
     g = snapshot.graph
-
-    def small(value) -> list:
-        return [json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=not file)]
 
     def gather(table: list, ids: np.ndarray) -> list:
         return np.array(table, dtype=object)[ids].tolist()
 
-    def array(table: list, ids: Optional[np.ndarray] = None) -> list:
-        """The parts of the array of ``table``'s entries (at ``ids``)."""
-        items = ["," + entry for entry in table]
-        if ids is not None:
-            items = gather(items, ids)
-        if not items:
-            return ["[]"]
-        items[0] = "[" + items[0][1:]
-        items.append("]")
-        return items
-
-    origins = list(map(encode_basestring_ascii, g.origins))
-    terminals = list(map(encode_basestring_ascii, g.terminals))
     bits = snapshot.weight.view(np.int64)  # -0.0 and 0.0 differ here
     distinct = np.sort(bits)
     distinct = np.append(distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]])
-    spelled = list(map(float.__repr__, distinct.view(float).tolist()))
     at = np.searchsorted(distinct, bits)
-    members = dict(origins=array(origins), terminals=array(terminals),
-                   provenance=small(snapshot.provenance),
-                   raw_weight_range=small(list(snapshot.raw_weight_range)))
-    if file:
-        members.update(format=small(SNAPSHOT_FORMAT), weight=array(spelled, at),
-                       src=array(list(map(str, range(len(origins)))), g.src),
-                       dst=array(list(map(str, range(len(terminals)))), g.dst))
+    parts = [None] * (3 * len(at))
+    parts[0::3] = gather([f"],[{encode_basestring_ascii(o)}," for o in g.origins], g.src)
+    parts[1::3] = gather([encode_basestring_ascii(t) + "," for t in g.terminals], g.dst)
+    parts[2::3] = gather(list(map(float.__repr__, distinct.view(float).tolist())), at)
+    if parts:  # the first row follows no other
+        parts[0] = '{"edges":[' + parts[0][2:]
+        parts.append("]]")
     else:
-        rows = [None] * (3 * len(at))
-        rows[0::3] = gather([f"],[{o}," for o in origins], g.src)  # after the previous row
-        rows[1::3] = gather([t + "," for t in terminals], g.dst)
-        rows[2::3] = gather(spelled, at)
-        if rows:  # the first row follows no other
-            rows[0] = "[" + rows[0][2:]
-            rows.append("]]")
-        members.update(format=small(DIGEST_FORMAT), edges=rows or ["[]"])
-    parts = []
-    for key in sorted(members):
-        parts.append(f',"{key}":')
-        parts += members.pop(key)  # each member's parts, dropped once moved
-    parts[0] = "{" + parts[0][1:]
-    parts.append("}\n" if file else "}")
+        parts.append('{"edges":[]')
+    rest = json.dumps({"format": DIGEST_FORMAT, "origins": g.origins, "terminals": g.terminals,
+                       "provenance": snapshot.provenance,
+                       "raw_weight_range": list(snapshot.raw_weight_range)},
+                      sort_keys=True, separators=(",", ":"))
+    parts.append("," + rest[1:])  # "edges" sorts first
     return "".join(parts)
 
 
@@ -578,15 +559,8 @@ def build_snapshot(
 
 
 # Top-level snapshot keys besides "format", and the JSON type each holds.
-_SNAPSHOT_KEYS = {
-    "raw_weight_range": list,
-    "origins": list,
-    "terminals": list,
-    "src": list,
-    "dst": list,
-    "weight": list,
-    "provenance": dict,
-}
+_SNAPSHOT_KEYS = {"raw_weight_range": list, "origins": list, "terminals": list,
+                  **dict.fromkeys(_ARRAYS, str), "provenance": dict}
 
 
 def _write_file(path, text: str) -> None:
@@ -626,20 +600,18 @@ def _write_file(path, text: str) -> None:
 
 def save_snapshot(snapshot: Snapshot, path) -> None:
     """Write ``json.dumps(form, sort_keys=True, separators=(",", ":"))`` of
-    the snapshot's file form and a line break (see :func:`_json_text`)."""
-    _write_file(path, _json_text(snapshot, file=True))
-
-
-def _weight_array(weights: list) -> Optional[np.ndarray]:
-    """``weights``, JSON values, as a float array, or ``None`` unless each
-    is an ``int`` or ``float`` (not a ``bool``) in [-1, 1]."""
-    kinds = set(map(type, weights))
-    if not kinds <= {int, float}:
-        return None
-    if int in kinds:  # compared before conversion, so no int overflows
-        weights = [float(w) if -1.0 <= w <= 1.0 else math.nan for w in weights]
-    weight = np.array(weights, dtype=float)
-    return weight if ((weight >= -1.0) & (weight <= 1.0)).all() else None  # NaN fails
+    the snapshot's file form (:data:`SNAPSHOT_FORMAT`) and a line break.
+    Raises ``ValueError``, writing nothing, for a non-finite provenance
+    number or a side of 2**32 or more vertices, whose ids overflow uint32."""
+    g = snapshot.graph
+    if max(len(g.origins), len(g.terminals)) >= 2**32:
+        raise ValueError("a snapshot file numbers at most 2**32 vertices a side")
+    form = {key: base64.b64encode(np.ascontiguousarray(values, _ARRAYS[key])).decode("ascii")
+            for key, values in (("src", g.src), ("dst", g.dst), ("weight", snapshot.weight))}
+    form.update(format=SNAPSHOT_FORMAT, origins=g.origins, terminals=g.terminals,
+                provenance=snapshot.provenance, raw_weight_range=list(snapshot.raw_weight_range))
+    _write_file(path, json.dumps(form, sort_keys=True, separators=(",", ":"), allow_nan=False)
+                + "\n")
 
 
 # A code point UTF-8 cannot encode: JSON can spell a lone surrogate.
@@ -658,34 +630,39 @@ def _clean(table: tuple) -> bool:
             and len(joined.splitlines()) == len(table) and not _SURROGATE.search(joined))
 
 
-def _listed_ids(values: list, n: int) -> Optional[np.ndarray]:
-    """``values``, JSON values, as an id array, or ``None`` unless each is
-    an ``int`` (not a ``bool``) in ``[0, n)`` and they number ``n``
-    vertices in order of first appearance: the first id is 0, each is at
-    most one above the running maximum of the ids before it, and the last
-    maximum is ``n - 1``."""
-    if set(map(type, values)) != {int} or min(values) < 0 or max(values) != n - 1:
-        return None  # compared before conversion, so no int overflows
-    ids = np.array(values, dtype=np.intp)
-    return None if ids[0] or (np.diff(np.maximum.accumulate(ids)) > 1).any() else _read_only(ids)
+def _listed_ids(ids: np.ndarray, n: int) -> Optional[np.ndarray]:
+    """``ids`` as a read-only ``intp`` array, or ``None`` unless they number
+    ``n`` vertices in order of first appearance: the first id is 0, each at
+    most one above the running maximum before it, the last maximum ``n - 1``."""
+    ids = ids.astype(np.intp)  # signed, so np.diff cannot wrap
+    if ids[0] or ids.max() != n - 1 or (np.diff(np.maximum.accumulate(ids)) > 1).any():
+        return None
+    return _read_only(ids)
 
 
 def _snapshot_columns(payload: dict, path: str) -> tuple:
-    """The graph and weights of ``payload``, the JSON document of the snapshot
-    file at ``path``, all checked at once; after a failed check, the
-    :class:`ParseError` names the first bad entry (:func:`_snapshot_fault`)."""
+    """The graph and weights of ``payload``, the snapshot file at ``path``'s
+    document: ``src``, ``dst`` and ``weight`` as ``base64.b64decode(text,
+    validate=True)`` reads them, then the rest checked at once; after a
+    failed check the :class:`ParseError` names the first bad entry."""
+    arrays = []
+    for key, dtype in _ARRAYS.items():  # a fault here is the first one
+        try:  # refuses bad base64 text, and a partial last entry
+            arrays.append(np.frombuffer(base64.b64decode(payload[key], validate=True), dtype))
+        except ValueError:
+            raise ParseError(f"{key} is not base64 text of {dtype.itemsize}-byte entries",
+                             path=path) from None
     origins, terminals = tuple(payload["origins"]), tuple(payload["terminals"])
-    weights = payload["weight"]
-    if (_clean(origins) and _clean(terminals)
-            and len(payload["src"]) == len(payload["dst"]) == len(weights)):
-        src = _listed_ids(payload["src"], len(origins))
-        dst = _listed_ids(payload["dst"], len(terminals))
-        weight = _weight_array(weights)
-        if src is not None and dst is not None and weight is not None:
+    if (len(set(map(len, arrays))) == 1 and len(arrays[0])
+            and _clean(origins) and _clean(terminals)):
+        src, dst, weight = arrays
+        src, dst = _listed_ids(src, len(origins)), _listed_ids(dst, len(terminals))
+        if (src is not None and dst is not None
+                and ((weight >= -1.0) & (weight <= 1.0)).all()):  # NaN fails
             graph = DirectedGraph(origins, terminals, src, dst)
             if not _repeats(graph):
-                return graph, _read_only(weight)
-    raise ParseError(_snapshot_fault(payload), path=path)
+                return graph, _read_only(weight.astype(float, copy=False))
+    raise ParseError(_snapshot_fault(payload, arrays), path=path)
 
 
 def _token_fault(token) -> Optional[str]:
@@ -705,34 +682,33 @@ def _token_fault(token) -> Optional[str]:
     return None
 
 
-def _snapshot_fault(payload: dict) -> str:
+def _snapshot_fault(payload: dict, arrays: list) -> str:
     """What is wrong with the edges and vertex lists of ``payload``, a
-    snapshot file's document, located at the first bad entry.  In order:
-    ``src``, ``dst`` and ``weight`` have one length, above 0; per edge, its
-    ``src`` and ``dst`` are ints (not bools) indexing ``origins`` and
-    ``terminals``, each at most one above the largest id before it in its
-    list (first-appearance order), then a weight in [-1, 1] and a new pair;
-    per entry of ``origins``, then of ``terminals``, a token that passes
-    :func:`_token_fault`, is not an earlier entry and is named by an edge.
-    """
-    ids, weights = (payload["src"], payload["dst"]), payload["weight"]
-    if not len(ids[0]) == len(ids[1]) == len(weights):
-        return (f"src, dst and weight differ in length: "
-                f"{len(ids[0])}, {len(ids[1])} and {len(weights)}")
+    snapshot file's document whose ``src``, ``dst`` and ``weight`` decode to
+    ``arrays``, located at the first bad entry.  In order: the arrays have
+    one length, above 0; per edge, its ``src`` and ``dst`` index ``origins``
+    and ``terminals``, each at most one above the largest id before it in
+    its list (first-appearance order), then a weight in [-1, 1] and a new
+    pair; per entry of ``origins``, then of ``terminals``, a token that
+    passes :func:`_token_fault`, is not an earlier entry and is named by an
+    edge."""
+    src, dst, weights = (a.tolist() for a in arrays)
+    if not len(src) == len(dst) == len(weights):
+        return f"src, dst and weight differ in length: {len(src)}, {len(dst)} and {len(weights)}"
     if not weights:
         return "snapshot has no edges"
     tables = (("origins", "src"), ("terminals", "dst"))
     top, first_seen = [-1, -1], {}
-    for i, pair in enumerate(zip(*ids)):
+    for i, pair in enumerate(zip(src, dst)):
         for side, (name, column) in enumerate(tables):
             n, v = len(payload[name]), pair[side]
-            if type(v) is not int or not 0 <= v < n:
-                return f"edge {i}: {column} {v!r} is not an int in [0, {n})"
+            if v >= n:
+                return f"edge {i}: {column} {v} is not an id in [0, {n})"
             if v > top[side] + 1:
                 return (f"edge {i}: {column} {v} breaks first-appearance order "
                         f"(the next new id is {top[side] + 1})")
             top[side] = max(top[side], v)
-        if _weight_array([weights[i]]) is None:  # the bulk check, so both accept the same
+        if not -1.0 <= weights[i] <= 1.0:
             return f"edge {i}: weight {weights[i]!r} is not a number in [-1, 1]"
         j = first_seen.setdefault(pair, i)
         if j < i:
@@ -748,32 +724,41 @@ def _snapshot_fault(payload: dict) -> str:
     raise AssertionError("the bulk snapshot check rejects a file whose entries all pass")
 
 
+def _nesting(value) -> int:
+    """How deep ``value``, a JSON value, nests lists and objects, a level at a time."""
+    depth, level = 0, [value]
+    while containers := [x for x in level if isinstance(x, (list, dict))]:
+        depth += 1
+        level = [v for x in containers for v in (x.values() if isinstance(x, dict) else x)]
+    return depth
+
+
 def load_snapshot(path) -> Snapshot:
     """Read a snapshot file, rejecting what :func:`save_snapshot` cannot write.
 
     Raises :class:`ParseError` naming the file, and the edge or list entry
-    where there is one: for a file of another format (a
-    :data:`DIGEST_FORMAT` file is told to re-run ``weightpred ingest``), a
-    missing or unknown key, a provenance holding a non-finite number, a
-    ``raw_weight_range`` that is not two finite numbers lo < hi, or edges
-    and vertex lists that break a rule of :func:`_snapshot_fault` (the
-    first bad entry is named).
+    where there is one: for a file of another format (a file of an earlier
+    version is told to re-run ``weightpred ingest``), a missing or unknown
+    key, a provenance nesting deeper than :data:`_MAX_NESTING` or holding a
+    non-finite number, a ``raw_weight_range`` that is not two finite
+    numbers lo < hi, or edges and vertex lists that break a rule of
+    :func:`_snapshot_columns` (the first bad entry is named).
     """
     where = str(path)
     payload = json_value(utf8_text(read_bytes(path, "snapshot"), path), where)
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != SNAPSHOT_FORMAT:
         hint = (f": {found} files are no longer read; re-run `weightpred ingest` on the "
-                "raw edge list" if found == DIGEST_FORMAT else "")
+                "raw edge list" if found in (DIGEST_FORMAT, "weightpred-snapshot-v2") else "")
         raise ParseError(f"not a {SNAPSHOT_FORMAT} file (format={found!r}){hint}", path=where)
     for key, kind in _SNAPSHOT_KEYS.items():
         if not isinstance(payload.get(key), kind):
-            raise ParseError(
-                f"key {key!r} is missing or not a JSON {kind.__name__}", path=where
-            )
+            raise ParseError(f"key {key!r} is missing or not a JSON {kind.__name__}", path=where)
     extra = sorted(payload.keys() - _SNAPSHOT_KEYS.keys() - {"format"})
     if extra:
         raise ParseError(f"unknown key {extra[0]!r}", path=where)
+    if _nesting(payload["provenance"]) > _MAX_NESTING:
+        raise ParseError(f"provenance nests deeper than {_MAX_NESTING} levels", path=where)
     try:  # as save_snapshot writes it
         json.dumps(payload["provenance"], allow_nan=False)
     except ValueError:
@@ -782,8 +767,6 @@ def load_snapshot(path) -> Snapshot:
     if not (len(weight_range) == 2
             and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in weight_range)
             and weight_range[0] < weight_range[1]):
-        raise ParseError(
-            f"raw_weight_range {weight_range!r} is not two finite numbers lo < hi",
-            path=where,
-        )
+        raise ParseError(f"raw_weight_range {weight_range!r} is not two finite numbers lo < hi",
+                         path=where)
     return Snapshot(*_snapshot_columns(payload, where), tuple(weight_range), payload["provenance"])

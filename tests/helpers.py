@@ -4,10 +4,11 @@ indexed implementations."""
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
-import numbers
+import struct
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -492,6 +493,32 @@ SYNTHETIC_PROVENANCE = {"source_path": "synthetic", "source_sha256": "0" * 64,
                         "sampling": None}
 
 
+# The snapshot file's arrays and the struct code of an entry: base64 text of
+# little-endian uint32 ids and float64 weights.
+ARRAY_CODES = {"src": "I", "dst": "I", "weight": "d"}
+
+
+def packed(values, code):
+    """``values`` as base64 text of their little-endian ``code`` entries."""
+    return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
+
+
+def unpacked(text, code):
+    """The little-endian ``code`` entries of base64 ``text``, as a list."""
+    return [v for (v,) in struct.iter_unpack("<" + code, base64.b64decode(text, validate=True))]
+
+
+def decoded(payload):
+    """A copy of ``payload``, a snapshot file's document, with its ``src``,
+    ``dst`` and ``weight`` decoded into lists."""
+    return {**payload, **{key: unpacked(payload[key], c) for key, c in ARRAY_CODES.items()}}
+
+
+def encoded(form):
+    """The snapshot file's document of ``form``: :func:`decoded`'s inverse."""
+    return {**form, **{key: packed(form[key], c) for key, c in ARRAY_CODES.items()}}
+
+
 def snapshot_form(edges, raw_weight_range=(-1.0, 1.0), provenance=SYNTHETIC_PROVENANCE):
     """The JSON document of a snapshot file that holds ``edges``,
     ``(origin, terminal, weight)`` triples in order.  The vertex lists are
@@ -502,8 +529,8 @@ def snapshot_form(edges, raw_weight_range=(-1.0, 1.0), provenance=SYNTHETIC_PROV
     terminals = list(dict.fromkeys(e[1] for e in edges))
     origin_at = {o: k for k, o in enumerate(origins)}
     terminal_at = {t: k for k, t in enumerate(terminals)}
-    return {
-        "format": "weightpred-snapshot-v2",
+    return encoded({
+        "format": "weightpred-snapshot-v3",
         "raw_weight_range": list(raw_weight_range),
         "origins": origins,
         "terminals": terminals,
@@ -511,7 +538,7 @@ def snapshot_form(edges, raw_weight_range=(-1.0, 1.0), provenance=SYNTHETIC_PROV
         "dst": [terminal_at[e[1]] for e in edges],
         "weight": [e[2] for e in edges],
         "provenance": provenance,
-    }
+    })
 
 
 def v1_form(payload):
@@ -520,13 +547,14 @@ def v1_form(payload):
     the format ``weightpred-snapshot-v1``.  A snapshot's digest is the
     SHA-256 of this form's compact, key-sorted ``json.dumps``."""
     origins, terminals = payload["origins"], payload["terminals"]
+    columns = decoded(payload)
     return {
         "format": "weightpred-snapshot-v1",
         "raw_weight_range": payload["raw_weight_range"],
         "origins": origins,
         "terminals": terminals,
         "edges": [[origins[s], terminals[d], w]
-                  for s, d, w in zip(payload["src"], payload["dst"], payload["weight"])],
+                  for s, d, w in zip(columns["src"], columns["dst"], columns["weight"])],
         "provenance": payload["provenance"],
     }
 
@@ -551,16 +579,27 @@ def reference_snapshot_fault(payload):
     of the right format, keys and weight range; or ``None``.
 
     One entry at a time, in the documented order.  ``src``, ``dst`` and
-    ``weight`` have one length, above 0.  Then per edge: its ``src`` and
-    ``dst`` are ints (not bools) that index ``origins`` and ``terminals``,
-    and each is an id already seen in its list or the next new one; its
-    weight is a real number (not a bool) in [-1, 1]; its id pair is new.
+    ``weight``, in that order, are base64 text that the stdlib decodes to a
+    whole number of entries (4-byte ids, 8-byte weights); the three have
+    one length, above 0.  Then per edge: its ``src`` and ``dst`` index
+    ``origins`` and ``terminals``, and each is an id already seen in its
+    list or the next new one; its weight is in [-1, 1]; its id pair is new.
     Then per entry of ``origins``, then of ``terminals``: a string that is
     nonempty, not padded with whitespace, without a line boundary, without
     a surrogate code point (not UTF-8 text), not an earlier entry again,
     and at the position of some edge's id.
     """
-    src, dst, weight = payload["src"], payload["dst"], payload["weight"]
+    columns = []
+    for key, code in ARRAY_CODES.items():
+        size = struct.calcsize("<" + code)
+        try:
+            data = base64.b64decode(payload[key], validate=True)
+        except ValueError:
+            data = None
+        if data is None or len(data) % size:
+            return f"{key} is not base64 text of {size}-byte entries"
+        columns.append([v for (v,) in struct.iter_unpack("<" + code, data)])
+    src, dst, weight = columns
     if not len(src) == len(dst) == len(weight):
         return f"src, dst and weight differ in length: {len(src)}, {len(dst)} and {len(weight)}"
     if not src:
@@ -571,16 +610,15 @@ def reference_snapshot_fault(payload):
     for i in range(len(src)):
         for column, ids in (("src", src), ("dst", dst)):
             v, n = ids[i], len(lists[column])
-            if not (isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n):
-                return f"edge {i}: {column} {v!r} is not an int in [0, {n})"
+            if not 0 <= v < n:
+                return f"edge {i}: {column} {v} is not an id in [0, {n})"
             if v not in seen[column]:
                 if v != len(seen[column]):
                     return (f"edge {i}: {column} {v} breaks first-appearance order "
                             f"(the next new id is {len(seen[column])})")
                 seen[column].append(v)
         w = weight[i]
-        real = isinstance(w, numbers.Real) and not isinstance(w, (bool, np.bool_))
-        if not (real and -1 <= w <= 1):
+        if not -1 <= w <= 1:
             return f"edge {i}: weight {w!r} is not a number in [-1, 1]"
         pair = (src[i], dst[i])
         if pair in first_edge:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from weightpred import load_snapshot, save_snapshot
 from weightpred.cli import build_parser, main
 from weightpred.evaluation import ExperimentConfig, run_experiment, write_predictions
 
-from helpers import FIG_EDGES, v1_form, write_rating_file
+from helpers import FIG_EDGES, decoded, encoded, v1_form, write_rating_file
 
 
 @pytest.fixture(scope="module")
@@ -246,15 +247,16 @@ def test_config_int_beyond_float_range_is_usage_error(
 @pytest.mark.parametrize("command", ["predict", "gen-weights"])
 @pytest.mark.parametrize("old,new", [
     ('"sampling":null', '"sampling":' + "[" * 200_000 + "]" * 200_000),
-    ('"src":[0', '"src":[' + "7" * 5_000),
+    ('"src":"[^"]*"', '"src":' + "7" * 5_000),
 ], ids=["deep-provenance", "long-src-id"])
 def test_snapshot_json_that_json_loads_refuses_is_parse_error(
     snapshot_file, tmp_path, capsys, command, old, new
 ):
+    """``old``, a pattern, is put in the file as ``new``."""
     bad, out = tmp_path / "bad.json", tmp_path / "out"
     text = snapshot_file.read_text(encoding="utf-8")
-    assert old in text
-    bad.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert re.search(old, text)
+    bad.write_text(re.sub(old, new, text, count=1), encoding="utf-8")
     args = [command, "--snapshot", str(bad), "--output", str(out)]
     if command == "predict":
         args += ["--task", "origin", "--method", "knn"]
@@ -300,9 +302,9 @@ class TestPredict:
 
     def test_malformed_snapshot_is_parse_error(self, snapshot_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        payload = json.loads(snapshot_file.read_text())
-        payload["dst"][0] = None
-        bad.write_text(json.dumps(payload))
+        payload = decoded(json.loads(snapshot_file.read_text()))
+        payload["dst"][0] = len(payload["terminals"])
+        bad.write_text(json.dumps(encoded(payload)))
         out = tmp_path / "p.csv"
         code = main(["predict", "--snapshot", str(bad), "--task", "edge",
                      "--method", "knn", "--output", str(out)])
@@ -327,12 +329,43 @@ class TestPredict:
     def test_a_v1_snapshot_is_parse_error_naming_ingest(self, snapshot_file, tmp_path, capsys):
         old = tmp_path / "v1.json"
         old.write_text(json.dumps(v1_form(json.loads(snapshot_file.read_text()))))
+        self._assert_refused_naming_ingest(old, tmp_path, capsys, "weightpred-snapshot-v1")
+
+    def test_a_v2_snapshot_is_parse_error_naming_ingest(self, snapshot_file, tmp_path, capsys):
+        """The layout of 0.5.0 and 0.6.0: ``src``, ``dst`` and ``weight`` as
+        JSON lists."""
+        old = tmp_path / "v2.json"
+        payload = decoded(json.loads(snapshot_file.read_text()))
+        old.write_text(json.dumps({**payload, "format": "weightpred-snapshot-v2"}))
+        self._assert_refused_naming_ingest(old, tmp_path, capsys, "weightpred-snapshot-v2")
+
+    @staticmethod
+    def _assert_refused_naming_ingest(old, tmp_path, capsys, old_format):
         out = tmp_path / "p.csv"
         code = main(["predict", "--snapshot", str(old), "--task", "edge",
                      "--method", "knn", "--output", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "weightpred-snapshot-v1" in err and "weightpred ingest" in err
+        assert old_format in err and "weightpred ingest" in err
+        assert not out.exists()
+
+    def test_a_provenance_nested_below_the_json_limit_is_parse_error(
+        self, snapshot_file, tmp_path
+    ):
+        """Nested 984 lists deep, ``sampling`` is within what ``json.loads``
+        reads in a fresh process, and a digest of it can overflow the stack;
+        the loader refuses it (exit 2) before any digest is taken."""
+        bad, out = tmp_path / "deep.json", tmp_path / "p.csv"
+        text = snapshot_file.read_text(encoding="utf-8")
+        deep = "[" * 984 + "]" * 984
+        bad.write_text(text.replace('"sampling":null', f'"sampling":{deep}', 1), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "weightpred.cli", "predict", "--snapshot", str(bad),
+             "--task", "edge", "--method", "knn", "--sample-size", "all", "--output", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"{bad}: provenance nests deeper than" in proc.stderr
         assert not out.exists()
 
     def test_snapshot_not_json_is_parse_error(self, tmp_path, capsys):

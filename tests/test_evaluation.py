@@ -1,5 +1,6 @@
 """Scoring functions, the experiment pipeline, and report artifacts."""
 
+import gc
 import json
 import math
 import re
@@ -28,6 +29,7 @@ from weightpred.errors import SettingError
 from weightpred.evaluation import (
     METHODS,
     format_tables,
+    indented_json,
     read_predictions,
     write_predictions,
 )
@@ -534,3 +536,41 @@ def test_float_setting_types_reject_bools_and_strings(build, setting, value):
     with pytest.raises(SettingError, match="must be a number") as err:
         build(value)
     assert err.value.setting == setting
+
+
+# JSON values as the package's reports hold them: str keys, nested objects
+# and lists (tuples too), and every kind of scalar json.dumps spells.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+def test_indented_json_is_the_text_of_json_dumps(value):
+    assert indented_json(value) == json.dumps(value, sort_keys=True, indent=2,
+                                              allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, [1.0, {"a": math.inf}], {"b": -math.inf}])
+def test_indented_json_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        indented_json(value)
+
+
+def test_a_report_leaves_no_reference_cycles():
+    """Writing a report, a scores file or a file-mode report leaves nothing
+    for the cyclic collector to free."""
+    report = run_experiment(_synthetic_snapshot(), _config("edge", "knn")).report
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        report.to_json()
+        indented_json({"fairness": {"a": 0.5, "b": -0.25}, "config": {"tol": 1e-6}})
+        assert gc.collect() == 0
+    finally:
+        gc.enable() if was else gc.disable()

@@ -75,11 +75,11 @@ GOLDEN_FAIRNESS = {
 }
 
 # SHA-256 of the snapshot files: every edge, and ``build_snapshot(spec,
-# sample_size=700, seed=3)``.  Since 0.6.0 the files are compact JSON; the
-# indented files of 0.5.0 held the same documents.
+# sample_size=700, seed=3)``.  Since 0.7.0 the files hold ``src``, ``dst``
+# and ``weight`` as base64 text; the v1 pins below show the same contents.
 GOLDEN_SNAPSHOT_FILES = {
-    "snap.json": "8441de037a043d9088e9dc01ca591d58a7f168bc901a10e801e0cdd0c0272728",
-    "sampled.json": "1e29bf2bf4f9886f70f111fb9915c4cc9b4ce9cf631f0956698c0cf8a03c7fd0",
+    "snap.json": "79c7ce000155dd1be092394db8f74f4f964febe465b6b1ab295b851d23c49edc",
+    "sampled.json": "99b93a39a865056375bde644ca26f83feb12eb151a331b98d93f9fe160698b78",
 }
 
 # SHA-256 of the same files rendered in the v1 layout, whose edges are

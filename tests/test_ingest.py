@@ -1,5 +1,6 @@
 """Parsing, rescaling, duplicate collapse, snapshots, and seeded splits."""
 
+import base64
 import gc
 import hashlib
 import json
@@ -28,12 +29,13 @@ from weightpred import (
 )
 import weightpred.ingest
 from weightpred.errors import SettingError
-from weightpred.graph import graph_of
+from weightpred.graph import DirectedGraph, graph_of
 from weightpred.ingest import _rescale
 
 from helpers import (
-    LINE_BOUNDARIES, reference_ingest, reference_line_fault, reference_snapshot_fault,
-    snapshot_form, snapshot_of, v1_form, write_rating_file,
+    ARRAY_CODES, LINE_BOUNDARIES, decoded, encoded, packed, reference_ingest,
+    reference_line_fault, reference_snapshot_fault, snapshot_form, snapshot_of, unpacked, v1_form,
+    write_rating_file,
 )
 
 
@@ -611,13 +613,31 @@ def _drop(key):
     return lambda s: s.pop(key)
 
 
+def _edit(key, edit):
+    """Apply ``edit`` to the list ``key``, decoded and encoded again where
+    the file holds it as base64 text."""
+    def corrupt(s):
+        if key not in ARRAY_CODES:
+            return edit(s[key])
+        values = unpacked(s[key], ARRAY_CODES[key])
+        edit(values)
+        s[key] = packed(values, ARRAY_CODES[key])
+    return corrupt
+
+
 def _set(key, i, value):
-    return lambda s: s[key].__setitem__(i, value)
+    return _edit(key, lambda values: values.__setitem__(i, value))
+
+
+def _put(**members):
+    """Replace whole members of the file, as they are written."""
+    return lambda s: s.update(members)
 
 
 def _append(src, dst, weight):
     """Append an edge by its ids."""
-    return lambda s: (s["src"].append(src), s["dst"].append(dst), s["weight"].append(weight))
+    return _each(*(_edit(key, lambda values, v=v: values.append(v))
+                   for key, v in (("src", src), ("dst", dst), ("weight", weight))))
 
 
 def _each(*corrupts):
@@ -636,36 +656,38 @@ def test_line_boundaries_are_those_of_splitlines():
 
 
 # The file holds origins ["a", "b"], terminals ["x", "y"], src [0, 1, 0],
-# dst [0, 1, 1] and weight [0.5, -0.25, 1.0].  Case ids kept from the
-# [origin, terminal, weight] layout name the fault the case had there; the
-# case now puts the same kind of fault in the id layout.
+# dst [0, 1, 1] and weight [0.5, -0.25, 1.0], the last three as base64.
+# Case ids kept from earlier layouts name the fault the case had there; the
+# case now puts the same kind of fault in the base64 layout: a bool, float
+# or string id, or a string weight, is a member of the wrong JSON type, one
+# that is not base64 text, or one of another entry size.
 @pytest.mark.parametrize("corrupt,located", [
     (_drop("src"), "key 'src' is missing"),
     (_drop("provenance"), "key 'provenance' is missing"),
-    (lambda s: s["weight"].pop(), "src, dst and weight differ in length: 3, 3 and 2"),
-    (lambda s: s["dst"].append(0), "src, dst and weight differ in length: 3, 4 and 3"),
+    (_edit("weight", list.pop), "src, dst and weight differ in length: 3, 3 and 2"),
+    (_edit("dst", lambda v: v.append(0)), "src, dst and weight differ in length: 3, 4 and 3"),
     (_set("origins", 0, ""), "origins entry 0: empty token"),
     (_set("origins", 0, " a"), "origins entry 0: token ' a' has leading or trailing whitespace"),
     (_set("terminals", 1, "y\t"),
      "terminals entry 1: token 'y\\t' has leading or trailing whitespace"),
-    (_set("weight", 0, "0.5"), "edge 0: weight '0.5' is not a number in [-1, 1]"),
+    (_put(weight="0.5"), "weight is not base64 text of 8-byte entries"),
     (_set("weight", 0, math.nan), "edge 0: weight nan"),
     (_set("weight", 2, math.inf), "edge 2: weight inf"),
     (_set("weight", 2, 1.5), "edge 2: weight 1.5"),
     (_append(0, 0, 0.1), "edge 3: repeats the (origin, terminal) pair of edge 0"),
     (_set("src", 0, 1), "edge 0: src 1 breaks first-appearance order (the next new id is 0)"),
-    (lambda s: s.update(terminals=["x"]), "edge 1: dst 1 is not an int in [0, 1)"),
+    (lambda s: s.update(terminals=["x"]), "edge 1: dst 1 is not an id in [0, 1)"),
     (lambda s: s.update(origins=["a", "b", "c"]), "origins entry 2: 'c' appears in no edge"),
     (lambda s: s.update(origins=["a", "b", "a"]), "origins entry 2: repeats entry 0"),
     (lambda s: s.update(terminals=["x", 7]), "terminals entry 1: expected a token string, got 7"),
-    (_set("src", 1, -1), "edge 1: src -1 is not an int in [0, 2)"),
+    (_set("src", 1, 2), "edge 1: src 2 is not an id in [0, 2)"),
     # Ids 0, 2, 1: every id is in range, and only the running maximum rises
     # by more than one.
-    (lambda s: s.update(origins=["a", "b", "c"], src=[0, 2, 1]),
+    (_put(origins=["a", "b", "c"], src=packed([0, 2, 1], "I")),
      "edge 1: src 2 breaks first-appearance order (the next new id is 1)"),
-    (_set("src", 0, "0"), "edge 0: src '0' is not an int in [0, 2)"),
+    (_put(src=[0, 1, 0]), "key 'src' is missing or not a JSON str"),
     (lambda s: s.update(origins=[7, "b"]), "origins entry 0: expected a token string, got 7"),
-    (lambda s: s.update(src=[], dst=[], weight=[], origins=[], terminals=[]),
+    (_put(src="", dst="", weight="", origins=[], terminals=[]),
      "snapshot has no edges"),
     (lambda s: s.update(raw_weight_range=[5, "x", None]), "raw_weight_range [5, 'x', None]"),
     (lambda s: s.update(raw_weight_range=[10.0, -10.0]), "raw_weight_range [10.0, -10.0]"),
@@ -676,8 +698,9 @@ def test_line_boundaries_are_those_of_splitlines():
     (_each(_set("src", 1, 0), _set("dst", 1, 0), _append(1, 1, math.nan)),
      "edge 1: repeats the (origin, terminal) pair of edge 0"),
     (_each(_set("weight", 1, math.nan), _append(0, 0, 0.1)), "edge 1: weight nan"),
-    (_each(_set("weight", 1, "0.5"), _set("dst", 2, None)), "edge 1: weight '0.5'"),
-    (_each(_set("dst", 1, [1]), _append(0, 0, 0.1)), "edge 1: dst [1] is not an int"),
+    (_each(_put(weight="AAAA=AAA"), _edit("dst", list.pop)),
+     "weight is not base64 text of 8-byte entries"),
+    (_each(_set("dst", 1, 7), _append(0, 0, 0.1)), "edge 1: dst 7 is not an id"),
     # Two bad entries: origins before terminals.
     (_each(_set("origins", 1, " b"), _set("terminals", 0, "")), "origins entry 1: token ' b'"),
     (_each(_set("origins", 1, ""), _set("terminals", 1, " y")), "origins entry 1: empty token"),
@@ -685,7 +708,8 @@ def test_line_boundaries_are_those_of_splitlines():
     (_each(_set("weight", 1, 2.0), _set("src", 2, 1), _set("dst", 2, 1)),
      "edge 1: weight 2.0"),
     # A bad edge before a bad list entry.
-    (_each(_set("origins", 0, ""), _set("weight", 0, "0.5")), "edge 0: weight '0.5'"),
+    (_each(_set("origins", 0, ""), _put(weight="0.5")),
+     "weight is not base64 text of 8-byte entries"),
     (_each(_set("origins", 0, " a"), _set("weight", 0, math.nan)), "edge 0: weight nan"),
     (_each(_set("dst", 2, 0), _set("weight", 2, math.nan)), "edge 2: weight nan"),
     (_set("origins", 0, "a\rb"), "origins entry 0: token 'a\\rb' holds a line boundary"),
@@ -701,13 +725,21 @@ def test_line_boundaries_are_those_of_splitlines():
     *[(_set("terminals", 1, f"y{c}z"),
        f"terminals entry 1: token {f'y{c}z'!r} holds a line boundary")
       for c in LINE_BOUNDARIES],
-    (_set("dst", 0, False), "edge 0: dst False is not an int in [0, 2)"),
-    (_set("src", 2, 0.0), "edge 2: src 0.0 is not an int in [0, 2)"),
-    (_set("dst", 2, 10**400), f"edge 2: dst {10**400} is not an int in [0, 2)"),
+    (_put(dst=False), "key 'dst' is missing or not a JSON str"),
+    (_put(src=packed([0.0, 1.0, 0.0], "d")), "src, dst and weight differ in length: 6, 3 and 3"),
+    (_set("dst", 2, 2**32 - 1), f"edge 2: dst {2**32 - 1} is not an id in [0, 2)"),
     # save_snapshot cannot write either: it refuses NaN and keeps no other key.
     (lambda s: s["provenance"].update(source_sha256=math.nan),
      "provenance holds a non-finite number"),
     (lambda s: s.update(extra=1), "unknown key 'extra'"),
+    # Members that are not base64 text of whole entries, named in key order.
+    (_put(src="\u00e9AAA"), "src is not base64 text of 4-byte entries"),
+    (_put(dst="AAAAAAAAAAAAAAA"), "dst is not base64 text of 4-byte entries"),
+    (_put(dst="AAAA\nAAAAAAAA"), "dst is not base64 text of 4-byte entries"),
+    (_put(weight=packed([0, 0, 0, 0, 0], "I")),
+     "weight is not base64 text of 8-byte entries"),
+    (_each(_put(weight="!"), _put(src=packed([0, 1, 0], "H"))),
+     "src is not base64 text of 4-byte entries"),
 ], ids=[
     "no-edges", "no-provenance", "two-fields", "four-fields", "empty-origin",
     "padded-origin", "padded-terminal",
@@ -726,6 +758,8 @@ def test_line_boundaries_are_those_of_splitlines():
     "padded-and-line-break", "line-break-and-nan",
     *[f"line-boundary-U+{ord(c):04X}" for c in LINE_BOUNDARIES],
     "bool-id", "float-id", "huge-id", "nan-provenance", "extra-key",
+    "src-not-ascii", "dst-badly-padded", "dst-line-break", "weight-partial-entry",
+    "src-before-weight",
 ])
 def test_load_snapshot_rejects_malformed_schema(tmp_path, corrupt, located):
     path = tmp_path / "snap.json"
@@ -739,7 +773,7 @@ def test_load_snapshot_rejects_malformed_schema(tmp_path, corrupt, located):
     assert str(err.value).startswith(f"{path}: {located}")
     try:  # where the columns are at fault, the oracle gives the whole message
         want = reference_snapshot_fault(payload)
-    except KeyError:
+    except (KeyError, TypeError):  # a member missing or of another JSON type
         want = None
     assert want is None or str(err.value) == f"{path}: {want}"
 
@@ -754,16 +788,62 @@ def test_a_provenance_number_the_writer_cannot_spell_is_refused(tmp_path, number
         load_snapshot(path)
 
 
+def _assert_refused_naming_ingest(path, old_format):
+    message = (f"not a weightpred-snapshot-v3 file (format={old_format!r}): "
+               f"{old_format} files are no longer read; re-run `weightpred ingest` "
+               "on the raw edge list")
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_snapshot(path)
+
+
 def test_a_v1_file_is_refused_with_the_step_that_replaces_it(tmp_path):
     """A file in the ``[origin, terminal, weight]`` layout of 0.4.0 and
     before is refused, naming its format and ``weightpred ingest``."""
     path = tmp_path / "snap.json"
     path.write_text(json.dumps(v1_form(_snapshot_payload())))
-    message = ("not a weightpred-snapshot-v2 file (format='weightpred-snapshot-v1'): "
-               "weightpred-snapshot-v1 files are no longer read; re-run `weightpred ingest` "
-               "on the raw edge list")
-    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
-        load_snapshot(path)
+    _assert_refused_naming_ingest(path, "weightpred-snapshot-v1")
+
+
+def test_a_v2_file_is_refused_with_the_step_that_replaces_it(tmp_path):
+    """A file of 0.5.0 and 0.6.0, whose ``src``, ``dst`` and ``weight`` are
+    JSON lists, is refused as a v1 file is."""
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps({**decoded(_snapshot_payload()),
+                                "format": "weightpred-snapshot-v2"}))
+    _assert_refused_naming_ingest(path, "weightpred-snapshot-v2")
+
+
+def _nested(depth):
+    """A JSON value that nests ``depth`` lists deep."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+def test_a_provenance_nested_past_the_bound_is_refused(tmp_path):
+    """A provenance as deep as the bound loads and has a digest; one level
+    deeper is refused, naming the file, before any digest can overflow the
+    stack."""
+    bound = weightpred.ingest._MAX_NESTING
+    path = tmp_path / "snap.json"
+    for depth, refused in ((bound, False), (bound + 1, True)):
+        payload = _snapshot_payload()
+        payload["provenance"]["sampling"] = _nested(depth - 1)  # inside the provenance object
+        path.write_text(json.dumps(payload))
+        if refused:
+            message = f"provenance nests deeper than {bound} levels"
+            with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                load_snapshot(path)
+        else:
+            assert load_snapshot(path).digest().startswith("sha256:")
+
+
+@pytest.mark.parametrize("value,depth", [
+    (1, 0), ("x", 0), ([], 1), ({}, 1), ([1, [2]], 2), ({"a": [{}], "b": 0}, 3), (_nested(5), 5),
+])
+def test_nesting_counts_lists_and_objects(value, depth):
+    assert weightpred.ingest._nesting(value) == depth
 
 
 # Text json.loads refuses with another error than JSONDecodeError: nesting
@@ -774,19 +854,23 @@ LONG_INT = "7" * 5_000
 
 @pytest.mark.parametrize("old,new,fault", [
     ('"0"', DEEP_NESTING, "maximum recursion depth exceeded"),
-    ('"src": [0', '"src": [' + LONG_INT, "Exceeds the limit (4300 digits)"),
+    (f'"src": "{_snapshot_payload()["src"]}"', '"src": ' + LONG_INT,
+     "Exceeds the limit (4300 digits)"),
 ], ids=["deep-provenance", "long-src-id"])
 def test_json_that_json_loads_refuses_is_a_parse_error(tmp_path, old, new, fault):
     """Both are refused as invalid JSON, naming the file."""
     path = tmp_path / "snap.json"
-    path.write_text(json.dumps(_snapshot_payload()).replace(old, new))
+    text = json.dumps(_snapshot_payload())
+    assert old in text
+    path.write_text(text.replace(old, new))
     with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: invalid JSON: {fault}')}"):
         load_snapshot(path)
 
 
 def test_a_file_in_the_indented_layout_of_0_5_0_loads_as_the_compact_one(tmp_path):
-    """The file is compact ``json.dumps``; re-indented as 0.5.0 wrote it, it
-    holds the same document, so it loads to the same digest and arrays."""
+    """The file is compact ``json.dumps``; re-indented as 0.5.0 wrote its
+    files, it holds the same document, so it loads to the same digest and
+    arrays."""
     compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
     save_snapshot(build_snapshot(_spec(write_rating_file(tmp_path / "r.csv", 300, seed=5))),
                   compact)
@@ -795,6 +879,19 @@ def test_a_file_in_the_indented_layout_of_0_5_0_loads_as_the_compact_one(tmp_pat
     assert text == json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
     indented.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
     _assert_same_snapshot(load_snapshot(indented), load_snapshot(compact))
+
+
+def test_save_refuses_more_vertices_than_a_uint32_id_numbers(tmp_path):
+    """A side of 2**32 vertices would wrap its last id, so nothing is
+    written; 2**32 - 1 are within reach of the check (the tables here are
+    ranges, so no token list is built)."""
+    one = np.zeros(1, dtype=np.intp)
+    path = tmp_path / "snap.json"
+    for origins, terminals in ((range(2**32), ("x",)), (("a",), range(2**32 + 5))):
+        graph = DirectedGraph(origins, terminals, one, one)
+        with pytest.raises(ValueError, match="at most 2\\*\\*32 vertices a side"):
+            save_snapshot(Snapshot(graph, np.zeros(1), (-1.0, 1.0), {}), path)
+        assert not path.exists()
 
 
 def test_save_leaves_no_reference_cycles(tmp_path):
@@ -822,10 +919,7 @@ _ANY_TOKENS = st.text(
 _CLEAN_TOKENS = st.text(alphabet='ab#\u00e9,"\t ', min_size=1, max_size=3).filter(
     lambda t: t == t.strip()
 )
-_BAD_WEIGHTS = [
-    "0.5", None, [0.5], math.nan, math.inf, -math.inf, 1.5, -1.0000001, 2, -2, 10**400,
-]
-_BAD_IDS = [True, False, 0.0, 1.0, "0", None, [0], -1, 10**400]
+_BAD_WEIGHTS = [math.nan, math.inf, -math.inf, 1.5, -1.0000001, 2.0, -2.0, 1.0000000000000002]
 _SPACES = " \t\u00a0\u3000" + LINE_BOUNDARIES
 _STRAYS = st.one_of(_CLEAN_TOKENS, st.sampled_from([7, 1, None, 0.5, True, ["a"], {}]))
 
@@ -848,23 +942,40 @@ def _bad_token(draw, token):
     return token[:at] + chr(draw(st.integers(0xD800, 0xDBFF))) + token[at:]
 
 
+
+def _bad_member(draw, text):
+    """Base64 ``text`` cut short, broken by a character outside the
+    alphabet or a line break, or re-encoded with bytes added or dropped."""
+    kind = draw(st.sampled_from(["cut", "broken", "resized"]))
+    if kind == "cut":
+        return text[:draw(st.integers(0, max(len(text) - 1, 0)))]
+    if kind == "broken":
+        at = draw(st.integers(0, len(text)))
+        bad = draw(st.sampled_from(["!", "-", "_", " ", "\u00e9", "\n", "\r\n"]))
+        return text[:at] + bad + text[at:]
+    data, k = base64.b64decode(text), draw(st.integers(1, 11))
+    return base64.b64encode(data + bytes(k) if draw(st.booleans()) else data[:-k]).decode()
+
+
 @st.composite
 def _faulty_payloads(draw):
     """A snapshot file's document: distinct pairs with weights in [-1, 1],
     then 0-3 faults of random kinds at random positions."""
     pairs = draw(st.lists(st.tuples(_CLEAN_TOKENS, _CLEAN_TOKENS),
                           min_size=1, max_size=10, unique=True))
-    weights = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1, 0, 1]))
-    payload = snapshot_form((o, t, draw(weights)) for o, t in pairs)
+    payload = decoded(snapshot_form((o, t, draw(st.floats(-1.0, 1.0))) for o, t in pairs))
+    members = set()  # columns to break once the lists are encoded
     for _ in range(draw(st.integers(0, 3))):
         column = draw(st.sampled_from(["src", "dst", "weight"]))
         name = draw(st.sampled_from(["origins", "terminals"]))
         n = min(map(len, (payload["src"], payload["dst"], payload["weight"])))
         i = draw(st.integers(0, max(n - 1, 0)))
         kind = draw(st.sampled_from([
-            "length", "id", "order", "weight", "repeat", "token", "stray", "twice",
+            "length", "id", "order", "weight", "repeat", "token", "stray", "twice", "member",
         ]))
-        if kind == "length":
+        if kind == "member":
+            members.add(column)
+        elif kind == "length":
             if payload[column] and draw(st.booleans()):
                 payload[column].pop()
             else:
@@ -872,11 +983,11 @@ def _faulty_payloads(draw):
         elif n == 0:
             continue
         elif kind == "id":
-            payload[column][i] = draw(st.sampled_from(_BAD_IDS + [len(payload[name])]))
+            payload[column][i] = draw(st.sampled_from([len(payload[name]), 2**31, 2**32 - 1]))
         elif kind == "order" and column != "weight":
             payload[column][i] = draw(st.integers(0, len(payload[name])))
         elif kind == "weight":
-            payload["weight"][i] = draw(st.one_of(st.booleans(), st.sampled_from(_BAD_WEIGHTS)))
+            payload["weight"][i] = draw(st.sampled_from(_BAD_WEIGHTS))
         elif kind == "repeat":
             k = draw(st.integers(0, n - 1))
             payload["src"][i], payload["dst"][i] = payload["src"][k], payload["dst"][k]
@@ -888,6 +999,9 @@ def _faulty_payloads(draw):
             payload[name].insert(draw(st.integers(0, len(payload[name]))), draw(_STRAYS))
         elif kind == "twice" and payload[name]:
             payload[name].append(draw(st.sampled_from(payload[name])))
+    payload = encoded(payload)
+    for column in sorted(members):
+        payload[column] = _bad_member(draw, payload[column])
     return payload
 
 
@@ -902,8 +1016,8 @@ def test_the_bulk_check_and_the_walk_agree(tmp_path_factory, payload):
         _assert_refused_as_the_oracle_says(path, payload)
         return
     path.write_text(json.dumps(payload))
-    graph = load_snapshot(path).graph
-    assert (graph.src.tolist(), graph.dst.tolist()) == (payload["src"], payload["dst"])
+    graph, lists = load_snapshot(path).graph, decoded(payload)
+    assert (graph.src.tolist(), graph.dst.tolist()) == (lists["src"], lists["dst"])
 
 
 @st.composite
@@ -958,23 +1072,25 @@ def test_load_snapshot_accepts_exactly_the_first_appearance_lists(tmp_path_facto
 @st.composite
 def _perturbations(draw, payload):
     """One fault of a valid snapshot file's document, of the kinds
-    ``load_snapshot`` must refuse: an id out of range, a ``bool`` or
-    ``float`` id, order broken, a vertex listed twice, a repeated pair, a
-    padded, line-breaking or surrogate token, or a weight outside [-1, 1]."""
-    payload = json.loads(json.dumps(payload))
+    ``load_snapshot`` must refuse: an id out of range, a member that is not
+    base64 text of whole entries, order broken, a vertex listed twice, a
+    repeated pair, a padded, line-breaking or surrogate token, or a weight
+    outside [-1, 1]."""
+    payload = decoded(json.loads(json.dumps(payload)))
     n = len(payload["src"])
     i = draw(st.integers(0, n - 1))
     side = draw(st.sampled_from([("src", "origins"), ("dst", "terminals")]))
     column, name = side
     ordered = [s for s in (("src", "origins"), ("dst", "terminals")) if len(payload[s[1]]) > 1]
-    kinds = ["range", "type", "twice", "token", "weight"]
+    kinds = ["range", "member", "twice", "token", "weight"]
     kinds += ["order"] * bool(ordered) + ["repeat"] * (n > 1)
     kind = draw(st.sampled_from(kinds))
     if kind == "range":
-        payload[column][i] = draw(st.sampled_from([-1, len(payload[name]), 2**63]))
-    elif kind == "type":
-        v = payload[column][i]
-        payload[column][i] = draw(st.sampled_from([bool(v), float(v)]))
+        payload[column][i] = draw(st.sampled_from([len(payload[name]), 2**32 - 1]))
+    elif kind == "member":
+        payload = encoded(payload)
+        payload[column] = _bad_member(draw, payload[column])
+        return payload
     elif kind == "order":  # the first appearances of ids 0 and 1 swap ids
         column, name = draw(st.sampled_from(ordered))
         first = payload[column].index(1)
@@ -990,9 +1106,8 @@ def _perturbations(draw, payload):
         j = draw(st.integers(0, len(payload[name]) - 1))
         payload[name][j] = _bad_token(draw, payload[name][j])
     else:
-        payload["weight"][i] = draw(st.sampled_from(
-            [1.0000000000000002, -1.5, 2, -2, 10**400, math.inf, math.nan]))
-    return payload
+        payload["weight"][i] = draw(st.sampled_from(_BAD_WEIGHTS))
+    return encoded(payload)
 
 
 @given(
@@ -1020,9 +1135,7 @@ def test_load_keeps_a_saved_snapshot_and_refuses_a_perturbed_one(
     ([" a", "x", 0.5], "origins entry 1: token ' a' has leading or trailing whitespace"),
     (["a\rb", "x", 0.5], "origins entry 1: token 'a\\rb' holds a line boundary"),
     ([7, "x", 0.5], "origins entry 1: expected a token string, got 7"),
-    (["a", "x", "0.5"], "edge 1: weight '0.5' is not a number in [-1, 1]"),
-    (["a", "x", True], "edge 1: weight True is not a number in [-1, 1]"),
-], ids=["empty", "padded", "line-boundary", "int-token", "string-weight", "bool-weight"])
+], ids=["empty", "padded", "line-boundary", "int-token"])
 def test_load_snapshot_names_the_bad_edge_and_its_fault(tmp_path, edge, fault):
     """A bad weight is named by its edge, a bad token by its list entry."""
     payload = snapshot_form([["b", "y", -0.25], edge], [-10.0, 10.0])
@@ -1036,23 +1149,16 @@ def test_load_snapshot_names_the_bad_edge_and_its_fault(tmp_path, edge, fault):
 
 @pytest.mark.parametrize("weight", [True, False, "1", None, 10**400, -(10**400)])
 def test_load_snapshot_rejects_a_weight_that_is_not_a_number_in_range(tmp_path, weight):
+    """The JSON values a 0.6.0 file could hold as one weight are refused in
+    place of the weights' base64 text."""
     path = tmp_path / "snap.json"
     payload = _snapshot_payload()
-    payload["weight"][1] = weight
+    payload["weight"] = weight
     path.write_text(json.dumps(payload))
-    with pytest.raises(ParseError, match=re.escape(f"edge 1: weight {weight!r} is not")):
+    fault = ("weight is not base64 text of 8-byte entries" if type(weight) is str
+             else "key 'weight' is missing or not a JSON str")
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {fault}')}$"):
         load_snapshot(path)
-
-
-def test_load_snapshot_reads_integer_weights_as_floats(tmp_path):
-    """JSON ``0``, ``1`` and ``-1`` load as the floats of ``0.0``, ``1.0``
-    and ``-1.0``: the same weights and the same digest."""
-    ints, floats = tmp_path / "ints.json", tmp_path / "floats.json"
-    _write_edges(ints, [["a", "x", 0.5], ["a", "y", 0], ["b", "x", 1], ["b", "y", -1]])
-    _write_edges(floats, [["a", "x", 0.5], ["a", "y", 0.0], ["b", "x", 1.0], ["b", "y", -1.0]])
-    loaded = load_snapshot(ints)
-    _assert_same_snapshot(loaded, load_snapshot(floats))
-    assert loaded.weight.tolist() == [0.5, 0.0, 1.0, -1.0]
 
 
 def test_a_token_that_is_not_utf8_text_is_rejected(tmp_path):
@@ -1223,6 +1329,26 @@ def test_pass_boundaries_change_nothing(tmp_path, text, bom):
     for pass_chars in range(1, len(text) + 2):
         with _pass_chars(pass_chars):
             assert _outcome(spec, tmp_path) == want, pass_chars
+
+
+@pytest.mark.parametrize("text", [
+    "a,b,1,0\rc,d,2,1\re,f,3,2\r",
+    "a,b,1,0\rc,d,2,1\r\ne,f,3,2\x0bg,h,4,3\u2028i,j,5,4\x85k,l,6,5\n",
+    "a,b,1,0\r\rc,d,2,1\x1c\x1de,f,3,2",
+], ids=["cr-only", "mixed", "blank-lines"])
+def test_every_line_boundary_ends_a_pass(tmp_path, text):
+    """At one character a pass, each pass ends after the first line
+    boundary of ``str.splitlines`` it reaches, ``"\\r\\n"`` as one, so
+    every line with a record is a pass of its own; the parse still gives
+    the references' snapshot."""
+    path = tmp_path / "raw.csv"
+    path.write_bytes(text.encode("utf-8"))
+    spec = _spec(path)
+    passes = mock.patch.object(weightpred.ingest, "_columns", wraps=weightpred.ingest._columns)
+    with _pass_chars(1), passes as columns:
+        assert _outcome(spec, tmp_path) == _reference_outcome(spec)
+    assert columns.call_count == sum(1 for line in text.splitlines() if line.strip())
+    assert all(len(call.args[0]) == 1 for call in columns.call_args_list)
 
 
 def test_a_bad_line_in_the_last_of_several_default_passes_is_named(tmp_path):

@@ -28,7 +28,7 @@ from weightpred import (
 from weightpred.evaluation import METHODS
 from weightpred.ingest import TASKS, split_ids
 
-from helpers import reference_run, reference_snapshot_fault, snapshot_of
+from helpers import decoded, encoded, reference_run, reference_snapshot_fault, snapshot_of
 
 def _snapshot(pairs, weights):
     return snapshot_of((o, t, w) for (o, t), w in zip(pairs, weights))
@@ -166,8 +166,9 @@ def _assert_load_rejects(tmp_path, config, row, bad):
     path = tmp_path / "snap.json"
     save_snapshot(_clean_snapshot(), path)
     run_experiment(load_snapshot(path), config)
-    payload = json.loads(path.read_text())
+    payload = decoded(json.loads(path.read_text()))
     payload["weight"][row] = bad
+    payload = encoded(payload)
     path.write_text(json.dumps(payload))
     fault = reference_snapshot_fault(payload)
     assert fault.startswith(f"edge {row}: ")
