@@ -32,7 +32,7 @@ from .svm import (
     predict_weight_svm,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "CountMetric",

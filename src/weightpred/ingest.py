@@ -24,8 +24,8 @@ time, each token numbered as the pass reads it, so no list of the file's
 fields is built.  The file is compact, key-sorted JSON of the same
 arrays: the ``origins`` and ``terminals`` lists, then ``src``, ``dst`` and
 ``weight`` as base64 text of their little-endian ``uint32`` and ``float64``
-entries, one per edge (:data:`SNAPSHOT_FORMAT`).  The digest hashes the v1
-form, whose edges are ``[origin, terminal, weight]`` rows
+entries, one per edge (:data:`SNAPSHOT_FORMAT`).  The digest hashes a JSON
+header of the other members, then the bytes of those three arrays
 (:data:`DIGEST_FORMAT`), so it does not depend on the file layout.  The
 record-level functions (:func:`parse_edge_list`, :func:`make_split`,
 ``Snapshot.edges``) read the arrays back as :class:`EdgeRecord` objects.
@@ -47,7 +47,6 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count, repeat
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
@@ -63,8 +62,9 @@ from .graph import DirectedGraph, WeightKind, _read_only, graph_of
 
 PRNG_NAME = "numpy-pcg64"
 SNAPSHOT_FORMAT = "weightpred-snapshot-v3"
-# The digest hashes the v1 form, so it does not move with the file layout.
-DIGEST_FORMAT = "weightpred-snapshot-v1"
+# The layouts of 0.6.0 and before, whose files are told to re-run ingest.
+_OLD_FORMATS = ("weightpred-snapshot-v1", "weightpred-snapshot-v2")
+DIGEST_FORMAT = "weightpred-digest-v2"
 # The snapshot file's base64 arrays and the little-endian type of an entry.
 _ARRAYS = {"src": np.dtype("<u4"), "dst": np.dtype("<u4"), "weight": np.dtype("<f8")}
 # Provenance nests at most this deep, far inside the digest's recursion limit.
@@ -460,12 +460,28 @@ class Snapshot:
         ))
 
     def digest(self) -> str:
-        """Content hash of the canonical JSON form, computed once per snapshot."""
+        """``"sha256:"`` and the hex SHA-256 of the compact, key-sorted
+        ``json.dumps`` of ``format`` (:data:`DIGEST_FORMAT`), ``origins``,
+        ``terminals``, ``provenance`` and ``raw_weight_range``, a line
+        break, then the little-endian bytes of ``src``, ``dst`` and
+        ``weight`` (:data:`_ARRAYS`), the bytes the snapshot file's base64
+        members hold; computed once per snapshot.  A non-finite provenance
+        number is spelled ``NaN`` or ``Infinity``.  Raises ``ValueError``
+        for a side of 2**32 or more vertices."""
         return self._digest
 
     @functools.cached_property
     def _digest(self) -> str:
-        return "sha256:" + hashlib.sha256(_json_text(self).encode()).hexdigest()
+        entries = _entries(self)  # the vertex count is checked first
+        g = self.graph
+        header = json.dumps({"format": DIGEST_FORMAT, "origins": g.origins,
+                             "terminals": g.terminals, "provenance": self.provenance,
+                             "raw_weight_range": list(self.raw_weight_range)},
+                            sort_keys=True, separators=(",", ":"))
+        sha = hashlib.sha256(header.encode() + b"\n")
+        for values in entries:
+            sha.update(values)
+        return "sha256:" + sha.hexdigest()
 
     @functools.cached_property
     def _memo(self) -> dict:
@@ -474,41 +490,15 @@ class Snapshot:
         return {}
 
 
-def _json_text(snapshot: Snapshot) -> str:
-    """The text ``json.dumps(form, sort_keys=True, separators=(",", ":"))``
-    writes for the digest's form, the v1 layout (:data:`DIGEST_FORMAT`),
-    where a non-finite number is spelled ``NaN`` and not refused.
-
-    Its edges are ``[origin, terminal, weight]`` rows.  As the encoder
-    writes them, each token is encoded once per vertex and each weight by
-    ``float.__repr__`` once per bit pattern; the rows' parts, each after its
-    separator, are gathered by id into one flat list that the other members
-    follow, and joined once.
-    """
+def _entries(snapshot: Snapshot):
+    """``src``, ``dst`` and ``weight`` of ``snapshot`` as contiguous arrays
+    of their little-endian entries (:data:`_ARRAYS`), each made as it is
+    read.  Raises ``ValueError`` at once for a side of 2**32 or more
+    vertices, whose ids overflow uint32."""
     g = snapshot.graph
-
-    def gather(table: list, ids: np.ndarray) -> list:
-        return np.array(table, dtype=object)[ids].tolist()
-
-    bits = snapshot.weight.view(np.int64)  # -0.0 and 0.0 differ here
-    distinct = np.sort(bits)
-    distinct = np.append(distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]])
-    at = np.searchsorted(distinct, bits)
-    parts = [None] * (3 * len(at))
-    parts[0::3] = gather([f"],[{encode_basestring_ascii(o)}," for o in g.origins], g.src)
-    parts[1::3] = gather([encode_basestring_ascii(t) + "," for t in g.terminals], g.dst)
-    parts[2::3] = gather(list(map(float.__repr__, distinct.view(float).tolist())), at)
-    if parts:  # the first row follows no other
-        parts[0] = '{"edges":[' + parts[0][2:]
-        parts.append("]]")
-    else:
-        parts.append('{"edges":[]')
-    rest = json.dumps({"format": DIGEST_FORMAT, "origins": g.origins, "terminals": g.terminals,
-                       "provenance": snapshot.provenance,
-                       "raw_weight_range": list(snapshot.raw_weight_range)},
-                      sort_keys=True, separators=(",", ":"))
-    parts.append("," + rest[1:])  # "edges" sorts first
-    return "".join(parts)
+    if max(len(g.origins), len(g.terminals)) >= 2**32:
+        raise ValueError("a snapshot numbers at most 2**32 vertices a side")
+    return map(np.ascontiguousarray, (g.src, g.dst, snapshot.weight), _ARRAYS.values())
 
 
 def build_snapshot(
@@ -563,10 +553,11 @@ _SNAPSHOT_KEYS = {"raw_weight_range": list, "origins": list, "terminals": list,
                   **dict.fromkeys(_ARRAYS, str), "provenance": dict}
 
 
-def _write_file(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, as a new file where one can be.
+def _write_file(path, data) -> None:
+    """Write ``data``, text as UTF-8 or a list of bytes parts in order, to
+    ``path``, as a new file where one can be.
 
-    Every file the package writes goes through here.  The text is encoded
+    Every file the package writes goes through here.  Text is encoded
     before the path is touched, so a text UTF-8 cannot encode leaves an
     existing file as it was.  A regular file with one link that the caller
     may write is unlinked, and the new file takes its permission bits: on
@@ -578,7 +569,7 @@ def _write_file(path, text: str) -> None:
     symlink, a hard-linked file, or a file that cannot be unlinked is
     written through, truncated in place.
     """
-    data = text.encode("utf-8")
+    parts = [data.encode("utf-8")] if isinstance(data, str) else data
     mode = None
     try:
         old = os.lstat(path)
@@ -589,29 +580,32 @@ def _write_file(path, text: str) -> None:
         pass  # no file there, or one to write through
     if mode is None:
         with open(path, "wb") as f:
-            f.write(data)
+            f.writelines(parts)
         return
     # Created exclusively, so a link planted after the unlink is refused,
     # and never wider than the old mode, so no reader opens it in between.
     with open(path, "wb", opener=lambda p, flags: os.open(p, flags | os.O_EXCL, mode)) as f:
         os.fchmod(f.fileno(), mode)  # the umask may have narrowed it
-        f.write(data)
+        f.writelines(parts)
 
 
 def save_snapshot(snapshot: Snapshot, path) -> None:
     """Write ``json.dumps(form, sort_keys=True, separators=(",", ":"))`` of
-    the snapshot's file form (:data:`SNAPSHOT_FORMAT`) and a line break.
-    Raises ``ValueError``, writing nothing, for a non-finite provenance
-    number or a side of 2**32 or more vertices, whose ids overflow uint32."""
+    the snapshot's file form (:data:`SNAPSHOT_FORMAT`) and a line break,
+    the three base64 arrays spliced in as bytes between the other members.
+    Raises ``ValueError``, writing nothing, for a side of 2**32 or more
+    vertices, whose ids overflow uint32, or a non-finite provenance number."""
+    src, dst, weight = map(base64.b64encode, _entries(snapshot))
     g = snapshot.graph
-    if max(len(g.origins), len(g.terminals)) >= 2**32:
-        raise ValueError("a snapshot file numbers at most 2**32 vertices a side")
-    form = {key: base64.b64encode(np.ascontiguousarray(values, _ARRAYS[key])).decode("ascii")
-            for key, values in (("src", g.src), ("dst", g.dst), ("weight", snapshot.weight))}
-    form.update(format=SNAPSHOT_FORMAT, origins=g.origins, terminals=g.terminals,
-                provenance=snapshot.provenance, raw_weight_range=list(snapshot.raw_weight_range))
-    _write_file(path, json.dumps(form, sort_keys=True, separators=(",", ":"), allow_nan=False)
-                + "\n")
+    dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"),
+                              allow_nan=False)
+    middle = dumps({"format": SNAPSHOT_FORMAT, "origins": g.origins,
+                    "provenance": snapshot.provenance,
+                    "raw_weight_range": list(snapshot.raw_weight_range)})[1:-1]
+    # The members in key order: dst, format ... raw_weight_range, src, terminals, weight.
+    _write_file(path, [b'{"dst":"', dst, b'",', middle.encode(), b',"src":"', src,
+                       b'","terminals":', dumps(g.terminals).encode(), b',"weight":"', weight,
+                       b'"}\n'])
 
 
 # A code point UTF-8 cannot encode: JSON can spell a lone surrogate.
@@ -749,7 +743,7 @@ def load_snapshot(path) -> Snapshot:
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != SNAPSHOT_FORMAT:
         hint = (f": {found} files are no longer read; re-run `weightpred ingest` on the "
-                "raw edge list" if found in (DIGEST_FORMAT, "weightpred-snapshot-v2") else "")
+                "raw edge list" if found in _OLD_FORMATS else "")
         raise ParseError(f"not a {SNAPSHOT_FORMAT} file (format={found!r}){hint}", path=where)
     for key, kind in _SNAPSHOT_KEYS.items():
         if not isinstance(payload.get(key), kind):

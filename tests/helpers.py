@@ -432,9 +432,8 @@ def reference_ingest(spec, sample_size=None, seed=None):
     ties to the last record, else the ``stable_mean`` of the raw weights),
     rescales each weight in Python floats and samples with ``rng.choice``.
     The file is ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of
-    :func:`snapshot_form`; the digest hashes the compact ``json.dumps`` of a
-    v1 document built here from the edge rows, not from that form.  For
-    well-formed files only.  Returns ``(text, digest)``: the snapshot
+    :func:`snapshot_form`, and the digest :func:`reference_digest` of it.
+    For well-formed files only.  Returns ``(text, digest)``: the snapshot
     file's text and the ``Snapshot.digest()`` it must have.
     """
     lo, hi = spec.weight_range
@@ -474,17 +473,8 @@ def reference_ingest(spec, sample_size=None, seed=None):
         "sampling": sampling,
     }
     payload = snapshot_form(edges, [float(lo), float(hi)], provenance)
-    v1 = {
-        "format": "weightpred-snapshot-v1",
-        "raw_weight_range": [float(lo), float(hi)],
-        "origins": list(dict.fromkeys(e[0] for e in edges)),
-        "terminals": list(dict.fromkeys(e[1] for e in edges)),
-        "edges": edges,
-        "provenance": provenance,
-    }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-    blob = json.dumps(v1, sort_keys=True, separators=(",", ":"))
-    return text, "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+    return text, reference_digest(payload)
 
 
 # ---- snapshot files and their forms --------------------------------------------
@@ -541,11 +531,28 @@ def snapshot_form(edges, raw_weight_range=(-1.0, 1.0), provenance=SYNTHETIC_PROV
     })
 
 
+def reference_digest(payload):
+    """The ``Snapshot.digest()`` of ``payload``, a snapshot file's JSON
+    document, with ``hashlib``, ``base64`` and ``json`` alone: the SHA-256
+    of the compact, key-sorted ``json.dumps`` of its vertex lists,
+    provenance and raw weight range under the format
+    ``weightpred-digest-v2`` (a non-finite number spelled as ``json.dumps``
+    spells it), a line break, then the bytes that ``src``, ``dst`` and
+    ``weight`` decode to, in that order."""
+    header = {key: payload[key] for key in ("origins", "terminals", "provenance",
+                                            "raw_weight_range")}
+    header["format"] = "weightpred-digest-v2"
+    data = [json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"]
+    data += [base64.b64decode(payload[key], validate=True) for key in ("src", "dst", "weight")]
+    return "sha256:" + hashlib.sha256(b"".join(data)).hexdigest()
+
+
 def v1_form(payload):
     """The v1 form of ``payload``, a snapshot file's JSON document: the
     same members, but the edges as ``[origin, terminal, weight]`` rows and
-    the format ``weightpred-snapshot-v1``.  A snapshot's digest is the
-    SHA-256 of this form's compact, key-sorted ``json.dumps``."""
+    the format ``weightpred-snapshot-v1``.  Before 0.8.0 a snapshot's
+    digest was the SHA-256 of this form's compact, key-sorted
+    ``json.dumps``."""
     origins, terminals = payload["origins"], payload["terminals"]
     columns = decoded(payload)
     return {

@@ -177,10 +177,10 @@ class TestGenWeights:
         assert payload["snapshot_digest"] == load_snapshot(snapshot_file).digest()
 
     @pytest.mark.parametrize("extra,digest", [
-        ([], "32c34fc584e6edac2fe77fddb9e4aaf2c3eb884655000237271fd4f24c598399"),
+        ([], "53e80b229f1cf252b0e5e3e3979961984d55139a18e7833826c4066c0e6674fd"),
         (["--fg-max-iter", "2"],
-         "21971c6a782c7a9f10805fe798384fe2c298b1631e145d388b091c80907875c3"),
-    ])
+         "02c5ba0a32d85c23b2cd2dafe4e4141c4846c801ad0e4757d8c417d7f2c30c78"),
+    ], ids=["converged", "cut-off"])
     def test_output_bytes_are_pinned(self, snapshot_file, tmp_path, extra, digest):
         """The scores file, converged and cut off unconverged, byte for byte."""
         out = tmp_path / "fg.json"

@@ -14,7 +14,11 @@ both files rendered in the v1 layout of the versions before 0.5.0.
 
 Pinned on CPython 3.11.7 with numpy 2.4.6.  A refactor must keep all
 twenty-six digests and the four file pins; any change that alters one needs a
-CHANGES.md entry saying why.
+CHANGES.md entry saying why.  The 12 report and 12 prediction pins moved in
+0.8.0 with the snapshot digest they cite (``weightpred-digest-v2``, which
+hashes the id and weight arrays); each new output, with that digest's text
+swapped back to the digest of 0.7.0 and before (the SHA-256 of the compact,
+key-sorted ``json.dumps`` of ``helpers.v1_form``), hashes to its old pin.
 """
 
 import hashlib
@@ -38,33 +42,33 @@ from weightpred.evaluation import write_predictions
 from helpers import v1_form, write_rating_file
 
 GOLDEN = {
-    (1000, "origin", "knn"): "5bf0f86dbb58677b984ff3f96282425791d39d77eafdf385eeb7d5bc2c483cbb",
-    (1000, "origin", "svm"): "1a861be7631ab49d4ea5fddd0e9a4054791fdc105ec469f5be133724a4e505cd",
-    (1000, "terminal", "knn"): "b825e76a68c95cf95f55fedbbfb72312b5dae13a045d1c28799c49f8d98f8f02",
-    (1000, "terminal", "svm"): "5fdb3172927e11dbbde0df8cb9a93893058d5dd1e2afdbcbfa6248a9d3b7bf4d",
-    (1000, "edge", "knn"): "fbcf8460be38e44440ebc3e2a774599e635c5f6d2e1557ca61d58293e1aa7d20",
-    (1000, "edge", "svm"): "c777b492780d10d4cbee739f467fed2a7600a5310ddb7ca28ef2f61d90a4106d",
-    (None, "origin", "knn"): "8c70a1fb7b3383bcc354045a621a55b55c5030161499e4a8ced9147e388732cd",
-    (None, "origin", "svm"): "a4763147091e0a4fafa7a4d6551fed7fcd4727b4aa642003edddd835052d88eb",
-    (None, "terminal", "knn"): "5b3fc42e8355dd51c303d8d9395dfc6be7feec067fa927555d960a0b1b237e6c",
-    (None, "terminal", "svm"): "7d20ba152f80e0d98cc13a630ff039aac28561e6886b083e154175d4b55f0724",
-    (None, "edge", "knn"): "26491d04c88e5a253b0b4c6e5175b4972cf71cff559ae52470910eda8eda707c",
-    (None, "edge", "svm"): "0eed1564cbb18cea036172b745fe74f744b5629dc711c8cb0ba10ff0646a415f",
+    (1000, "origin", "knn"): "61e8bea9292a8485169bcc55dd0135993bf4e02736f6c8b462668de3f86bea02",
+    (1000, "origin", "svm"): "127463bfef3fcedd118e212066b159d3c2f6afb9ec9e4fdeafe6f57ef0901abc",
+    (1000, "terminal", "knn"): "21a997cd97ec316db216beb56da8dd3f5c1bba2e6acfd75032d95362db77c56f",
+    (1000, "terminal", "svm"): "bd519239a317b9d23289f13a3974f593a62577d722e408e334a10c27dc4ca36d",
+    (1000, "edge", "knn"): "73bb89bc8779557225241b5549dd5635f1fbf5319dd8b5c726a3e1d5c32bcf43",
+    (1000, "edge", "svm"): "e61dcf5cdf71d1baeec14d0e8710d779a1cf6ab5bd2195eceff0a0c8f9ac7cad",
+    (None, "origin", "knn"): "db8959f9b25c11cf1f8f5396a9effdba683fbf20e1ff19584f0efd218851c88a",
+    (None, "origin", "svm"): "ff51ec6b7a8abe2356cbe0e2ead376c1980b826e5dcba9f3c86babb3d335526b",
+    (None, "terminal", "knn"): "9fec23a8865e9c9ea645f49640ecdb91bbed7794dc030212a14b19fe695e093a",
+    (None, "terminal", "svm"): "a8ffbbdbcefa4beab592ac16044832650a542fe2fc843731e7ef1bc255138dd9",
+    (None, "edge", "knn"): "c2c7b624d587ce229fcea9b2629503de6368e9e7c95ab3698b0ef3b27415a78f",
+    (None, "edge", "svm"): "2736694e616b5e8456ecfc346d4e8d83307cfb4c3b29c35ffd1c850acbe2287e",
 }
 
 GOLDEN_PREDICTIONS = {
-    (1000, "origin", "knn"): "d242c09372a9b2ad5534cb7e5c67f5f4b3d274c3fe76c465df03dc65c3233f1b",
-    (1000, "origin", "svm"): "6f9d7b71937aec7abefb417d8d676a5df94fe5db28f4c5c02a30b0fd2df1d776",
-    (1000, "terminal", "knn"): "050fddfa3572fedc5f7ab91287a1b66f1fb9fcfcb509232f236df61bb943756b",
-    (1000, "terminal", "svm"): "2febc8b1996a5226b9af7210fe038d012bd86508286b14acdc37d3dc97702a55",
-    (1000, "edge", "knn"): "8c4ebd93e0aa0853ec16a6e2098d543774b0a4d78b3f7e2981852b8c8d938cfe",
-    (1000, "edge", "svm"): "6e9f26ace886b4ae53e7bf5c76352be8707bfdec23fa2194db6c2a25342b7cb6",
-    (None, "origin", "knn"): "988bc494db3359323d8705c8b18ef8673f91be8b808550a96f8f71444ba733f6",
-    (None, "origin", "svm"): "87f366107576036ae629d8c5e55980943beb9144b0f1ded0749991d64c1f3bbb",
-    (None, "terminal", "knn"): "e02ef50fcdff07908a65c7eb85e0f9c673b38689ec43b4eda64e03600e218773",
-    (None, "terminal", "svm"): "604e1b2143689937c64262f7d10e5dba74f4d692f512752b1e290e5dbb0acec6",
-    (None, "edge", "knn"): "a268ee0d5b39efaa2024d71c46e1030565c67be6d358a4a9dc163ad02b8e22da",
-    (None, "edge", "svm"): "2437c22420beddb608fac55e4610d2c5d1653057032c3b63ab429a0bf4b4fd39",
+    (1000, "origin", "knn"): "d4cba751727dec91ed7bf34d02893307cda96742ab85829e99cd41cd4c717540",
+    (1000, "origin", "svm"): "9af871285ccbde3699f1c5fc3f6ad8a54c88f5c5d325d2b6d32343185ffd05e8",
+    (1000, "terminal", "knn"): "9be9de360b8648a87ef1196a2dd45eb9bfb93622ed5babe4123dcec941c54428",
+    (1000, "terminal", "svm"): "c54eedf917de51ae049a4286b12e3837e2f0db3f36e2eb4b6724b9ec9b573b62",
+    (1000, "edge", "knn"): "fd371c44dac3893bb08e34f413e7a6258fce2ba3ba351b65829bbe1cc9740f88",
+    (1000, "edge", "svm"): "362f4656b63d9b38f50881230cf32dd50ae661703daee18b2c9c24c167c40d6e",
+    (None, "origin", "knn"): "c163518bb7dabf9d52b594d7614e60d30e9633facf423ae083ecdd90dd96f013",
+    (None, "origin", "svm"): "9c7d5368d5d142e638e7711f11e07286884a3e1323a9fd597855590acc188871",
+    (None, "terminal", "knn"): "f3e3ccbd2f80be4b7d7ccff4cefbb589faaad2afbf19ffad0e43981077fd253d",
+    (None, "terminal", "svm"): "c4d1f486392e0581a1ef6c2a287430b0a05f604cf3aa5ca5c1d37adb10628de7",
+    (None, "edge", "knn"): "a8bcc85587cc221bbe002ee35ae536b7e3c9bef98cbf5df893bb68fcf3e96350",
+    (None, "edge", "svm"): "e97a4bc9f4515a9d11962ff11ea3257bf58faed51a3a38ecd9f64ef91a472baa",
 }
 
 # max_iter -> digest of the compute_fairness_goodness output bits.  The

@@ -33,7 +33,7 @@ from weightpred.graph import DirectedGraph, graph_of
 from weightpred.ingest import _rescale
 
 from helpers import (
-    ARRAY_CODES, LINE_BOUNDARIES, decoded, encoded, packed, reference_ingest,
+    ARRAY_CODES, LINE_BOUNDARIES, decoded, encoded, packed, reference_digest, reference_ingest,
     reference_line_fault, reference_snapshot_fault, snapshot_form, snapshot_of, unpacked, v1_form,
     write_rating_file,
 )
@@ -405,8 +405,7 @@ class TestSnapshot:
         out.write_text(json.dumps(payload))
         with pytest.raises(ParseError, match="provenance holds a non-finite number"):
             load_snapshot(out)
-        blob = json.dumps(v1_form(payload), sort_keys=True, separators=(",", ":"))
-        assert snap.digest() == "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+        assert snap.digest() == reference_digest(payload)
         again = tmp_path / "again.json"
         with pytest.raises(ValueError, match="not JSON compliant"):
             save_snapshot(snap, again)
@@ -869,29 +868,62 @@ def test_json_that_json_loads_refuses_is_a_parse_error(tmp_path, old, new, fault
 
 def test_a_file_in_the_indented_layout_of_0_5_0_loads_as_the_compact_one(tmp_path):
     """The file is compact ``json.dumps``; re-indented as 0.5.0 wrote its
-    files, it holds the same document, so it loads to the same digest and
-    arrays."""
-    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    files, or with its keys in another order, it holds the same document,
+    so it loads to the same arrays and to the digest the stdlib computes
+    from the document."""
+    compact, relaid = tmp_path / "compact.json", tmp_path / "relaid.json"
     save_snapshot(build_snapshot(_spec(write_rating_file(tmp_path / "r.csv", 300, seed=5))),
                   compact)
     text = compact.read_text(encoding="utf-8")
     document = json.loads(text)
     assert text == json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
-    indented.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
-    _assert_same_snapshot(load_snapshot(indented), load_snapshot(compact))
+    for layout in (json.dumps(document, sort_keys=True, indent=2) + "\n",
+                   json.dumps(dict(reversed(document.items())), indent=1)):
+        relaid.write_text(layout)
+        _assert_same_snapshot(load_snapshot(relaid), load_snapshot(compact))
+        assert load_snapshot(relaid).digest() == reference_digest(document)
+
+
+# A snapshot's members, as Snapshot(DirectedGraph(...), ...) takes them.
+_MEMBERS = {"origins": ("a", "b"), "terminals": ("x", "y"), "src": [0, 0, 1, 1],
+            "dst": [0, 1, 0, 1], "weight": [0.0, 0.5, -0.5, 0.25],
+            "raw_weight_range": (-10.0, 10.0), "provenance": {"sampling": None}}
+
+
+@pytest.mark.parametrize("change", [
+    {"src": [0, 0, 1, 0]},
+    {"dst": [0, 1, 1, 1]},
+    {"weight": [-0.0, 0.5, -0.5, 0.25]},  # the sign bit alone
+    {"origins": ("a", "c")},
+    {"terminals": ("y", "x")},
+    {"provenance": {"sampling": 0}},
+    {"raw_weight_range": (-10.0, 10.5)},
+], ids=["src", "dst", "weight-sign", "origin-token", "terminal-order", "provenance", "range"])
+def test_a_change_to_any_member_moves_the_digest(change):
+    """The digest tells apart snapshots that differ in one id, one weight's
+    bits, one token, the provenance or the raw weight range."""
+    def digest(members):
+        graph = DirectedGraph(members["origins"], members["terminals"],
+                              np.array(members["src"]), np.array(members["dst"]))
+        return Snapshot(graph, np.array(members["weight"]), members["raw_weight_range"],
+                        members["provenance"]).digest()
+
+    assert digest({**_MEMBERS, **change}) != digest(_MEMBERS)
 
 
 def test_save_refuses_more_vertices_than_a_uint32_id_numbers(tmp_path):
     """A side of 2**32 vertices would wrap its last id, so nothing is
-    written; 2**32 - 1 are within reach of the check (the tables here are
-    ranges, so no token list is built)."""
+    written and no digest is taken; 2**32 - 1 are within reach of the check
+    (the tables here are ranges, so no token list is built)."""
     one = np.zeros(1, dtype=np.intp)
     path = tmp_path / "snap.json"
     for origins, terminals in ((range(2**32), ("x",)), (("a",), range(2**32 + 5))):
-        graph = DirectedGraph(origins, terminals, one, one)
+        snap = Snapshot(DirectedGraph(origins, terminals, one, one), np.zeros(1), (-1.0, 1.0), {})
         with pytest.raises(ValueError, match="at most 2\\*\\*32 vertices a side"):
-            save_snapshot(Snapshot(graph, np.zeros(1), (-1.0, 1.0), {}), path)
+            save_snapshot(snap, path)
         assert not path.exists()
+        with pytest.raises(ValueError, match="at most 2\\*\\*32 vertices a side"):
+            snap.digest()
 
 
 def test_save_leaves_no_reference_cycles(tmp_path):
@@ -1374,15 +1406,14 @@ _PROVENANCE = st.dictionaries(st.text(max_size=4), st.recursive(
 
 
 def _assert_written_as_json_dumps(snapshot, edges, path):
-    """The file is ``json.dumps`` of the id form, and the digest hashes the
-    compact ``json.dumps`` of its v1 form."""
+    """The file is ``json.dumps`` of the id form, and the digest is the
+    stdlib's recomputation from that form."""
     form = snapshot_form(edges, list(snapshot.raw_weight_range), snapshot.provenance)
     save_snapshot(snapshot, path)
     assert path.read_bytes() == (
         json.dumps(form, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     ).encode()
-    compact = json.dumps(v1_form(form), sort_keys=True, separators=(",", ":"))
-    assert snapshot.digest() == "sha256:" + hashlib.sha256(compact.encode()).hexdigest()
+    assert snapshot.digest() == reference_digest(form)
 
 
 @given(
