@@ -18,8 +18,8 @@ the count-zero class.
 All sums run over a canonically sorted value order so results do not depend
 on enumeration order (see :func:`stable_mean`), and add left to right from
 0.0 in ``np.bincount`` (see :func:`ordered_sum`).  :func:`key_classes` groups
-values by equal keys (SVM embeddings, repeated edge pairs).  Every ascending
-order here is the stable one of :func:`_ascending`.
+values by equal keys, and :func:`count_classes` training weights by band
+count.  Every ascending order here is the stable one of :func:`_ascending`.
 
 :func:`profile_arrays` fills every profile in one batch over the graph's
 integer arrays, and :class:`CountMetric` reads one element's profile from
@@ -38,8 +38,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
-from .graph import DirectedGraph, WeightKind, Weighting
+from .errors import DomainError, PredictionError
+from .graph import DirectedGraph, WeightKind, Weighting, _read_only
 
 # Most (element, candidate neighbor) pairs the batched profile fill holds at
 # once.  It bounds the fill's working memory, which would otherwise grow with
@@ -96,6 +96,45 @@ def key_classes(keys, values) -> tuple:
     return (table, *_grouped(ids[by_value], len(table), values[by_value]))
 
 
+@dataclass(frozen=True, eq=False)
+class CountClasses:
+    """The training weights by band count, read-only: class ``j``, of the
+    ``j``-th smallest count ``counts[j]``, is ``weights[ptr[j]:ptr[j + 1]]``
+    ascending; ``first`` orders the classes by their first training element,
+    and ``mean`` is the :func:`stable_mean` of all the weights."""
+
+    counts: np.ndarray
+    weights: np.ndarray
+    ptr: np.ndarray
+    first: np.ndarray
+    mean: float
+
+    def by_first_appearance(self) -> tuple:
+        """``(counts, weights, ptr)`` in ``first`` order, as :func:`key_classes` groups."""
+        p, first = self.ptr, self.first.tolist()
+        weights = np.concatenate([self.weights[p[j]:p[j + 1]] for j in first])
+        return self.counts[first], weights, np.concatenate(([0], np.cumsum(np.diff(p)[first])))
+
+
+def count_classes(counts, weights, by_weight=None) -> CountClasses:
+    """The :class:`CountClasses` of training band counts, in [0, 2**32), and
+    weights; ``by_weight`` is the weights' :func:`_ascending` order if known."""
+    counts, weights = np.asarray(counts, dtype=np.int64), np.asarray(weights, dtype=float)
+    if not len(counts):
+        raise PredictionError("cannot group an empty training set by band count")
+    by_count = _stable_order(counts)
+    ascending = counts[by_count]
+    starts = np.concatenate(([True], ascending[1:] != ascending[:-1]))
+    ids = np.empty(len(counts), dtype=np.intp)
+    ids[by_count] = np.cumsum(starts) - 1
+    by_weight = _ascending(weights) if by_weight is None else by_weight
+    ranked = weights[by_weight]
+    grouped, ptr = _grouped(ids[by_weight], np.count_nonzero(starts), ranked)
+    first = _stable_order(by_count[starts])  # the first element of a class heads it
+    return CountClasses(*map(_read_only, (ascending[starts], grouped, ptr, first)),
+                        ordered_sum(ranked) / len(weights))
+
+
 def _training_weights(weighting: Weighting, training: Sequence) -> list:
     """The training elements' weights; ``DomainError`` for one without."""
     missing = [a for a in training if a not in weighting.weights]
@@ -137,7 +176,7 @@ class CountMetric:
         self.weighting = weighting
         self._ids = getattr(graph, f"{weighting.kind.value}_id")  # token -> id
         self._profiles: dict = {}  # id -> CountProfile, filled on request
-        self.neighbor_counts, self.avg_weights, self.band_counts = profile_arrays(
+        self.neighbor_counts, self.avg_weights, self.band_counts, _ = profile_arrays(
             graph, weighting.kind, train, weighting.values(), float(h), exclude_self
         )
 
@@ -174,8 +213,8 @@ def profile_arrays(
 ) -> tuple:
     """Neighbor counts, average neighbor weights (0.0 where there is no
     neighbor) and band counts of every element of ``kind`` in ``graph``, as
-    arrays indexed by element id.  Element ``train[j]`` has the training
-    weight ``weights[j]``."""
+    arrays indexed by element id, and the :func:`_ascending` order of
+    ``weights``.  Element ``train[j]`` has the training weight ``weights[j]``."""
     if kind is WeightKind.EDGE:
         n = len(graph.src)
     else:
@@ -224,7 +263,7 @@ def profile_arrays(
         avgs[a:b] = avg
         bands[a:b] = np.bincount(owner[np.abs(w - avg[owner]) <= h], minlength=b - a)
         a = b
-    return counts, avgs, bands
+    return counts, avgs, bands, by_weight
 
 
 def _grouped(keys: np.ndarray, n_keys: int, values: np.ndarray) -> tuple:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .countmetric import profile_arrays
+from .countmetric import count_classes, profile_arrays
 from .errors import (
     ParseError, PredictionError, SettingError, check_float, json_value, read_bytes, utf8_text,
 )
@@ -313,27 +313,29 @@ def _task_data(snapshot: Snapshot, config: ExperimentConfig) -> tuple:
 def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentResult:
     """Execute one (task, method, seed) run end to end.
 
-    The split, the fairness scores and the band counts are computed once
-    per snapshot while the settings they depend on stay the same, so the
-    cells of a task-major grid share them."""
+    The split, the fairness scores, the band counts and their count-class
+    table are computed once per snapshot while the settings they depend on
+    stay the same, so the cells of a task-major grid share them."""
     split, table, value_range, key = _task_data(snapshot, config)
     kind = WeightKind(config.task)
     train_weights = table[split.train]
     h, h_fell_back = _training_bandwidth(config, train_weights)
-    band_counts = _memo(snapshot, "profile", (*key, h, config.exclude_self), lambda: _read_only(
-        profile_arrays(split.graph, kind, split.train, train_weights, h, config.exclude_self)[2]))
-    train_counts = band_counts[split.train]
+
+    def profile():  # the band counts and the training elements' count classes
+        _, _, counts, by_weight = profile_arrays(
+            split.graph, kind, split.train, train_weights, h, config.exclude_self)
+        return _read_only(counts), count_classes(counts[split.train], train_weights, by_weight)
+    band_counts, classes = _memo(snapshot, "profile", (*key, h, config.exclude_self), profile)
     # Both predictors see a query only through its band count: one answer
     # per distinct test count, ascending, all in one batch.
     distinct = np.flatnonzero(np.bincount(band_counts[split.test]))
     answer = np.searchsorted(distinct, band_counts[split.test])
 
     if config.method == "knn":
-        p = KnnClasses(train_counts, train_weights, config.knn_config()).predict_counts(distinct)
+        p = KnnClasses(classes, config.knn_config()).predict_counts(distinct)
     else:
-        model = svm_mod.fit_points(
-            np.stack((train_counts, train_weights), axis=1), config.svm_config(), value_range
-        )
+        model = svm_mod.fit_classes(classes, band_counts[split.train], config.svm_config(),
+                                    value_range)
         p = svm_mod.predict_embeddings(model, distinct)
     none = np.zeros(len(distinct), dtype=bool)
     flags = np.stack([getattr(p, attr, none) for attr in _ROW_FLAGS.values()], axis=1)
@@ -342,7 +344,6 @@ def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentRe
 
     preds = p.value[answer]
     truths = table[split.test]
-    per_count = np.bincount(train_counts)
     report = EvaluationReport(
         task=config.task,
         method=config.method,
@@ -355,8 +356,8 @@ def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentRe
         prng=PRNG_NAME,
         flags={**dict(zip(_ROW_FLAGS, tally.tolist())), "h_stddev_zero": int(h_fell_back)},
         tie_stats={
-            "distinct_train_counts": int(np.count_nonzero(per_count)),
-            "max_count_multiplicity": int(per_count.max()),
+            "distinct_train_counts": len(classes.counts),
+            "max_count_multiplicity": int(np.diff(classes.ptr).max()),
         },
         config=config.to_dict(),
         snapshot_digest=snapshot.digest(),

@@ -760,7 +760,8 @@ def load_snapshot(path) -> Snapshot:
     weight_range = payload["raw_weight_range"]
     if not (len(weight_range) == 2
             and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in weight_range)
-            and weight_range[0] < weight_range[1]):
+            and float(weight_range[0]) < float(weight_range[1])):
         raise ParseError(f"raw_weight_range {weight_range!r} is not two finite numbers lo < hi",
                          path=where)
-    return Snapshot(*_snapshot_columns(payload, where), tuple(weight_range), payload["provenance"])
+    return Snapshot(*_snapshot_columns(payload, where), tuple(map(float, weight_range)),
+                    payload["provenance"])  # floats, so the digest ignores the spelling

@@ -14,13 +14,13 @@ predictions outside the training range when ties inflate the set.  An empty
 neighborhood falls back to the global training mean, flagged.
 
 The distance depends on an element only through its integer band count, so
-the training weights are grouped by count once, one class per count in
-ascending order, and classes are selected, never single elements.  The k
-smallest distinct distances from a count c lie among the k nearest classes
-on each side of c, so all queries are answered in one batch.
-:class:`KnnClasses` works on the training counts and weights as given, lists
-or arrays, and :class:`KnnModel` reads them from a metric and training
-elements, then memoises one answer per query count.
+kNN reads the training weights grouped by count, one class per count in
+ascending order, and selects classes, never single elements.  The k smallest
+distinct distances from a count c lie among the k nearest classes on each
+side of c, so all queries are answered in one batch.  :class:`KnnClasses`
+answers from a :func:`weightpred.countmetric.count_classes` table, which a
+run shares with its SVM cell, and :class:`KnnModel` builds one from a metric
+and training elements, then memoises one answer per query count.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .countmetric import CountMetric, _grouped, _training_weights, ordered_sum, stable_mean
-from .errors import PredictionError, SettingError, check_int
+from .countmetric import CountClasses, CountMetric, _training_weights, count_classes, ordered_sum
+from .errors import SettingError, check_int
 
 ZERO_DISTANCE_POLICIES = ("exclude", "include")
 DENOMINATOR_POLICIES = ("neighborhood_size", "fixed_k")
@@ -72,21 +72,11 @@ class KnnPrediction:
 
 
 class KnnClasses:
-    """kNN answers from the training band counts and weights, given in
-    training order: one class of weights per distinct count."""
+    """kNN answers from the count-class table of the training elements."""
 
-    def __init__(self, counts: Sequence[int], weights: Sequence[float], config: KnnConfig):
-        self.config = config
-        counts = np.asarray(counts)
-        if not len(counts):
-            raise PredictionError("kNN requires a non-empty training set")
-        # Class j holds the weights of the j-th smallest distinct count,
-        # self._counts[j], as self._weights[self._ptr[j]:self._ptr[j + 1]].
-        ordered = np.sort(counts)
-        self._counts = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-        rank = np.searchsorted(self._counts, counts)
-        self._weights, self._ptr = _grouped(rank, len(self._counts), np.asarray(weights, float))
-        self._fallback = stable_mean(self._weights)
+    def __init__(self, classes: CountClasses, config: KnnConfig):
+        self.config, self._fallback = config, classes.mean
+        self._counts, self._weights, self._ptr = classes.counts, classes.weights, classes.ptr
 
     def _runs(self, q: np.ndarray) -> tuple:
         """``(lo, left, right, hi, degenerate)``: query ``q[i]`` chooses the
@@ -130,7 +120,8 @@ class KnnModel(KnnClasses):
     def __init__(self, metric: CountMetric, training: Sequence, config: KnnConfig = KnnConfig()):
         training = tuple(training)
         weights = _training_weights(metric.weighting, training)
-        super().__init__([metric.profile(a).band_count for a in training], weights, config)
+        counts = [metric.profile(a).band_count for a in training]
+        super().__init__(count_classes(counts, weights), config)
         self.metric = metric
         self.training = training
         self._memo: dict = {}  # query band count -> KnnPrediction

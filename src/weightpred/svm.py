@@ -18,8 +18,8 @@ fitting, one per class of :func:`weightpred.countmetric.key_classes` in
 first-appearance order (the first point's embedding stands for its class),
 labelled with the mean of the class's ascending labels as in kNN; that
 keeps the normal system full rank, and the merge count is reported on the
-model.  A point's fitted value is its merged point's, so ``train_mae`` needs
-no kernel matrix beyond the fit's m x m one.
+model; :func:`fit_classes` takes them from a count-class table.  A point's
+fitted value is its merged point's: ``train_mae`` needs no second kernel matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .countmetric import CountMetric, _training_weights, key_classes
+from .countmetric import CountClasses, CountMetric, _training_weights, key_classes
 from .errors import PredictionError, SettingError, check_float, check_int
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf")
@@ -128,17 +128,25 @@ def fit_points(
     if bad:
         raise ValueError("non-finite training point ({!r}, {!r})".format(*bad[0]))
     u_all, y_all = np.ascontiguousarray(pairs.T)
+    # Merge embedding collisions; class order follows first appearance.
+    return _fit_merged(*key_classes(u_all, y_all), u_all, config, value_range)
 
+
+def fit_classes(classes: CountClasses, counts, config: SvmConfig, value_range: tuple) -> SvmModel:
+    """:func:`fit_points` of the points ``(counts[i], weight i)``, from their table."""
+    return _fit_merged(*classes.by_first_appearance(), counts.astype(float), config, value_range)
+
+
+def _fit_merged(u_m, labels, ptr, u_all, config: SvmConfig, value_range: tuple) -> SvmModel:
+    """The fit to the points at embeddings ``u_all``, merged: point ``k`` at
+    ``u_m[k]`` has the ascending labels ``labels[ptr[k]:ptr[k + 1]]``."""
     kernel = config.kernel
     if kernel.kind == "rbf" and kernel.gamma is None:
         gamma = 1.0 / (2.0 * float(np.var(u_all)) + _EPS)
         kernel = KernelSpec(kind="rbf", degree=kernel.degree, gamma=gamma, coef0=kernel.coef0)
 
-    # Merge embedding collisions; class order follows first appearance.
-    table, labels, ptr = key_classes(u_all, y_all)
-    m = len(table)
+    m, u_m = len(u_m), np.asarray(u_m, dtype=float)
     sizes = np.diff(ptr)
-    u_m = np.array(table)
     y_m = np.bincount(np.repeat(np.arange(m), sizes), weights=labels, minlength=m) / sizes
 
     # A kernel can overflow on large embeddings (a high polynomial degree);
@@ -162,7 +170,7 @@ def fit_points(
         )
 
     return SvmModel(
-        points=tuple(zip(table, y_m.tolist())),
+        points=tuple(zip(u_m.tolist(), y_m.tolist())),
         coefficients=tuple(float(b) for b in beta[1:]),
         intercept=float(beta[0]),
         kernel=kernel,

@@ -187,6 +187,21 @@ def brute_knn(counts, query_count, training, k, zero_distance_policy="exclude"):
     return elements, len(distinct) < k
 
 
+def reference_count_classes(counts, weights):
+    """The count-class table of training element ``i`` with band count
+    ``counts[i]`` and weight ``weights[i]``, from a dict and Python sorts:
+    ``(counts, classes, first, mean)``, the distinct counts ascending, each
+    one's weights sorted (equal ones, 0.0 and -0.0 among them, in training
+    order), the classes (as indices into ``counts``) in order of their
+    first element, and the ``stable_mean`` of all the weights."""
+    groups = {}
+    for c, w in zip(counts, weights):
+        groups.setdefault(int(c), []).append(float(w))
+    ascending = sorted(groups)
+    return (ascending, [sorted(groups[c]) for c in ascending],
+            [ascending.index(c) for c in groups], stable_mean(list(weights)))
+
+
 def brute_kernel(spec, u, v):
     """The kernel of ``spec`` on one pair of reals, from its formula."""
     if spec.kind == "linear":

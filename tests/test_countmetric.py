@@ -11,6 +11,7 @@ import weightpred.countmetric as countmetric
 from weightpred import (
     CountMetric,
     DomainError,
+    PredictionError,
     WeightKind,
     Weighting,
     build_graph,
@@ -24,6 +25,7 @@ from helpers import (
     brute_profile,
     random_graph,
     random_instance,
+    reference_count_classes,
     universe_of,
     write_rating_file,
 )
@@ -112,6 +114,42 @@ def test_key_classes_number_classes_as_a_dict_does(case):
     assert ptr.tolist() == np.cumsum([0, *map(len, groups.values())]).tolist()
     for i, want in enumerate(groups.values()):
         assert values[ptr[i]:ptr[i + 1]].tobytes() == np.array(sorted(want)).tobytes()
+
+
+@given(st.lists(st.tuples(
+    # Band counts, up to the largest the class table takes.
+    st.integers(0, 12) | st.integers(0, 2**32 - 1),
+    # 0.1 + 0.2 + 0.3 rounds differently in another order.
+    st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3]) | st.floats(-1.0, 1.0),
+), min_size=1, max_size=40), st.booleans())
+@example([(0, 0.0), (1, -0.0), (0, -0.0), (1, 0.0), (2, 0.5), (2, -0.5), (0, 0.0)], False)
+@example([(3, 0.3), (3, -0.0), (3, 0.1), (3, 0.0), (3, 0.2)], True)
+def test_count_classes_match_a_brute_force_grouping(pairs, as_arrays):
+    counts, weights = [c for c, _ in pairs], [w for _, w in pairs]
+    if as_arrays:  # with the weight order known, as a run passes it
+        w = np.array(weights)
+        got = countmetric.count_classes(np.array(counts), w, countmetric._ascending(w))
+    else:
+        got = countmetric.count_classes(counts, weights)
+    want_counts, want_classes, want_first, want_mean = reference_count_classes(counts, weights)
+    assert got.counts.tolist() == want_counts
+    assert got.ptr.tolist() == np.cumsum([0, *map(len, want_classes)]).tolist()
+    for j, want in enumerate(want_classes):
+        assert got.weights[got.ptr[j]:got.ptr[j + 1]].tobytes() == np.array(want).tobytes()
+    assert got.first.tolist() == want_first
+    assert got.mean.hex() == want_mean.hex()
+    assert not any(a.flags.writeable for a in (got.counts, got.weights, got.ptr, got.first))
+    # The first-appearance view is key_classes' grouping of the counts as floats.
+    table, values, ptr = countmetric.key_classes(np.array(counts, dtype=float), weights)
+    view_counts, view_weights, view_ptr = got.by_first_appearance()
+    assert view_counts.astype(float).tobytes() == np.array(table).tobytes()
+    assert view_weights.tobytes() == values.tobytes()
+    assert view_ptr.tolist() == ptr.tolist()
+
+
+def test_count_classes_refuse_an_empty_training_set():
+    with pytest.raises(PredictionError):
+        countmetric.count_classes([], [])
 
 
 @pytest.mark.parametrize(

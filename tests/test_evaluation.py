@@ -229,27 +229,33 @@ class TestRunExperiment:
     def test_a_task_major_grid_computes_each_shared_step_once(self, monkeypatch):
         calls = Counter()
 
-        def spy(name):
-            real = getattr(evaluation, name)
+        def spy(module, name):
+            real = getattr(module, name)
 
             def counted(*args):
                 calls[name] += 1
                 return real(*args)
-            monkeypatch.setattr(evaluation, name, counted)
+            monkeypatch.setattr(module, name, counted)
 
-        for name in ("split_ids", "fairness_goodness", "profile_arrays"):
-            spy(name)
         snap = _synthetic_snapshot(n_edges=120, n_vertices=30)
+        for name in ("split_ids", "fairness_goodness", "profile_arrays", "count_classes"):
+            spy(evaluation, name)
+        # The SVM cells read the count-class table: no cell merges points itself.
+        spy(svm_mod, "key_classes")
         results = [run_experiment(snap, _config(task, method))
                    for task in TASKS for method in METHODS]
-        assert calls == {"split_ids": 3, "fairness_goodness": 1, "profile_arrays": 3}
-        # One (key, value) entry per level, of the last task.
+        assert calls == {"split_ids": 3, "fairness_goodness": 1, "profile_arrays": 3,
+                         "count_classes": 3}
+        # One (key, value) entry per level, of the last task; the profile
+        # level holds the band counts and the count-class table.
         assert sorted(snap._memo) == ["fairness", "profile", "split"]
         assert all(len(held) == 2 for held in snap._memo.values())
+        band_counts, classes = snap._memo["profile"][1]
         # The shared arrays are read-only, so no caller can change the next cell.
         split, scores = snap._memo["split"][1], snap._memo["fairness"][1]
         for array in (split.sampled, split.train, split.test, scores.fairness,
-                      scores.goodness, snap._memo["profile"][1]):
+                      scores.goodness, band_counts, classes.counts, classes.weights,
+                      classes.ptr, classes.first):
             assert not array.flags.writeable
         for result in results:
             with pytest.raises(ValueError):

@@ -693,6 +693,9 @@ def test_line_boundaries_are_those_of_splitlines():
     (lambda s: s.update(raw_weight_range=[-10.0, math.inf]), "raw_weight_range [-10.0, inf]"),
     (lambda s: s.update(raw_weight_range=[-10.0, True]), "raw_weight_range [-10.0, True]"),
     (lambda s: s.update(raw_weight_range=[-10, 10**400]), f"raw_weight_range [-10, {10**400}]"),
+    # Two ints that are one float: lo < hi as ints, not as the floats loaded.
+    (lambda s: s.update(raw_weight_range=[2**60, 2**60 + 1]),
+     f"raw_weight_range [{2**60}, {2**60 + 1}]"),
     # Two faults: the lower edge index is named, whatever the kinds.
     (_each(_set("src", 1, 0), _set("dst", 1, 0), _append(1, 1, math.nan)),
      "edge 1: repeats the (origin, terminal) pair of edge 0"),
@@ -749,6 +752,7 @@ def test_line_boundaries_are_those_of_splitlines():
     "origins-skip-ahead", "int-edge-token-listed-as-string", "int-edge-token-listed-as-int",
     "empty-edges",
     "range-three-items", "range-reversed", "range-infinite", "range-bool", "range-int-overflow",
+    "range-ints-one-float",
     "repeat-before-nan", "nan-before-repeat", "string-weight-before-short-edge",
     "short-edge-before-repeat", "padded-before-empty", "empty-before-padded",
     "weight-before-repeat", "empty-and-string-weight", "padded-and-nan",
@@ -882,6 +886,23 @@ def test_a_file_in_the_indented_layout_of_0_5_0_loads_as_the_compact_one(tmp_pat
         relaid.write_text(layout)
         _assert_same_snapshot(load_snapshot(relaid), load_snapshot(compact))
         assert load_snapshot(relaid).digest() == reference_digest(document)
+
+
+def test_a_weight_range_spelled_as_ints_loads_as_floats(tmp_path):
+    """A raw weight range spelled ``[-10, 10]`` names the network that
+    ``[-10.0, 10.0]`` names: it loads as floats, to the digest of the file
+    as written, and is saved back to that file's bytes."""
+    saved, edited, again = tmp_path / "saved.json", tmp_path / "edited.json", tmp_path / "again.json"
+    save_snapshot(build_snapshot(_spec(write_rating_file(tmp_path / "r.csv", 300, seed=5))),
+                  saved)
+    document = json.loads(saved.read_text(encoding="utf-8"))
+    assert document["raw_weight_range"] == [-10.0, 10.0]
+    edited.write_text(json.dumps({**document, "raw_weight_range": [-10, 10]}), encoding="utf-8")
+    snap = load_snapshot(edited)
+    assert [(type(v), v) for v in snap.raw_weight_range] == [(float, -10.0), (float, 10.0)]
+    assert snap.digest() == load_snapshot(saved).digest() == reference_digest(document)
+    save_snapshot(snap, again)
+    assert again.read_bytes() == saved.read_bytes()
 
 
 # A snapshot's members, as Snapshot(DirectedGraph(...), ...) takes them.

@@ -16,6 +16,7 @@ from weightpred import (
     build_graph,
 )
 
+from weightpred.countmetric import count_classes
 from weightpred.knn import DENOMINATOR_POLICIES, ZERO_DISTANCE_POLICIES, KnnClasses
 
 from helpers import _left_sum, brute_knn, brute_profile, random_instance, universe_of
@@ -116,25 +117,6 @@ class TestPredict:
         with pytest.raises(DomainError, match="training element 'a' has no weight"):
             KnnModel(m, ["a"])
 
-    @pytest.mark.parametrize("zero_distance_policy", ["exclude", "include"])
-    @pytest.mark.parametrize("denominator_policy", ["neighborhood_size", "fixed_k"])
-    def test_classes_answer_alike_from_lists_and_arrays(
-        self, zero_distance_policy, denominator_policy
-    ):
-        rng = np.random.default_rng(7)
-        counts = rng.integers(0, 9, 60)
-        weights = rng.uniform(-1, 1, 60)
-        weights[:6] = [0.0, -0.0, 0.0, -0.0, 0.5, -0.5]
-        config = KnnConfig(3, zero_distance_policy, denominator_policy)
-        lists = KnnClasses(counts.tolist(), weights.tolist(), config)
-        arrays = KnnClasses(counts, weights, config)
-        queries = list(range(12))
-        want = lists.predict_counts(queries)
-        got = arrays.predict_counts(queries)
-        for name, column in vars(want).items():
-            assert column.tolist() == getattr(got, name).tolist()
-        assert list(map(float.hex, got.value.tolist())) == list(map(float.hex, want.value.tolist()))
-
 
 class TestPredictionProperties:
     def test_within_training_range(self):
@@ -230,10 +212,11 @@ class TestBatchedAnswers:
         weights = [w for _, w in training]
         config = KnnConfig(k, zero_distance_policy, denominator_policy)
         if as_arrays:
-            knn = KnnClasses(np.array(list(counts.values())), np.array(weights), config)
+            classes = count_classes(np.array(list(counts.values())), np.array(weights))
+            knn = KnnClasses(classes, config)
             got = knn.predict_counts(np.array(queries))
         else:
-            knn = KnnClasses(list(counts.values()), weights, config)
+            knn = KnnClasses(count_classes(list(counts.values()), weights), config)
             got = knn.predict_counts(queries)
         fallback = _left_sum(sorted(weights)) / len(weights)
         for i, q in enumerate(queries):

@@ -1,10 +1,11 @@
 """Kernel evaluation and the ridge-fitted kernel expansion."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weightpred import (
@@ -17,7 +18,8 @@ from weightpred import (
     fit_points,
     predict_weight_svm,
 )
-from weightpred.svm import _kernel_matrix, predict_embeddings
+from weightpred.countmetric import count_classes
+from weightpred.svm import KERNEL_KINDS, _kernel_matrix, fit_classes, predict_embeddings
 
 from helpers import _left_sum, brute_kernel
 
@@ -169,6 +171,35 @@ class TestFit:
             for u, y in points
         ]
         assert model.train_mae == pytest.approx(sum(residuals) / len(points), rel=1e-9)
+
+    @given(
+        pairs=st.lists(st.tuples(
+            st.integers(0, 12),
+            st.sampled_from([0.0, -0.0, 0.25, -0.5]) | st.floats(-1.0, 1.0),
+        ), min_size=1, max_size=30),
+        kind=st.sampled_from(KERNEL_KINDS),
+        gamma=st.none() | st.sampled_from([0.05, 0.5, 2.0]),
+    )
+    # A single class, with tied weights and both zeros.
+    @example([(4, 0.25), (4, -0.0), (4, 0.25), (4, 0.0)], "rbf", None)
+    @example([(0, -0.0), (3, 0.0), (0, 0.0), (3, -0.0)], "polynomial", 0.5)
+    def test_the_run_path_fit_is_the_fit_of_the_points(self, pairs, kind, gamma):
+        counts = np.array([c for c, _ in pairs])
+        weights = np.array([w for _, w in pairs])
+        config = SvmConfig(kernel=KernelSpec(kind, degree=2, gamma=gamma))
+        want = fit_points(zip(counts.tolist(), weights.tolist()), config, (-1, 1))
+        got = fit_classes(count_classes(counts, weights), counts, config, (-1, 1))
+
+        def bits(value):  # every float spelled by its bits
+            if isinstance(value, float):
+                return value.hex()
+            if isinstance(value, tuple):
+                return tuple(map(bits, value))
+            if isinstance(value, KernelSpec):
+                return bits(dataclasses.astuple(value))
+            return value
+        for field in dataclasses.fields(want):
+            assert bits(getattr(got, field.name)) == bits(getattr(want, field.name)), field.name
 
     def test_gamma_resolved_from_embedding_variance(self):
         pts = [(0.0, 0.1), (2.0, 0.5), (4.0, 0.9)]
