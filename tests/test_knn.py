@@ -117,6 +117,25 @@ class TestPredict:
         with pytest.raises(DomainError, match="training element 'a' has no weight"):
             KnnModel(m, ["a"])
 
+    @pytest.mark.parametrize("zero_distance_policy", ["exclude", "include"])
+    @pytest.mark.parametrize("denominator_policy", ["neighborhood_size", "fixed_k"])
+    def test_classes_answer_alike_from_lists_and_arrays(
+        self, zero_distance_policy, denominator_policy
+    ):
+        rng = np.random.default_rng(7)
+        counts = rng.integers(0, 9, 60)
+        weights = rng.uniform(-1, 1, 60)
+        weights[:6] = [0.0, -0.0, 0.0, -0.0, 0.5, -0.5]
+        config = KnnConfig(3, zero_distance_policy, denominator_policy)
+        lists = KnnClasses(count_classes(counts.tolist(), weights.tolist()), config)
+        arrays = KnnClasses(count_classes(counts, weights), config)
+        queries = list(range(12))
+        want = lists.predict_counts(queries)
+        got = arrays.predict_counts(np.array(queries))
+        for name, column in vars(want).items():
+            assert column.tolist() == getattr(got, name).tolist()
+        assert list(map(float.hex, got.value.tolist())) == list(map(float.hex, want.value.tolist()))
+
 
 class TestPredictionProperties:
     def test_within_training_range(self):
