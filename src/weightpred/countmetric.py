@@ -111,9 +111,10 @@ class CountClasses:
 
     def by_first_appearance(self) -> tuple:
         """``(counts, weights, ptr)`` in ``first`` order, as :func:`key_classes` groups."""
-        p, first = self.ptr, self.first.tolist()
-        weights = np.concatenate([self.weights[p[j]:p[j + 1]] for j in first])
-        return self.counts[first], weights, np.concatenate(([0], np.cumsum(np.diff(p)[first])))
+        sizes = np.diff(self.ptr)[self.first]
+        ptr = np.concatenate(([0], np.cumsum(sizes)))
+        at = np.arange(ptr[-1]) + np.repeat(self.ptr[self.first] - ptr[:-1], sizes)
+        return self.counts[self.first], self.weights[at], ptr
 
 
 def count_classes(counts, weights, by_weight=None) -> CountClasses:

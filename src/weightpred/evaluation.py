@@ -11,7 +11,6 @@ digest, so a run can be reproduced byte-for-byte from its report.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -35,7 +34,7 @@ from .fairness import (
     fairness_goodness,
 )
 from .graph import DirectedGraph, WeightKind, _read_only
-from .ingest import PRNG_NAME, TASKS, Snapshot, SplitPlan, _write_file, split_ids
+from .ingest import PRNG_NAME, TASKS, Snapshot, SplitPlan, _write_file, sample_edges, split_ids
 from .knn import KnnClasses, KnnConfig
 from . import svm as svm_mod
 
@@ -176,8 +175,8 @@ class ExperimentConfig:
         )
         return svm_mod.SvmConfig(kernel=kernel, regularization=self.reg_lambda)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    def to_dict(self) -> dict:  # the fields, as dataclasses.asdict has them
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -191,21 +190,34 @@ class PredictionRow:
 def indented_json(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`` of
     ``str``-keyed objects, lists and scalars, and a line break, spelling each
-    key and scalar by the C encoder: the pure-Python one leaves a cycle."""
+    key and scalar by :func:`_scalar`: the pure-Python encoder leaves a cycle."""
     return _indented(value, "\n") + "\n"
 
 
-_SCALAR = json.JSONEncoder(allow_nan=False).encode
+_ENCODE = json.JSONEncoder(allow_nan=False).encode
+_STRING = json.encoder.encode_basestring_ascii
+
+
+def _scalar(value) -> str:
+    """A key or scalar as ``json.dumps`` spells it: an exact ``str``, ``int``
+    or finite ``float`` by the functions it uses, anything else by the C
+    encoder, which refuses NaN and infinities as it does."""
+    kind = type(value)
+    if kind is str:
+        return _STRING(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return kind.__repr__(value)
+    return _ENCODE(value)
 
 
 def _indented(value, newline: str) -> str:
     inner = newline + "  "
     if isinstance(value, dict) and value:
-        items = (f"{_SCALAR(k)}: {_indented(v, inner)}" for k, v in sorted(value.items()))
+        items = (f"{_scalar(k)}: {_indented(v, inner)}" for k, v in sorted(value.items()))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)) and value:
         return "[" + inner + ("," + inner).join(_indented(v, inner) for v in value) + newline + "]"
-    return _SCALAR(value)
+    return _scalar(value)
 
 
 @dataclass(frozen=True)
@@ -233,7 +245,8 @@ class EvaluationReport:
             )
 
     def to_dict(self) -> dict:
-        return {"format": REPORT_FORMAT, **dataclasses.asdict(self)}
+        return {"format": REPORT_FORMAT, **vars(self), "flags": dict(self.flags),
+                "tie_stats": dict(self.tie_stats), "config": dict(self.config)}
 
     def to_json(self) -> str:
         return indented_json(self.to_dict())
@@ -297,7 +310,9 @@ def _task_data(snapshot: Snapshot, config: ExperimentConfig) -> tuple:
     split's graph, the range of those weights, and the settings they depend
     on."""
     key = (config.split_plan(), config.task)
-    split = _memo(snapshot, "split", key, lambda: split_ids(snapshot.graph, *key))
+    sample = _memo(snapshot, "sample", (config.seed, config.sample_size),
+                   lambda: sample_edges(snapshot.graph, key[0]))
+    split = _memo(snapshot, "split", key, lambda: split_ids(snapshot.graph, *key, sample))
     if config.task == "edge":
         return split, snapshot.weight[split.sampled], (-1.0, 1.0), key
     # The sample depends on the seed and sample size only, so the origin and
@@ -313,7 +328,7 @@ def _task_data(snapshot: Snapshot, config: ExperimentConfig) -> tuple:
 def run_experiment(snapshot: Snapshot, config: ExperimentConfig) -> ExperimentResult:
     """Execute one (task, method, seed) run end to end.
 
-    The split, the fairness scores, the band counts and their count-class
+    The edge sample, split, fairness scores, band counts and count-class
     table are computed once per snapshot while the settings they depend on
     stay the same, so the cells of a task-major grid share them."""
     split, table, value_range, key = _task_data(snapshot, config)

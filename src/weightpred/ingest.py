@@ -378,26 +378,34 @@ class IdSplit:
 TASKS = tuple(k.value for k in WeightKind)
 
 
-def split_ids(graph: DirectedGraph, plan: SplitPlan, task: str) -> IdSplit:
-    """Sample the edges of ``graph``, then partition the task's element set.
-
-    The edge task partitions the sampled edges; the origin/terminal tasks
-    partition the vertex set of the sampled subgraph, in its first-appearance
-    order.  Everything is a pure function of (graph, plan, task).
-    """
-    if task not in TASKS:
-        raise ValueError(f"task must be one of {TASKS}, got {task!r}")
+def sample_edges(graph: DirectedGraph, plan: SplitPlan) -> tuple:
+    """The sampled rows of ``graph`` (read-only), their subgraph, and the
+    ``bit_generator`` state after the draw, which every task's split shares."""
     n = len(graph.src)
     size = plan.sample_size if plan.sample_size is not None else n
     if size > n:
         raise DomainError(f"sample_size {size} exceeds the {n} available records")
-
     rng = make_rng(plan.seed)
     rows = _read_only(rng.choice(n, size=size, replace=False))
-    sampled = graph.subgraph(rows)
+    return rows, graph.subgraph(rows), rng.bit_generator.state
+
+
+def split_ids(graph: DirectedGraph, plan: SplitPlan, task: str, sample=None) -> IdSplit:
+    """Sample the edges of ``graph``, then partition the task's element set.
+
+    The edge task partitions the sampled edges; the origin/terminal tasks
+    partition the vertex set of the sampled subgraph, in its first-appearance
+    order.  Everything is a pure function of (graph, plan, task).  ``sample``
+    is :func:`sample_edges` of ``graph`` and ``plan``, if already drawn.
+    """
+    if task not in TASKS:
+        raise ValueError(f"task must be one of {TASKS}, got {task!r}")
+    rows, sampled, state = sample_edges(graph, plan) if sample is None else sample
     if task == "edge":
-        order = np.arange(size)
+        order = np.arange(len(rows))
     else:
+        rng = make_rng(plan.seed)
+        rng.bit_generator.state = state
         order = rng.permutation(len(getattr(sampled, f"{task}s")))  # origins/terminals
     order = _read_only(order)  # so are its train and test views
     train_size = plan.resolve_train_size(len(order))

@@ -20,6 +20,10 @@ labelled with the mean of the class's ascending labels as in kNN; that
 keeps the normal system full rank, and the merge count is reported on the
 model; :func:`fit_classes` takes them from a count-class table.  A point's
 fitted value is its merged point's: ``train_mae`` needs no second kernel matrix.
+
+A batch of embeddings gets the bits of one answer at a time: a stacked
+matmul puts each kernel row through the same ``(1, m) @ (m,)`` dot as a
+lone row, where a ``(rows, m) @ (m,)`` gemv would round differently.
 """
 
 from __future__ import annotations
@@ -192,13 +196,14 @@ def _predict_raw(model: SvmModel, u) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     u_m, coef = model._expansion
     raw = np.empty(len(u))
-    # Kernel rows in blocks no larger than the fit's m x m matrix, each row
-    # its own (1, m) @ (m,) product: a (rows, m) one rounds differently.
-    # As in the fit, an overflowing kernel gives values, not warnings.
+    # Kernel rows in blocks no larger than the fit's m x m matrix, each block
+    # one stack of (1, m) @ (m,) products: numpy computes each with the dot
+    # of a single answer, where a (rows, m) gemv rounds differently.  As in
+    # the fit, an overflowing kernel gives values, not warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, len(u), len(u_m)):
             rows = _kernel_matrix(model.kernel, u[a:a + len(u_m)], u_m)
-            raw[a:a + len(rows)] = [(row[None] @ coef)[0] for row in rows]
+            raw[a:a + len(rows)] = (rows[:, None, :] @ coef)[:, 0]
         return model.intercept + raw
 
 

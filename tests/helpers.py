@@ -211,6 +211,20 @@ def brute_kernel(spec, u, v):
     return math.exp(-spec.gamma * (u - v) ** 2)
 
 
+def reference_predict_raw(model, u):
+    """``svm._predict_raw`` one kernel row at a time: the rows in the same
+    blocks of at most m, each row its own ``(1, m) @ (m,)`` product, plus
+    the intercept."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    u_m, coef = model._expansion
+    raw = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, len(u), len(u_m)):
+            rows = svm._kernel_matrix(model.kernel, u[a:a + len(u_m)], u_m)
+            raw.extend((row[None] @ coef)[0] for row in rows)
+        return model.intercept + np.array(raw, dtype=float)
+
+
 def brute_fairness_goodness(edges, weights, tol=1e-6, max_iter=100):
     """Direct dict-based iteration of the two averaging sweeps; each score
     is a left-to-right sum over the vertex's edges in edge order."""

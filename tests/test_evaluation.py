@@ -1,5 +1,6 @@
 """Scoring functions, the experiment pipeline, and report artifacts."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -28,6 +29,7 @@ from weightpred import svm as svm_mod
 from weightpred.errors import SettingError
 from weightpred.evaluation import (
     METHODS,
+    REPORT_FORMAT,
     format_tables,
     indented_json,
     read_predictions,
@@ -238,22 +240,26 @@ class TestRunExperiment:
             monkeypatch.setattr(module, name, counted)
 
         snap = _synthetic_snapshot(n_edges=120, n_vertices=30)
-        for name in ("split_ids", "fairness_goodness", "profile_arrays", "count_classes"):
+        for name in ("sample_edges", "split_ids", "fairness_goodness", "profile_arrays",
+                     "count_classes"):
             spy(evaluation, name)
         # The SVM cells read the count-class table: no cell merges points itself.
         spy(svm_mod, "key_classes")
         results = [run_experiment(snap, _config(task, method))
                    for task in TASKS for method in METHODS]
-        assert calls == {"split_ids": 3, "fairness_goodness": 1, "profile_arrays": 3,
-                         "count_classes": 3}
+        # Every task of the grid splits the one edge sample.
+        assert calls == {"sample_edges": 1, "split_ids": 3, "fairness_goodness": 1,
+                         "profile_arrays": 3, "count_classes": 3}
         # One (key, value) entry per level, of the last task; the profile
         # level holds the band counts and the count-class table.
-        assert sorted(snap._memo) == ["fairness", "profile", "split"]
+        assert sorted(snap._memo) == ["fairness", "profile", "sample", "split"]
         assert all(len(held) == 2 for held in snap._memo.values())
         band_counts, classes = snap._memo["profile"][1]
         # The shared arrays are read-only, so no caller can change the next cell.
         split, scores = snap._memo["split"][1], snap._memo["fairness"][1]
-        for array in (split.sampled, split.train, split.test, scores.fairness,
+        rows, sampled, _ = snap._memo["sample"][1]
+        assert split.sampled is rows and split.graph is sampled
+        for array in (rows, split.sampled, split.train, split.test, scores.fairness,
                       scores.goodness, band_counts, classes.counts, classes.weights,
                       classes.ptr, classes.first):
             assert not array.flags.writeable
@@ -447,6 +453,9 @@ def _report_and_file(result, path):
                       min_size=1, max_size=16))
 # Fairness settings change an origin's band counts under a small fixed h.
 @example(steps=[("h", 1), ("fg_max_iter", 1), ("fg_tol", 1)])
+# Every task splits one shared edge sample; a task's partition must not
+# start where the previous task's left the generator.
+@example(steps=[("task", 0), ("task", 1), ("task", 2), ("task", 0), ("seed", 1), ("seed", 0)])
 def test_runs_on_one_snapshot_match_runs_on_fresh_copies(fresh_run, steps):
     """Whatever runs came before on a snapshot, a run's report and
     predictions file are those of the run on a freshly loaded copy.  Each
@@ -544,13 +553,20 @@ def test_float_setting_types_reject_bools_and_strings(build, setting, value):
     assert err.value.setting == setting
 
 
+# Strings over every code point: control characters and lone surrogates,
+# which json.dumps escapes, drawn often.
+_TEXT = (st.characters(exclude_categories=()) | st.characters(max_codepoint=0x1F)
+         | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF))
+
 # JSON values as the package's reports hold them: str keys, nested objects
-# and lists (tuples too), and every kind of scalar json.dumps spells.
+# and lists (tuples too), and every kind of scalar json.dumps spells, ints
+# beyond 64 bits among them.
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**300)
+    | st.integers(-(2**300), -(2**64)) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(_TEXT, max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    | st.dictionaries(st.text(_TEXT, max_size=4), inner, max_size=4),
     max_leaves=20,
 )
 
@@ -565,6 +581,19 @@ def test_indented_json_is_the_text_of_json_dumps(value):
 def test_indented_json_refuses_what_json_dumps_refuses(value):
     with pytest.raises(ValueError, match="not JSON compliant"):
         indented_json(value)
+
+
+@pytest.mark.parametrize("task", TASKS)
+@pytest.mark.parametrize("method", METHODS)
+def test_to_dict_is_the_dataclass_as_a_dict(task, method):
+    """A report's and a config's dict hold what ``dataclasses.asdict``
+    gives, with the report's dict fields copied."""
+    config = _config(task, method)
+    report = run_experiment(_synthetic_snapshot(), config).report
+    got = report.to_dict()
+    assert got == {"format": REPORT_FORMAT, **dataclasses.asdict(report)}
+    assert not any(got[name] is getattr(report, name) for name in ("flags", "tie_stats", "config"))
+    assert config.to_dict() == dataclasses.asdict(config)
 
 
 def test_a_report_leaves_no_reference_cycles():

@@ -19,9 +19,11 @@ from weightpred import (
     predict_weight_svm,
 )
 from weightpred.countmetric import count_classes
-from weightpred.svm import KERNEL_KINDS, _kernel_matrix, fit_classes, predict_embeddings
+from weightpred.svm import (
+    KERNEL_KINDS, SvmModel, _kernel_matrix, _predict_raw, fit_classes, predict_embeddings,
+)
 
-from helpers import _left_sum, brute_kernel
+from helpers import _left_sum, brute_kernel, reference_predict_raw
 
 finite_reals = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -314,3 +316,41 @@ class TestBatchedPredict:
             assert float(one.value[0]).hex() == float(batch.value[i]).hex()
             assert one.clamped[0] == batch.clamped[i]
         assert batch.clamped.any() and not batch.clamped.all()
+
+
+@st.composite
+def expansions(draw):
+    """A model of m merged points and a batch of embeddings, from 1 to
+    about four blocks of m rows; band counts as embeddings, and up to
+    2**20 of them so that a high polynomial degree overflows."""
+    kind = draw(st.sampled_from(KERNEL_KINDS))
+    m = draw(st.integers(1, 300))
+    top = draw(st.sampled_from([1, 8, 100, 2**20]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernel = KernelSpec(kind, degree=draw(st.integers(1, 60)),
+                        gamma=draw(st.floats(1e-6, 10.0)) if kind == "rbf" else None,
+                        coef0=draw(st.floats(-2.0, 2.0)))
+    points = zip(rng.integers(0, top + 1, m).astype(float).tolist(),
+                 rng.uniform(-1, 1, m).tolist())
+    coefficients = rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4)
+    model = SvmModel(points=tuple(points), coefficients=tuple(coefficients.tolist()),
+                     intercept=float(rng.uniform(-1, 1)), kernel=kernel, value_range=(-1.0, 1.0),
+                     merged_count=0, train_mae=0.0)
+    u = rng.integers(0, top + 1, draw(st.integers(1, 4 * m + 10))).astype(float)
+    return model, u
+
+
+@given(expansions())
+# Kernel rows that overflow into answers of NaN, inf and -inf, over two
+# blocks of the four points' rows.
+@example((SvmModel(points=((2.0**20, 0.5), (2.0**10, 0.5), (3.0, -0.5), (0.0, 1.0)),
+                   coefficients=(1.0, -1.0, 1.0, 2.0), intercept=0.1,
+                   kernel=KernelSpec("polynomial", degree=61, coef0=1.0),
+                   value_range=(-1.0, 1.0), merged_count=0, train_mae=0.0),
+          np.array([2.0**20, 0.0, 1.0, -1.0, 5.0, -0.0, 2.0**19, 3.0, 2.0])))
+def test_a_batch_has_the_bits_of_the_row_by_row_loop(case):
+    """Every raw answer of a batch, NaN and infinities included, equals the
+    loop that multiplies one kernel row at a time, bit for bit."""
+    model, u = case
+    got = _predict_raw(model, u)
+    assert got.view(np.int64).tolist() == reference_predict_raw(model, u).view(np.int64).tolist()
