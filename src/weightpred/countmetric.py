@@ -17,9 +17,9 @@ the count-zero class.
 
 All sums run over a canonically sorted value order so results do not depend
 on enumeration order (see :func:`stable_mean`), and add left to right from
-0.0 in ``np.bincount`` (see :func:`ordered_sum`).  :func:`key_classes` groups
-values by equal keys, and :func:`count_classes` training weights by band
-count.  Every ascending order here is the stable one of :func:`_ascending`.
+0.0 in ``np.bincount`` (see :func:`ordered_sum`).  :func:`count_classes` groups
+values by equal keys, such as training weights by band count.  Every
+ascending order here is the stable one of :func:`_ascending`.
 
 :func:`profile_arrays` fills every profile in one batch over the graph's
 integer arrays, and :class:`CountMetric` reads one element's profile from
@@ -70,38 +70,12 @@ def stable_mean(values: Sequence[float]) -> float:
     return ordered_sum(np.sort(values)) / len(values)
 
 
-def key_classes(keys, values) -> tuple:
-    """The classes of equal keys, as ``(table, sorted_values, ptr)``.
-
-    ``table`` holds the distinct keys in first-appearance order, as Python
-    scalars (of equal keys, such as ``0.0`` and ``-0.0``, the first stands).
-    Class ``k`` holds the values of key ``table[k]`` ascending, equal ones in
-    input order, as one slice: ``sorted_values[ptr[k]:ptr[k + 1]]``.
-    """
-    keys, values = np.asarray(keys), np.asarray(values)
-    # A class starts where the keys, in ascending order, change; its first
-    # index is that of its first key, since the order is stable.
-    by_key = _ascending(keys)
-    ascending = keys[by_key]
-    starts = np.ones(len(keys), dtype=bool)
-    np.not_equal(ascending[1:], ascending[:-1], out=starts[1:])
-    # Number the classes by first appearance.
-    by_first = _stable_order(by_key[starts])
-    number = np.empty(len(by_first), dtype=np.intp)
-    number[by_first] = np.arange(len(by_first))
-    ids = np.empty(len(keys), dtype=np.intp)
-    ids[by_key] = number[np.cumsum(starts) - 1]
-    by_value = _ascending(values)
-    table = tuple(ascending[starts][by_first].tolist())
-    return (table, *_grouped(ids[by_value], len(table), values[by_value]))
-
-
 @dataclass(frozen=True, eq=False)
 class CountClasses:
-    """The training weights by band count, read-only: class ``j``, of the
-    ``j``-th smallest count ``counts[j]``, is ``weights[ptr[j]:ptr[j + 1]]``
-    ascending; ``first`` orders the classes by their first training element,
-    and ``mean`` is the :func:`stable_mean` of all the weights."""
+    """The values by key, read-only: class ``j``, of the ``j``-th smallest
+    key ``counts[j]``, is ``weights[ptr[j]:ptr[j + 1]]`` ascending; ``first``
+    orders the classes by their first element, and ``mean`` is the
+    :func:`stable_mean` of all the values."""
 
     counts: np.ndarray
     weights: np.ndarray
@@ -110,30 +84,33 @@ class CountClasses:
     mean: float
 
     def by_first_appearance(self) -> tuple:
-        """``(counts, weights, ptr)`` in ``first`` order, as :func:`key_classes` groups."""
+        """``(counts, weights, ptr)`` with the classes in ``first`` order."""
         sizes = np.diff(self.ptr)[self.first]
         ptr = np.concatenate(([0], np.cumsum(sizes)))
         at = np.arange(ptr[-1]) + np.repeat(self.ptr[self.first] - ptr[:-1], sizes)
         return self.counts[self.first], self.weights[at], ptr
 
 
-def count_classes(counts, weights, by_weight=None) -> CountClasses:
-    """The :class:`CountClasses` of training band counts, in [0, 2**32), and
-    weights; ``by_weight`` is the weights' :func:`_ascending` order if known."""
-    counts, weights = np.asarray(counts, dtype=np.int64), np.asarray(weights, dtype=float)
-    if not len(counts):
+def count_classes(keys, values, by_value=None) -> CountClasses:
+    """The :class:`CountClasses` of integer or float ``keys`` (band counts,
+    embeddings, pair keys; 0.0 and -0.0 equal, the first standing for its
+    class) and ``values``, whose dtype it keeps; ``by_value`` is the values'
+    :func:`_ascending` order if known."""
+    keys, values = np.asarray(keys), np.asarray(values)
+    if not len(keys):
         raise PredictionError("cannot group an empty training set by band count")
-    by_count = _stable_order(counts)
-    ascending = counts[by_count]
-    starts = np.concatenate(([True], ascending[1:] != ascending[:-1]))
-    ids = np.empty(len(counts), dtype=np.intp)
-    ids[by_count] = np.cumsum(starts) - 1
-    by_weight = _ascending(weights) if by_weight is None else by_weight
-    ranked = weights[by_weight]
-    grouped, ptr = _grouped(ids[by_weight], np.count_nonzero(starts), ranked)
-    first = _stable_order(by_count[starts])  # the first element of a class heads it
+    by_key = _ascending(keys)
+    ascending = keys[by_key]
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(ascending[1:], ascending[:-1], out=starts[1:])
+    ids = np.empty(len(keys), dtype=np.intp)
+    ids[by_key] = np.cumsum(starts) - 1
+    by_value = _ascending(values) if by_value is None else by_value
+    ranked = values[by_value]
+    grouped, ptr = _grouped(ids[by_value], np.count_nonzero(starts), ranked)
+    first = _stable_order(by_key[starts])  # the first element of a class heads it
     return CountClasses(*map(_read_only, (ascending[starts], grouped, ptr, first)),
-                        ordered_sum(ranked) / len(weights))
+                        ordered_sum(ranked) / len(values))
 
 
 def _training_weights(weighting: Weighting, training: Sequence) -> list:

@@ -53,7 +53,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .countmetric import _ascending, key_classes
+from .countmetric import _ascending, count_classes
 from .errors import (
     DomainError, ParseError, SettingError, check_float, check_int, json_value, read_bytes,
     utf8_text,
@@ -284,7 +284,7 @@ def _collapse(graph: DirectedGraph, weight: np.ndarray, stamp: Optional[np.ndarr
         return np.arange(len(weight)), weight
     keys = _pair_keys(graph)
     # Each pair's records, in file order.
-    _, records, ptr = key_classes(keys, np.arange(len(weight)))
+    _, records, ptr = count_classes(keys, np.arange(len(weight))).by_first_appearance()
     first, sizes = records[ptr[:-1]], np.diff(ptr)
     if stamp is not None:
         # Each pair's ranks in the stable time order, ascending: the last is
@@ -292,11 +292,11 @@ def _collapse(graph: DirectedGraph, weight: np.ndarray, stamp: Optional[np.ndarr
         by_time = _ascending(stamp)
         rank = np.empty_like(by_time)
         rank[by_time] = np.arange(len(by_time))
-        _, ranks, _ = key_classes(keys, rank)
+        _, ranks, _ = count_classes(keys, rank).by_first_appearance()
         return first, weight[by_time[ranks[ptr[1:] - 1]]]
     # Each pair's weights ascending, summed from 0.0: the bits of
     # stable_mean.  A lone record keeps its own bits, -0.0 included.
-    _, ascending, _ = key_classes(keys, weight)
+    _, ascending, _ = count_classes(keys, weight).by_first_appearance()
     means = np.bincount(np.repeat(np.arange(len(sizes)), sizes), weights=ascending) / sizes
     return first, np.where(sizes > 1, means, weight[first])
 

@@ -14,12 +14,12 @@ labels are reproduced exactly.
 
 Band counts are small integers, so distinct training elements frequently
 collide at the same embedding value.  Colliding points are merged before
-fitting, one per class of :func:`weightpred.countmetric.key_classes` in
-first-appearance order (the first point's embedding stands for its class),
-labelled with the mean of the class's ascending labels as in kNN; that
-keeps the normal system full rank, and the merge count is reported on the
-model; :func:`fit_classes` takes them from a count-class table.  A point's
-fitted value is its merged point's: ``train_mae`` needs no second kernel matrix.
+fitting, one per class of a :func:`weightpred.countmetric.count_classes`
+table in first-appearance order (the first point's embedding stands for its
+class), labelled with the mean of the class's ascending labels as in kNN;
+that keeps the normal system full rank, and the merge count is reported on
+the model.  A point's fitted value is its merged point's: ``train_mae``
+needs no second kernel matrix.
 
 A batch of embeddings gets the bits of one answer at a time: a stacked
 matmul puts each kernel row through the same ``(1, m) @ (m,)`` dot as a
@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .countmetric import CountClasses, CountMetric, _training_weights, key_classes
+from .countmetric import CountClasses, CountMetric, _training_weights, count_classes
 from .errors import PredictionError, SettingError, check_float, check_int
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf")
@@ -132,18 +132,14 @@ def fit_points(
     if bad:
         raise ValueError("non-finite training point ({!r}, {!r})".format(*bad[0]))
     u_all, y_all = np.ascontiguousarray(pairs.T)
-    # Merge embedding collisions; class order follows first appearance.
-    return _fit_merged(*key_classes(u_all, y_all), u_all, config, value_range)
+    return fit_classes(count_classes(u_all, y_all), u_all, config, value_range)
 
 
 def fit_classes(classes: CountClasses, counts, config: SvmConfig, value_range: tuple) -> SvmModel:
-    """:func:`fit_points` of the points ``(counts[i], weight i)``, from their table."""
-    return _fit_merged(*classes.by_first_appearance(), counts.astype(float), config, value_range)
-
-
-def _fit_merged(u_m, labels, ptr, u_all, config: SvmConfig, value_range: tuple) -> SvmModel:
-    """The fit to the points at embeddings ``u_all``, merged: point ``k`` at
-    ``u_m[k]`` has the ascending labels ``labels[ptr[k]:ptr[k + 1]]``."""
+    """:func:`fit_points` of the points ``(counts[i], value i)`` of the table
+    ``classes``, merged: one point per class, in first-appearance order."""
+    u_m, labels, ptr = classes.by_first_appearance()
+    u_all = np.asarray(counts, dtype=float)
     kernel = config.kernel
     if kernel.kind == "rbf" and kernel.gamma is None:
         gamma = 1.0 / (2.0 * float(np.var(u_all)) + _EPS)
@@ -158,11 +154,12 @@ def _fit_merged(u_m, labels, ptr, u_all, config: SvmConfig, value_range: tuple) 
     with np.errstate(over="ignore", invalid="ignore"):
         basis = _kernel_matrix(kernel, u_m, u_m) * y_m[None, :]
         design = np.hstack([np.ones((m, 1)), basis])
-        penalty = np.eye(m + 1)
-        penalty[0, 0] = 0.0  # intercept unpenalized
-        beta = np.linalg.solve(
-            design.T @ design + config.regularization * penalty, design.T @ y_m
-        )
+        # The ridge system in place: adding 0.0 spells a -0.0 entry 0.0, as
+        # a zero penalty entry would; the intercept is unpenalized.
+        gram = design.T @ design
+        gram += 0.0
+        gram.flat[m + 2::m + 2] += config.regularization
+        beta = np.linalg.solve(gram, design.T @ y_m)
 
         # A point's fitted value is that of its merged point.
         fitted = np.repeat(design @ beta, sizes)

@@ -225,6 +225,19 @@ def reference_predict_raw(model, u):
         return model.intercept + np.array(raw, dtype=float)
 
 
+def reference_ridge_beta(model, regularization):
+    """The ridge solution ``(w0, w_1..w_m)`` of ``model``'s merged points
+    and kernel, with the penalty spelled out as an ``np.eye`` matrix whose
+    intercept entry is zero."""
+    u_m, y_m = np.ascontiguousarray(np.array(model.points).T)  # as the fit holds them
+    m = len(u_m)
+    basis = svm._kernel_matrix(model.kernel, u_m, u_m) * y_m[None, :]
+    design = np.hstack([np.ones((m, 1)), basis])
+    penalty = np.eye(m + 1)
+    penalty[0, 0] = 0.0
+    return np.linalg.solve(design.T @ design + regularization * penalty, design.T @ y_m)
+
+
 def brute_fairness_goodness(edges, weights, tol=1e-6, max_iter=100):
     """Direct dict-based iteration of the two averaging sweeps; each score
     is a left-to-right sum over the vertex's edges in edge order."""

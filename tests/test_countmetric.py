@@ -54,16 +54,21 @@ class TestAvgNeighborWeight:
     st.sampled_from([0.0, -0.0, 1.0, -2.5, 7.0]),
     st.sampled_from([0.0, -0.0]) | st.floats(min_value=-1.0, max_value=1.0),
 ), max_size=40))
-def test_key_classes_keep_first_appearance_and_sort_each_class(pairs):
+def test_count_classes_keep_first_appearance_and_sort_each_class(pairs):
     keys = [k for k, _ in pairs]
-    table, values, ptr = countmetric.key_classes(keys, [v for _, v in pairs])
+    if not pairs:
+        with pytest.raises(PredictionError):
+            countmetric.count_classes(keys, [])
+        return
+    table, values, ptr = countmetric.count_classes(
+        keys, [v for _, v in pairs]).by_first_appearance()
     # Dict oracle: of 0.0 and -0.0 the first stands for the class.
     groups = {}
     for k, v in pairs:
         groups.setdefault(k, []).append(v)
     signed = lambda ks: [(k, math.copysign(1.0, k)) for k in ks]
-    assert signed(table) == signed(groups)
-    assert all(type(k) is float for k in table)
+    assert signed(table.tolist()) == signed(groups)
+    assert table.dtype == np.float64
     assert ptr[0] == 0 and ptr[-1] == len(values) == len(pairs)
     for i, want in enumerate(groups.values()):
         got = values[ptr[i]:ptr[i + 1]].tolist()
@@ -75,12 +80,16 @@ def test_key_classes_keep_first_appearance_and_sort_each_class(pairs):
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
 ]), max_size=60).map(np.array) | st.lists(
     st.integers(-2**53, 2**53), max_size=60).map(lambda v: np.array(v, dtype=np.int64)))
-def test_key_classes_order_values_as_their_sorted_rank(values):
+def test_count_classes_order_values_as_their_sorted_rank(values):
+    if not len(values):
+        with pytest.raises(PredictionError):
+            countmetric.count_classes(np.zeros(0), values)
+        return
     # Reference: each value's rank in the sorted values (equal values,
     # 0.0 and -0.0 among them, share one), ties in input order.
     rank = np.searchsorted(np.sort(values), values)
     want = values[np.argsort(rank, kind="stable")]
-    _, got, _ = countmetric.key_classes(np.zeros(len(values)), values)
+    _, got, _ = countmetric.count_classes(np.zeros(len(values)), values).by_first_appearance()
     assert got.dtype == values.dtype
     assert got.tobytes() == want.tobytes()
 
@@ -102,15 +111,20 @@ _FLOAT_KEYS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5]) | st.floa
 @example((np.array([], dtype=np.int64), []))
 @example(([], []))
 @example((np.array([2**53, 2**53 + 1, 2**53]), [(2**53, 0.0), (2**53 + 1, 0.0), (2**53, 0.0)]))
-def test_key_classes_number_classes_as_a_dict_does(case):
+def test_count_classes_number_classes_as_a_dict_does(case):
     keys, pairs = case
-    table, values, ptr = countmetric.key_classes(keys, np.array([v for _, v in pairs]))
+    values = np.array([v for _, v in pairs])
+    if not pairs:
+        with pytest.raises(PredictionError):
+            countmetric.count_classes(keys, values)
+        return
+    table, values, ptr = countmetric.count_classes(keys, values).by_first_appearance()
     # Dict oracle: classes in first-appearance order; of 0.0 and -0.0 the
     # first stands for the class.
     groups = {}
     for k, v in pairs:
         groups.setdefault(k, []).append(v)
-    assert [(type(k), repr(k)) for k in table] == [(type(k), repr(k)) for k in groups]
+    assert [(type(k), repr(k)) for k in table.tolist()] == [(type(k), repr(k)) for k in groups]
     assert ptr.tolist() == np.cumsum([0, *map(len, groups.values())]).tolist()
     for i, want in enumerate(groups.values()):
         assert values[ptr[i]:ptr[i + 1]].tobytes() == np.array(sorted(want)).tobytes()
@@ -139,12 +153,18 @@ def test_count_classes_match_a_brute_force_grouping(pairs, as_arrays):
     assert got.first.tolist() == want_first
     assert got.mean.hex() == want_mean.hex()
     assert not any(a.flags.writeable for a in (got.counts, got.weights, got.ptr, got.first))
-    # The first-appearance view is key_classes' grouping of the counts as floats.
-    table, values, ptr = countmetric.key_classes(np.array(counts, dtype=float), weights)
-    view_counts, view_weights, view_ptr = got.by_first_appearance()
-    assert view_counts.astype(float).tobytes() == np.array(table).tobytes()
-    assert view_weights.tobytes() == values.tobytes()
-    assert view_ptr.tolist() == ptr.tolist()
+    # The first-appearance view, against a dict oracle, is the same for the
+    # counts as floats, as fit_points groups them.
+    groups = {}
+    for c, w in pairs:
+        groups.setdefault(c, []).append(w)
+    want = (list(groups), [w for ws in groups.values() for w in sorted(ws)],
+            np.cumsum([0, *map(len, groups.values())]).tolist())
+    for table in (got, countmetric.count_classes(np.array(counts, dtype=float), weights)):
+        view_counts, view_weights, view_ptr = table.by_first_appearance()
+        assert view_counts.tolist() == want[0]
+        assert view_weights.tobytes() == np.array(want[1]).tobytes()
+        assert view_ptr.tolist() == want[2]
 
 
 def test_count_classes_refuse_an_empty_training_set():

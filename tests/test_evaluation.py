@@ -231,11 +231,11 @@ class TestRunExperiment:
     def test_a_task_major_grid_computes_each_shared_step_once(self, monkeypatch):
         calls = Counter()
 
-        def spy(module, name):
+        def spy(module, name, counter=None):
             real = getattr(module, name)
 
             def counted(*args):
-                calls[name] += 1
+                calls[counter or name] += 1
                 return real(*args)
             monkeypatch.setattr(module, name, counted)
 
@@ -244,12 +244,13 @@ class TestRunExperiment:
                      "count_classes"):
             spy(evaluation, name)
         # The SVM cells read the count-class table: no cell merges points itself.
-        spy(svm_mod, "key_classes")
+        spy(svm_mod, "count_classes", "svm.count_classes")
         results = [run_experiment(snap, _config(task, method))
                    for task in TASKS for method in METHODS]
         # Every task of the grid splits the one edge sample.
         assert calls == {"sample_edges": 1, "split_ids": 3, "fairness_goodness": 1,
                          "profile_arrays": 3, "count_classes": 3}
+        assert calls["svm.count_classes"] == 0
         # One (key, value) entry per level, of the last task; the profile
         # level holds the band counts and the count-class table.
         assert sorted(snap._memo) == ["fairness", "profile", "sample", "split"]

@@ -197,27 +197,64 @@ class TestCollapseDuplicates:
         """Many rows over six pairs, with or without a timestamp column,
         ties and ``-0.0``, compared bit for bit with a dict oracle."""
         rows = [(f"o{o}", f"t{t}", w, stamp) for o, t, w, stamp in rows]
-        groups = {}
-        for row in rows:
-            groups.setdefault(row[:2], []).append(row)
-        want = []
-        for (o, t), group in groups.items():
-            if ts:
-                latest = max(row[3] for row in group)
-                want.append((o, t, [row for row in group if row[3] == latest][-1][2]))
-            elif len(group) == 1:  # a lone record is kept as is, -0.0 included
-                want.append((o, t, group[0][2]))
-            else:
-                total = 0.0
-                for w in sorted(row[2] for row in group):
-                    total += w
-                want.append((o, t, total / len(group)))
-
-        def bits(edges):
-            return [(o, t, w.hex()) for o, t, w in edges]
-
         path = tmp_path_factory.mktemp("collapse") / "d.csv"
-        assert bits(_collapsed(path, rows, ts)) == bits(want)
+        assert _bits(_collapsed(path, rows, ts)) == _bits(_collapse_oracle(rows, ts))
+
+    @given(st.booleans(), st.lists(
+        # Origins 2**15 apart, over 2**17 terminals, give pair keys 2**32
+        # apart: equal in their low 32 bits, told apart by the high ones.
+        st.tuples(st.sampled_from([0, 1, 2**15, 2**15 + 1]),
+                  st.sampled_from([0, 1, 2**17 - 1]),
+                  st.one_of(st.floats(-1.0, 1.0),
+                            st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1 / 3])),
+                  st.one_of(st.integers(0, 3), st.sampled_from([0.0, -0.0]))),
+        min_size=1, max_size=60,
+    ))
+    @example(False, [(0, 0, 0.3, 0), (2**15, 0, -0.5, 0), (0, 0, 0.2, 0), (2**15, 0, 0.1, 0)])
+    @example(True, [(1, 1, 0.5, 3), (2**15 + 1, 1, 0.2, 0.0), (1, 1, 0.1, 3),
+                    (2**15 + 1, 1, -0.7, -0.0)])
+    def test_pair_keys_past_2_32_match_a_dict_oracle(self, ts, rows):
+        """Pair keys at and above 2**32, sharing their low 32 bits, collapse
+        as the dict oracle does, with or without timestamps."""
+        origins, terminals = _WIDE_SIDES
+        src, dst, weight, stamp = (np.array(column) for column in zip(*rows))
+        graph = DirectedGraph(origins, terminals, src, dst)
+        first, got = weightpred.ingest._collapse(
+            graph, weight.astype(float), stamp.astype(float) if ts else None)
+        edges = zip(src[first].tolist(), dst[first].tolist(), got.tolist())
+        assert _bits(edges) == _bits(_collapse_oracle(rows, ts))
+
+
+# The sides of a graph whose pair keys reach past 2**32, built once for
+# every example.
+_WIDE_SIDES = (tuple(range(2**15 + 2)), tuple(range(2**17)))
+
+
+def _bits(edges):
+    return [(o, t, w.hex()) for o, t, w in edges]
+
+
+def _collapse_oracle(rows, ts):
+    """The (origin, terminal, weight) edges of ``(origin, terminal, weight,
+    stamp)`` ``rows`` after the collapse, from a dict: the latest record's
+    weight (ties: the last in file order), or without timestamps the mean of
+    the ascending weights, a lone record keeping its own."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(row[:2]), []).append(row)
+    want = []
+    for (o, t), group in groups.items():
+        if ts:
+            latest = max(row[3] for row in group)
+            want.append((o, t, [row for row in group if row[3] == latest][-1][2]))
+        elif len(group) == 1:  # a lone record is kept as is, -0.0 included
+            want.append((o, t, group[0][2]))
+        else:
+            total = 0.0
+            for w in sorted(row[2] for row in group):
+                total += w
+            want.append((o, t, total / len(group)))
+    return want
 
 
 class TestRescale:

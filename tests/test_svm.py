@@ -23,7 +23,7 @@ from weightpred.svm import (
     KERNEL_KINDS, SvmModel, _kernel_matrix, _predict_raw, fit_classes, predict_embeddings,
 )
 
-from helpers import _left_sum, brute_kernel, reference_predict_raw
+from helpers import _left_sum, brute_kernel, reference_predict_raw, reference_ridge_beta
 
 finite_reals = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -202,6 +202,24 @@ class TestFit:
             return value
         for field in dataclasses.fields(want):
             assert bits(getattr(got, field.name)) == bits(getattr(want, field.name)), field.name
+
+    @given(
+        pairs=st.lists(st.tuples(
+            st.integers(-6, 6).map(float) | st.floats(-3.0, 3.0),
+            st.sampled_from([0.0, -0.0, 0.25, -0.5]) | st.floats(-1.0, 1.0),
+        ), min_size=1, max_size=30) | st.lists(st.tuples(
+            # Every label -0.0.
+            st.integers(-6, 6).map(float), st.just(-0.0)), min_size=1, max_size=12),
+        kind=st.sampled_from(KERNEL_KINDS),
+        regularization=st.sampled_from([1e-3, 0.5, 10.0]),
+    )
+    @example([(-2.0, -0.0), (3.0, -0.0), (-2.0, -0.0)], "linear", 1e-3)
+    def test_the_ridge_system_is_the_one_of_the_eye_penalty(self, pairs, kind, regularization):
+        config = SvmConfig(kernel=KernelSpec(kind, degree=2), regularization=regularization)
+        model = fit_points(pairs, config, (-1, 1))
+        want = reference_ridge_beta(model, regularization).tolist()
+        assert model.intercept.hex() == want[0].hex()
+        assert [c.hex() for c in model.coefficients] == [w.hex() for w in want[1:]]
 
     def test_gamma_resolved_from_embedding_variance(self):
         pts = [(0.0, 0.1), (2.0, 0.5), (4.0, 0.9)]
