@@ -40,9 +40,7 @@ import functools
 import hashlib
 import json
 import math
-import os
 import re
-import stat
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
@@ -563,37 +561,16 @@ _SNAPSHOT_KEYS = {"raw_weight_range": list, "origins": list, "terminals": list,
 
 def _write_file(path, data) -> None:
     """Write ``data``, text as UTF-8 or a list of bytes parts in order, to
-    ``path``, as a new file where one can be.
+    ``path``, in place.
 
     Every file the package writes goes through here.  Text is encoded
     before the path is touched, so a text UTF-8 cannot encode leaves an
-    existing file as it was.  A regular file with one link that the caller
-    may write is unlinked, and the new file takes its permission bits: on
-    ext4, truncating in place (or renaming over) makes the file's blocks be
-    allocated at close (``auto_da_alloc``), and freeing allocated blocks on
-    the next rewrite took about 0.1 s, where a new file's blocks wait for
-    the kernel's writeback (about 30 s).  The price is that window: a power
-    loss in it can leave the path empty, with the old bytes gone.  A
-    symlink, a hard-linked file, or a file that cannot be unlinked is
-    written through, truncated in place.
+    existing file as it was.  A file already at ``path`` is truncated and
+    written through, so it keeps its inode, mode and links, and a symlink
+    is followed.
     """
     parts = [data.encode("utf-8")] if isinstance(data, str) else data
-    mode = None
-    try:
-        old = os.lstat(path)
-        if stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and os.access(path, os.W_OK):
-            os.unlink(path)
-            mode = old.st_mode & 0o777
-    except OSError:
-        pass  # no file there, or one to write through
-    if mode is None:
-        with open(path, "wb") as f:
-            f.writelines(parts)
-        return
-    # Created exclusively, so a link planted after the unlink is refused,
-    # and never wider than the old mode, so no reader opens it in between.
-    with open(path, "wb", opener=lambda p, flags: os.open(p, flags | os.O_EXCL, mode)) as f:
-        os.fchmod(f.fileno(), mode)  # the umask may have narrowed it
+    with open(path, "wb") as f:
         f.writelines(parts)
 
 
